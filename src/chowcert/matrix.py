@@ -1,11 +1,17 @@
 """Dense exact linear algebra over Z_m.
 
-Rank, reduced row echelon form with pivot bookkeeping, kernel vectors
-from the echelon data, products, and Kronecker products.  Two
-interchangeable elimination/multiplication paths exist: a plain one
-(`naive=True`), kept as the testing oracle, and a panel-blocked one
-whose bulk updates are exact dgemm calls.  Reduced echelon form is
-canonical, so both paths return bit-identical results.
+Rank, row echelon data with pivot bookkeeping, kernel vectors, products,
+and Kronecker products.  Two interchangeable elimination/multiplication
+paths exist: a plain one (`naive=True`), kept as the testing oracle, and
+a panel-blocked one whose bulk updates are exact dgemm calls.
+
+The blocked elimination stops at row echelon form: rank, pivots and the
+unit-upper rows U, which is all that rank tests and kernel vectors need.
+The reduced form is built from U by one Gauss-Jordan back pass on first
+access to `RrefResult.echelon`, and kernel vectors come from
+back-substitution over U.  Reduced echelon form and the kernel vector
+with given free coordinates are canonical, so both paths return
+bit-identical results.
 
 Entries live in int64 arrays; moduli up to 2^31 are supported (products
 are formed so that every intermediate fits the accumulator type).
@@ -14,6 +20,7 @@ are formed so that every intermediate fits the accumulator type).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -24,6 +31,11 @@ DEFAULT_BLOCK = 64
 _F64_EXACT = 2**53 - 1
 _I64_MAX = 2**63 - 1
 MAX_MATRIX_MODULUS = 2**31
+# Entries per row tile of a trailing update (2 MB of float64): each
+# tile's product is subtracted while it is still in cache.
+_TILE = 1 << 18
+# Columns per sub-panel: rank-1 updates stay within one.
+_SUB = 8
 
 
 def _mod_matmul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -117,195 +129,204 @@ class _ReduceF64:
         np.subtract(x, self.m, out=x, where=x >= self.m)
 
 
-def _rref_blocked(
-    data: np.ndarray, m: int, block: int
-) -> tuple[np.ndarray, list[int]]:
-    """Panel-blocked elimination with deferred reduction.
+def _regime(shape: tuple[int, int], m: int, block: int) -> tuple[type, bool, bool]:
+    """Working dtype, deep reduction and eager reduction for one elimination.
 
-    Rank-1 updates accumulate unreduced; a value is reduced mod m only
-    when it is about to be read (the pivot-search column, the pivot
-    row, matmul operands).  Every entry collects at most one bounded
-    product per pivot per phase, so magnitudes stay below
-    (2 min(rows, cols) + block + 4) m^2; when that fits the exact
-    float64 range the working array is float64 and every bulk update is
-    one dgemm.  Mid-range m keeps int64 accumulation, falling back to
-    per-panel reduction and finally to the eager one-reduction-per-step
-    variant for m near 2^31.
+    Deep: trailing values stay unreduced across panels.  Every entry
+    collects at most one product below m^2 per pivot, plus at most
+    `block` more within a panel, so magnitudes stay below the checked
+    bound (2 min(rows, cols) + block + 4) m^2.  Per panel: trailing
+    values are reduced after each panel's update, which bounds them by
+    (block + 2) m^2.  The first bound that fits the exact float64 range,
+    then the int64 range, picks the regime; when neither fits (m near
+    2^31) every step is reduced at once and products go through
+    `_mod_matmul`.
     """
-    short = min(data.shape)
+    short = min(shape)
     deep_bound = (short * 2 + block + 4) * m * m
     panel_bound = (block + 2) * m * m
-    if deep_bound < _F64_EXACT:
-        dtype, reduce_, deep = np.float64, _ReduceF64(m), True
-    elif panel_bound < _F64_EXACT:
-        dtype, reduce_, deep = np.float64, _ReduceF64(m), False
-    elif deep_bound < _I64_MAX:
-        dtype, reduce_, deep = np.int64, _reduce_i64, True
-    elif panel_bound < _I64_MAX:
-        dtype, reduce_, deep = np.int64, _reduce_i64, False
-    else:
-        return _rref_blocked_eager(data, m, block)
+    for dtype, limit in ((np.float64, _F64_EXACT), (np.int64, _I64_MAX)):
+        if deep_bound < limit:
+            return dtype, True, False
+        if panel_bound < limit:
+            return dtype, False, False
+    return np.int64, False, True
+
+
+def _apply_pivots(trail, below, lfac, ninv, reduce_, m, reduce_after, matmul):
+    """Carry a block of pivots into the columns right of it.
+
+    `trail` holds the k pivot rows' entries in those columns and `below`
+    the rows under them, both as views (one row per matrix row);
+    `lfac[i, j]` (j > i) is the multiple of pivot row i subtracted from
+    row j, and `ninv` the inverses of the k pivots.  The pivot rows are
+    solved against each other and scaled, then `below` gets one matmul,
+    in row tiles so each tile's product is consumed while cached.
+    """
+    k = len(ninv)
+    for i in range(k):
+        if i:
+            trail[i] -= matmul(lfac[None, :i, i], trail[:i])[0]
+        reduce_(trail[i], m)
+        trail[i] *= ninv[i]
+        reduce_(trail[i], m)
+    l21 = lfac[:k, k:].T
+    if l21.any():
+        step = max(1, _TILE // trail.shape[1])
+        for s in range(0, below.shape[0], step):
+            tile = below[s : s + step]
+            tile -= matmul(l21[s : s + step], trail)
+            if reduce_after:
+                reduce_(tile, m)
+
+
+def _echelon_blocked(
+    data: np.ndarray, m: int, block: int
+) -> tuple[np.ndarray, list[int]]:
+    """Panel-blocked row echelon form with deferred reduction.
+
+    Returns the rank nonzero rows U of a row echelon form, reduced to
+    [0, m), and the pivot columns: row k of U is zero left of pivot k
+    and 1 at it.  Rank-1 updates accumulate unreduced; a value is
+    reduced mod m only when it is about to be read (the pivot-search
+    column, the pivot row, matmul operands), within the bounds that
+    `_regime` checks.
+
+    Each panel of `block` columns is factored on a transposed copy, so
+    the column reduce, the pivot search and the rank-1 updates stream
+    contiguous memory.  Rank-1 updates stay within sub-panels of `_SUB`
+    columns; a sub-panel's pivots reach the panel's later columns, and
+    a panel's pivots the trailing columns, in one matmul each.
+    """
+    dtype, deep, eager = _regime(data.shape, m, block)
+    reduce_ = _ReduceF64(m) if dtype is np.float64 else _reduce_i64
+    matmul = partial(_mod_matmul, m=m) if eager else np.matmul
     a = data.astype(dtype)
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
     c0 = 0
-    # Phase 1: row echelon form.  Row operations touch panel columns
-    # immediately; trailing columns receive them in one matmul per
-    # panel.  In deep mode trailing values stay unreduced across panels
-    # (each entry collects at most one bounded product per pivot), and
-    # are reduced only where read.
     while r < rows and c0 < cols:
         c1 = min(c0 + block, cols)
+        w = c1 - c0
         nact = rows - r
-        lfac = np.zeros((nact, c1 - c0), dtype=dtype)
+        pan = a[r:, c0:c1].T.copy()
+        lfac = np.zeros((w, nact), dtype=dtype)
+        # order[i]: the active row that the panel's swaps moved to position i
+        order = np.arange(nact)
         ninv: list[int] = []
         k = 0
-        for c in range(c0, c1):
-            if r + k == rows:
-                break
-            reduce_(a[r + k :, c], m)
-            nz = np.flatnonzero(a[r + k :, c])
-            if nz.size == 0:
-                continue
-            p = r + k + int(nz[0])
-            if p != r + k:
-                a[[r + k, p]] = a[[p, r + k]]
-                lfac[[k, p - r]] = lfac[[p - r, k]]
-            inv = pow(int(a[r + k, c]), -1, m)
-            ninv.append(inv)
-            reduce_(a[r + k, c:c1], m)
-            a[r + k, c:c1] *= inv
-            reduce_(a[r + k, c:c1], m)
-            below = a[r + k + 1 :, c].copy()
-            hit = np.flatnonzero(below)
-            if 2 * hit.size > below.size:
-                # dense column: a contiguous rank-1 update beats
-                # gather/scatter on the hit rows
-                a[r + k + 1 :, c:c1] -= np.multiply(
-                    below[:, None], a[r + k, c:c1][None, :]
+        for j0 in range(0, w, _SUB):
+            j1 = min(j0 + _SUB, w)
+            k0 = k
+            for j in range(j0, j1):
+                if k == nact:
+                    break
+                reduce_(pan[j, k:], m)
+                nz = np.flatnonzero(pan[j, k:])
+                if nz.size == 0:
+                    continue
+                p = k + int(nz[0])
+                if p != k:
+                    pan[:, [k, p]] = pan[:, [p, k]]
+                    lfac[:k, [k, p]] = lfac[:k, [p, k]]
+                    order[[k, p]] = order[[p, k]]
+                inv = pow(int(pan[j, k]), -1, m)
+                ninv.append(inv)
+                prow = pan[j:j1, k]
+                reduce_(prow, m)
+                prow *= inv
+                reduce_(prow, m)
+                below = pan[j, k + 1 :].copy()
+                hit = np.flatnonzero(below)
+                if 2 * hit.size > below.size:
+                    # dense column: a contiguous rank-1 update beats
+                    # gather/scatter on the hit rows
+                    upd = pan[j:j1, k + 1 :]
+                    upd -= np.multiply(prow[:, None], below[None, :])
+                    if eager:
+                        reduce_(upd, m)
+                elif hit.size:
+                    sel = k + 1 + hit
+                    upd = pan[j:j1, sel] - np.multiply(
+                        prow[:, None], below[None, hit]
+                    )
+                    if eager:
+                        reduce_(upd, m)
+                    pan[j:j1, sel] = upd
+                lfac[k, k + 1 :] = below
+                pivots.append(c0 + j)
+                k += 1
+            if k > k0 and j1 < w:
+                _apply_pivots(
+                    pan[j1:, k0:k].T,
+                    pan[j1:, k:].T,
+                    lfac[k0:k, k0:],
+                    ninv[k0:],
+                    reduce_,
+                    m,
+                    eager,
+                    matmul,
                 )
-            elif hit.size:
-                sel = r + k + 1 + hit
-                a[sel, c:c1] -= np.outer(below[hit], a[r + k, c:c1])
-            lfac[k + 1 :, k] = below
-            pivots.append(c)
-            k += 1
-        reduce_(a[r : r + k, c0:c1], m)
+        a[r:, c0:c1] = pan.T
+        moved = np.flatnonzero(order != np.arange(nact))
+        if moved.size:
+            a[r + moved, c1:] = a[r + order[moved], c1:]
         if k and c1 < cols:
-            trail = a[r : r + k, c1:]
-            for i in range(k):
-                if i:
-                    trail[i] -= lfac[i, :i] @ trail[:i]
-                reduce_(trail[i], m)
-                trail[i] *= ninv[i]
-                reduce_(trail[i], m)
-            l21 = lfac[k:, :k]
-            if l21.size and l21.any():
-                a[r + k :, c1:] -= l21 @ trail
-                if not deep:
-                    reduce_(a[r + k :, c1:], m)
+            _apply_pivots(
+                a[r : r + k, c1:],
+                a[r + k :, c1:],
+                lfac,
+                ninv,
+                reduce_,
+                m,
+                not deep,
+                matmul,
+            )
         r += k
         c0 = c1
-    # Phase 2: clear above-pivot entries, one pivot block at a time.
-    # Rows of a block have no support left of its first pivot column,
-    # so all updates are restricted to columns from there on.
-    nr = len(pivots)
-    for i0 in reversed(range(0, nr, block)):
-        i1 = min(i0 + block, nr)
-        pcols = pivots[i0:i1]
-        first = pcols[0]
-        if deep:
-            reduce_(a[i0:i1, first:], m)
-        for t in range(i1 - i0 - 2, -1, -1):
-            row = i0 + t
-            facs = a[row, pcols[t + 1 :]]
-            hit = np.flatnonzero(facs)
-            if hit.size:
-                sel = i0 + t + 1 + hit
-                left = pcols[t + 1]
-                a[row, left:] -= facs[hit] @ a[sel, left:]
-                reduce_(a[row, left:], m)
-        if i0:
-            above = a[:i0, pcols]
-            if deep:
-                reduce_(above, m)
-            if above.any():
-                a[:i0, first:] -= above @ a[i0:i1, first:]
-                if not deep:
-                    reduce_(a[:i0, first:], m)
-    if deep:
-        reduce_(a, m)
+    rank = len(pivots)
     if dtype is np.float64:
-        return a.astype(np.int64), pivots
-    return a, pivots
+        # converted in place, one row tile at a time, so no second
+        # full-size array is ever allocated
+        out = a.view(np.int64)
+        step = max(1, _TILE // max(cols, 1))
+        for s in range(0, rank, step):
+            out[s : s + step] = a[s : s + step]
+        a = out
+    return a[:rank], pivots
 
 
-def _rref_blocked_eager(
-    data: np.ndarray, m: int, block: int
-) -> tuple[np.ndarray, list[int]]:
-    """Same panel scheme, reducing after every step; exact for any m < 2^31."""
-    a = data.copy()
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    c0 = 0
-    while r < rows and c0 < cols:
-        c1 = min(c0 + block, cols)
-        nact = rows - r
-        lfac = np.zeros((nact, c1 - c0), dtype=np.int64)
-        ninv: list[int] = []
-        k = 0
-        for c in range(c0, c1):
-            if r + k == rows:
-                break
-            nz = np.flatnonzero(a[r + k :, c])
-            if nz.size == 0:
-                continue
-            p = r + k + int(nz[0])
-            if p != r + k:
-                a[[r + k, p]] = a[[p, r + k]]
-                lfac[[k, p - r]] = lfac[[p - r, k]]
-            inv = pow(int(a[r + k, c]), -1, m)
-            ninv.append(inv)
-            a[r + k, c:c1] = a[r + k, c:c1] * inv % m
-            below = a[r + k + 1 :, c].copy()
-            hit = np.flatnonzero(below)
-            if hit.size:
-                sel = r + k + 1 + hit
-                a[sel, c:c1] = (a[sel, c:c1] - np.outer(below[hit], a[r + k, c:c1])) % m
-            lfac[k + 1 :, k] = below
-            pivots.append(c)
-            k += 1
-        if k and c1 < cols:
-            trail = a[r : r + k, c1:]
-            for i in range(k):
-                if i:
-                    trail[i] = (
-                        trail[i] - _mod_matmul(lfac[i : i + 1, :i], trail[:i], m)[0]
-                    ) % m
-                trail[i] = trail[i] * ninv[i] % m
-            l21 = lfac[k:, :k]
-            if l21.size and l21.any():
-                a[r + k :, c1:] = (a[r + k :, c1:] - _mod_matmul(l21, trail, m)) % m
-        r += k
-        c0 = c1
+def _reduce_upper(upper: np.ndarray, pivots, m: int, block: int) -> np.ndarray:
+    """Gauss-Jordan back pass: clear the entries above every pivot of U.
+
+    One pivot block at a time from the bottom.  Rows of a block have no
+    support left of its first pivot column, so every update is
+    restricted to the columns from there on.
+    """
+    a = upper.copy()
     nr = len(pivots)
     for i0 in reversed(range(0, nr, block)):
         i1 = min(i0 + block, nr)
-        pcols = pivots[i0:i1]
+        pcols = list(pivots[i0:i1])
+        first = pcols[0]
         for t in range(i1 - i0 - 2, -1, -1):
             row = i0 + t
             facs = a[row, pcols[t + 1 :]]
             hit = np.flatnonzero(facs)
             if hit.size:
-                sel = i0 + t + 1 + hit
-                a[row] = (a[row] - _mod_matmul(facs[hit][None, :], a[sel], m)[0]) % m
+                sel = row + 1 + hit
+                left = pcols[t + 1]
+                a[row, left:] = (
+                    a[row, left:] - _mod_matmul(facs[None, hit], a[sel, left:], m)[0]
+                ) % m
         if i0:
             above = a[:i0, pcols]
             if above.any():
-                a[:i0] = (a[:i0] - _mod_matmul(above, a[i0:i1], m)) % m
-    return a, pivots
+                a[:i0, first:] = (
+                    a[:i0, first:] - _mod_matmul(above, a[i0:i1, first:], m)
+                ) % m
+    return a
 
 
 class FfMatrix:
@@ -401,14 +422,20 @@ class FfMatrix:
         return FfMatrix(np.kron(self.data, other.data), self.modulus)
 
     def rref(self, block: int = DEFAULT_BLOCK, naive: bool = False) -> "RrefResult":
+        m = self.modulus.value
         if naive:
-            echelon, pivots = _rref_naive(self.data, self.modulus.value)
+            echelon, pivots = _rref_naive(self.data, m)
+            upper = echelon[: len(pivots)]
         else:
-            echelon, pivots = _rref_blocked(self.data, self.modulus.value, block)
+            upper, pivots = _echelon_blocked(self.data, m, block)
+        upper.setflags(write=False)
         return RrefResult(
-            echelon=FfMatrix(echelon, self.modulus),
+            upper=upper,
             pivot_cols=tuple(pivots),
-            rank=len(pivots),
+            modulus=self.modulus,
+            rows=self.rows,
+            block=block,
+            reduced=naive,
         )
 
     def rank(self, naive: bool = False) -> int:
@@ -456,22 +483,50 @@ def mul_mat(a: FfMatrix, b: FfMatrix, naive: bool = False) -> FfMatrix:
     return a.matmul(b, naive=naive)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RrefResult:
-    """Reduced row echelon form plus the pivot bookkeeping.
+    """Row echelon data of one elimination: rank, pivots and the rows U.
 
-    Reordering columns as pivots-then-free turns the nonzero rows into
-    [I_rank | X]; `permutation` records that column order.
+    `upper` holds the `rank` nonzero rows of a row echelon form, entries
+    in [0, m): row k is zero left of `pivot_cols[k]` and 1 there, so U
+    restricted to the pivot columns is unit upper triangular.  The
+    blocked elimination stops there.  `echelon`, the reduced row echelon
+    form, is built from U by a Gauss-Jordan back pass on first access;
+    reordering its columns as pivots-then-free turns the nonzero rows
+    into [I_rank | X], and `permutation` records that column order.
+    `reduced` marks a U that is already reduced (the naive path).
     """
 
-    echelon: FfMatrix
+    upper: np.ndarray
     pivot_cols: tuple[int, ...]
-    rank: int
+    modulus: PrimeModulus
+    rows: int
+    block: int = DEFAULT_BLOCK
+    reduced: bool = False
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_cols)
+
+    @property
+    def cols(self) -> int:
+        return self.upper.shape[1]
+
+    @cached_property
+    def echelon(self) -> FfMatrix:
+        m = self.modulus.value
+        full = np.zeros((self.rows, self.cols), dtype=np.int64)
+        full[: self.rank] = (
+            self.upper
+            if self.reduced
+            else _reduce_upper(self.upper, self.pivot_cols, m, self.block)
+        )
+        return FfMatrix(full, self.modulus)
 
     @property
     def free_cols(self) -> tuple[int, ...]:
         pivots = set(self.pivot_cols)
-        return tuple(c for c in range(self.echelon.cols) if c not in pivots)
+        return tuple(c for c in range(self.cols) if c not in pivots)
 
     @property
     def permutation(self) -> tuple[int, ...]:
@@ -492,22 +547,34 @@ def rank(a: FfMatrix, naive: bool = False) -> int:
 
 
 def null_vector(res: RrefResult, f0) -> np.ndarray:
-    """Kernel vector with -X f0 in pivot slots and f0 in free slots.
+    """Kernel vector with f0 in the free slots and -X f0 in the pivot slots.
 
-    The result is annihilated exactly by any matrix whose row space the
-    echelon form came from.
+    Solves U x = 0 for the pivot coordinates by blocked back-substitution
+    over the echelon rows, from the last pivot block up; U is unit upper
+    triangular on the pivot columns, so the solution is unique and equals
+    -X f0 from the reduced form.  The result is annihilated exactly by
+    any matrix whose row space the echelon rows came from.
     """
-    m = res.echelon.modulus.value
-    cols = res.echelon.cols
-    c = cols - res.rank
+    m = res.modulus.value
+    c = res.cols - res.rank
     if c == 0:
         raise ValueError("full column rank, no normal directions")
     f0 = np.asarray([int(v) for v in f0], dtype=np.int64) % m
     if f0.shape != (c,):
         raise ValueError(f"free vector must have length {c}, got {f0.shape}")
-    normal = np.zeros(cols, dtype=np.int64)
-    if res.rank:
-        xf = _mod_matmul(res.x_block(), f0[:, None], m)[:, 0]
-        normal[list(res.pivot_cols)] = (-xf) % m
+    normal = np.zeros(res.cols, dtype=np.int64)
     normal[list(res.free_cols)] = f0
+    upper = res.upper
+    for i0 in reversed(range(0, res.rank, res.block)):
+        i1 = min(i0 + res.block, res.rank)
+        pcols = list(res.pivot_cols[i0:i1])
+        first = pcols[0]
+        # rows i0..i1 against every coordinate known so far: the free
+        # ones and the pivots of later blocks (this block's are still 0)
+        acc = _mod_matmul(upper[i0:i1, first:], normal[first:, None], m)[:, 0]
+        tri = upper[i0:i1, pcols]
+        for t in range(i1 - i0 - 1, -1, -1):
+            x = -acc[t] % m
+            normal[pcols[t]] = x
+            acc[:t] = (acc[:t] + tri[:t, t] * x) % m
     return normal

@@ -107,6 +107,18 @@ def _point_from_vectors(vectors, modulus: PrimeModulus) -> ChowPoint:
     return ChowPoint(tuple(LinearForm(v, modulus) for v in vectors))
 
 
+def _normal_and_rank(res, f0, n: int, point: ChowPoint, modulus: PrimeModulus):
+    """The normal vector with free part f0 and its curvature-form rank.
+
+    Cuts the normal vector out of the echelon data, then ranks the
+    curvature form it contracts to at `point`.  The step certify records
+    and verify replays; it calls the module-level names, so wrappers
+    placed on them see every call.
+    """
+    normal = Poly(monomial_basis(n, 3), null_vector(res, f0), modulus)
+    return normal, hessian_at(point, normal).entries.rank()
+
+
 def certify(
     n: int,
     r: int | None = None,
@@ -140,7 +152,6 @@ def certify(
     if seed is None:
         seed = secrets.randbits(64)
     hexp = expected_hessian_rank(n)
-    basis3 = monomial_basis(n, 3)
     attempts: list[AttemptRecord] = []
     for attempt in range(retries):
         attempt_seed = seed if attempt == 0 else derive_seed(seed, attempt)
@@ -157,8 +168,8 @@ def certify(
             )
             continue
         f0 = rng.vector(modulus, dim - trank)
-        normal = Poly(basis3, null_vector(res, f0), modulus)
-        hranks = [hessian_at(points[0], normal).entries.rank()]
+        normal, hrank = _normal_and_rank(res, f0, n, points[0], modulus)
+        hranks = [hrank]
         if all_points:
             hranks.extend(
                 hessian_at(p, normal).entries.rank() for p in points[1:]
@@ -254,8 +265,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         )
     hrank = None
     if tmat.cols - trank == len(cert.f0):
-        normal = Poly(monomial_basis(cert.n, 3), null_vector(res, cert.f0), modulus)
-        hrank = hessian_at(points[0], normal).entries.rank()
+        _, hrank = _normal_and_rank(res, cert.f0, cert.n, points[0], modulus)
         if hrank != cert.hessian_rank:
             failures.append(
                 f"hessian rank: recomputed {hrank}, certificate records "
@@ -469,19 +479,25 @@ class BenchReport:
 def bench(sizes, prime=DEFAULT_PRIME, seed: int = 0) -> BenchReport:
     """Time the elimination and multiplication kernels, both paths.
 
-    Inputs are pseudorandom dense matrices; the two paths must agree
-    exactly, which is asserted, not just reported.
+    Inputs are pseudorandom dense matrices whose last row repeats the
+    first, so there is a kernel vector to compare.  Both rref timings
+    cover the reduced echelon form.  The two paths must agree exactly
+    (reduced form, pivots, kernel vector, product), which is asserted,
+    not just reported.
     """
     modulus = _as_modulus(prime)
     gen = np.random.default_rng(seed)
     cases = []
     for size in sizes:
-        a = FfMatrix(gen.integers(0, modulus.value, (size, size)), modulus)
+        data = gen.integers(0, modulus.value, (size, size))
+        data[-1] = data[0]
+        a = FfMatrix(data, modulus)
         b = FfMatrix(gen.integers(0, modulus.value, (size, size)), modulus)
         t0 = time.perf_counter()
         res_naive = a.rref(naive=True)
         t1 = time.perf_counter()
         res_blocked = a.rref()
+        res_blocked.echelon  # the reduced form is built on first access
         t2 = time.perf_counter()
         prod_naive = a.matmul(b, naive=True)
         t3 = time.perf_counter()
@@ -492,6 +508,12 @@ def bench(sizes, prime=DEFAULT_PRIME, seed: int = 0) -> BenchReport:
             and res_naive.pivot_cols == res_blocked.pivot_cols
             and prod_naive == prod_fast
         )
+        free = size - res_naive.rank
+        if agree and free:
+            f0 = gen.integers(0, modulus.value, free)
+            agree = np.array_equal(
+                null_vector(res_naive, f0), null_vector(res_blocked, f0)
+            )
         if not agree:
             raise AssertionError(
                 f"kernel paths disagree at size {size}; this is a bug"

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowcert.field import PrimeModulus
+from chowcert.field import PrimeModulus, is_prime
 from chowcert.matrix import (
+    _F64_EXACT,
+    _I64_MAX,
     FfMatrix,
+    _regime,
     kronecker,
     mul_mat,
     null_vector,
@@ -259,6 +264,144 @@ class TestRrefResultInvariants:
         res = mat.rref()
         pivot_block = res.echelon.data[: res.rank][:, list(res.pivot_cols)]
         assert np.array_equal(pivot_block, np.eye(res.rank, dtype=np.int64))
+
+
+REGIMES = ("float64 deep", "float64 per-panel", "int64 deep", "int64 per-panel", "eager")
+
+
+def regime_name(shape, m, block):
+    dtype, deep, eager = _regime(shape, m, block)
+    if eager:
+        return "eager"
+    kind = "float64" if dtype is np.float64 else "int64"
+    return f"{kind} {'deep' if deep else 'per-panel'}"
+
+
+def largest_fitting(factor, limit):
+    """Largest m with factor * m^2 below limit."""
+    m = math.isqrt(limit // factor)
+    while factor * m * m >= limit:
+        m -= 1
+    while factor * (m + 1) ** 2 < limit:
+        m += 1
+    return m
+
+
+def boundary_moduli(shape, block):
+    """(prime, regime) just under and just over every regime limit.
+
+    The limits, in the order `_regime` tries them: deep and per-panel
+    magnitude bounds against the exact float64 range, then against the
+    int64 range.  Under a limit the regime it guards runs; just over it,
+    the next one.
+    """
+    short = min(shape)
+    deep, panel = 2 * short + block + 4, block + 2
+    limits = ((deep, _F64_EXACT), (panel, _F64_EXACT), (deep, _I64_MAX), (panel, _I64_MAX))
+    out = []
+    for i, (factor, limit) in enumerate(limits):
+        edge = largest_fitting(factor, limit)
+        under = next(p for p in range(edge, 2, -1) if is_prime(p))
+        over = next(p for p in range(edge + 1, 2 * edge) if is_prime(p))
+        out += [(under, REGIMES[i]), (over, REGIMES[i + 1])]
+    return out
+
+
+def structured_matrix(rows, cols, m, rng):
+    """Random entries with zero columns and rows that repeat others.
+
+    Columns 4..7 are a whole panel without a pivot when the block is 4.
+    """
+    a = rng.integers(0, m, (rows, cols))
+    a[:, [0, cols // 2, cols - 3]] = 0
+    a[:, 4:8] = 0
+    a[rows // 3] = (2 * a[0] + 3 * a[1]) % m
+    a[rows - 1] = (a[1] + 5 * a[2]) % m
+    return a
+
+
+def low_rank_matrix(rows, cols, m, rng, inner):
+    """A product of random rows x inner and inner x cols factors mod m."""
+    left = rng.integers(0, m, (rows, inner)).astype(object)
+    right = rng.integers(0, m, (inner, cols)).astype(object)
+    return (left @ right % m).astype(np.int64)
+
+
+def assert_row_echelon(res):
+    """`upper` is reduced, zero left of each pivot and 1 at it."""
+    upper = res.upper
+    m = res.modulus.value
+    assert upper.shape == (res.rank, res.cols)
+    assert upper.min(initial=0) >= 0 and upper.max(initial=0) < m
+    for k, c in enumerate(res.pivot_cols):
+        assert not upper[k, :c].any()
+        assert upper[k, c] == 1
+
+
+# (rows, cols): more rows than columns and more columns than rows, each
+# wider than the largest block so every block size gives several panels
+SHAPES = ((90, 70), (60, 110))
+BLOCK_CASES = [(shape, block) for shape in SHAPES for block in (4, 16, 64)]
+
+
+class TestEliminationRegimes:
+    @pytest.mark.parametrize("shape,block", BLOCK_CASES)
+    def test_boundary_moduli_reach_every_regime(self, shape, block):
+        cases = boundary_moduli(shape, block)
+        for m, expected in cases:
+            assert regime_name(shape, m, block) == expected, m
+        assert {name for _, name in cases} == set(REGIMES)
+
+    @pytest.mark.parametrize("shape,block", BLOCK_CASES)
+    def test_blocked_matches_naive_at_every_limit(self, shape, block):
+        rows, cols = shape
+        rng = np.random.default_rng(rows * cols + block)
+        for m, _ in boundary_moduli(shape, block):
+            modulus = PrimeModulus(m)
+            for data in (
+                structured_matrix(rows, cols, m, rng),
+                low_rank_matrix(rows, cols, m, rng, min(shape) // 2),
+            ):
+                mat = FfMatrix(data, modulus)
+                naive = mat.rref(naive=True)
+                fast = mat.rref(block=block)
+                assert fast.pivot_cols == naive.pivot_cols
+                assert_row_echelon(fast)
+                # forces the lazy Gauss-Jordan back pass
+                assert fast.echelon == naive.echelon
+                assert np.array_equal(fast.x_block(), naive.x_block())
+                f0 = rng.integers(0, m, cols - naive.rank)
+                normal = null_vector(fast, f0)
+                assert np.array_equal(normal, null_vector(naive, f0))
+                pivots = list(naive.pivot_cols)
+                minus_xf0 = -(naive.x_block().astype(object) @ f0.astype(object)) % m
+                assert normal[pivots].tolist() == minus_xf0.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.integers(min_value=1, max_value=20),
+    cols=st.integers(min_value=2, max_value=24),
+    block=st.sampled_from((4, 16, 64)),
+    m=st.sampled_from(
+        (7, 20201) + tuple(m for m, _ in boundary_moduli((20, 24), 16))
+    ),
+)
+def test_null_vector_annihilates(data, rows, cols, block, m):
+    inner = data.draw(st.integers(min_value=0, max_value=min(rows, cols - 1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mat = FfMatrix(low_rank_matrix(rows, cols, m, rng, inner), PrimeModulus(m))
+    res = mat.rref(block=block)
+    f0 = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=m - 1),
+            min_size=cols - res.rank,
+            max_size=cols - res.rank,
+        )
+    )
+    normal = null_vector(res, f0)
+    assert not (mat.data.astype(object) @ normal.astype(object) % m).any()
 
 
 @settings(max_examples=40, deadline=None)

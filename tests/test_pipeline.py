@@ -4,7 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from chowcert.certificate import format_certificate, parse_certificate
+from chowcert.certificate import (
+    format_certificate,
+    integrity_digest,
+    parse_certificate,
+)
 from chowcert.pipeline import (
     GenericityError,
     bench,
@@ -64,6 +68,26 @@ class TestCertify:
         cert = certify(5, 3, seed=17)
         report = verify_text(format_certificate(cert))
         assert report.ok, report.failures
+
+
+class TestPinnedCertificates:
+    """Certificate payloads pinned by digest: a kernel change that alters
+    a recorded rank, vector or verdict shows here."""
+
+    def test_reference_parameters_at_20201(self):
+        # the reference fixture's parameters and seed; the same digest is
+        # the benchmark's n=5 gate
+        cert = certify(5, 3, 20201, seed=1591688259)
+        assert integrity_digest(cert) == (
+            "1794b8ba1679c68805a8eaf3a10b838b10a0190852a5788c111e160b65fdbad3"
+        )
+
+    def test_eager_regime_at_2_31_minus_1(self):
+        # m = 2^31 - 1 takes the eager int64 elimination
+        cert = certify(8, prime=2**31 - 1, seed=1591688259)
+        assert integrity_digest(cert) == (
+            "785042ade7050a577c703390a563174ae887d41416b04410c0d045350a643eff"
+        )
 
 
 class TestVerify:
