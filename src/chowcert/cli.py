@@ -54,11 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--seed", type=_u64, default=None, help="64-bit replay seed")
     p.add_argument("--retries", type=int, default=DEFAULT_RETRIES)
-    p.add_argument(
-        "--all-points",
-        action="store_true",
-        help="rank-test the curvature form at every point, not just the first",
-    )
     p.add_argument("--out", required=True, help="certificate file to write")
 
     p = sub.add_parser("verify", help="re-run a certificate's recorded data")
@@ -104,7 +99,6 @@ def _cmd_certify(args) -> int:
             args.prime,
             args.seed,
             retries=args.retries,
-            all_points=args.all_points,
         )
     except (ValueError, pipeline.GenericityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,8 +13,13 @@ back-substitution over U.  Reduced echelon form and the kernel vector
 with given free coordinates are canonical, so both paths return
 bit-identical results.
 
-Entries live in int64 arrays; moduli up to 2^31 are supported (products
-are formed so that every intermediate fits the accumulator type).
+Entries live in int64 arrays; moduli below 2^31 are supported.  Every
+product is a float64 dgemm kept exact, below 2^53: one plain dgemm when
+the inner dimension and the modulus allow it, otherwise the operand with
+fewer entries is split into 16-bit limbs, one dgemm per limb
+(`_mod_matmul`).  The elimination runs in float64 with deferred
+reduction, or, for moduli too large for that, reduces every step in
+int64 and forms every product with `_mod_matmul` (`_regime`).
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from .field import PrimeModulus, _check_same_modulus
 DEFAULT_BLOCK = 64
 
 _F64_EXACT = 2**53 - 1
-_I64_MAX = 2**63 - 1
 MAX_MATRIX_MODULUS = 2**31
+# Limb base of the split products in `_mod_matmul`.
+_LIMB = 1 << 16
 # Entries per row tile of a trailing update (2 MB of float64): each
 # tile's product is subtracted while it is still in cache.
 _TILE = 1 << 18
@@ -41,31 +47,46 @@ _SUB = 8
 def _mod_matmul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Exact (a @ b) % m for int64 operands with entries in [0, m).
 
-    Uses float64 dgemm whenever every inner product is below 2^53 (thus
-    exactly representable), falling back to chunked int64 accumulation
-    otherwise.
+    Every product is a float64 dgemm whose sums stay below 2^53, so they
+    are exact.  Direct: one dgemm when inner (m-1)^2 < 2^53.  Split,
+    whenever the direct path would have to chunk the inner dimension:
+    the operand with fewer entries is cut into 16-bit limbs,
+    x = x1 2^16 + x0, and each limb has one dgemm against the other
+    operand, `chunk` inner indices at a time with
+    chunk (2^16-1)(m-1) < 2^53.  The high limb's product is reduced
+    mod m, and the two combine as hi (2^16 mod m) + lo in int64.  The
+    path depends on (m, inner) alone.
     """
     rows, inner = a.shape
     cols = b.shape[1]
     if inner == 0 or rows == 0 or cols == 0:
         return np.zeros((rows, cols), dtype=np.int64)
-    bound = (m - 1) ** 2
-    chunk = _F64_EXACT // bound
-    if chunk >= 1:
-        af = a.astype(np.float64)
-        bf = b.astype(np.float64)
-        if chunk >= inner:
-            return (af @ bf).astype(np.int64) % m
-        acc = np.zeros((rows, cols), dtype=np.int64)
-        for s in range(0, inner, chunk):
-            acc += (af[:, s : s + chunk] @ bf[s : s + chunk]).astype(np.int64) % m
-            acc %= m
-        return acc
-    chunk = max(1, (_I64_MAX - m) // bound)
-    acc = np.zeros((rows, cols), dtype=np.int64)
+    if inner * (m - 1) ** 2 <= _F64_EXACT:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % m
+    chunk = _F64_EXACT // ((_LIMB - 1) * (m - 1))
+    split_a = a.size <= b.size
+    acc = None
     for s in range(0, inner, chunk):
-        acc = (acc + a[:, s : s + chunk] @ b[s : s + chunk]) % m
+        x, y = a[:, s : s + chunk], b[s : s + chunk]
+        whole = (y if split_a else x).astype(np.float64)
+        cut = x if split_a else y
+        # one dgemm per limb, accumulated in place, keeps the live
+        # temporaries to three result-sized arrays
+        part = _limb_product(cut >> 16, whole, split_a)
+        part %= m
+        part *= _LIMB % m
+        part += _limb_product(cut & (_LIMB - 1), whole, split_a)
+        if acc is not None:
+            part += acc
+        part %= m
+        acc = part
     return acc
+
+
+def _limb_product(limb: np.ndarray, whole: np.ndarray, left: bool) -> np.ndarray:
+    """limb @ whole (or whole @ limb) as int64; exact, see `_mod_matmul`."""
+    f = limb.astype(np.float64)
+    return (f @ whole if left else whole @ f).astype(np.int64)
 
 
 def _matmul_naive(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -129,28 +150,25 @@ class _ReduceF64:
         np.subtract(x, self.m, out=x, where=x >= self.m)
 
 
-def _regime(shape: tuple[int, int], m: int, block: int) -> tuple[type, bool, bool]:
-    """Working dtype, deep reduction and eager reduction for one elimination.
+def _regime(shape: tuple[int, int], m: int, block: int) -> str:
+    """The elimination regime: "deep", "per-panel" or "eager".
 
-    Deep: trailing values stay unreduced across panels.  Every entry
-    collects at most one product below m^2 per pivot, plus at most
-    `block` more within a panel, so magnitudes stay below the checked
-    bound (2 min(rows, cols) + block + 4) m^2.  Per panel: trailing
-    values are reduced after each panel's update, which bounds them by
-    (block + 2) m^2.  The first bound that fits the exact float64 range,
-    then the int64 range, picks the regime; when neither fits (m near
-    2^31) every step is reduced at once and products go through
-    `_mod_matmul`.
+    Deep and per-panel work in float64 and reduce lazily.  Deep:
+    trailing values stay unreduced across panels.  Every entry collects
+    at most one product below m^2 per pivot, plus at most `block` more
+    within a panel, so magnitudes stay below the checked bound
+    (2 min(rows, cols) + block + 4) m^2.  Per panel: trailing values are
+    reduced after each panel's update, which bounds them by
+    (block + 2) m^2.  The first bound below 2^53 picks the regime; when
+    neither fits, the eager regime works in int64, reduces every step
+    at once and forms every product with `_mod_matmul`.
     """
     short = min(shape)
-    deep_bound = (short * 2 + block + 4) * m * m
-    panel_bound = (block + 2) * m * m
-    for dtype, limit in ((np.float64, _F64_EXACT), (np.int64, _I64_MAX)):
-        if deep_bound < limit:
-            return dtype, True, False
-        if panel_bound < limit:
-            return dtype, False, False
-    return np.int64, False, True
+    if (short * 2 + block + 4) * m * m < _F64_EXACT:
+        return "deep"
+    if (block + 2) * m * m < _F64_EXACT:
+        return "per-panel"
+    return "eager"
 
 
 def _apply_pivots(trail, below, lfac, ninv, reduce_, m, reduce_after, matmul):
@@ -198,9 +216,12 @@ def _echelon_blocked(
     columns; a sub-panel's pivots reach the panel's later columns, and
     a panel's pivots the trailing columns, in one matmul each.
     """
-    dtype, deep, eager = _regime(data.shape, m, block)
-    reduce_ = _ReduceF64(m) if dtype is np.float64 else _reduce_i64
-    matmul = partial(_mod_matmul, m=m) if eager else np.matmul
+    regime = _regime(data.shape, m, block)
+    eager = regime == "eager"
+    if eager:
+        dtype, reduce_, matmul = np.int64, _reduce_i64, partial(_mod_matmul, m=m)
+    else:
+        dtype, reduce_, matmul = np.float64, _ReduceF64(m), np.matmul
     a = data.astype(dtype)
     rows, cols = a.shape
     pivots: list[int] = []
@@ -280,7 +301,7 @@ def _echelon_blocked(
                 ninv,
                 reduce_,
                 m,
-                not deep,
+                regime != "deep",
                 matmul,
             )
         r += k

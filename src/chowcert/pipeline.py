@@ -107,8 +107,10 @@ def _point_from_vectors(vectors, modulus: PrimeModulus) -> ChowPoint:
     return ChowPoint(tuple(LinearForm(v, modulus) for v in vectors))
 
 
-def _normal_and_rank(res, f0, n: int, point: ChowPoint, modulus: PrimeModulus):
-    """The normal vector with free part f0 and its curvature-form rank.
+def _curvature_rank(
+    res, f0, n: int, point: ChowPoint, modulus: PrimeModulus
+) -> int:
+    """The curvature-form rank of the normal vector with free part f0.
 
     Cuts the normal vector out of the echelon data, then ranks the
     curvature form it contracts to at `point`.  The step certify records
@@ -116,7 +118,7 @@ def _normal_and_rank(res, f0, n: int, point: ChowPoint, modulus: PrimeModulus):
     placed on them see every call.
     """
     normal = Poly(monomial_basis(n, 3), null_vector(res, f0), modulus)
-    return normal, hessian_at(point, normal).entries.rank()
+    return hessian_at(point, normal).entries.rank()
 
 
 def certify(
@@ -125,7 +127,6 @@ def certify(
     prime=DEFAULT_PRIME,
     seed: int | None = None,
     retries: int = DEFAULT_RETRIES,
-    all_points: bool = False,
 ) -> Certificate:
     """Run the randomized not-r-TWD check and return its certificate.
 
@@ -168,16 +169,11 @@ def certify(
             )
             continue
         f0 = rng.vector(modulus, dim - trank)
-        normal, hrank = _normal_and_rank(res, f0, n, points[0], modulus)
-        hranks = [hrank]
-        if all_points:
-            hranks.extend(
-                hessian_at(p, normal).entries.rank() for p in points[1:]
-            )
+        hrank = _curvature_rank(res, f0, n, points[0], modulus)
         elapsed = time.perf_counter() - start
-        if any(h != hexp for h in hranks):
+        if hrank != hexp:
             attempts.append(
-                AttemptRecord(attempt, attempt_seed, trank, texp, hranks[0], hexp)
+                AttemptRecord(attempt, attempt_seed, trank, texp, hrank, hexp)
             )
             continue
         return Certificate(
@@ -189,7 +185,7 @@ def certify(
             f0=tuple(int(v) for v in f0),
             tangent_rank=trank,
             tangent_expected=texp,
-            hessian_rank=hranks[0],
+            hessian_rank=hrank,
             hessian_expected=hexp,
             verdict=True,
             attempt=attempt,
@@ -265,7 +261,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         )
     hrank = None
     if tmat.cols - trank == len(cert.f0):
-        _, hrank = _normal_and_rank(res, cert.f0, cert.n, points[0], modulus)
+        hrank = _curvature_rank(res, cert.f0, cert.n, points[0], modulus)
         if hrank != cert.hessian_rank:
             failures.append(
                 f"hessian rank: recomputed {hrank}, certificate records "

@@ -29,7 +29,7 @@ class TestCertifyCommand:
         code = main(
             [
                 "certify", "--n", "3", "--r", "1", "--prime", "8191",
-                "--seed", "9", "--retries", "2", "--all-points", "--out", str(out),
+                "--seed", "9", "--retries", "2", "--out", str(out),
             ]
         )
         assert code == 0

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from chowcert.field import PrimeModulus, is_prime
 from chowcert.matrix import (
     _F64_EXACT,
-    _I64_MAX,
+    _LIMB,
     FfMatrix,
+    _matmul_naive,
+    _mod_matmul,
     _regime,
     kronecker,
     mul_mat,
@@ -19,6 +21,8 @@ from chowcert.matrix import (
 
 MOD = PrimeModulus(20201)
 Z7 = PrimeModulus(7)
+# the largest prime the matrix kernels accept
+P31 = 2**31 - 1
 
 
 def random_matrix(rows, cols, modulus, rng):
@@ -192,6 +196,72 @@ class TestMatmul:
         assert (a @ b) @ c == a @ (b @ c)
 
 
+def top_heavy(rows, cols, m, rng):
+    """Entries at the top of [0, m), so sums of products come near their
+    bound: mostly m - 1; m - 2, which makes odd sums (an even sum above
+    2^53 can still be exact); the largest value below m whose low 16-bit
+    limb is all ones; a few random."""
+    a = np.full((rows, cols), m - 1, dtype=np.int64)
+    pick = rng.random((rows, cols))
+    low_ones = (m - 1) | (_LIMB - 1)
+    a[pick < 0.3] = m - 2
+    a[(0.3 <= pick) & (pick < 0.45)] = (
+        low_ones if low_ones < m else low_ones - _LIMB
+    )
+    a[pick > 0.9] = rng.integers(0, m, int((pick > 0.9).sum()))
+    return a
+
+
+def direct_edge(inner):
+    """Largest m whose products over `inner` terms take one direct dgemm:
+    inner (m-1)^2 < 2^53."""
+    return 1 + math.isqrt(_F64_EXACT // inner)
+
+
+def split_chunk(m):
+    """Inner indices per dgemm of the split path."""
+    return _F64_EXACT // ((_LIMB - 1) * (m - 1))
+
+
+def assert_mod_matmul_exact(rows, inner, cols, m, rng):
+    """All-(m-1) and top-heavy operands; both operand orders, so either
+    side is the one split into limbs."""
+    full_a = np.full((rows, inner), m - 1, dtype=np.int64)
+    full_b = np.full((inner, cols), m - 1, dtype=np.int64)
+    # every entry is inner (m-1)^2, which is inner mod m
+    assert (_mod_matmul(full_a, full_b, m) == inner % m).all()
+    assert (_mod_matmul(full_b.T, full_a.T, m) == inner % m).all()
+    for a, b in (
+        (top_heavy(rows, inner, m, rng), top_heavy(inner, cols, m, rng)),
+        (top_heavy(cols, inner, m, rng), top_heavy(inner, rows, m, rng)),
+    ):
+        assert np.array_equal(_mod_matmul(a, b, m), _matmul_naive(a, b, m))
+
+
+class TestModMatmulBounds:
+    """`_mod_matmul` at the magnitudes its exactness bounds guard."""
+
+    @pytest.mark.parametrize("inner", (1, 3, 10, 64, 300))
+    def test_primes_around_the_direct_split_switch(self, inner):
+        rng = np.random.default_rng(inner)
+        under, over = primes_around(direct_edge(inner))
+        assert inner * (under - 1) ** 2 <= _F64_EXACT < inner * (over - 1) ** 2
+        for m in (under, over):
+            assert_mod_matmul_exact(3, inner, 40, m, rng)
+
+    @pytest.mark.parametrize("m", (200000033, P31))
+    def test_inner_spanning_several_split_chunks(self, m):
+        rng = np.random.default_rng(m)
+        chunk = split_chunk(m)
+        for inner in (chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            assert_mod_matmul_exact(3, inner, 5, m, rng)
+
+    def test_largest_modulus(self):
+        rng = np.random.default_rng(31)
+        for inner in (1, 2, 8, 64, 200):
+            assert_mod_matmul_exact(17, inner, 23, P31, rng)
+
+
 class TestKronecker:
     def test_identities(self):
         i2 = FfMatrix.identity(2, Z7)
@@ -266,15 +336,10 @@ class TestRrefResultInvariants:
         assert np.array_equal(pivot_block, np.eye(res.rank, dtype=np.int64))
 
 
-REGIMES = ("float64 deep", "float64 per-panel", "int64 deep", "int64 per-panel", "eager")
-
-
-def regime_name(shape, m, block):
-    dtype, deep, eager = _regime(shape, m, block)
-    if eager:
-        return "eager"
-    kind = "float64" if dtype is np.float64 else "int64"
-    return f"{kind} {'deep' if deep else 'per-panel'}"
+REGIMES = ("deep", "per-panel", "eager")
+# int64 range that bounded two regimes the eager one has replaced; the
+# moduli around those limits stay under test
+I64_MAX = 2**63 - 1
 
 
 def largest_fitting(factor, limit):
@@ -287,23 +352,38 @@ def largest_fitting(factor, limit):
     return m
 
 
+def primes_around(edge):
+    """The largest prime up to edge and the smallest prime above it."""
+    under = next(p for p in range(edge, 2, -1) if is_prime(p))
+    over = next(p for p in range(edge + 1, 2 * edge) if is_prime(p))
+    return under, over
+
+
+def regime_factors(shape, block):
+    """The deep and the per-panel bounds of `_regime`, as multiples of m^2."""
+    return 2 * min(shape) + block + 4, block + 2
+
+
 def boundary_moduli(shape, block):
     """(prime, regime) just under and just over every regime limit.
 
-    The limits, in the order `_regime` tries them: deep and per-panel
-    magnitude bounds against the exact float64 range, then against the
-    int64 range.  Under a limit the regime it guards runs; just over it,
-    the next one.
+    The limits, in the order `_regime` tries them: the deep and the
+    per-panel magnitude bounds against the exact float64 range.  Under a
+    limit the regime it guards runs; just over it, the next one.
     """
-    short = min(shape)
-    deep, panel = 2 * short + block + 4, block + 2
-    limits = ((deep, _F64_EXACT), (panel, _F64_EXACT), (deep, _I64_MAX), (panel, _I64_MAX))
     out = []
-    for i, (factor, limit) in enumerate(limits):
-        edge = largest_fitting(factor, limit)
-        under = next(p for p in range(edge, 2, -1) if is_prime(p))
-        over = next(p for p in range(edge + 1, 2 * edge) if is_prime(p))
+    for i, factor in enumerate(regime_factors(shape, block)):
+        under, over = primes_around(largest_fitting(factor, _F64_EXACT))
         out += [(under, REGIMES[i]), (over, REGIMES[i + 1])]
+    return out
+
+
+def old_int64_moduli(shape, block):
+    """Primes just under and just over the former int64 deep and
+    per-panel limits; all of them now run the eager regime."""
+    out = []
+    for factor in regime_factors(shape, block):
+        out += primes_around(largest_fitting(factor, I64_MAX))
     return out
 
 
@@ -317,6 +397,16 @@ def structured_matrix(rows, cols, m, rng):
     a[:, 4:8] = 0
     a[rows // 3] = (2 * a[0] + 3 * a[1]) % m
     a[rows - 1] = (a[1] + 5 * a[2]) % m
+    return a
+
+
+def extreme_matrix(rows, cols, m, rng):
+    """`top_heavy` entries with dependent rows and a dependent column
+    planted, so there is a kernel vector at any shape."""
+    a = top_heavy(rows, cols, m, rng)
+    a[rows // 3] = (2 * a[0] + 3 * a[1]) % m
+    a[rows // 2] = a[2]
+    a[:, cols // 3] = (a[:, 0] + (m - 1) * a[:, 1]) % m
     return a
 
 
@@ -348,19 +438,23 @@ class TestEliminationRegimes:
     @pytest.mark.parametrize("shape,block", BLOCK_CASES)
     def test_boundary_moduli_reach_every_regime(self, shape, block):
         cases = boundary_moduli(shape, block)
+        cases += [(m, "eager") for m in old_int64_moduli(shape, block)]
         for m, expected in cases:
-            assert regime_name(shape, m, block) == expected, m
+            assert _regime(shape, m, block) == expected, m
         assert {name for _, name in cases} == set(REGIMES)
 
     @pytest.mark.parametrize("shape,block", BLOCK_CASES)
     def test_blocked_matches_naive_at_every_limit(self, shape, block):
         rows, cols = shape
         rng = np.random.default_rng(rows * cols + block)
-        for m, _ in boundary_moduli(shape, block):
+        moduli = [m for m, _ in boundary_moduli(shape, block)]
+        moduli += old_int64_moduli(shape, block) + [P31]
+        for m in moduli:
             modulus = PrimeModulus(m)
             for data in (
                 structured_matrix(rows, cols, m, rng),
                 low_rank_matrix(rows, cols, m, rng, min(shape) // 2),
+                extreme_matrix(rows, cols, m, rng),
             ):
                 mat = FfMatrix(data, modulus)
                 naive = mat.rref(naive=True)

@@ -60,10 +60,6 @@ class TestCertify:
             assert cert.verdict is True
             assert cert.prime == prime
 
-    def test_all_points_mode(self):
-        cert = certify(5, 3, seed=31, all_points=True)
-        assert cert.verdict is True
-
     def test_round_trip_through_text(self):
         cert = certify(5, 3, seed=17)
         report = verify_text(format_certificate(cert))
@@ -81,6 +77,21 @@ class TestPinnedCertificates:
         assert integrity_digest(cert) == (
             "1794b8ba1679c68805a8eaf3a10b838b10a0190852a5788c111e160b65fdbad3"
         )
+
+    @pytest.mark.parametrize(
+        "prime,digest",
+        [
+            # the former int64 deep regime
+            (30000001, "1d8465b59cedf8a0a8c35d1805a14c4627511bbd1adef86495710824b0855b57"),
+            # the former int64 per-panel regime
+            (200000033, "67e0525572e5f9ac05e37c47b09a7f2410182e2c82f225b4cd3d566450aed48f"),
+        ],
+    )
+    def test_mid_range_primes(self, prime, digest):
+        # both now take the eager regime; the digests were computed when
+        # these primes ran the int64 regimes
+        cert = certify(8, prime=prime, seed=1591688259)
+        assert integrity_digest(cert) == digest
 
     def test_eager_regime_at_2_31_minus_1(self):
         # m = 2^31 - 1 takes the eager int64 elimination
