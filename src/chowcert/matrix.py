@@ -24,6 +24,8 @@ int64 and forms every product with `_mod_matmul` (`_regime`).
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -42,6 +44,32 @@ _LIMB = 1 << 16
 _TILE = 1 << 18
 # Columns per sub-panel: rank-1 updates stay within one.
 _SUB = 8
+# glibc raises its mmap threshold to the largest block freed so far (up
+# to 32 MB), so after the first elimination the Terracini-sized arrays
+# come from the heap; how much of the heap stays resident then depends on
+# the order of earlier frees and on whether huge pages back it, and peak
+# memory varies from run to run.  Fixed thresholds keep every block of
+# 4 MB or more (from which numpy asks for huge pages) in a mapping of its
+# own, returned when freed.
+_MMAP_THRESHOLD = 1 << 22
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+def _fix_malloc_thresholds() -> None:
+    """Set glibc's mmap and trim thresholds; a no-op on other C libraries."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+    mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+
+
+_fix_malloc_thresholds()
 
 
 def _mod_matmul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:

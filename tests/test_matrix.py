@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -260,6 +261,35 @@ class TestModMatmulBounds:
         rng = np.random.default_rng(31)
         for inner in (1, 2, 8, 64, 200):
             assert_mod_matmul_exact(17, inner, 23, P31, rng)
+
+
+def on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (OSError, ValueError):
+        return False
+
+
+def resident_bytes() -> int:
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not on_glibc(), reason="malloc thresholds are fixed on glibc only")
+class TestLargeArraysReturned:
+    """A freed array of 4 MB or more leaves the process at once, so peak
+    memory does not depend on what was freed before."""
+
+    def test_repeated_large_array(self):
+        words = (16 << 20) // 8
+        # glibc's dynamic threshold would move the later ones to the heap
+        for _ in range(3):
+            np.ones(words)
+        base = resident_bytes()
+        x = np.ones(words)
+        assert resident_bytes() - base >= 0.9 * x.nbytes
+        del x
+        assert resident_bytes() - base < 0.25 * words * 8
 
 
 class TestKronecker:
