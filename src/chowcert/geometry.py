@@ -114,7 +114,9 @@ def terracini_matrix(points) -> FfMatrix:
 
     Rows are ordered point-major, then factor-major, then by variable;
     columns follow the degree-3 monomial order.  At r generic points the
-    rank is min((3n+1) r, binom(n+3, 3)).
+    rank is min((3n+1) r, binom(n+3, 3)).  Row (p, k, i) is the tangent
+    vector (k, i) of `tangent_basis`, built for all points at once: the
+    quadric of the two forms other than k, shifted by x_i.
     """
     points = list(points)
     if not points:
@@ -125,13 +127,25 @@ def terracini_matrix(points) -> FfMatrix:
         _check_same_modulus(modulus, p.modulus)
         if p.n != n:
             raise ValueError("points must share the variable count")
+    m = modulus.value
     dim = monomial_basis(n, DEGREE).dim
-    rows = np.zeros((DEGREE * (n + 1) * len(points), dim), dtype=np.int64)
-    for pi, point in enumerate(points):
-        base = pi * DEGREE * (n + 1)
-        for vi, vec in enumerate(tangent_basis(point).vectors):
-            rows[base + vi] = vec.coeffs
-    return FfMatrix(rows, modulus)
+    # coords[p, k] = coordinates of form k of point p, each in [0, m)
+    coords = np.array([[f.coords for f in p.forms] for p in points])
+    # the degree-2 monomials as variable pairs u <= v
+    u, v = np.array(monomial_basis(n, 2)._vars, dtype=np.int64).T
+    cross = u != v
+    rows = np.zeros((len(points), DEGREE, n + 1, dim), dtype=np.int64)
+    for k in range(DEGREE):
+        a, b = (coords[:, c] for c in range(DEGREE) if c != k)
+        # coefficient of x_u x_v in the product of the other two forms:
+        # a_u b_v + a_v b_u, or a_u b_u when u = v; below
+        # 2 (m-1)^2 < 2^63 for m < 2^31, so int64 holds it unreduced
+        quad = a[:, u] * b[:, v]
+        quad[:, cross] += a[:, v[cross]] * b[:, u[cross]]
+        quad %= m
+        for i in range(n + 1):
+            rows[:, k, i][:, _shift_map(n, 2, i)] = quad
+    return FfMatrix._adopt(rows.reshape(-1, dim), modulus)
 
 
 def cone_dimension(n: int) -> int:

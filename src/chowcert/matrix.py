@@ -18,8 +18,10 @@ product is a float64 dgemm kept exact, below 2^53: one plain dgemm when
 the inner dimension and the modulus allow it, otherwise the operand with
 fewer entries is split into 16-bit limbs, one dgemm per limb
 (`_mod_matmul`).  The elimination runs in float64 with deferred
-reduction, or, for moduli too large for that, reduces every step in
-int64 and forms every product with `_mod_matmul` (`_regime`).
+reduction to balanced residues, |r| < m, which are made canonical once,
+when U is converted to int64; or, for moduli too large for that, it
+reduces every step in int64 and forms every product with `_mod_matmul`
+(`_regime`).
 """
 
 from __future__ import annotations
@@ -158,12 +160,19 @@ def _reduce_i64(x: np.ndarray, m: int) -> None:
 
 
 class _ReduceF64:
-    """Exact in-place reduction for integer-valued float64 arrays.
+    """Exact in-place balanced reduction for integer-valued float64 arrays.
 
-    x % m computed as x - floor(x / m) * m with a multiply by the
-    precomputed reciprocal; the rounding of the reciprocal can put the
-    quotient off by at most one (the inputs are bounded well below
-    2^53), which the two clamp passes repair.  Much faster than fmod.
+    x - rint(x / m) m, with a multiply by the precomputed reciprocal:
+    four ufunc calls, one temporary.  The rounded quotient q is within
+    1/2 + |x / m| 2^-52 of x / m, so for |x| <= 2^53 - m, q m and
+    x - q m are exact integers and the result r is congruent to x with
+    |r| <= m/2 + |x| 2^-52 < m.  So r is zero exactly when x is 0 mod m,
+    and a product of two residues stays below m^2.  The float64 regimes
+    stay well inside |x| <= 2^53 - m: their bounds count each product of
+    two residues as up to m^2, which is about four times its actual
+    (m/2 + 2)^2.  Residues are balanced, not canonical:
+    `_echelon_blocked` adds m to the negative entries of U when it
+    converts them to int64.
     """
 
     def __init__(self, m: int):
@@ -171,25 +180,25 @@ class _ReduceF64:
         self.inv = 1.0 / m
 
     def __call__(self, x: np.ndarray, m: int) -> None:
-        q = np.floor(x * self.inv)
+        q = x * self.inv
+        np.rint(q, out=q)
         q *= self.m
         x -= q
-        np.add(x, self.m, out=x, where=x < 0.0)
-        np.subtract(x, self.m, out=x, where=x >= self.m)
 
 
 def _regime(shape: tuple[int, int], m: int, block: int) -> str:
     """The elimination regime: "deep", "per-panel" or "eager".
 
-    Deep and per-panel work in float64 and reduce lazily.  Deep:
-    trailing values stay unreduced across panels.  Every entry collects
-    at most one product below m^2 per pivot, plus at most `block` more
+    Deep and per-panel work in float64 and reduce lazily, to balanced
+    residues |r| < m (`_ReduceF64`).  Deep: trailing values stay
+    unreduced across panels.  Every entry collects at most one product
+    of two residues, below m^2, per pivot, plus at most `block` more
     within a panel, so magnitudes stay below the checked bound
     (2 min(rows, cols) + block + 4) m^2.  Per panel: trailing values are
     reduced after each panel's update, which bounds them by
     (block + 2) m^2.  The first bound below 2^53 picks the regime; when
-    neither fits, the eager regime works in int64, reduces every step
-    at once and forms every product with `_mod_matmul`.
+    neither fits, the eager regime works in int64, keeps every value
+    canonical in [0, m) and forms every product with `_mod_matmul`.
     """
     short = min(shape)
     if (short * 2 + block + 4) * m * m < _F64_EXACT:
@@ -199,7 +208,7 @@ def _regime(shape: tuple[int, int], m: int, block: int) -> str:
     return "eager"
 
 
-def _apply_pivots(trail, below, lfac, ninv, reduce_, m, reduce_after, matmul):
+def _apply_pivots(trail, below, lfac, ninv, reduce_, m, settle, matmul):
     """Carry a block of pivots into the columns right of it.
 
     `trail` holds the k pivot rows' entries in those columns and `below`
@@ -207,7 +216,8 @@ def _apply_pivots(trail, below, lfac, ninv, reduce_, m, reduce_after, matmul):
     `lfac[i, j]` (j > i) is the multiple of pivot row i subtracted from
     row j, and `ninv` the inverses of the k pivots.  The pivot rows are
     solved against each other and scaled, then `below` gets one matmul,
-    in row tiles so each tile's product is consumed while cached.
+    in row tiles so each tile's product is consumed while cached;
+    `settle`, if given, then brings each tile back into range.
     """
     k = len(ninv)
     for i in range(k):
@@ -222,8 +232,17 @@ def _apply_pivots(trail, below, lfac, ninv, reduce_, m, reduce_after, matmul):
         for s in range(0, below.shape[0], step):
             tile = below[s : s + step]
             tile -= matmul(l21[s : s + step], trail)
-            if reduce_after:
-                reduce_(tile, m)
+            if settle is not None:
+                settle(tile, m)
+
+
+def _add_m_if_negative(x: np.ndarray, m: int) -> None:
+    """Map int64 values in (-m, m) to [0, m), in place.
+
+    Adds (x >> 63) & m, which is m exactly where x < 0: no mask and no
+    branch, several times faster than a masked add on mixed signs.
+    """
+    x += (x >> 63) & m
 
 
 def _echelon_blocked(
@@ -236,7 +255,8 @@ def _echelon_blocked(
     and 1 at it.  Rank-1 updates accumulate unreduced; a value is
     reduced mod m only when it is about to be read (the pivot-search
     column, the pivot row, matmul operands), within the bounds that
-    `_regime` checks.
+    `_regime` checks.  In float64 the reductions leave balanced
+    residues; U is made canonical when it is converted to int64.
 
     Each panel of `block` columns is factored on a transposed copy, so
     the column reduce, the pivot search and the rank-1 updates stream
@@ -248,8 +268,10 @@ def _echelon_blocked(
     eager = regime == "eager"
     if eager:
         dtype, reduce_, matmul = np.int64, _reduce_i64, partial(_mod_matmul, m=m)
+        settle = _add_m_if_negative
     else:
         dtype, reduce_, matmul = np.float64, _ReduceF64(m), np.matmul
+        settle = None if regime == "deep" else reduce_
     a = data.astype(dtype)
     rows, cols = a.shape
     pivots: list[int] = []
@@ -277,25 +299,29 @@ def _echelon_blocked(
                     continue
                 p = k + int(nz[0])
                 if p != k:
-                    pan[:, [k, p]] = pan[:, [p, k]]
-                    lfac[:k, [k, p]] = lfac[:k, [p, k]]
-                    order[[k, p]] = order[[p, k]]
+                    _swap_columns(pan, k, p)
+                    _swap_columns(lfac[:k], k, p)
+                    order[k], order[p] = order[p], order[k]
                 inv = pow(int(pan[j, k]), -1, m)
                 ninv.append(inv)
                 prow = pan[j:j1, k]
                 reduce_(prow, m)
                 prow *= inv
+                # the scaled pivot is exactly 1: a residue of 1 is far
+                # from a rounding tie, so the update below zeroes the
+                # pivot column under it
                 reduce_(prow, m)
                 below = pan[j, k + 1 :].copy()
-                hit = np.flatnonzero(below)
-                if 2 * hit.size > below.size:
+                nnz = np.count_nonzero(below)
+                if 2 * nnz > below.size:
                     # dense column: a contiguous rank-1 update beats
                     # gather/scatter on the hit rows
                     upd = pan[j:j1, k + 1 :]
                     upd -= np.multiply(prow[:, None], below[None, :])
                     if eager:
                         reduce_(upd, m)
-                elif hit.size:
+                elif nnz:
+                    hit = np.flatnonzero(below)
                     sel = k + 1 + hit
                     upd = pan[j:j1, sel] - np.multiply(
                         prow[:, None], below[None, hit]
@@ -314,7 +340,7 @@ def _echelon_blocked(
                     ninv[k0:],
                     reduce_,
                     m,
-                    eager,
+                    settle if eager else None,
                     matmul,
                 )
         a[r:, c0:c1] = pan.T
@@ -329,7 +355,7 @@ def _echelon_blocked(
                 ninv,
                 reduce_,
                 m,
-                regime != "deep",
+                settle,
                 matmul,
             )
         r += k
@@ -337,13 +363,23 @@ def _echelon_blocked(
     rank = len(pivots)
     if dtype is np.float64:
         # converted in place, one row tile at a time, so no second
-        # full-size array is ever allocated
+        # full-size array is ever allocated; balanced residues become
+        # canonical here
         out = a.view(np.int64)
         step = max(1, _TILE // max(cols, 1))
         for s in range(0, rank, step):
-            out[s : s + step] = a[s : s + step]
+            tile = out[s : s + step]
+            tile[...] = a[s : s + step]
+            _add_m_if_negative(tile, m)
         a = out
     return a[:rank], pivots
+
+
+def _swap_columns(x: np.ndarray, k: int, p: int) -> None:
+    """Swap columns k and p of x in place, by slice copies."""
+    t = x[:, k].copy()
+    x[:, k] = x[:, p]
+    x[:, p] = t
 
 
 def _reduce_upper(upper: np.ndarray, pivots, m: int, block: int) -> np.ndarray:
@@ -378,16 +414,20 @@ def _reduce_upper(upper: np.ndarray, pivots, m: int, block: int) -> np.ndarray:
     return a
 
 
+def _check_matrix_modulus(modulus: PrimeModulus) -> None:
+    if modulus.value >= MAX_MATRIX_MODULUS:
+        raise ValueError(
+            f"matrix kernels support moduli below 2^31, got {modulus.value}"
+        )
+
+
 class FfMatrix:
     """Immutable dense matrix over Z_m, entries canonical in [0, m)."""
 
     __slots__ = ("data", "modulus")
 
     def __init__(self, data, modulus: PrimeModulus):
-        if modulus.value >= MAX_MATRIX_MODULUS:
-            raise ValueError(
-                f"matrix kernels support moduli below 2^31, got {modulus.value}"
-            )
+        _check_matrix_modulus(modulus)
         arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
@@ -395,6 +435,20 @@ class FfMatrix:
         arr.setflags(write=False)
         self.data = arr
         self.modulus = modulus
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, modulus: PrimeModulus) -> "FfMatrix":
+        """Wrap a 2-D int64 array whose entries are already in [0, m).
+
+        Takes ownership of `arr` (it becomes read-only) and skips the
+        constructor's copying reduction, a full pass over the array.
+        """
+        _check_matrix_modulus(modulus)
+        arr.setflags(write=False)
+        mat = cls.__new__(cls)
+        mat.data = arr
+        mat.modulus = modulus
+        return mat
 
     @classmethod
     def zeros(cls, rows: int, cols: int, modulus: PrimeModulus) -> "FfMatrix":

@@ -129,6 +129,39 @@ class TestTerraciniMatrix:
                 assert terracini_matrix(points).rank() == min(r * cone, dim)
 
 
+def tangent_rows(points):
+    """The Terracini matrix row by row from `tangent_basis`: the oracle
+    for the vectorised build."""
+    return np.array(
+        [vec.coeffs for p in points for vec in tangent_basis(p).vectors]
+    )
+
+
+def oracle_points(n, modulus):
+    """Two random points, then one whose forms have zero coordinates
+    (a unit form, every other coordinate zeroed) or are all m - 1."""
+    m = modulus.value
+    rng = SeededRng(1000 * n + m % 1000)
+    points = [sample_point(n, modulus, rng) for _ in range(2)]
+    unit = np.zeros(n + 1, dtype=np.int64)
+    unit[n] = 1
+    sparse = rng.vector(modulus, n + 1)
+    sparse[::2] = 0
+    sparse[1] = 1 + sparse[1] % (m - 1)
+    top = np.full(n + 1, m - 1, dtype=np.int64)
+    forms = (LinearForm(c, modulus) for c in (unit, sparse, top))
+    return points + [ChowPoint(tuple(forms))]
+
+
+class TestTerraciniOracle:
+    @pytest.mark.parametrize("prime", (3, 20201, 2**31 - 1))
+    @pytest.mark.parametrize("n", (1, 2, 5, 12))
+    def test_equals_stacked_tangent_vectors(self, n, prime):
+        points = oracle_points(n, PrimeModulus(prime))
+        mat = terracini_matrix(points)
+        assert np.array_equal(mat.data, tangent_rows(points))
+
+
 def certified_normal(points):
     mat = terracini_matrix(points)
     res = mat.rref()

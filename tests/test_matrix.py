@@ -13,6 +13,7 @@ from chowcert.matrix import (
     FfMatrix,
     _matmul_naive,
     _mod_matmul,
+    _ReduceF64,
     _regime,
     kronecker,
     mul_mat,
@@ -458,6 +459,9 @@ def assert_row_echelon(res):
         assert upper[k, c] == 1
 
 
+SMALL_PRIMES = [3, 5, 7]
+
+
 # (rows, cols): more rows than columns and more columns than rows, each
 # wider than the largest block so every block size gives several panels
 SHAPES = ((90, 70), (60, 110))
@@ -479,6 +483,9 @@ class TestEliminationRegimes:
         rng = np.random.default_rng(rows * cols + block)
         moduli = [m for m, _ in boundary_moduli(shape, block)]
         moduli += old_int64_moduli(shape, block) + [P31]
+        # the smallest primes, where exact zeros and negative balanced
+        # residues are common
+        moduli += SMALL_PRIMES
         for m in moduli:
             modulus = PrimeModulus(m)
             for data in (
@@ -500,6 +507,46 @@ class TestEliminationRegimes:
                 pivots = list(naive.pivot_cols)
                 minus_xf0 = -(naive.x_block().astype(object) @ f0.astype(object)) % m
                 assert normal[pivots].tolist() == minus_xf0.tolist()
+
+
+def reduction_inputs(m, bound):
+    """Integers up to `bound` in magnitude where the balanced reduction
+    is closest to failing: +-bound, the ties q m +- m/2, and values
+    around a few multiples of m, the largest near the bound.  Built from
+    a handful of multiples, never from a range of length m."""
+    top = bound // m
+    out = {bound, bound - 1}
+    for q in {0, 1, 2, 7, max(top - 1, 0), top}:
+        for d in (-2, -1, 0, 1, 2, -(m // 2), m // 2, -(m // 2) - 1, m // 2 + 1):
+            out.add(q * m + d)
+    out = [x for x in out if abs(x) <= bound]
+    return sorted(out + [-x for x in out])
+
+
+class TestBalancedReduction:
+    """`_ReduceF64` against exact integer arithmetic, at every magnitude
+    the float64 regimes admit."""
+
+    @pytest.mark.parametrize("shape,block", BLOCK_CASES)
+    def test_residues_congruent_and_below_m(self, shape, block):
+        deep = regime_factors(shape, block)[0]
+        moduli = SMALL_PRIMES + [20201]
+        moduli += [m for m, _ in boundary_moduli(shape, block)]
+        for m in moduli:
+            # the deep regime's bound; for moduli beyond it, the largest
+            # magnitude the reduction is exact for
+            bound = min(deep * m * m, _F64_EXACT + 1 - m)
+            xs = reduction_inputs(m, bound)
+            r = np.array(xs, dtype=np.float64)
+            _ReduceF64(m)(r, m)
+            assert np.array_equal(r, np.rint(r))
+            for x, got in zip(xs, r.tolist()):
+                assert int(got) % m == x % m, (m, x)
+                assert abs(got) <= m / 2 + abs(x) * 2.0**-52, (m, x)
+                assert abs(got) < m, (m, x)
+                if x % m == 1:
+                    # what a scaled pivot reduces to
+                    assert got == 1, (m, x)
 
 
 @settings(max_examples=60, deadline=None)

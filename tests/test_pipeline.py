@@ -78,6 +78,15 @@ class TestPinnedCertificates:
             "1794b8ba1679c68805a8eaf3a10b838b10a0190852a5788c111e160b65fdbad3"
         )
 
+    def test_many_panels_at_20201(self):
+        # a 1827x1771 elimination: 28 panels, both dense and sparse
+        # pivot columns, a row swap at nearly every pivot; digest
+        # computed before the balanced reduction
+        cert = certify(20, prime=20201, seed=1591688259)
+        assert integrity_digest(cert) == (
+            "9690b0b8c6040b9297952f55738bce8eec34f2da17dbde2b9d326c8b214b2fc9"
+        )
+
     @pytest.mark.parametrize(
         "prime,digest",
         [
