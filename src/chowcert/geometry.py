@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import PrimeModulus, SeededRng, _check_same_modulus
-from .matrix import FfMatrix, _mod_matmul
+from .matrix import FfMatrix, _check_matrix_modulus, _mod_matmul
 from .poly import (
     LinearForm,
     Poly,
@@ -127,6 +127,9 @@ def terracini_matrix(points) -> FfMatrix:
         _check_same_modulus(modulus, p.modulus)
         if p.n != n:
             raise ValueError("points must share the variable count")
+    # checked before the int64 products below, which a larger modulus
+    # would overflow
+    _check_matrix_modulus(modulus)
     m = modulus.value
     dim = monomial_basis(n, DEGREE).dim
     # coords[p, k] = coordinates of form k of point p, each in [0, m)

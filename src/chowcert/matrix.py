@@ -7,6 +7,8 @@ a panel-blocked one whose bulk updates are exact dgemm calls.
 
 The blocked elimination stops at row echelon form: rank, pivots and the
 unit-upper rows U, which is all that rank tests and kernel vectors need.
+Rows join it at their first nonzero column: it sorts them by that
+column and eliminates each panel only on the rows that have started.
 The reduced form is built from U by one Gauss-Jordan back pass on first
 access to `RrefResult.echelon`, and kernel vectors come from
 back-substitution over U.  Reduced echelon form and the kernel vector
@@ -245,6 +247,33 @@ def _add_m_if_negative(x: np.ndarray, m: int) -> None:
     x += (x >> 63) & m
 
 
+def _profile_ordered(
+    data: np.ndarray, dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `data` as `dtype`, stably sorted by first nonzero column.
+
+    Returns the sorted working array and `started`, where `started[c]`
+    counts the rows whose first nonzero column is below c (an all-zero
+    row counts as starting at `cols`).  Entries are canonical, so the
+    test `!= 0` is exact.  Both passes go one row tile at a time, so no
+    full-size temporary is allocated beside the working array.
+    """
+    rows, cols = data.shape
+    step = max(1, _TILE // max(cols, 1))
+    first = np.full(rows, cols, dtype=np.int64)
+    if cols:
+        for s in range(0, rows, step):
+            nz = data[s : s + step] != 0
+            lead = nz.argmax(axis=1)
+            first[s : s + step] = np.where(nz.any(axis=1), lead, cols)
+    perm = np.argsort(first, kind="stable")
+    started = np.searchsorted(first[perm], np.arange(cols + 1))
+    a = np.empty((rows, cols), dtype=dtype)
+    for s in range(0, rows, step):
+        a[s : s + step] = data[perm[s : s + step]]
+    return a, started
+
+
 def _echelon_blocked(
     data: np.ndarray, m: int, block: int
 ) -> tuple[np.ndarray, list[int]]:
@@ -257,6 +286,15 @@ def _echelon_blocked(
     column, the pivot row, matmul operands), within the bounds that
     `_regime` checks.  In float64 the reductions leave balanced
     residues; U is made canonical when it is converted to int64.
+
+    Rows join the elimination at their first nonzero column: they are
+    stably sorted by it (`_profile_ordered`), and each panel [c0, c1)
+    and its trailing update involve only the rows that start left of
+    c1.  The later rows are zero in every pivot column so far, so every
+    multiplier for them is zero and no pivot touches them; a panel with
+    no started rows is skipped.  Pivot columns do not depend on the row
+    order, so only U, which is not canonical, can differ from an
+    elimination in the given order.  A dense input keeps its order.
 
     Each panel of `block` columns is factored on a transposed copy, so
     the column reduce, the pivot search and the rank-1 updates stream
@@ -272,16 +310,23 @@ def _echelon_blocked(
     else:
         dtype, reduce_, matmul = np.float64, _ReduceF64(m), np.matmul
         settle = None if regime == "deep" else reduce_
-    a = data.astype(dtype)
+    a, started = _profile_ordered(data, dtype)
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
     c0 = 0
     while r < rows and c0 < cols:
         c1 = min(c0 + block, cols)
+        # rows from `end` on are still zero left of c1: no pivot so far
+        # has touched them, and none in this panel will.  Each pivot so
+        # far took a row that had started, so r <= end.
+        end = int(started[c1])
+        if end == r:
+            c0 = c1
+            continue
         w = c1 - c0
-        nact = rows - r
-        pan = a[r:, c0:c1].T.copy()
+        nact = end - r
+        pan = a[r:end, c0:c1].T.copy()
         lfac = np.zeros((w, nact), dtype=dtype)
         # order[i]: the active row that the panel's swaps moved to position i
         order = np.arange(nact)
@@ -343,14 +388,14 @@ def _echelon_blocked(
                     settle if eager else None,
                     matmul,
                 )
-        a[r:, c0:c1] = pan.T
+        a[r:end, c0:c1] = pan.T
         moved = np.flatnonzero(order != np.arange(nact))
         if moved.size:
             a[r + moved, c1:] = a[r + order[moved], c1:]
         if k and c1 < cols:
             _apply_pivots(
                 a[r : r + k, c1:],
-                a[r + k :, c1:],
+                a[r + k : end, c1:],
                 lfac,
                 ninv,
                 reduce_,

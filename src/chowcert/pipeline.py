@@ -37,7 +37,7 @@ from .geometry import (
     sample_point,
     terracini_matrix,
 )
-from .matrix import FfMatrix, null_vector
+from .matrix import MAX_MATRIX_MODULUS, FfMatrix, null_vector
 from .poly import LinearForm, Poly, monomial_basis
 
 DEFAULT_PRIME = 20201
@@ -246,6 +246,13 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             f"recorded expected hessian rank {cert.hessian_expected}, "
             f"but 3n = {hexp}"
         )
+    if cert.prime >= MAX_MATRIX_MODULUS:
+        # the replay's int64 products would overflow, so nothing is built
+        failures.append(
+            f"prime {cert.prime} cannot be replayed: matrix kernels "
+            f"support moduli below 2^31"
+        )
+        return VerificationReport(False, failures, cert)
     try:
         points = [_point_from_vectors(vs, modulus) for vs in cert.points]
     except ValueError as exc:

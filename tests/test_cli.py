@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,28 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", str(out)]) == 1
         assert "REJECTED" in capsys.readouterr().out
+
+    def test_prime_too_large_is_rejected_without_traceback(self, tmp_path):
+        out = tmp_path / "cert.txt"
+        main(["certify", "--n", "2", "--r", "1", "--seed", "5", "--out", str(out)])
+        # 2^61 - 1 is prime, so the restated certificate parses; the
+        # integrity line, which the parser does not require, is dropped
+        lines = out.read_text().replace("prime = 20201", f"prime = {2**61 - 1}")
+        out.write_text(
+            "".join(ln for ln in lines.splitlines(True) if not ln.startswith("check"))
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "chowcert.cli", "verify", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "REJECTED" in proc.stdout
+        assert "moduli below 2^31" in proc.stdout
+        assert "Traceback" not in proc.stderr
 
 
 class TestRankTableCommand:

@@ -161,6 +161,32 @@ class TestTerraciniOracle:
         mat = terracini_matrix(points)
         assert np.array_equal(mat.data, tangent_rows(points))
 
+    @pytest.mark.parametrize("prime", (20201, 2**31 - 1))
+    @pytest.mark.parametrize("n", (5, 12))
+    def test_forms_with_leading_zeros(self, n, prime):
+        """A point whose forms vanish on x_0..x_{n/2 - 1}: its rows start
+        far right of a generic point's, and the elimination, which takes
+        rows in order of their first nonzero column, must still agree
+        with the naive one."""
+        modulus = PrimeModulus(prime)
+        m = modulus.value
+        rng = SeededRng(77 * n + m % 1000)
+        coords = [rng.vector(modulus, n + 1) for _ in range(3)]
+        for c in coords:
+            c[: n // 2] = 0
+            c[n // 2] = 1 + c[n // 2] % (m - 1)
+        late = ChowPoint(tuple(LinearForm(c, modulus) for c in coords))
+        points = [late, sample_point(n, modulus, rng)]
+        mat = terracini_matrix(points)
+        assert np.array_equal(mat.data, tangent_rows(points))
+        naive = mat.rref(naive=True)
+        f0 = rng.vector(modulus, mat.cols - naive.rank)
+        for block in (4, 64):
+            fast = mat.rref(block=block)
+            assert fast.pivot_cols == naive.pivot_cols
+            assert fast.echelon == naive.echelon
+            assert np.array_equal(null_vector(fast, f0), null_vector(naive, f0))
+
 
 def certified_normal(points):
     mat = terracini_matrix(points)

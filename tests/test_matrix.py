@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from chowcert.matrix import (
     FfMatrix,
     _matmul_naive,
     _mod_matmul,
+    _profile_ordered,
     _ReduceF64,
     _regime,
     kronecker,
@@ -547,6 +549,102 @@ class TestBalancedReduction:
                 if x % m == 1:
                     # what a scaled pivot reduces to
                     assert got == 1, (m, x)
+
+
+def profile_matrix(starts, cols, m, rng):
+    """Row i is zero left of column starts[i], nonzero there and random
+    after it; a start of `cols` gives a zero row."""
+    a = rng.integers(0, m, (len(starts), cols))
+    for i, s in enumerate(starts):
+        a[i, :s] = 0
+        if s < cols:
+            a[i, s] = rng.integers(1, m)
+    return a
+
+
+def profile_cases(rows, cols, block, m, rng):
+    """(name, data) inputs whose rows start at varied columns."""
+    # reverse profile order, every third row zero
+    reverse = np.linspace(cols - 1, 0, rows).astype(int)
+    reverse[::3] = cols
+    # a few rows from column 0, the rest starting around a panel edge
+    edge = rng.choice([block - 1, block, block + 1], rows)
+    edge[:2] = 0
+    rng.shuffle(edge)
+    # rows from column 0 whose rank q is reached by column q - 1, then
+    # rows that start only after it, more of them than columns remain
+    q = min(rows, cols) // 3
+    late = profile_matrix(rng.integers(q + 1, cols, rows - q), cols, m, rng)
+    late_rows = np.vstack([low_rank_matrix(q, cols, m, rng, q), late])
+    return [
+        ("reverse", profile_matrix(reverse, cols, m, rng)),
+        ("panel edge", profile_matrix(edge, cols, m, rng)),
+        ("after rank", late_rows[rng.permutation(rows)]),
+        ("last column", profile_matrix([cols - 1] * rows, cols, m, rng)),
+        ("zero", np.zeros((rows, cols), dtype=np.int64)),
+    ]
+
+
+def per_panel_prime(shape, block):
+    """The largest prime that still runs the per-panel regime."""
+    return next(m for m, name in boundary_moduli(shape, block) if name == "per-panel")
+
+
+class TestRowProfileOrder:
+    """Rows join the elimination at their first nonzero column; the
+    result must not depend on the order the rows came in."""
+
+    @pytest.mark.parametrize("shape,block", BLOCK_CASES)
+    def test_blocked_matches_naive(self, shape, block):
+        rows, cols = shape
+        rng = np.random.default_rng(rows + cols * block)
+        for m in (20201, per_panel_prime(shape, block), P31):
+            modulus = PrimeModulus(m)
+            for name, data in profile_cases(rows, cols, block, m, rng):
+                mat = FfMatrix(data, modulus)
+                naive = mat.rref(naive=True)
+                fast = mat.rref(block=block)
+                assert fast.pivot_cols == naive.pivot_cols, (m, name)
+                assert_row_echelon(fast)
+                assert fast.echelon == naive.echelon, (m, name)
+                assert np.array_equal(fast.x_block(), naive.x_block())
+                if naive.rank < cols:
+                    f0 = rng.integers(0, m, cols - naive.rank)
+                    normal = null_vector(fast, f0)
+                    assert np.array_equal(normal, null_vector(naive, f0))
+                    assert not (data.astype(object) @ normal.astype(object) % m).any()
+
+    def test_order_and_counts(self):
+        data = np.array([[0, 0, 3], [0, 0, 0], [1, 2, 0], [0, 4, 0], [5, 0, 0]])
+        a, started = _profile_ordered(data, np.float64)
+        assert a.dtype == np.float64
+        # stable: rows 2 and 4 both start at column 0
+        assert a.tolist() == data[[2, 4, 3, 0, 1]].tolist()
+        assert started.tolist() == [0, 2, 3, 4]
+
+    def test_dense_rows_keep_their_order(self):
+        data = np.random.default_rng(3).integers(1, 7, (9, 5))
+        a, started = _profile_ordered(data, np.int64)
+        assert np.array_equal(a, data)
+        assert started.tolist() == [0] + [9] * 5
+
+
+class TestEliminationMemory:
+    def test_peak_stays_near_one_working_array(self):
+        """The rows are sorted into the working array one tile at a time:
+        gathering them in one step would hold a second full-size copy."""
+        rows = cols = 1200
+        rng = np.random.default_rng(12)
+        # reverse profile, so every row moves
+        starts = np.linspace(cols - 1, 0, rows).astype(int) // 2
+        mat = FfMatrix(profile_matrix(starts, cols, 20201, rng), MOD)
+        tracemalloc.start()
+        try:
+            mat.rref()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * rows * cols * 8
 
 
 @settings(max_examples=60, deadline=None)

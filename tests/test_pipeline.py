@@ -166,6 +166,25 @@ class TestVerify:
         normal = null_vector(res, cert.f0)
         assert not (tmat.data @ normal % cert.prime).any()
 
+    def test_prime_too_large_for_the_kernels(self):
+        # 2^61 - 1 is prime and parses (the integrity line, which the
+        # parser does not require, is dropped); replaying it would
+        # overflow the int64 products, so verify refuses before building
+        # anything
+        text = format_certificate(certify(2, 1, seed=5))
+        text = text.replace("prime = 20201", f"prime = {2**61 - 1}")
+        text = "".join(
+            ln for ln in text.splitlines(True) if not ln.startswith("check")
+        )
+        assert parse_certificate(text).prime == 2**61 - 1
+        report = verify_text(text)
+        assert not report.ok
+        assert report.tangent_recomputed is None
+        assert any(
+            "moduli below 2^31" in f and str(2**61 - 1) in f
+            for f in report.failures
+        )
+
     def test_recorded_false_verdict_is_consistent(self):
         # a certificate honestly recording a failed check verifies as
         # internally consistent; the verdict stays FALSE
