@@ -20,24 +20,20 @@ from .field import FieldElement, PrimeModulus, SeededRng, derive_seed, is_prime
 from .geometry import (
     ChowPoint,
     HessianMatrix,
-    TangentBasis,
     ambient_dimension,
     cone_dimension,
     expected_hessian_rank,
     expected_tangent_rank,
     hessian_at,
     sample_point,
-    tangent_basis,
     terracini_matrix,
 )
-from .matrix import FfMatrix, RrefResult, kronecker, mul_mat, null_vector, rank, rref
+from .matrix import FfMatrix, RrefResult, null_vector
 from .pipeline import (
-    BenchReport,
     GenericityError,
     RankTableRow,
     SweepRow,
     VerificationReport,
-    bench,
     certify,
     default_r,
     generic_rank,

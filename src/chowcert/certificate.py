@@ -219,13 +219,16 @@ def parse_certificate(text: str) -> Certificate:
         match = _RANK_RE.match(take(key))
         if not match:
             raise CertificateError(f"{key}: expected '<observed> / <expected>'")
-        ranks[key] = (int(match.group(1)), int(match.group(2)))
+        ranks[key] = (
+            _parse_int(match.group(1), key),
+            _parse_int(match.group(2), key),
+        )
 
     verdict_raw = take("verdict")
     match = _VERDICT_RE.match(verdict_raw)
     if not match:
         raise CertificateError(f"verdict: unrecognized value {verdict_raw!r}")
-    if int(match.group(1)) != r:
+    if _parse_int(match.group(1), "verdict") != r:
         raise CertificateError(
             f"verdict labels r = {match.group(1)} but the certificate has r = {r}"
         )

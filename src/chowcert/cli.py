@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: certify, verify, rank-table, sweep, bench, validate-sff.
+Subcommands: certify, verify, rank-table, sweep, validate-sff.
 """
 
 from __future__ import annotations
@@ -21,16 +21,6 @@ def _u64(raw: str) -> int:
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     return value
-
-
-def _sizes(raw: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError("sizes must be comma-separated integers")
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("sizes must be positive integers")
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,11 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="refuse ranges beyond this n unless raised",
     )
     p.add_argument("--retries", type=int, default=DEFAULT_RETRIES)
-
-    p = sub.add_parser("bench", help="time the matrix kernels, both paths")
-    p.add_argument("--sizes", type=_sizes, default=[128, 256, 512])
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(
         "validate-sff", help="check the closed-form curvature tables at (d, n)"
@@ -165,31 +150,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    report = pipeline.bench(args.sizes, args.prime, args.seed)
-    print(
-        f"{'size':>6} {'rref naive':>11} {'rref blocked':>13} "
-        f"{'mul naive':>10} {'mul fast':>9} {'rank':>6}"
-    )
-    for case in report.cases:
-        print(
-            f"{case.size:>6} {case.rref_naive_seconds:>10.4f}s "
-            f"{case.rref_blocked_seconds:>12.4f}s {case.mul_naive_seconds:>9.4f}s "
-            f"{case.mul_fast_seconds:>8.4f}s {case.rank:>6}"
-        )
-    for attr, label in (
-        ("rref_naive_seconds", "rref naive"),
-        ("rref_blocked_seconds", "rref blocked"),
-        ("mul_naive_seconds", "mul naive"),
-        ("mul_fast_seconds", "mul fast"),
-    ):
-        exps = ", ".join(f"{e:.2f}" for e in report.exponents(attr))
-        if exps:
-            print(f"observed scaling exponent ({label}): {exps}")
-    print("both paths returned identical results")
-    return 0
-
-
 def _cmd_validate_sff(args) -> int:
     d, n = args.d, args.n
     try:
@@ -239,7 +199,6 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "rank-table": _cmd_rank_table,
     "sweep": _cmd_sweep,
-    "bench": _cmd_bench,
     "validate-sff": _cmd_validate_sff,
 }
 

@@ -99,6 +99,8 @@ class TangentBasis:
 
 
 def tangent_basis(point: ChowPoint) -> TangentBasis:
+    """One point's tangent vectors, one `Poly` at a time: the row-by-row
+    reference that `terracini_matrix` is tested against."""
     n = point.n
     vectors = []
     for k in range(DEGREE):

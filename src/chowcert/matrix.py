@@ -9,11 +9,9 @@ The blocked elimination stops at row echelon form: rank, pivots and the
 unit-upper rows U, which is all that rank tests and kernel vectors need.
 Rows join it at their first nonzero column: it sorts them by that
 column and eliminates each panel only on the rows that have started.
-The reduced form is built from U by one Gauss-Jordan back pass on first
-access to `RrefResult.echelon`, and kernel vectors come from
-back-substitution over U.  Reduced echelon form and the kernel vector
-with given free coordinates are canonical, so both paths return
-bit-identical results.
+There is no Gauss-Jordan back pass: kernel vectors come from
+back-substitution over U.  Pivots and the kernel vector with given free
+coordinates are canonical, so both paths return bit-identical results.
 
 Entries live in int64 arrays; moduli below 2^31 are supported.  Every
 product is a float64 dgemm kept exact, below 2^53: one plain dgemm when
@@ -427,38 +425,6 @@ def _swap_columns(x: np.ndarray, k: int, p: int) -> None:
     x[:, p] = t
 
 
-def _reduce_upper(upper: np.ndarray, pivots, m: int, block: int) -> np.ndarray:
-    """Gauss-Jordan back pass: clear the entries above every pivot of U.
-
-    One pivot block at a time from the bottom.  Rows of a block have no
-    support left of its first pivot column, so every update is
-    restricted to the columns from there on.
-    """
-    a = upper.copy()
-    nr = len(pivots)
-    for i0 in reversed(range(0, nr, block)):
-        i1 = min(i0 + block, nr)
-        pcols = list(pivots[i0:i1])
-        first = pcols[0]
-        for t in range(i1 - i0 - 2, -1, -1):
-            row = i0 + t
-            facs = a[row, pcols[t + 1 :]]
-            hit = np.flatnonzero(facs)
-            if hit.size:
-                sel = row + 1 + hit
-                left = pcols[t + 1]
-                a[row, left:] = (
-                    a[row, left:] - _mod_matmul(facs[None, hit], a[sel, left:], m)[0]
-                ) % m
-        if i0:
-            above = a[:i0, pcols]
-            if above.any():
-                a[:i0, first:] = (
-                    a[:i0, first:] - _mod_matmul(above, a[i0:i1, first:], m)
-                ) % m
-    return a
-
-
 def _check_matrix_modulus(modulus: PrimeModulus) -> None:
     if modulus.value >= MAX_MATRIX_MODULUS:
         raise ValueError(
@@ -566,6 +532,7 @@ class FfMatrix:
         return self.matmul(other)
 
     def kron(self, other: "FfMatrix") -> "FfMatrix":
+        """Standard Kronecker product: block (i, j) equals self[i, j] * other."""
         _check_same_modulus(self.modulus, other.modulus)
         return FfMatrix(np.kron(self.data, other.data), self.modulus)
 
@@ -583,52 +550,10 @@ class FfMatrix:
             modulus=self.modulus,
             rows=self.rows,
             block=block,
-            reduced=naive,
         )
 
     def rank(self, naive: bool = False) -> int:
         return self.rref(naive=naive).rank
-
-    def dumps(self) -> str:
-        """Debug dump: header `rows cols modulus`, then one row per line."""
-        lines = [f"{self.rows} {self.cols} {self.modulus.value}"]
-        for row in self.data:
-            lines.append(" ".join(str(int(v)) for v in row))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "FfMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty matrix dump")
-        rows, cols, m = (int(tok) for tok in lines[0].split())
-        if len(lines) != rows + 1:
-            raise ValueError(f"expected {rows} data rows, found {len(lines) - 1}")
-        data = np.zeros((rows, cols), dtype=np.int64)
-        for i, line in enumerate(lines[1:]):
-            entries = [int(tok) for tok in line.split()]
-            if len(entries) != cols:
-                raise ValueError(f"row {i} has {len(entries)} entries, expected {cols}")
-            data[i] = entries
-        return cls(data, PrimeModulus(m))
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
-
-    @classmethod
-    def load(cls, path) -> "FfMatrix":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read())
-
-
-def kronecker(a: FfMatrix, b: FfMatrix) -> FfMatrix:
-    """Standard Kronecker product: block (i, j) equals a[i, j] * b."""
-    return a.kron(b)
-
-
-def mul_mat(a: FfMatrix, b: FfMatrix, naive: bool = False) -> FfMatrix:
-    return a.matmul(b, naive=naive)
 
 
 @dataclass(frozen=True, eq=False)
@@ -637,12 +562,12 @@ class RrefResult:
 
     `upper` holds the `rank` nonzero rows of a row echelon form, entries
     in [0, m): row k is zero left of `pivot_cols[k]` and 1 there, so U
-    restricted to the pivot columns is unit upper triangular.  The
-    blocked elimination stops there.  `echelon`, the reduced row echelon
-    form, is built from U by a Gauss-Jordan back pass on first access;
-    reordering its columns as pivots-then-free turns the nonzero rows
-    into [I_rank | X], and `permutation` records that column order.
-    `reduced` marks a U that is already reduced (the naive path).
+    restricted to the pivot columns is unit upper triangular.  Rank
+    tests and kernel vectors need nothing more, and the elimination
+    stops there.  `echelon`, the reduced row echelon form padded with
+    zero rows to `rows`, is the naive reduction of U on first access:
+    U has the input's row space and pivots, so this is the input's
+    canonical reduced form, whichever path produced U.
     """
 
     upper: np.ndarray
@@ -650,7 +575,6 @@ class RrefResult:
     modulus: PrimeModulus
     rows: int
     block: int = DEFAULT_BLOCK
-    reduced: bool = False
 
     @property
     def rank(self) -> int:
@@ -662,36 +586,15 @@ class RrefResult:
 
     @cached_property
     def echelon(self) -> FfMatrix:
-        m = self.modulus.value
+        reduced, _ = _rref_naive(self.upper, self.modulus.value)
         full = np.zeros((self.rows, self.cols), dtype=np.int64)
-        full[: self.rank] = (
-            self.upper
-            if self.reduced
-            else _reduce_upper(self.upper, self.pivot_cols, m, self.block)
-        )
+        full[: self.rank] = reduced
         return FfMatrix(full, self.modulus)
 
     @property
     def free_cols(self) -> tuple[int, ...]:
         pivots = set(self.pivot_cols)
         return tuple(c for c in range(self.cols) if c not in pivots)
-
-    @property
-    def permutation(self) -> tuple[int, ...]:
-        return self.pivot_cols + self.free_cols
-
-    def x_block(self) -> np.ndarray:
-        """The X in [I | X]: pivot rows restricted to free columns."""
-        free = list(self.free_cols)
-        return self.echelon.data[: self.rank][:, free]
-
-
-def rref(a: FfMatrix, block: int = DEFAULT_BLOCK, naive: bool = False) -> RrefResult:
-    return a.rref(block=block, naive=naive)
-
-
-def rank(a: FfMatrix, naive: bool = False) -> int:
-    return a.rank(naive=naive)
 
 
 def null_vector(res: RrefResult, f0) -> np.ndarray:

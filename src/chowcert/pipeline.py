@@ -4,8 +4,8 @@
 tangent vectors, cut a normal vector out of the echelon data, rank-test
 the contracted curvature form) and packages the outcome as a
 certificate.  `verify` replays a certificate's recorded vectors with no
-randomness involved.  `rank_table`, `sweep`, and `bench` are the
-supporting survey/benchmark operations.
+randomness involved.  `rank_table` and `sweep` are the supporting survey
+operations.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import math
 import secrets
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .certificate import (
     Certificate,
@@ -37,7 +35,7 @@ from .geometry import (
     sample_point,
     terracini_matrix,
 )
-from .matrix import MAX_MATRIX_MODULUS, FfMatrix, null_vector
+from .matrix import MAX_MATRIX_MODULUS, null_vector
 from .poly import LinearForm, Poly, monomial_basis
 
 DEFAULT_PRIME = 20201
@@ -385,8 +383,15 @@ def sweep(
 
     Each n gets its own derived seed, so cases are independent and the
     whole sweep replays from one recorded seed.  Failures (exhausted
-    retries) appear as verdict FALSE rows.
+    retries) appear as verdict FALSE rows.  A range with no n >= 2 in it
+    is an error, not an empty success.
     """
+    cases = range(max(n_min, 2), n_max + 1)
+    if not cases:
+        raise ValueError(
+            f"no case to certify for n in [{n_min}, {n_max}]: need "
+            f"n_max >= max(n_min, 2)"
+        )
     if n_max > cap:
         raise ValueError(
             f"n_max = {n_max} exceeds the desk-scale cap {cap}; raise the cap "
@@ -397,10 +402,9 @@ def sweep(
         seed = secrets.randbits(64)
     rows: list[SweepRow] = []
     cumulative = 0.0
-    for n in range(max(n_min, 2), n_max + 1):
+    for n in cases:
+        # r >= 1 for every n >= 2: binom(n+3, 3) > 3n + 1
         r = default_r(n)
-        if r < 1:
-            continue
         case_seed = derive_seed(seed, n)
         start = time.perf_counter()
         try:
@@ -452,100 +456,14 @@ def write_sweep_csv(rows, path) -> None:
             )
 
 
-@dataclass(frozen=True)
-class BenchCase:
-    size: int
-    rref_naive_seconds: float
-    rref_blocked_seconds: float
-    mul_naive_seconds: float
-    mul_fast_seconds: float
-    rank: int
-    agree: bool
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    cases: list[BenchCase]
-
-    def exponents(self, attr: str) -> list[float]:
-        """Observed scaling exponents between consecutive sizes."""
-        out = []
-        for a, b in zip(self.cases, self.cases[1:]):
-            ta, tb = getattr(a, attr), getattr(b, attr)
-            if ta <= 0 or tb <= 0:
-                out.append(float("nan"))
-            else:
-                out.append(math.log(tb / ta) / math.log(b.size / a.size))
-        return out
-
-
-def bench(sizes, prime=DEFAULT_PRIME, seed: int = 0) -> BenchReport:
-    """Time the elimination and multiplication kernels, both paths.
-
-    Inputs are pseudorandom dense matrices whose last row repeats the
-    first, so there is a kernel vector to compare.  Both rref timings
-    cover the reduced echelon form.  The two paths must agree exactly
-    (reduced form, pivots, kernel vector, product), which is asserted,
-    not just reported.
-    """
-    modulus = _as_modulus(prime)
-    gen = np.random.default_rng(seed)
-    cases = []
-    for size in sizes:
-        data = gen.integers(0, modulus.value, (size, size))
-        data[-1] = data[0]
-        a = FfMatrix(data, modulus)
-        b = FfMatrix(gen.integers(0, modulus.value, (size, size)), modulus)
-        t0 = time.perf_counter()
-        res_naive = a.rref(naive=True)
-        t1 = time.perf_counter()
-        res_blocked = a.rref()
-        res_blocked.echelon  # the reduced form is built on first access
-        t2 = time.perf_counter()
-        prod_naive = a.matmul(b, naive=True)
-        t3 = time.perf_counter()
-        prod_fast = a.matmul(b)
-        t4 = time.perf_counter()
-        agree = (
-            res_naive.echelon == res_blocked.echelon
-            and res_naive.pivot_cols == res_blocked.pivot_cols
-            and prod_naive == prod_fast
-        )
-        free = size - res_naive.rank
-        if agree and free:
-            f0 = gen.integers(0, modulus.value, free)
-            agree = np.array_equal(
-                null_vector(res_naive, f0), null_vector(res_blocked, f0)
-            )
-        if not agree:
-            raise AssertionError(
-                f"kernel paths disagree at size {size}; this is a bug"
-            )
-        cases.append(
-            BenchCase(
-                size=size,
-                rref_naive_seconds=t1 - t0,
-                rref_blocked_seconds=t2 - t1,
-                mul_naive_seconds=t3 - t2,
-                mul_fast_seconds=t4 - t3,
-                rank=res_naive.rank,
-                agree=agree,
-            )
-        )
-    return BenchReport(cases)
-
-
 __all__ = [
     "AttemptRecord",
-    "BenchCase",
-    "BenchReport",
     "Certificate",
     "GenericityError",
     "RankTableRow",
     "SweepRow",
     "SWEEP_COLUMNS",
     "VerificationReport",
-    "bench",
     "certify",
     "default_r",
     "generic_rank",

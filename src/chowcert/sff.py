@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .field import PrimeModulus, SeededRng
-from .matrix import FfMatrix, kronecker
+from .matrix import FfMatrix
 from .poly import LinearForm, Poly, contract, expand_product, monomial_basis
 
 CASE_DISTINCT4 = "distinct-4"
@@ -232,11 +232,11 @@ class GhPair:
 def gh_build(d: int, n: int, modulus: PrimeModulus) -> GhPair:
     """G = 1_{d-1} (x) I_d - I and H = I_{n+1-d} (x) 1_d - I."""
     _check_dn(d, n)
-    g = kronecker(
-        FfMatrix.ones(d - 1, d - 1, modulus), FfMatrix.identity(d, modulus)
+    g = FfMatrix.ones(d - 1, d - 1, modulus).kron(
+        FfMatrix.identity(d, modulus)
     ) - FfMatrix.identity(d * (d - 1), modulus)
-    h = kronecker(
-        FfMatrix.identity(n + 1 - d, modulus), FfMatrix.ones(d, d, modulus)
+    h = FfMatrix.identity(n + 1 - d, modulus).kron(
+        FfMatrix.ones(d, d, modulus)
     ) - FfMatrix.identity(d * (n + 1 - d), modulus)
     return GhPair(d, n, g, h)
 

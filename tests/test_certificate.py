@@ -14,6 +14,10 @@ from chowcert.certificate import (
 )
 
 DATA = Path(__file__).parent / "data"
+REFERENCE = DATA / "reference_certificate_n5.txt"
+REFERENCE_DIGEST = "775ea43533281ecc91a6d57b7d8d5fe9c3dd9b938529b0bacbe1d12b49ae0e07"
+# more digits than Python's default int() conversion limit (4300)
+HUGE = "9" * 5000
 
 
 def make_cert(**overrides):
@@ -128,6 +132,20 @@ class TestValidation:
         with pytest.raises(CertificateError, match="normal directions"):
             parse_certificate(format_certificate(cert, check=False))
 
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ("tangent_rank = 7 / 7", f"tangent_rank = {HUGE} / 7", "tangent_rank"),
+            ("hessian_rank = 6 / 6", f"hessian_rank = 6 / {HUGE}", "hessian_rank"),
+            ("not-1-TWD", f"not-{HUGE}-TWD", "verdict"),
+        ],
+        ids=["tangent-rank", "hessian-rank", "verdict-label"],
+    )
+    def test_huge_integer_is_a_certificate_error(self, old, new, key):
+        text = format_certificate(make_cert()).replace(old, new)
+        with pytest.raises(CertificateError, match=f"{key}: not an integer"):
+            parse_certificate(text)
+
     def test_unknown_trailing_line(self):
         text = format_certificate(make_cert(), check=False) + "extra = 1\n"
         with pytest.raises(CertificateError, match="unknown line"):
@@ -174,9 +192,45 @@ class TestValidation:
         )
 
 
+class TestParserRobustness:
+    """Edits of the reference fixture that the grammar might read in more
+    than one way: each must be rejected or parse to the same payload.
+    The expected outcome records the current grammar."""
+
+    @pytest.mark.parametrize(
+        "old,new,parses",
+        [
+            pytest.param("\n", "\r\n", True, id="crlf"),
+            pytest.param("\nr = 3\n", "\nr = \u0663\n", True, id="arabic-indic-r"),
+            pytest.param("48 / 48", "\u0664\u0668 / 48", True, id="arabic-indic-rank"),
+            pytest.param("\nr = 3\n", "\nr = 0_3\n", True, id="underscore-r"),
+            pytest.param("[17068 ", "[1_7068 ", True, id="underscore-entry"),
+            pytest.param("48 / 48", "4_8 / 48", False, id="underscore-rank"),
+            pytest.param("\nn = 5\n", "\nn = 5\nn = 5\n", False, id="duplicated-key"),
+            pytest.param(
+                "\nn = 5\nr = 3\n", "\nr = 3\nn = 5\n", False, id="reordered-keys"
+            ),
+            pytest.param("48 / 48", f"{HUGE} / 48", False, id="huge-tangent-rank"),
+            pytest.param("15 / 15", f"15 / {HUGE}", False, id="huge-hessian-rank"),
+            pytest.param(
+                "not-3-TWD", f"not-{HUGE}-TWD", False, id="huge-verdict-label"
+            ),
+        ],
+    )
+    def test_edit_rejected_or_same_digest(self, old, new, parses):
+        text = REFERENCE.read_text()
+        assert old in text
+        text = text.replace(old, new)
+        if parses:
+            assert integrity_digest(parse_certificate(text)) == REFERENCE_DIGEST
+        else:
+            with pytest.raises(CertificateError):
+                parse_certificate(text)
+
+
 class TestReferenceFixture:
     def test_parses(self):
-        cert = load_certificate(DATA / "reference_certificate_n5.txt")
+        cert = load_certificate(REFERENCE)
         assert cert.seed == 1591688259
         assert cert.prime == 20201
         assert (cert.n, cert.r) == (5, 3)

@@ -9,6 +9,18 @@ import pytest
 from chowcert.cli import main
 
 
+def verify_in_subprocess(path):
+    """`chowcert verify` in a fresh interpreter, so a traceback shows."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "chowcert.cli", "verify", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+
+
 class TestCertifyCommand:
     def test_writes_certificate(self, tmp_path, capsys):
         out = tmp_path / "cert.txt"
@@ -78,17 +90,23 @@ class TestVerifyCommand:
         out.write_text(
             "".join(ln for ln in lines.splitlines(True) if not ln.startswith("check"))
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-m", "chowcert.cli", "verify", str(out)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
+        proc = verify_in_subprocess(out)
         assert proc.returncode == 1
         assert "REJECTED" in proc.stdout
         assert "moduli below 2^31" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+    def test_huge_rank_is_rejected_without_traceback(self, tmp_path):
+        out = tmp_path / "cert.txt"
+        main(["certify", "--n", "2", "--r", "1", "--seed", "5", "--out", str(out)])
+        # more digits than Python's default int() conversion limit
+        huge = "9" * 5000
+        text = out.read_text()
+        out.write_text(text.replace("7 / 7", f"{huge} / 7"))
+        proc = verify_in_subprocess(out)
+        assert proc.returncode == 1
+        assert "REJECTED" in proc.stdout
+        assert "tangent_rank: not an integer" in proc.stdout
         assert "Traceback" not in proc.stderr
 
 
@@ -123,17 +141,16 @@ class TestSweepCommand:
         assert code == 1
         assert "cap" in capsys.readouterr().err
 
-
-class TestBenchCommand:
-    def test_smoke(self, capsys):
-        assert main(["bench", "--sizes", "16,32"]) == 0
-        out = capsys.readouterr().out
-        assert "identical results" in out
-        assert "scaling exponent" in out
-
-    def test_size_validation(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "--sizes", "16,frog"])
+    def test_empty_range_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", "--min", "5", "--max", "3", "--seed", "3", "--csv", str(out)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: no case" in captured.err
+        assert "cases TRUE" not in captured.out
+        assert not out.exists()
 
 
 class TestValidateSffCommand:

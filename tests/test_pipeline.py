@@ -9,9 +9,9 @@ from chowcert.certificate import (
     integrity_digest,
     parse_certificate,
 )
+from chowcert.matrix import FfMatrix
 from chowcert.pipeline import (
     GenericityError,
-    bench,
     certify,
     default_r,
     generic_rank,
@@ -261,6 +261,13 @@ class TestSweep:
         # raised cap is accepted (range kept tiny here)
         sweep(2, 2, seed=1, cap=50)
 
+    @pytest.mark.parametrize("n_min,n_max", [(5, 3), (2, 1), (0, 1)])
+    def test_empty_range_is_an_error(self, n_min, n_max, tmp_path):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(ValueError, match="no case"):
+            sweep(n_min, n_max, seed=1, csv_path=out)
+        assert not out.exists()
+
     def test_replayable(self):
         a = sweep(2, 4, seed=77)
         b = sweep(2, 4, seed=77)
@@ -282,7 +289,7 @@ class TestGenericityRetry:
             # zero out a row block: the first point's rows become zero
             data = real.data.copy()
             data[: 3 * (points[0].n + 1)] = 0
-            return pl.FfMatrix(data, real.modulus)
+            return FfMatrix(data, real.modulus)
 
         monkeypatch.setattr(pl, "terracini_matrix", always_deficient)
         with pytest.raises(GenericityError) as err:
@@ -291,13 +298,3 @@ class TestGenericityRetry:
         assert "does not disprove" in str(err.value)
         seeds = {a.seed for a in err.value.attempts}
         assert len(seeds) == 3
-
-
-class TestBench:
-    def test_smoke(self):
-        report = bench([16, 32])
-        assert [case.size for case in report.cases] == [16, 32]
-        for case in report.cases:
-            assert case.agree
-            assert case.rank <= case.size
-        assert len(report.exponents("mul_naive_seconds")) == 1
