@@ -43,6 +43,25 @@ class CertificateError(ValueError):
     """A certificate file is malformed, out of domain, or fails integrity."""
 
 
+# Characters of an offending value that an error message repeats.
+_ECHO = 40
+
+
+def _echo(value) -> str:
+    """`value` for an error message, so a hostile line cannot flood the
+    report: a string's repr, cut at `_ECHO` characters and followed by
+    its length when longer; an integer's digits, or its size in bits
+    when longer (past int()'s digit limit it has no decimal form)."""
+    if isinstance(value, int):
+        bits = value.bit_length()
+        # 3 * _ECHO bits is at most 37 digits
+        return str(value) if bits <= 3 * _ECHO else f"<{bits}-bit integer>"
+    text = repr(value)
+    if len(text) <= _ECHO:
+        return text
+    return f"{text[:_ECHO]}... ({len(value)} characters)"
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Parsed or freshly generated certificate data."""
@@ -138,21 +157,23 @@ def _parse_int(raw: str, what: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise CertificateError(f"{what}: not an integer: {raw!r}") from None
+        raise CertificateError(f"{what}: not an integer: {_echo(raw)}") from None
 
 
 def _parse_vector(raw: str, what: str, length: int, prime: int) -> tuple[int, ...]:
     match = _VECTOR_RE.match(raw.strip())
     if not match:
-        raise CertificateError(f"{what}: expected a bracketed vector, got {raw!r}")
+        raise CertificateError(
+            f"{what}: expected a bracketed vector, got {_echo(raw)}"
+        )
     values = tuple(_parse_int(tok, what) for tok in match.group(1).split())
     if len(values) != length:
         raise CertificateError(
-            f"{what}: expected {length} entries, found {len(values)}"
+            f"{what}: expected {_echo(length)} entries, found {len(values)}"
         )
     for v in values:
         if not 0 <= v < prime:
-            raise CertificateError(f"{what}: entry {v} outside [0, {prime})")
+            raise CertificateError(f"{what}: entry {_echo(v)} outside [0, {prime})")
     return values
 
 
@@ -178,25 +199,27 @@ def parse_certificate(text: str) -> Certificate:
         key, value = pairs[pos]
         if key != expected_key:
             raise CertificateError(
-                f"expected line {expected_key!r}, found {key!r}"
+                f"expected line {expected_key!r}, found {_echo(key)}"
             )
         pos += 1
         return value
 
     seed = _parse_int(take("seed"), "seed")
     if not 0 <= seed <= MASK64:
-        raise CertificateError(f"seed {seed} does not fit in 64 bits")
+        raise CertificateError(f"seed {_echo(seed)} does not fit in 64 bits")
     prime = _parse_int(take("prime"), "prime")
     try:
         PrimeModulus(prime)
-    except ValueError as exc:
-        raise CertificateError(str(exc)) from None
+    except ValueError:
+        raise CertificateError(
+            f"prime: {_echo(prime)} is not prime (need a prime >= 3)"
+        ) from None
     n = _parse_int(take("n"), "n")
     if n < 2:
-        raise CertificateError(f"need n >= 2, got {n}")
+        raise CertificateError(f"need n >= 2, got {_echo(n)}")
     r = _parse_int(take("r"), "r")
     if r < 1:
-        raise CertificateError(f"need r >= 1, got {r}")
+        raise CertificateError(f"need r >= 1, got {_echo(r)}")
 
     points = []
     for j in range(r):
@@ -227,10 +250,11 @@ def parse_certificate(text: str) -> Certificate:
     verdict_raw = take("verdict")
     match = _VERDICT_RE.match(verdict_raw)
     if not match:
-        raise CertificateError(f"verdict: unrecognized value {verdict_raw!r}")
-    if _parse_int(match.group(1), "verdict") != r:
+        raise CertificateError(f"verdict: unrecognized value {_echo(verdict_raw)}")
+    label = _parse_int(match.group(1), "verdict")
+    if label != r:
         raise CertificateError(
-            f"verdict labels r = {match.group(1)} but the certificate has r = {r}"
+            f"verdict labels r = {_echo(label)} but the certificate has r = {r}"
         )
     verdict = match.group(2) == "TRUE"
 
@@ -243,7 +267,7 @@ def parse_certificate(text: str) -> Certificate:
         key, value = pairs[pos]
         pos += 1
         if key in seen:
-            raise CertificateError(f"duplicate metadata line: {key}")
+            raise CertificateError(f"duplicate metadata line: {_echo(key)}")
         seen.add(key)
         if key == "attempt":
             attempt = _parse_int(value, "attempt")
@@ -253,11 +277,13 @@ def parse_certificate(text: str) -> Certificate:
             try:
                 seconds = float(value)
             except ValueError:
-                raise CertificateError(f"seconds: not a number: {value!r}") from None
+                raise CertificateError(
+                    f"seconds: not a number: {_echo(value)}"
+                ) from None
         elif key == "check":
             check = value
         else:
-            raise CertificateError(f"unknown line: {key!r}")
+            raise CertificateError(f"unknown line: {_echo(key)}")
 
     cert = Certificate(
         seed=seed,

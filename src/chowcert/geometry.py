@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import PrimeModulus, SeededRng, _check_same_modulus
-from .matrix import FfMatrix, _check_matrix_modulus, _mod_matmul
+from .matrix import (
+    FfMatrix,
+    _check_matrix_modulus,
+    _mod_matmul,
+    _sorted_rows,
+)
 from .poly import (
     LinearForm,
     Poly,
@@ -111,14 +116,67 @@ def tangent_basis(point: ChowPoint) -> TangentBasis:
     return TangentBasis(point, tuple(vectors))
 
 
-def terracini_matrix(points) -> FfMatrix:
+class TerraciniMatrix(FfMatrix):
+    """The stacked tangent matrix, stored as the quadrics it is made of.
+
+    Row (p, k, i) holds `quads[3 p + k]`, the quadric of the two forms
+    of point p other than k, at the columns `shifts[i]` (multiplication
+    by x_i) and zeros elsewhere.  The elimination's working array is
+    written from these directly, already in row-profile order, so the
+    int64 matrix `data` is never needed for a rank or a kernel vector;
+    it is built on first access.
+    """
+
+    __slots__ = ("_quads", "_shifts", "_shape", "_data")
+
+    def __init__(self, quads: np.ndarray, shifts: np.ndarray, cols: int, modulus):
+        self._quads = quads
+        self._shifts = shifts
+        self._shape = (quads.shape[0] * shifts.shape[0], cols)
+        self._data = None
+        self.modulus = modulus
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._shape
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            out = np.empty(self._shape, dtype=np.int64)
+            self._fill(out, np.arange(self.rows))
+            out.setflags(write=False)
+            self._data = out
+        return self._data
+
+    def _fill(self, out: np.ndarray, rows: np.ndarray) -> None:
+        """Write the rows numbered `rows` into `out`, one per row of it."""
+        nvar = self._shifts.shape[0]
+        out[...] = 0
+        np.put_along_axis(
+            out, self._shifts[rows % nvar], self._quads[rows // nvar], axis=1
+        )
+
+    def _working_array(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        # Grevlex is a term order and index 0 is its largest monomial, so
+        # every shift map is increasing and row (p, k, i) starts at
+        # shifts[i] of the first nonzero index of its quadric.  Quadrics
+        # are products of two nonzero forms over a field, never zero.
+        lead = (self._quads != 0).argmax(axis=1)
+        first = self._shifts[:, lead].T.ravel()
+        return _sorted_rows(first, self.cols, dtype, self._fill)
+
+
+def terracini_matrix(points) -> TerraciniMatrix:
     """Stack every point's tangent vectors into one matrix.
 
     Rows are ordered point-major, then factor-major, then by variable;
     columns follow the degree-3 monomial order.  At r generic points the
     rank is min((3n+1) r, binom(n+3, 3)).  Row (p, k, i) is the tangent
-    vector (k, i) of `tangent_basis`, built for all points at once: the
-    quadric of the two forms other than k, shifted by x_i.
+    vector (k, i) of `tangent_basis`: the quadric of the two forms other
+    than k, shifted by x_i.  The quadrics are computed for all points at
+    once; the rows themselves are only written when they are read
+    (`TerraciniMatrix`).
     """
     points = list(points)
     if not points:
@@ -133,13 +191,12 @@ def terracini_matrix(points) -> FfMatrix:
     # would overflow
     _check_matrix_modulus(modulus)
     m = modulus.value
-    dim = monomial_basis(n, DEGREE).dim
     # coords[p, k] = coordinates of form k of point p, each in [0, m)
     coords = np.array([[f.coords for f in p.forms] for p in points])
     # the degree-2 monomials as variable pairs u <= v
     u, v = np.array(monomial_basis(n, 2)._vars, dtype=np.int64).T
     cross = u != v
-    rows = np.zeros((len(points), DEGREE, n + 1, dim), dtype=np.int64)
+    quads = np.empty((len(points), DEGREE, u.size), dtype=np.int64)
     for k in range(DEGREE):
         a, b = (coords[:, c] for c in range(DEGREE) if c != k)
         # coefficient of x_u x_v in the product of the other two forms:
@@ -148,9 +205,11 @@ def terracini_matrix(points) -> FfMatrix:
         quad = a[:, u] * b[:, v]
         quad[:, cross] += a[:, v[cross]] * b[:, u[cross]]
         quad %= m
-        for i in range(n + 1):
-            rows[:, k, i][:, _shift_map(n, 2, i)] = quad
-    return FfMatrix._adopt(rows.reshape(-1, dim), modulus)
+        quads[:, k] = quad
+    shifts = np.stack([_shift_map(n, 2, i) for i in range(n + 1)])
+    return TerraciniMatrix(
+        quads.reshape(-1, u.size), shifts, monomial_basis(n, DEGREE).dim, modulus
+    )
 
 
 def cone_dimension(n: int) -> int:

@@ -228,7 +228,7 @@ def _apply_pivots(trail, below, lfac, ninv, reduce_, m, settle, matmul):
         reduce_(trail[i], m)
     l21 = lfac[:k, k:].T
     if l21.any():
-        step = max(1, _TILE // trail.shape[1])
+        step = _row_step(trail.shape[1])
         for s in range(0, below.shape[0], step):
             tile = below[s : s + step]
             tile -= matmul(l21[s : s + step], trail)
@@ -245,38 +245,74 @@ def _add_m_if_negative(x: np.ndarray, m: int) -> None:
     x += (x >> 63) & m
 
 
+def _row_step(cols: int) -> int:
+    """Rows per tile of about `_TILE` entries."""
+    return max(1, _TILE // max(cols, 1))
+
+
+def _sorted_rows(
+    first: np.ndarray, cols: int, dtype, fill
+) -> tuple[np.ndarray, np.ndarray]:
+    """The working array: rows stably sorted by first nonzero column.
+
+    `first[q]` is the first nonzero column of row q (`cols` for an
+    all-zero row), and `fill(out, rows)` writes the rows numbered `rows`
+    into `out`, one row tile at a time, so no full-size temporary is
+    allocated beside the working array.  Returns the array and
+    `started`, where `started[c]` counts the rows whose first nonzero
+    column is below c.
+    """
+    perm = np.argsort(first, kind="stable")
+    started = np.searchsorted(first[perm], np.arange(cols + 1))
+    a = np.empty((first.size, cols), dtype=dtype)
+    step = _row_step(cols)
+    for s in range(0, first.size, step):
+        fill(a[s : s + step], perm[s : s + step])
+    return a, started
+
+
 def _profile_ordered(
     data: np.ndarray, dtype
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of `data` as `dtype`, stably sorted by first nonzero column.
-
-    Returns the sorted working array and `started`, where `started[c]`
-    counts the rows whose first nonzero column is below c (an all-zero
-    row counts as starting at `cols`).  Entries are canonical, so the
-    test `!= 0` is exact.  Both passes go one row tile at a time, so no
-    full-size temporary is allocated beside the working array.
-    """
+    """The rows of `data` as `dtype`, stably sorted by first nonzero
+    column, and `started` (`_sorted_rows`).  Entries are canonical, so
+    the test `!= 0` is exact."""
     rows, cols = data.shape
-    step = max(1, _TILE // max(cols, 1))
+    step = _row_step(cols)
     first = np.full(rows, cols, dtype=np.int64)
     if cols:
         for s in range(0, rows, step):
             nz = data[s : s + step] != 0
             lead = nz.argmax(axis=1)
             first[s : s + step] = np.where(nz.any(axis=1), lead, cols)
-    perm = np.argsort(first, kind="stable")
-    started = np.searchsorted(first[perm], np.arange(cols + 1))
-    a = np.empty((rows, cols), dtype=dtype)
-    for s in range(0, rows, step):
-        a[s : s + step] = data[perm[s : s + step]]
-    return a, started
+
+    def gather(out, rows):
+        out[...] = data[rows]
+
+    return _sorted_rows(first, cols, dtype, gather)
+
+
+def _working_dtype(shape: tuple[int, int], m: int, block: int):
+    """The working array's dtype: int64 in the eager regime, else float64."""
+    return np.int64 if _regime(shape, m, block) == "eager" else np.float64
+
+
+def working_array_bytes(
+    rows: int, cols: int, m: int, block: int = DEFAULT_BLOCK
+) -> int:
+    """Bytes of the working array that eliminating a rows x cols matrix
+    mod m allocates: the elimination's one full-size array."""
+    return rows * cols * np.dtype(_working_dtype((rows, cols), m, block)).itemsize
 
 
 def _echelon_blocked(
-    data: np.ndarray, m: int, block: int
+    a: np.ndarray, started: np.ndarray, m: int, block: int
 ) -> tuple[np.ndarray, list[int]]:
     """Panel-blocked row echelon form with deferred reduction.
 
+    Eliminates the working array `a` in place, rows stably sorted by
+    first nonzero column, with `started[c]` rows starting left of c
+    (`_sorted_rows`); its dtype is `_working_dtype` of its shape.
     Returns the rank nonzero rows U of a row echelon form, reduced to
     [0, m), and the pivot columns: row k of U is zero left of pivot k
     and 1 at it.  Rank-1 updates accumulate unreduced; a value is
@@ -285,12 +321,12 @@ def _echelon_blocked(
     `_regime` checks.  In float64 the reductions leave balanced
     residues; U is made canonical when it is converted to int64.
 
-    Rows join the elimination at their first nonzero column: they are
-    stably sorted by it (`_profile_ordered`), and each panel [c0, c1)
-    and its trailing update involve only the rows that start left of
-    c1.  The later rows are zero in every pivot column so far, so every
-    multiplier for them is zero and no pivot touches them; a panel with
-    no started rows is skipped.  Pivot columns do not depend on the row
+    Rows join the elimination at their first nonzero column: they come
+    sorted by it, and each panel [c0, c1) and its trailing update
+    involve only the rows that start left of c1.  The later rows are
+    zero in every pivot column so far, so every multiplier for them is
+    zero and no pivot touches them; a panel with no started rows is
+    skipped.  Pivot columns do not depend on the row
     order, so only U, which is not canonical, can differ from an
     elimination in the given order.  A dense input keeps its order.
 
@@ -300,15 +336,14 @@ def _echelon_blocked(
     columns; a sub-panel's pivots reach the panel's later columns, and
     a panel's pivots the trailing columns, in one matmul each.
     """
-    regime = _regime(data.shape, m, block)
+    regime = _regime(a.shape, m, block)
     eager = regime == "eager"
     if eager:
-        dtype, reduce_, matmul = np.int64, _reduce_i64, partial(_mod_matmul, m=m)
+        reduce_, matmul = _reduce_i64, partial(_mod_matmul, m=m)
         settle = _add_m_if_negative
     else:
-        dtype, reduce_, matmul = np.float64, _ReduceF64(m), np.matmul
+        reduce_, matmul = _ReduceF64(m), np.matmul
         settle = None if regime == "deep" else reduce_
-    a, started = _profile_ordered(data, dtype)
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -325,7 +360,7 @@ def _echelon_blocked(
         w = c1 - c0
         nact = end - r
         pan = a[r:end, c0:c1].T.copy()
-        lfac = np.zeros((w, nact), dtype=dtype)
+        lfac = np.zeros((w, nact), dtype=a.dtype)
         # order[i]: the active row that the panel's swaps moved to position i
         order = np.arange(nact)
         ninv: list[int] = []
@@ -404,12 +439,12 @@ def _echelon_blocked(
         r += k
         c0 = c1
     rank = len(pivots)
-    if dtype is np.float64:
+    if not eager:
         # converted in place, one row tile at a time, so no second
         # full-size array is ever allocated; balanced residues become
         # canonical here
         out = a.view(np.int64)
-        step = max(1, _TILE // max(cols, 1))
+        step = _row_step(cols)
         for s in range(0, rank, step):
             tile = out[s : s + step]
             tile[...] = a[s : s + step]
@@ -448,20 +483,6 @@ class FfMatrix:
         self.modulus = modulus
 
     @classmethod
-    def _adopt(cls, arr: np.ndarray, modulus: PrimeModulus) -> "FfMatrix":
-        """Wrap a 2-D int64 array whose entries are already in [0, m).
-
-        Takes ownership of `arr` (it becomes read-only) and skips the
-        constructor's copying reduction, a full pass over the array.
-        """
-        _check_matrix_modulus(modulus)
-        arr.setflags(write=False)
-        mat = cls.__new__(cls)
-        mat.data = arr
-        mat.modulus = modulus
-        return mat
-
-    @classmethod
     def zeros(cls, rows: int, cols: int, modulus: PrimeModulus) -> "FfMatrix":
         return cls(np.zeros((rows, cols), dtype=np.int64), modulus)
 
@@ -475,11 +496,11 @@ class FfMatrix:
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -542,7 +563,8 @@ class FfMatrix:
             echelon, pivots = _rref_naive(self.data, m)
             upper = echelon[: len(pivots)]
         else:
-            upper, pivots = _echelon_blocked(self.data, m, block)
+            a, started = self._working_array(_working_dtype(self.shape, m, block))
+            upper, pivots = _echelon_blocked(a, started, m, block)
         upper.setflags(write=False)
         return RrefResult(
             upper=upper,
@@ -554,6 +576,13 @@ class FfMatrix:
 
     def rank(self, naive: bool = False) -> int:
         return self.rref(naive=naive).rank
+
+    def _working_array(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """The blocked elimination's input: the rows as `dtype`, sorted
+        by first nonzero column, and `started` (`_sorted_rows`).  A
+        matrix that can write its rows without holding `data` overrides
+        this."""
+        return _profile_ordered(self.data, dtype)
 
 
 @dataclass(frozen=True, eq=False)

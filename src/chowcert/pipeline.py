@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import secrets
 import time
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from .certificate import (
     Certificate,
     CertificateError,
+    _echo,
     load_certificate,
     parse_certificate,
     save_certificate,
@@ -35,7 +37,7 @@ from .geometry import (
     sample_point,
     terracini_matrix,
 )
-from .matrix import MAX_MATRIX_MODULUS, null_vector
+from .matrix import MAX_MATRIX_MODULUS, null_vector, working_array_bytes
 from .poly import LinearForm, Poly, monomial_basis
 
 DEFAULT_PRIME = 20201
@@ -223,6 +225,16 @@ class VerificationReport:
         )
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        pages = os.sysconf("SC_PHYS_PAGES")
+        page = os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * page if pages > 0 and page > 0 else None
+
+
 def verify_certificate(cert: Certificate) -> VerificationReport:
     """Recompute both ranks from the recorded vectors and compare.
 
@@ -236,19 +248,31 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     hexp = expected_hessian_rank(cert.n)
     if cert.tangent_expected != texp:
         failures.append(
-            f"recorded expected tangent rank {cert.tangent_expected}, "
+            f"recorded expected tangent rank {_echo(cert.tangent_expected)}, "
             f"but (3n+1) r = {texp}"
         )
     if cert.hessian_expected != hexp:
         failures.append(
-            f"recorded expected hessian rank {cert.hessian_expected}, "
+            f"recorded expected hessian rank {_echo(cert.hessian_expected)}, "
             f"but 3n = {hexp}"
         )
     if cert.prime >= MAX_MATRIX_MODULUS:
         # the replay's int64 products would overflow, so nothing is built
         failures.append(
-            f"prime {cert.prime} cannot be replayed: matrix kernels "
+            f"prime {_echo(cert.prime)} cannot be replayed: matrix kernels "
             f"support moduli below 2^31"
+        )
+        return VerificationReport(False, failures, cert)
+    # the replay's one full-size array is the elimination's working
+    # array; one that cannot fit in memory is refused before anything
+    # is built, rather than exhausting memory part way
+    rows, cols = 3 * (cert.n + 1) * cert.r, cert.ambient_dim
+    need = working_array_bytes(rows, cols, cert.prime)
+    have = _physical_memory()
+    if have is not None and need > have:
+        failures.append(
+            f"replay needs a {rows} x {cols} working array of {need} bytes, "
+            f"more than the {have} bytes of physical memory"
         )
         return VerificationReport(False, failures, cert)
     try:
@@ -262,7 +286,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     if trank != cert.tangent_rank:
         failures.append(
             f"tangent rank: recomputed {trank}, certificate records "
-            f"{cert.tangent_rank}"
+            f"{_echo(cert.tangent_rank)}"
         )
     hrank = None
     if tmat.cols - trank == len(cert.f0):
@@ -270,7 +294,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         if hrank != cert.hessian_rank:
             failures.append(
                 f"hessian rank: recomputed {hrank}, certificate records "
-                f"{cert.hessian_rank}"
+                f"{_echo(cert.hessian_rank)}"
             )
         verdict = trank == texp and hrank == hexp
         if verdict != cert.verdict:

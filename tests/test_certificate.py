@@ -1,7 +1,10 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowcert.certificate import (
     Certificate,
@@ -215,6 +218,10 @@ class TestParserRobustness:
             pytest.param(
                 "not-3-TWD", f"not-{HUGE}-TWD", False, id="huge-verdict-label"
             ),
+            # n + 1 has 4301 digits, past the limit of str() as of int()
+            pytest.param(
+                "\nn = 5\n", f"\nn = {'9' * 4300}\n", False, id="n-at-digit-limit"
+            ),
         ],
     )
     def test_edit_rejected_or_same_digest(self, old, new, parses):
@@ -226,6 +233,93 @@ class TestParserRobustness:
         else:
             with pytest.raises(CertificateError):
                 parse_certificate(text)
+
+
+# The fixture with its integrity line: an edit that changes a recorded
+# integer must now be rejected, whether or not it parses.
+SIGNED = REFERENCE.read_text() + f"check = {REFERENCE_DIGEST}\n"
+# The zero of several decimal scripts (Arabic-Indic, Devanagari,
+# fullwidth, mathematical bold): int() reads each run of ten as 0-9.
+DIGIT_ZEROS = (0x660, 0x966, 0xFF10, 0x1D7CE)
+
+
+def _splice(text, start, end, new):
+    return text[:start] + new + text[end:]
+
+
+@st.composite
+def non_ascii_digit(draw, text):
+    """One ASCII digit replaced by a digit of another script, of the
+    same value or (any decimal digit character) of any value."""
+    spots = [i for i, ch in enumerate(text) if ch.isascii() and ch.isdigit()]
+    i = draw(st.sampled_from(spots))
+    same = chr(draw(st.sampled_from(DIGIT_ZEROS)) + int(text[i]))
+    other = draw(st.characters(categories=["Nd"]))
+    return _splice(text, i, i + 1, draw(st.sampled_from((same, other))))
+
+
+@st.composite
+def huge_integer(draw, text):
+    """One run of digits replaced by a long integer, or padded with
+    leading zeros (same value) to around int()'s 4300-digit limit."""
+    runs = [m.span() for m in re.finditer(r"[0-9]+", text)]
+    start, end = draw(st.sampled_from(runs))
+    length = draw(st.sampled_from((19, 20, 40, 4299, 4300, 4301, 6000)))
+    digit = draw(st.sampled_from("123456789"))
+    padded = "0" * (length - (end - start)) + text[start:end]
+    new = draw(st.sampled_from((digit * length, padded)))
+    return _splice(text, start, end, new)
+
+
+@st.composite
+def line_ending(draw, text):
+    """Every line ending, or one, written as \\r\\n or a bare \\r."""
+    lines = text.splitlines(keepends=True)
+    ending = draw(st.sampled_from(("\r\n", "\r")))
+    if draw(st.booleans()):
+        return "".join(line.rstrip("\r\n") + ending for line in lines)
+    i = draw(st.integers(0, len(lines) - 1))
+    lines[i] = lines[i].rstrip("\r\n") + ending
+    return "".join(lines)
+
+
+@st.composite
+def line_edit(draw, text):
+    """One line duplicated, two lines swapped, or one line cut short
+    (never to nothing, which would drop the line)."""
+    lines = text.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(("duplicate", "swap", "truncate")))
+    if kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        body = lines[i].rstrip("\r\n")
+        cut = draw(st.integers(1, max(1, len(body) - 1)))
+        lines[i] = body[:cut] + lines[i][len(body) :]
+    return "".join(lines)
+
+
+EDITS = (non_ascii_digit, huge_integer, line_ending, line_edit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), count=st.integers(1, 3))
+def test_fuzzed_edits_rejected_or_same_digest(data, count):
+    """Generated edits of the signed reference fixture: each input must
+    raise CertificateError, with a message that does not repeat a long
+    token whole, or parse to the fixture's own payload."""
+    text = SIGNED
+    for _ in range(count):
+        text = data.draw(data.draw(st.sampled_from(EDITS))(text))
+    try:
+        cert = parse_certificate(text)
+    except CertificateError as exc:
+        assert len(str(exc)) < 200
+        return
+    assert integrity_digest(cert) == REFERENCE_DIGEST
 
 
 class TestReferenceFixture:

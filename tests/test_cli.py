@@ -108,6 +108,10 @@ class TestVerifyCommand:
         assert "REJECTED" in proc.stdout
         assert "tangent_rank: not an integer" in proc.stdout
         assert "Traceback" not in proc.stderr
+        # the report echoes a prefix of the token and its length, not
+        # all 5000 digits
+        assert "(5000 characters)" in proc.stdout
+        assert len(proc.stdout.encode()) < 300
 
 
 class TestRankTableCommand:

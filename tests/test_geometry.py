@@ -15,7 +15,15 @@ from chowcert.geometry import (
     tangent_basis,
     terracini_matrix,
 )
-from chowcert.matrix import null_vector
+from chowcert.matrix import (
+    DEFAULT_BLOCK,
+    FfMatrix,
+    _profile_ordered,
+    _regime,
+    _working_dtype,
+    null_vector,
+)
+from chowcert.pipeline import default_r
 from chowcert.poly import LinearForm, Poly, contract, monomial_basis
 
 MOD = PrimeModulus(20201)
@@ -186,6 +194,43 @@ class TestTerraciniOracle:
             assert fast.pivot_cols == naive.pivot_cols
             assert fast.echelon == naive.echelon
             assert np.array_equal(null_vector(fast, f0), null_vector(naive, f0))
+
+
+class TestStreamedBuild:
+    """The working array is written from the quadrics, already sorted:
+    it must equal the sort of the int64 matrix, in every regime, and
+    eliminate to the same pivots and U as a plain `FfMatrix`."""
+
+    @pytest.mark.parametrize(
+        "prime,n,regime",
+        [
+            (20201, 12, "deep"),
+            (3000017, 13, "per-panel"),
+            (2**31 - 1, 8, "eager"),
+            # quadric coefficients vanish often, so rows start late
+            (7, 8, "deep"),
+        ],
+    )
+    def test_equals_sorted_int64_matrix(self, prime, n, regime):
+        modulus = PrimeModulus(prime)
+        points = oracle_points(n, modulus)
+        rng = SeededRng(prime % 1000 + n)
+        points += [sample_point(n, modulus, rng) for _ in range(default_r(n) - 3)]
+        tmat = terracini_matrix(points)
+        assert _regime(tmat.shape, prime, DEFAULT_BLOCK) == regime
+        dtype = _working_dtype(tmat.shape, prime, DEFAULT_BLOCK)
+        a, started = tmat._working_array(dtype)
+        streamed = tmat.rref()
+        # neither the shape nor the elimination builds the int64 rows
+        assert tmat._data is None
+        b, expected = _profile_ordered(tmat.data, dtype)
+        assert not tmat.data.flags.writeable
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+        assert np.array_equal(started, expected)
+        plain = FfMatrix(tmat.data, modulus).rref()
+        assert streamed.pivot_cols == plain.pivot_cols
+        assert np.array_equal(streamed.upper, plain.upper)
 
 
 def certified_normal(points):

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import tracemalloc
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -185,6 +187,37 @@ class TestVerify:
             for f in report.failures
         )
 
+    def test_recorded_huge_ranks_are_echoed_short(self):
+        # 4000 digits parse (int() allows 4300) once the integrity line,
+        # which the parser does not require, is dropped
+        huge = "9" * 4000
+        text = format_certificate(certify(2, 1, seed=5))
+        text = text.replace("7 / 7", f"{huge} / {huge}")
+        text = "".join(
+            ln for ln in text.splitlines(True) if not ln.startswith("check")
+        )
+        report = verify_text(text)
+        assert not report.ok
+        assert len(report.failures) == 2
+        assert len(report.summary()) < 300
+
+    def test_refuses_a_working_array_beyond_physical_memory(self, monkeypatch):
+        import chowcert.pipeline as pl
+
+        def never_built(points):
+            raise AssertionError("the Terracini matrix was built")
+
+        monkeypatch.setattr(pl, "_physical_memory", lambda: 20000)
+        monkeypatch.setattr(pl, "terracini_matrix", never_built)
+        # n=5, r=3: 54 x 56 entries of 8 bytes
+        report = verify(REFERENCE)
+        assert not report.ok
+        assert report.tangent_recomputed is None
+        assert any(
+            "54 x 56" in f and "24192 bytes" in f and "20000 bytes" in f
+            for f in report.failures
+        )
+
     def test_recorded_false_verdict_is_consistent(self):
         # a certificate honestly recording a failed check verifies as
         # internally consistent; the verdict stays FALSE
@@ -298,3 +331,45 @@ class TestGenericityRetry:
         assert "does not disprove" in str(err.value)
         seeds = {a.seed for a in err.value.attempts}
         assert len(seeds) == 3
+
+
+def traced_peak(run):
+    """run() and the peak of the memory it allocated, as tracemalloc saw."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTerraciniMemory:
+    """certify and verify eliminate the working array written straight
+    from the quadrics: the int64 Terracini matrix is never built."""
+
+    def test_data_never_built(self, monkeypatch):
+        import chowcert.pipeline as pl
+
+        built = []
+        original = pl.terracini_matrix
+
+        def recording(points):
+            built.append(original(points))
+            return built[-1]
+
+        monkeypatch.setattr(pl, "terracini_matrix", recording)
+        cert = certify(8, seed=11)
+        assert verify_certificate(cert).ok
+        assert len(built) >= 2
+        assert all(t._data is None for t in built)
+
+    def test_peak_near_one_working_array(self):
+        # at n=20 the matrix (26 MB) is far larger than one 2 MB row
+        # tile of the trailing update, whose temporaries would dominate
+        # the peak of a smaller case
+        n = 20
+        rows, cols = 3 * (n + 1) * default_r(n), comb(n + 3, 3)
+        cert, certify_peak = traced_peak(lambda: certify(n, seed=3))
+        report, verify_peak = traced_peak(lambda: verify_certificate(cert))
+        assert report.ok
+        assert certify_peak < 1.3 * rows * cols * 8
+        assert verify_peak < 1.3 * rows * cols * 8
