@@ -32,7 +32,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 
-from .field import MASK64, PrimeModulus
+from .field import MASK64, PRIMALITY_BOUND, PrimeModulus
 
 _VECTOR_RE = re.compile(r"^\[(.*)\]$")
 _VERDICT_RE = re.compile(r"^not-(\d+)-TWD (TRUE|FALSE)$")
@@ -212,7 +212,8 @@ def parse_certificate(text: str) -> Certificate:
         PrimeModulus(prime)
     except ValueError:
         raise CertificateError(
-            f"prime: {_echo(prime)} is not prime (need a prime >= 3)"
+            f"prime: {_echo(prime)} is not prime, or too large to test "
+            f"(need a prime >= 3 and below {PRIMALITY_BOUND})"
         ) from None
     n = _parse_int(take("n"), "n")
     if n < 2:

@@ -14,12 +14,24 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 
-# Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10^24.
+# Witnesses making Miller-Rabin deterministic below PRIMALITY_BOUND.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The smallest strong pseudoprime to every witness above,
+# 1287836182261 x 2575672364521: the test passes it as prime.
+PRIMALITY_BOUND = 3317044064679887385961981
+# Moduli the int64 kernels (matrices, polynomial products and pairings)
+# support: products of two residues, and a few of them summed, fit.
+MAX_KERNEL_MODULUS = 2**31
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for word-sized integers."""
+    """Deterministic Miller-Rabin primality test; raises ValueError,
+    before any modular power, for n >= PRIMALITY_BOUND."""
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(
+            f"primality is decided only below {PRIMALITY_BOUND}, the "
+            f"smallest strong pseudoprime to all {len(_MR_WITNESSES)} witnesses"
+        )
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -45,7 +57,7 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeModulus:
-    """A verified prime modulus m >= 3 defining the computation field Z_m."""
+    """A verified prime modulus 3 <= m < PRIMALITY_BOUND, the field Z_m."""
 
     value: int
 
@@ -70,6 +82,14 @@ class PrimeModulus:
 
 class ModulusMismatchError(ValueError):
     """Raised when operands belong to different prime fields."""
+
+
+def _check_kernel_modulus(modulus: PrimeModulus) -> None:
+    """Refuse a modulus the int64 kernels would overflow on."""
+    if modulus.value >= MAX_KERNEL_MODULUS:
+        raise ValueError(
+            f"the int64 kernels support moduli below 2^31, got {modulus.value}"
+        )
 
 
 def _check_same_modulus(a: PrimeModulus, b: PrimeModulus) -> None:

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import PrimeModulus, SeededRng, _check_same_modulus
-from .matrix import (
-    FfMatrix,
-    _check_matrix_modulus,
-    _mod_matmul,
-    _sorted_rows,
-)
+from .matrix import FfMatrix, _mod_matmul
 from .poly import (
     LinearForm,
     Poly,
@@ -122,9 +117,9 @@ class TerraciniMatrix(FfMatrix):
     Row (p, k, i) holds `quads[3 p + k]`, the quadric of the two forms
     of point p other than k, at the columns `shifts[i]` (multiplication
     by x_i) and zeros elsewhere.  The elimination's working array is
-    written from these directly, already in row-profile order, so the
-    int64 matrix `data` is never needed for a rank or a kernel vector;
-    it is built on first access.
+    written from these directly (`_rows`), so the int64 matrix `data` is
+    never needed for a rank or a kernel vector; it is built on first
+    access.
     """
 
     __slots__ = ("_quads", "_shifts", "_shape", "_data")
@@ -157,14 +152,13 @@ class TerraciniMatrix(FfMatrix):
             out, self._shifts[rows % nvar], self._quads[rows // nvar], axis=1
         )
 
-    def _working_array(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+    def _rows(self):
         # Grevlex is a term order and index 0 is its largest monomial, so
         # every shift map is increasing and row (p, k, i) starts at
         # shifts[i] of the first nonzero index of its quadric.  Quadrics
         # are products of two nonzero forms over a field, never zero.
         lead = (self._quads != 0).argmax(axis=1)
-        first = self._shifts[:, lead].T.ravel()
-        return _sorted_rows(first, self.cols, dtype, self._fill)
+        return self._shifts[:, lead].T.ravel(), self._fill
 
 
 def terracini_matrix(points) -> TerraciniMatrix:
@@ -187,9 +181,6 @@ def terracini_matrix(points) -> TerraciniMatrix:
         _check_same_modulus(modulus, p.modulus)
         if p.n != n:
             raise ValueError("points must share the variable count")
-    # checked before the int64 products below, which a larger modulus
-    # would overflow
-    _check_matrix_modulus(modulus)
     m = modulus.value
     # coords[p, k] = coordinates of form k of point p, each in [0, m)
     coords = np.array([[f.coords for f in p.forms] for p in points])

@@ -20,8 +20,9 @@ fewer entries is split into 16-bit limbs, one dgemm per limb
 (`_mod_matmul`).  The elimination runs in float64 with deferred
 reduction to balanced residues, |r| < m, which are made canonical once,
 when U is converted to int64; or, for moduli too large for that, it
-reduces every step in int64 and forms every product with `_mod_matmul`
-(`_regime`).
+reduces every operand in int64 and forms every product with
+`_mod_matmul` (`_regime`).  The block size and the number format are
+the elimination's own: a matrix only hands it its rows (`FfMatrix._rows`).
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .field import PrimeModulus, _check_same_modulus
+from .field import PrimeModulus, _check_kernel_modulus, _check_same_modulus
 
+# Columns per panel of the blocked elimination, and rows per block of
+# the back-substitution in `null_vector`.
 DEFAULT_BLOCK = 64
 
 _F64_EXACT = 2**53 - 1
-MAX_MATRIX_MODULUS = 2**31
 # Limb base of the split products in `_mod_matmul`.
 _LIMB = 1 << 16
 # Entries per row tile of a trailing update (2 MB of float64): each
@@ -186,24 +188,27 @@ class _ReduceF64:
         x -= q
 
 
-def _regime(shape: tuple[int, int], m: int, block: int) -> str:
+def _regime(shape: tuple[int, int], m: int) -> str:
     """The elimination regime: "deep", "per-panel" or "eager".
 
     Deep and per-panel work in float64 and reduce lazily, to balanced
     residues |r| < m (`_ReduceF64`).  Deep: trailing values stay
     unreduced across panels.  Every entry collects at most one product
-    of two residues, below m^2, per pivot, plus at most `block` more
-    within a panel, so magnitudes stay below the checked bound
-    (2 min(rows, cols) + block + 4) m^2.  Per panel: trailing values are
-    reduced after each panel's update, which bounds them by
-    (block + 2) m^2.  The first bound below 2^53 picks the regime; when
-    neither fits, the eager regime works in int64, keeps every value
-    canonical in [0, m) and forms every product with `_mod_matmul`.
+    of two residues, below m^2, per pivot, plus at most `DEFAULT_BLOCK`
+    more within a panel, so magnitudes stay below the checked bound
+    (2 min(rows, cols) + DEFAULT_BLOCK + 4) m^2.  Per panel: trailing
+    values are reduced after each panel's update, which bounds them by
+    (DEFAULT_BLOCK + 2) m^2.  The first bound below 2^53 picks the
+    regime; when neither fits, the eager regime works in int64 and
+    forms every product with `_mod_matmul`.  It reduces each value to
+    [0, m) when it is read (pivot column, pivot row, matmul operands),
+    so a trailing value only ever has reduced products subtracted from
+    it and stays far inside int64.
     """
     short = min(shape)
-    if (short * 2 + block + 4) * m * m < _F64_EXACT:
+    if (short * 2 + DEFAULT_BLOCK + 4) * m * m < _F64_EXACT:
         return "deep"
-    if (block + 2) * m * m < _F64_EXACT:
+    if (DEFAULT_BLOCK + 2) * m * m < _F64_EXACT:
         return "per-panel"
     return "eager"
 
@@ -250,76 +255,61 @@ def _row_step(cols: int) -> int:
     return max(1, _TILE // max(cols, 1))
 
 
-def _sorted_rows(
-    first: np.ndarray, cols: int, dtype, fill
-) -> tuple[np.ndarray, np.ndarray]:
-    """The working array: rows stably sorted by first nonzero column.
+def _first_nonzero(data: np.ndarray) -> np.ndarray:
+    """The first nonzero column of each row of `data`, and the column
+    count for an all-zero row; scanned one row tile at a time.  Entries
+    are canonical, so the test `!= 0` is exact."""
+    rows, cols = data.shape
+    first = np.full(rows, cols, dtype=np.int64)
+    if cols:
+        step = _row_step(cols)
+        for s in range(0, rows, step):
+            nz = data[s : s + step] != 0
+            first[s : s + step] = np.where(nz.any(axis=1), nz.argmax(axis=1), cols)
+    return first
 
-    `first[q]` is the first nonzero column of row q (`cols` for an
-    all-zero row), and `fill(out, rows)` writes the rows numbered `rows`
-    into `out`, one row tile at a time, so no full-size temporary is
-    allocated beside the working array.  Returns the array and
+
+def _sorted_rows(first: np.ndarray, fill, a: np.ndarray) -> np.ndarray:
+    """Write the rows into `a`, stably sorted by first nonzero column.
+
+    `first[q]` is the first nonzero column of row q (the column count
+    for an all-zero row), and `fill(out, rows)` writes the rows numbered
+    `rows` into `out`, one per row of it.  It is called one row tile at
+    a time, so no full-size temporary is allocated beside `a`.  Returns
     `started`, where `started[c]` counts the rows whose first nonzero
     column is below c.
     """
+    cols = a.shape[1]
     perm = np.argsort(first, kind="stable")
     started = np.searchsorted(first[perm], np.arange(cols + 1))
-    a = np.empty((first.size, cols), dtype=dtype)
     step = _row_step(cols)
     for s in range(0, first.size, step):
         fill(a[s : s + step], perm[s : s + step])
-    return a, started
+    return started
 
 
-def _profile_ordered(
-    data: np.ndarray, dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of `data` as `dtype`, stably sorted by first nonzero
-    column, and `started` (`_sorted_rows`).  Entries are canonical, so
-    the test `!= 0` is exact."""
-    rows, cols = data.shape
-    step = _row_step(cols)
-    first = np.full(rows, cols, dtype=np.int64)
-    if cols:
-        for s in range(0, rows, step):
-            nz = data[s : s + step] != 0
-            lead = nz.argmax(axis=1)
-            first[s : s + step] = np.where(nz.any(axis=1), lead, cols)
-
-    def gather(out, rows):
-        out[...] = data[rows]
-
-    return _sorted_rows(first, cols, dtype, gather)
-
-
-def _working_dtype(shape: tuple[int, int], m: int, block: int):
-    """The working array's dtype: int64 in the eager regime, else float64."""
-    return np.int64 if _regime(shape, m, block) == "eager" else np.float64
-
-
-def working_array_bytes(
-    rows: int, cols: int, m: int, block: int = DEFAULT_BLOCK
-) -> int:
+def working_array_bytes(rows: int, cols: int) -> int:
     """Bytes of the working array that eliminating a rows x cols matrix
-    mod m allocates: the elimination's one full-size array."""
-    return rows * cols * np.dtype(_working_dtype((rows, cols), m, block)).itemsize
+    allocates: the elimination's one full-size array, 8 bytes an entry
+    in every regime (float64, or int64 when eager)."""
+    return rows * cols * 8
 
 
 def _echelon_blocked(
-    a: np.ndarray, started: np.ndarray, m: int, block: int
+    first: np.ndarray, fill, cols: int, m: int
 ) -> tuple[np.ndarray, list[int]]:
     """Panel-blocked row echelon form with deferred reduction.
 
-    Eliminates the working array `a` in place, rows stably sorted by
-    first nonzero column, with `started[c]` rows starting left of c
-    (`_sorted_rows`); its dtype is `_working_dtype` of its shape.
-    Returns the rank nonzero rows U of a row echelon form, reduced to
-    [0, m), and the pivot columns: row k of U is zero left of pivot k
-    and 1 at it.  Rank-1 updates accumulate unreduced; a value is
-    reduced mod m only when it is about to be read (the pivot-search
-    column, the pivot row, matmul operands), within the bounds that
-    `_regime` checks.  In float64 the reductions leave balanced
-    residues; U is made canonical when it is converted to int64.
+    Takes the rows as `_sorted_rows` does, `first` and `fill`, and
+    writes them into its working array, float64 or, in the eager regime
+    (`_regime`), int64.  Returns the rank nonzero rows U of a row
+    echelon form, reduced to [0, m), and the pivot columns: row k of U
+    is zero left of pivot k and 1 at it.  Rank-1 updates accumulate
+    unreduced; a value is reduced mod m only when it is about to be read
+    (the pivot-search column, the pivot row, matmul operands), within
+    the bounds that `_regime` checks.  In float64 the reductions leave
+    balanced residues; U is made canonical when it is converted to
+    int64.
 
     Rows join the elimination at their first nonzero column: they come
     sorted by it, and each panel [c0, c1) and its trailing update
@@ -330,26 +320,28 @@ def _echelon_blocked(
     order, so only U, which is not canonical, can differ from an
     elimination in the given order.  A dense input keeps its order.
 
-    Each panel of `block` columns is factored on a transposed copy, so
-    the column reduce, the pivot search and the rank-1 updates stream
-    contiguous memory.  Rank-1 updates stay within sub-panels of `_SUB`
-    columns; a sub-panel's pivots reach the panel's later columns, and
-    a panel's pivots the trailing columns, in one matmul each.
+    Each panel of `DEFAULT_BLOCK` columns is factored on a transposed
+    copy, so the column reduce, the pivot search and the rank-1 updates
+    stream contiguous memory.  Rank-1 updates stay within sub-panels of
+    `_SUB` columns; a sub-panel's pivots reach the panel's later
+    columns, and a panel's pivots the trailing columns, in one matmul
+    each.
     """
-    regime = _regime(a.shape, m, block)
+    rows = first.size
+    regime = _regime((rows, cols), m)
     eager = regime == "eager"
     if eager:
-        reduce_, matmul = _reduce_i64, partial(_mod_matmul, m=m)
-        settle = _add_m_if_negative
+        dtype, reduce_, matmul = np.int64, _reduce_i64, partial(_mod_matmul, m=m)
     else:
-        reduce_, matmul = _ReduceF64(m), np.matmul
-        settle = None if regime == "deep" else reduce_
-    rows, cols = a.shape
+        dtype, reduce_, matmul = np.float64, _ReduceF64(m), np.matmul
+    settle = reduce_ if regime == "per-panel" else None
+    a = np.empty((rows, cols), dtype=dtype)
+    started = _sorted_rows(first, fill, a)
     pivots: list[int] = []
     r = 0
     c0 = 0
     while r < rows and c0 < cols:
-        c1 = min(c0 + block, cols)
+        c1 = min(c0 + DEFAULT_BLOCK, cols)
         # rows from `end` on are still zero left of c1: no pivot so far
         # has touched them, and none in this panel will.  Each pivot so
         # far took a row that had started, so r <= end.
@@ -418,7 +410,7 @@ def _echelon_blocked(
                     ninv[k0:],
                     reduce_,
                     m,
-                    settle if eager else None,
+                    None,
                     matmul,
                 )
         a[r:end, c0:c1] = pan.T
@@ -460,20 +452,13 @@ def _swap_columns(x: np.ndarray, k: int, p: int) -> None:
     x[:, p] = t
 
 
-def _check_matrix_modulus(modulus: PrimeModulus) -> None:
-    if modulus.value >= MAX_MATRIX_MODULUS:
-        raise ValueError(
-            f"matrix kernels support moduli below 2^31, got {modulus.value}"
-        )
-
-
 class FfMatrix:
     """Immutable dense matrix over Z_m, entries canonical in [0, m)."""
 
     __slots__ = ("data", "modulus")
 
     def __init__(self, data, modulus: PrimeModulus):
-        _check_matrix_modulus(modulus)
+        _check_kernel_modulus(modulus)
         arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
@@ -557,32 +542,37 @@ class FfMatrix:
         _check_same_modulus(self.modulus, other.modulus)
         return FfMatrix(np.kron(self.data, other.data), self.modulus)
 
-    def rref(self, block: int = DEFAULT_BLOCK, naive: bool = False) -> "RrefResult":
+    def rref(self, naive: bool = False) -> "RrefResult":
         m = self.modulus.value
         if naive:
             echelon, pivots = _rref_naive(self.data, m)
             upper = echelon[: len(pivots)]
         else:
-            a, started = self._working_array(_working_dtype(self.shape, m, block))
-            upper, pivots = _echelon_blocked(a, started, m, block)
+            first, fill = self._rows()
+            upper, pivots = _echelon_blocked(first, fill, self.cols, m)
         upper.setflags(write=False)
         return RrefResult(
             upper=upper,
             pivot_cols=tuple(pivots),
             modulus=self.modulus,
             rows=self.rows,
-            block=block,
         )
 
     def rank(self, naive: bool = False) -> int:
         return self.rref(naive=naive).rank
 
-    def _working_array(self, dtype) -> tuple[np.ndarray, np.ndarray]:
-        """The blocked elimination's input: the rows as `dtype`, sorted
-        by first nonzero column, and `started` (`_sorted_rows`).  A
+    def _rows(self):
+        """The rows as the blocked elimination takes them: `first`, the
+        first nonzero column of each row, and `fill(out, rows)`, which
+        writes the rows numbered `rows` into `out` (`_sorted_rows`).  A
         matrix that can write its rows without holding `data` overrides
         this."""
-        return _profile_ordered(self.data, dtype)
+        data = self.data
+
+        def fill(out, rows):
+            out[...] = data[rows]
+
+        return _first_nonzero(data), fill
 
 
 @dataclass(frozen=True, eq=False)
@@ -603,7 +593,6 @@ class RrefResult:
     pivot_cols: tuple[int, ...]
     modulus: PrimeModulus
     rows: int
-    block: int = DEFAULT_BLOCK
 
     @property
     def rank(self) -> int:
@@ -645,8 +634,8 @@ def null_vector(res: RrefResult, f0) -> np.ndarray:
     normal = np.zeros(res.cols, dtype=np.int64)
     normal[list(res.free_cols)] = f0
     upper = res.upper
-    for i0 in reversed(range(0, res.rank, res.block)):
-        i1 = min(i0 + res.block, res.rank)
+    for i0 in reversed(range(0, res.rank, DEFAULT_BLOCK)):
+        i1 = min(i0 + DEFAULT_BLOCK, res.rank)
         pcols = list(res.pivot_cols[i0:i1])
         first = pcols[0]
         # rows i0..i1 against every coordinate known so far: the free

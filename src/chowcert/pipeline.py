@@ -25,7 +25,7 @@ from .certificate import (
     parse_certificate,
     save_certificate,
 )
-from .field import PrimeModulus, SeededRng, derive_seed
+from .field import MAX_KERNEL_MODULUS, PrimeModulus, SeededRng, derive_seed
 from .geometry import (
     ChowPoint,
     SamplingStats,
@@ -37,11 +37,10 @@ from .geometry import (
     sample_point,
     terracini_matrix,
 )
-from .matrix import MAX_MATRIX_MODULUS, null_vector, working_array_bytes
+from .matrix import null_vector, working_array_bytes
 from .poly import LinearForm, Poly, monomial_basis
 
 DEFAULT_PRIME = 20201
-KNOWN_PRIMES = (8191, 20201, 202001)
 DEFAULT_RETRIES = 3
 DEFAULT_SWEEP_CAP = 40
 
@@ -256,7 +255,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             f"recorded expected hessian rank {_echo(cert.hessian_expected)}, "
             f"but 3n = {hexp}"
         )
-    if cert.prime >= MAX_MATRIX_MODULUS:
+    if cert.prime >= MAX_KERNEL_MODULUS:
         # the replay's int64 products would overflow, so nothing is built
         failures.append(
             f"prime {_echo(cert.prime)} cannot be replayed: matrix kernels "
@@ -267,7 +266,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     # array; one that cannot fit in memory is refused before anything
     # is built, rather than exhausting memory part way
     rows, cols = 3 * (cert.n + 1) * cert.r, cert.ambient_dim
-    need = working_array_bytes(rows, cols, cert.prime)
+    need = working_array_bytes(rows, cols)
     have = _physical_memory()
     if have is not None and need > have:
         failures.append(

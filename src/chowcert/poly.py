@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .field import FieldElement, PrimeModulus, _check_same_modulus
+from .field import FieldElement, PrimeModulus, _check_kernel_modulus, _check_same_modulus
 
 
 class MonomialBasis:
@@ -62,10 +62,6 @@ class MonomialBasis:
         for var in ms:
             exps[var] += 1
         return tuple(exps)
-
-    def variables_of(self, index: int) -> tuple[int, ...]:
-        """The monomial at `index` as a sorted tuple of variable indices."""
-        return self._vars[index]
 
     def index_of_variables(self, variables) -> int:
         """Index of the monomial given as a multiset of variable indices."""
@@ -114,6 +110,7 @@ class LinearForm:
     modulus: PrimeModulus
 
     def __post_init__(self):
+        _check_kernel_modulus(self.modulus)
         arr = np.asarray(self.coords, dtype=np.int64) % self.modulus.value
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)
@@ -147,6 +144,7 @@ class Poly:
     modulus: PrimeModulus
 
     def __post_init__(self):
+        _check_kernel_modulus(self.modulus)
         arr = np.asarray(self.coeffs, dtype=np.int64) % self.modulus.value
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -179,9 +177,6 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
         return Poly(self.basis, self.coeffs - other.coeffs, self.modulus)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.basis, -self.coeffs, self.modulus)
 
     def scale(self, c: int) -> "Poly":
         return Poly(self.basis, self.coeffs * (c % self.modulus.value), self.modulus)

@@ -294,7 +294,7 @@ def _annihilated(mat: FfMatrix, eig_a: int, eig_b: int) -> bool:
     return ((mat - ident.scale(eig_a)) @ (mat - ident.scale(eig_b))).is_zero()
 
 
-def gh_check(pair: GhPair, modulus: PrimeModulus | None = None) -> GhReport:
+def gh_check(pair: GhPair) -> GhReport:
     """Assembly, annihilating polynomials, and invertibility, all exact.
 
     The assembled pairing matrix in frame order must literally equal
@@ -302,7 +302,7 @@ def gh_check(pair: GhPair, modulus: PrimeModulus | None = None) -> GhReport:
     satisfy (H - (d-1) I)(H + I) = 0; both must have full rank.
     """
     d, n = pair.d, pair.n
-    modulus = modulus or pair.g.modulus
+    modulus = pair.g.modulus
     assembled = assemble_contraction_matrix(d, n, modulus)
     g_order = d * (d - 1)
     h_order = d * (n + 1 - d)

@@ -103,6 +103,24 @@ class TestValidation:
         with pytest.raises(CertificateError, match="not prime"):
             parse_certificate(text)
 
+    @pytest.mark.parametrize(
+        "prime",
+        [
+            # a strong pseudoprime to every Miller-Rabin witness
+            "3317044064679887385961981",
+            # prime or not, far too large to test
+            "9" * 3999 + "7",
+        ],
+        ids=["pseudoprime", "4000-digits"],
+    )
+    def test_prime_beyond_the_decided_range(self, prime):
+        text = format_certificate(make_cert(), check=False).replace(
+            "prime = 20201", f"prime = {prime}"
+        )
+        with pytest.raises(CertificateError, match="too large to test") as err:
+            parse_certificate(text)
+        assert len(str(err.value)) < 200
+
     def test_wrong_vector_length(self):
         text = format_certificate(make_cert(), check=False).replace(
             "k_0 = [    1     2     3]", "k_0 = [1 2]"

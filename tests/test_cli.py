@@ -137,6 +137,22 @@ class TestSweepCommand:
         assert all(r["verdict"] == "TRUE" for r in rows)
         assert "all 3 cases TRUE" in capsys.readouterr().out
 
+    def test_failed_cases_exit_1(self, tmp_path, capsys):
+        # at prime 3 and one attempt, both draws are degenerate
+        out = tmp_path / "sweep.csv"
+        code = main(
+            [
+                "sweep", "--min", "2", "--max", "3", "--prime", "3",
+                "--seed", "0", "--retries", "1", "--csv", str(out),
+            ]
+        )
+        assert code == 1
+        with open(out) as fh:
+            assert [r["verdict"] for r in csv.DictReader(fh)] == ["FALSE"] * 2
+        captured = capsys.readouterr()
+        assert "FAILED cases: n in [2, 3]" in captured.err
+        assert "cases TRUE" not in captured.out
+
     def test_cap(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chowcert import field
 from chowcert.field import (
     FieldElement,
     ModulusMismatchError,
@@ -46,6 +47,21 @@ class TestPrimality:
     def test_carmichael_numbers_rejected(self):
         for n in [561, 1105, 1729, 41041, 825265]:
             assert not is_prime(n)
+
+    def test_refuses_from_the_first_pseudoprime_to_every_witness(
+        self, monkeypatch
+    ):
+        # 1287836182261 x 2575672364521 passes all 12 witnesses
+        pseudoprime = 3317044064679887385961981
+        assert is_prime(2**61 - 1)
+        # refused before any modular power, which for 4000 digits would
+        # take seconds each
+        monkeypatch.setattr(field, "pow", None, raising=False)
+        for n in (pseudoprime, 10**4000 + 1):
+            with pytest.raises(ValueError, match="decided only below"):
+                is_prime(n)
+            with pytest.raises(ValueError, match="decided only below"):
+                PrimeModulus(n)
 
 
 class TestPrimeModulus:

@@ -16,11 +16,10 @@ from chowcert.geometry import (
     terracini_matrix,
 )
 from chowcert.matrix import (
-    DEFAULT_BLOCK,
     FfMatrix,
-    _profile_ordered,
+    _first_nonzero,
     _regime,
-    _working_dtype,
+    _sorted_rows,
     null_vector,
 )
 from chowcert.pipeline import default_r
@@ -189,17 +188,25 @@ class TestTerraciniOracle:
         assert np.array_equal(mat.data, tangent_rows(points))
         naive = mat.rref(naive=True)
         f0 = rng.vector(modulus, mat.cols - naive.rank)
-        for block in (4, 64):
-            fast = mat.rref(block=block)
-            assert fast.pivot_cols == naive.pivot_cols
-            assert fast.echelon == naive.echelon
-            assert np.array_equal(null_vector(fast, f0), null_vector(naive, f0))
+        fast = mat.rref()
+        assert fast.pivot_cols == naive.pivot_cols
+        assert fast.echelon == naive.echelon
+        assert np.array_equal(null_vector(fast, f0), null_vector(naive, f0))
+
+
+def sorted_rows(mat):
+    """The working array the blocked elimination starts from, as int64,
+    and `started`."""
+    first, fill = mat._rows()
+    a = np.empty(mat.shape, dtype=np.int64)
+    return a, _sorted_rows(first, fill, a)
 
 
 class TestStreamedBuild:
-    """The working array is written from the quadrics, already sorted:
-    it must equal the sort of the int64 matrix, in every regime, and
-    eliminate to the same pivots and U as a plain `FfMatrix`."""
+    """The rows are written from the quadrics: their first nonzero
+    columns and their sort must equal those of the int64 matrix, in
+    every regime, and eliminate to the same pivots and U as a plain
+    `FfMatrix`."""
 
     @pytest.mark.parametrize(
         "prime,n,regime",
@@ -217,18 +224,18 @@ class TestStreamedBuild:
         rng = SeededRng(prime % 1000 + n)
         points += [sample_point(n, modulus, rng) for _ in range(default_r(n) - 3)]
         tmat = terracini_matrix(points)
-        assert _regime(tmat.shape, prime, DEFAULT_BLOCK) == regime
-        dtype = _working_dtype(tmat.shape, prime, DEFAULT_BLOCK)
-        a, started = tmat._working_array(dtype)
+        assert _regime(tmat.shape, prime) == regime
+        a, started = sorted_rows(tmat)
         streamed = tmat.rref()
         # neither the shape nor the elimination builds the int64 rows
         assert tmat._data is None
-        b, expected = _profile_ordered(tmat.data, dtype)
+        assert np.array_equal(tmat._rows()[0], _first_nonzero(tmat.data))
         assert not tmat.data.flags.writeable
-        assert a.dtype == b.dtype
+        plain = FfMatrix(tmat.data, modulus)
+        b, expected = sorted_rows(plain)
         assert np.array_equal(a, b)
         assert np.array_equal(started, expected)
-        plain = FfMatrix(tmat.data, modulus).rref()
+        plain = plain.rref()
         assert streamed.pivot_cols == plain.pivot_cols
         assert np.array_equal(streamed.upper, plain.upper)
 

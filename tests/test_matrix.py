@@ -11,12 +11,14 @@ from chowcert.field import PrimeModulus, is_prime
 from chowcert.matrix import (
     _F64_EXACT,
     _LIMB,
+    _SUB,
+    DEFAULT_BLOCK,
     FfMatrix,
     _matmul_naive,
     _mod_matmul,
-    _profile_ordered,
     _ReduceF64,
     _regime,
+    _sorted_rows,
     null_vector,
 )
 
@@ -110,16 +112,16 @@ class TestRref:
         mods = [Z7, PrimeModulus(8191), MOD, PrimeModulus(202001), PrimeModulus(2**31 - 1)]
         for trial in range(30):
             modulus = mods[trial % len(mods)]
-            rows, cols = int(rng.integers(1, 60)), int(rng.integers(1, 80))
+            # up to three panels
+            rows, cols = int(rng.integers(1, 150)), int(rng.integers(1, 180))
             a = rng.integers(0, modulus.value, (rows, cols))
             if trial % 3 == 0 and rows > 2:
                 a[rows // 2] = (3 * a[0] + 5 * a[1]) % modulus.value
             mat = FfMatrix(a, modulus)
             naive = mat.rref(naive=True)
-            for block in (4, 16, 64):
-                fast = mat.rref(block=block)
-                assert fast.echelon == naive.echelon
-                assert fast.pivot_cols == naive.pivot_cols
+            fast = mat.rref()
+            assert fast.echelon == naive.echelon
+            assert fast.pivot_cols == naive.pivot_cols
 
     def test_rank_deficient_pivots_skip(self):
         mat = FfMatrix([[0, 1, 2], [0, 2, 4], [0, 0, 5]], Z7)
@@ -158,6 +160,19 @@ class TestNullVector:
         res = FfMatrix([[1, 2, 3]], Z7).rref()
         with pytest.raises(ValueError):
             null_vector(res, [1])
+
+    def test_back_substitution_over_several_blocks(self):
+        rng = np.random.default_rng(17)
+        rows = 3 * DEFAULT_BLOCK + 5
+        data = rng.integers(0, MOD.value, (rows, rows + 40))
+        data = np.vstack([data, (2 * data[:10] + data[10:20]) % MOD.value])
+        mat = FfMatrix(data, MOD)
+        fast, naive = mat.rref(), mat.rref(naive=True)
+        assert fast.rank == rows
+        f0 = rng.integers(0, MOD.value, mat.cols - fast.rank)
+        normal = null_vector(fast, f0)
+        assert np.array_equal(normal, null_vector(naive, f0))
+        assert not (data.astype(object) @ normal.astype(object) % MOD.value).any()
 
 
 class TestMatmul:
@@ -372,12 +387,12 @@ def primes_around(edge):
     return under, over
 
 
-def regime_factors(shape, block):
+def regime_factors(shape):
     """The deep and the per-panel bounds of `_regime`, as multiples of m^2."""
-    return 2 * min(shape) + block + 4, block + 2
+    return 2 * min(shape) + DEFAULT_BLOCK + 4, DEFAULT_BLOCK + 2
 
 
-def boundary_moduli(shape, block):
+def boundary_moduli(shape):
     """(prime, regime) just under and just over every regime limit.
 
     The limits, in the order `_regime` tries them: the deep and the
@@ -385,17 +400,17 @@ def boundary_moduli(shape, block):
     limit the regime it guards runs; just over it, the next one.
     """
     out = []
-    for i, factor in enumerate(regime_factors(shape, block)):
+    for i, factor in enumerate(regime_factors(shape)):
         under, over = primes_around(largest_fitting(factor, _F64_EXACT))
         out += [(under, REGIMES[i]), (over, REGIMES[i + 1])]
     return out
 
 
-def old_int64_moduli(shape, block):
+def old_int64_moduli(shape):
     """Primes just under and just over the former int64 deep and
     per-panel limits; all of them now run the eager regime."""
     out = []
-    for factor in regime_factors(shape, block):
+    for factor in regime_factors(shape):
         out += primes_around(largest_fitting(factor, I64_MAX))
     return out
 
@@ -403,11 +418,11 @@ def old_int64_moduli(shape, block):
 def structured_matrix(rows, cols, m, rng):
     """Random entries with zero columns and rows that repeat others.
 
-    Columns 4..7 are a whole panel without a pivot when the block is 4.
+    The second panel is zero: a panel whose started rows give no pivot.
     """
     a = rng.integers(0, m, (rows, cols))
     a[:, [0, cols // 2, cols - 3]] = 0
-    a[:, 4:8] = 0
+    a[:, DEFAULT_BLOCK : 2 * DEFAULT_BLOCK] = 0
     a[rows // 3] = (2 * a[0] + 3 * a[1]) % m
     a[rows - 1] = (a[1] + 5 * a[2]) % m
     return a
@@ -424,10 +439,11 @@ def extreme_matrix(rows, cols, m, rng):
 
 
 def low_rank_matrix(rows, cols, m, rng, inner):
-    """A product of random rows x inner and inner x cols factors mod m."""
-    left = rng.integers(0, m, (rows, inner)).astype(object)
-    right = rng.integers(0, m, (inner, cols)).astype(object)
-    return (left @ right % m).astype(np.int64)
+    """A product of random rows x inner and inner x cols factors mod m
+    (`_mod_matmul` is checked against the naive product above)."""
+    left = rng.integers(0, m, (rows, inner))
+    right = rng.integers(0, m, (inner, cols))
+    return _mod_matmul(left, right, m)
 
 
 def assert_row_echelon(res):
@@ -444,27 +460,32 @@ def assert_row_echelon(res):
 SMALL_PRIMES = [3, 5, 7]
 
 
-# (rows, cols): more rows than columns and more columns than rows, each
-# wider than the largest block so every block size gives several panels
-SHAPES = ((90, 70), (60, 110))
-BLOCK_CASES = [(shape, block) for shape in SHAPES for block in (4, 16, 64)]
+# Widths of the last panel: narrower than a sub-panel, two sub-panels,
+# and a whole panel.
+LAST_PANEL = (_SUB // 2, 2 * _SUB, DEFAULT_BLOCK)
+# ((rows, cols), last): three panels, the last `last` columns wide, with
+# more rows than columns, then more columns than rows
+SHAPE_CASES = [
+    ((2 * DEFAULT_BLOCK + last + 8, 2 * DEFAULT_BLOCK + last), last)
+    for last in LAST_PANEL
+] + [((100, 2 * DEFAULT_BLOCK + last), last) for last in LAST_PANEL]
 
 
 class TestEliminationRegimes:
-    @pytest.mark.parametrize("shape,block", BLOCK_CASES)
-    def test_boundary_moduli_reach_every_regime(self, shape, block):
-        cases = boundary_moduli(shape, block)
-        cases += [(m, "eager") for m in old_int64_moduli(shape, block)]
+    @pytest.mark.parametrize("shape,last", SHAPE_CASES)
+    def test_boundary_moduli_reach_every_regime(self, shape, last):
+        cases = boundary_moduli(shape)
+        cases += [(m, "eager") for m in old_int64_moduli(shape)]
         for m, expected in cases:
-            assert _regime(shape, m, block) == expected, m
+            assert _regime(shape, m) == expected, m
         assert {name for _, name in cases} == set(REGIMES)
 
-    @pytest.mark.parametrize("shape,block", BLOCK_CASES)
-    def test_blocked_matches_naive_at_every_limit(self, shape, block):
+    @pytest.mark.parametrize("shape,last", SHAPE_CASES)
+    def test_blocked_matches_naive_at_every_limit(self, shape, last):
         rows, cols = shape
-        rng = np.random.default_rng(rows * cols + block)
-        moduli = [m for m, _ in boundary_moduli(shape, block)]
-        moduli += old_int64_moduli(shape, block) + [P31]
+        rng = np.random.default_rng(rows * cols)
+        moduli = [m for m, _ in boundary_moduli(shape)]
+        moduli += old_int64_moduli(shape) + [P31]
         # the smallest primes, where exact zeros and negative balanced
         # residues are common
         moduli += SMALL_PRIMES
@@ -477,7 +498,7 @@ class TestEliminationRegimes:
             ):
                 mat = FfMatrix(data, modulus)
                 naive = mat.rref(naive=True)
-                fast = mat.rref(block=block)
+                fast = mat.rref()
                 assert fast.pivot_cols == naive.pivot_cols
                 assert_row_echelon(fast)
                 # the reduced form of the blocked U against the naive one
@@ -509,11 +530,11 @@ class TestBalancedReduction:
     """`_ReduceF64` against exact integer arithmetic, at every magnitude
     the float64 regimes admit."""
 
-    @pytest.mark.parametrize("shape,block", BLOCK_CASES)
-    def test_residues_congruent_and_below_m(self, shape, block):
-        deep = regime_factors(shape, block)[0]
+    @pytest.mark.parametrize("shape,last", SHAPE_CASES)
+    def test_residues_congruent_and_below_m(self, shape, last):
+        deep = regime_factors(shape)[0]
         moduli = SMALL_PRIMES + [20201]
-        moduli += [m for m, _ in boundary_moduli(shape, block)]
+        moduli += [m for m, _ in boundary_moduli(shape)]
         for m in moduli:
             # the deep regime's bound; for moduli beyond it, the largest
             # magnitude the reduction is exact for
@@ -542,13 +563,13 @@ def profile_matrix(starts, cols, m, rng):
     return a
 
 
-def profile_cases(rows, cols, block, m, rng):
+def profile_cases(rows, cols, m, rng):
     """(name, data) inputs whose rows start at varied columns."""
     # reverse profile order, every third row zero
     reverse = np.linspace(cols - 1, 0, rows).astype(int)
     reverse[::3] = cols
     # a few rows from column 0, the rest starting around a panel edge
-    edge = rng.choice([block - 1, block, block + 1], rows)
+    edge = rng.choice([DEFAULT_BLOCK - 1, DEFAULT_BLOCK, DEFAULT_BLOCK + 1], rows)
     edge[:2] = 0
     rng.shuffle(edge)
     # rows from column 0 whose rank q is reached by column q - 1, then
@@ -560,30 +581,39 @@ def profile_cases(rows, cols, block, m, rng):
         ("reverse", profile_matrix(reverse, cols, m, rng)),
         ("panel edge", profile_matrix(edge, cols, m, rng)),
         ("after rank", late_rows[rng.permutation(rows)]),
+        # every panel but the last has no started row
         ("last column", profile_matrix([cols - 1] * rows, cols, m, rng)),
         ("zero", np.zeros((rows, cols), dtype=np.int64)),
     ]
 
 
-def per_panel_prime(shape, block):
+def per_panel_prime(shape):
     """The largest prime that still runs the per-panel regime."""
-    return next(m for m, name in boundary_moduli(shape, block) if name == "per-panel")
+    return next(m for m, name in boundary_moduli(shape) if name == "per-panel")
+
+
+def profile_ordered(data):
+    """The working array the blocked elimination starts from, as int64,
+    and `started`."""
+    first, fill = FfMatrix(data, Z7)._rows()
+    a = np.empty(data.shape, dtype=np.int64)
+    return a, _sorted_rows(first, fill, a)
 
 
 class TestRowProfileOrder:
     """Rows join the elimination at their first nonzero column; the
     result must not depend on the order the rows came in."""
 
-    @pytest.mark.parametrize("shape,block", BLOCK_CASES)
-    def test_blocked_matches_naive(self, shape, block):
+    @pytest.mark.parametrize("shape,last", SHAPE_CASES)
+    def test_blocked_matches_naive(self, shape, last):
         rows, cols = shape
-        rng = np.random.default_rng(rows + cols * block)
-        for m in (20201, per_panel_prime(shape, block), P31):
+        rng = np.random.default_rng(rows + cols)
+        for m in (20201, per_panel_prime(shape), P31):
             modulus = PrimeModulus(m)
-            for name, data in profile_cases(rows, cols, block, m, rng):
+            for name, data in profile_cases(rows, cols, m, rng):
                 mat = FfMatrix(data, modulus)
                 naive = mat.rref(naive=True)
-                fast = mat.rref(block=block)
+                fast = mat.rref()
                 assert fast.pivot_cols == naive.pivot_cols, (m, name)
                 assert_row_echelon(fast)
                 assert fast.echelon == naive.echelon, (m, name)
@@ -595,15 +625,14 @@ class TestRowProfileOrder:
 
     def test_order_and_counts(self):
         data = np.array([[0, 0, 3], [0, 0, 0], [1, 2, 0], [0, 4, 0], [5, 0, 0]])
-        a, started = _profile_ordered(data, np.float64)
-        assert a.dtype == np.float64
+        a, started = profile_ordered(data)
         # stable: rows 2 and 4 both start at column 0
         assert a.tolist() == data[[2, 4, 3, 0, 1]].tolist()
         assert started.tolist() == [0, 2, 3, 4]
 
     def test_dense_rows_keep_their_order(self):
         data = np.random.default_rng(3).integers(1, 7, (9, 5))
-        a, started = _profile_ordered(data, np.int64)
+        a, started = profile_ordered(data)
         assert np.array_equal(a, data)
         assert started.tolist() == [0] + [9] * 5
 
@@ -629,18 +658,18 @@ class TestEliminationMemory:
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
-    rows=st.integers(min_value=1, max_value=20),
-    cols=st.integers(min_value=2, max_value=24),
-    block=st.sampled_from((4, 16, 64)),
+    # up to four panels
+    rows=st.integers(min_value=1, max_value=4 * DEFAULT_BLOCK),
+    cols=st.integers(min_value=2, max_value=4 * DEFAULT_BLOCK),
     m=st.sampled_from(
-        (7, 20201) + tuple(m for m, _ in boundary_moduli((20, 24), 16))
+        (7, 20201) + tuple(m for m, _ in boundary_moduli((150, 150)))
     ),
 )
-def test_null_vector_annihilates(data, rows, cols, block, m):
+def test_null_vector_annihilates(data, rows, cols, m):
     inner = data.draw(st.integers(min_value=0, max_value=min(rows, cols - 1)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     mat = FfMatrix(low_rank_matrix(rows, cols, m, rng, inner), PrimeModulus(m))
-    res = mat.rref(block=block)
+    res = mat.rref()
     f0 = data.draw(
         st.lists(
             st.integers(min_value=0, max_value=m - 1),

@@ -11,6 +11,7 @@ from chowcert.certificate import (
     integrity_digest,
     parse_certificate,
 )
+from chowcert.field import derive_seed
 from chowcert.matrix import FfMatrix
 from chowcert.pipeline import (
     GenericityError,
@@ -218,6 +219,29 @@ class TestVerify:
             for f in report.failures
         )
 
+    def test_zero_form_is_invalid_point_data(self):
+        cert = certify(2, 1, seed=5)
+        k0, l0, m0 = cert.points[0]
+        zero = dataclasses.replace(cert, points=(((0,) * len(k0), l0, m0),))
+        report = verify_certificate(zero)
+        assert not report.ok
+        assert report.tangent_recomputed is None
+        assert any("invalid point data" in f for f in report.failures)
+
+    def test_equal_points_leave_f0_the_wrong_length(self):
+        # two equal points span one tangent space: the normal space is
+        # larger than the recorded f_0 fills
+        cert = certify(4, 2, seed=5)
+        twice = dataclasses.replace(cert, points=(cert.points[0],) * 2)
+        report = verify_certificate(twice)
+        assert not report.ok
+        assert report.tangent_recomputed == 13 < cert.tangent_rank == 26
+        assert report.hessian_recomputed is None
+        assert any(
+            "free-variable vector has length 9" in f and "dimension 22" in f
+            for f in report.failures
+        )
+
     def test_recorded_false_verdict_is_consistent(self):
         # a certificate honestly recording a failed check verifies as
         # internally consistent; the verdict stays FALSE
@@ -301,6 +325,13 @@ class TestSweep:
             sweep(n_min, n_max, seed=1, csv_path=out)
         assert not out.exists()
 
+    def test_exhausted_case_is_a_false_row(self):
+        # at prime 3 and one attempt, both draws are degenerate
+        rows = sweep(2, 3, prime=3, seed=0, retries=1)
+        assert [
+            (r.n, r.tangent_rank, r.hessian_rank, r.verdict) for r in rows
+        ] == [(2, 7, 4, False), (3, 10, 8, False)]
+
     def test_replayable(self):
         a = sweep(2, 4, seed=77)
         b = sweep(2, 4, seed=77)
@@ -331,6 +362,23 @@ class TestGenericityRetry:
         assert "does not disprove" in str(err.value)
         seeds = {a.seed for a in err.value.attempts}
         assert len(seeds) == 3
+
+
+    def test_retry_after_short_curvature_rank(self):
+        # seed 8 at prime 3: the first draw reaches the full tangent rank
+        # 7 but curvature rank 2 of 6; the derived seed of attempt 1
+        # certifies
+        with pytest.raises(GenericityError) as err:
+            certify(2, 1, 3, seed=8, retries=1)
+        (first,) = err.value.attempts
+        assert (first.tangent_rank, first.tangent_expected) == (7, 7)
+        assert (first.hessian_rank, first.hessian_expected) == (2, 6)
+        assert "hessian 2/6" in str(err.value)
+        cert = certify(2, 1, 3, seed=8, retries=3)
+        assert cert.attempt == 1
+        assert cert.seed == derive_seed(8, 1)
+        assert cert.verdict is True
+        assert verify_certificate(cert).ok
 
 
 def traced_peak(run):

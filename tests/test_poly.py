@@ -18,6 +18,7 @@ from chowcert.poly import (
 )
 
 MOD = PrimeModulus(20201)
+P31 = PrimeModulus(2**31 - 1)
 
 
 def random_form(n, rng):
@@ -157,6 +158,30 @@ class TestContract:
         q = Poly.zero(monomial_basis(2, 2), MOD)
         with pytest.raises(ValueError):
             contract(p, q)
+
+
+class TestModulusRange:
+    """The int64 kernels are exact for moduli below 2^31 only; a larger
+    modulus is refused, not wrapped around."""
+
+    def test_refuses_2_61_minus_1(self):
+        big = PrimeModulus(2**61 - 1)
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            LinearForm([1, 2], big)
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            Poly.zero(monomial_basis(1, 3), big)
+
+    def test_exact_at_the_largest_modulus(self):
+        m = P31.value
+        coords = ([m - 1, m - 2, m - 3], [m - 1, m - 1, 1], [m - 2, 5, m - 1])
+        p = expand_product([LinearForm(c, P31) for c in coords])
+        # the product expanded over Python integers
+        expected = [0] * p.basis.dim
+        for i, j, k in product(range(3), repeat=3):
+            t = p.basis.index_of_variables((i, j, k))
+            expected[t] += coords[0][i] * coords[1][j] * coords[2][k]
+        assert p.coeffs.tolist() == [c % m for c in expected]
+        assert contract(p, p).value == sum(c * c for c in expected) % m
 
 
 class TestMultiplyByVariable:
