@@ -6,6 +6,7 @@ Subcommands: certify, verify, rank-table, sweep, validate-sff.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import product
 
@@ -76,7 +77,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unwritable(path) -> str | None:
+    """Why `path` cannot be opened for writing, or None.
+
+    Checked before any computing, so that a long run does not end in an
+    output it cannot write.  Opens the file for appending, which changes
+    nothing in a file that exists; one that did not exist is removed
+    again.
+    """
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        return f"cannot write {path}: {exc.strerror or exc}"
+    if not existed:
+        os.remove(path)
+    return None
+
+
 def _cmd_certify(args) -> int:
+    problem = _unwritable(args.out)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
     try:
         cert = pipeline.certify(
             args.n,
@@ -127,6 +151,10 @@ def _cmd_sweep(args) -> int:
             f"(total {row.cumulative_seconds:8.3f}s)"
         )
 
+    problem = _unwritable(args.csv)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
     try:
         rows = pipeline.sweep(
             args.n_min,

@@ -21,8 +21,12 @@ fewer entries is split into 16-bit limbs, one dgemm per limb
 reduction to balanced residues, |r| < m, which are made canonical once,
 when U is converted to int64; or, for moduli too large for that, it
 reduces every operand in int64 and forms every product with
-`_mod_matmul` (`_regime`).  The block size and the number format are
-the elimination's own: a matrix only hands it its rows (`FfMatrix._rows`).
+`_mod_matmul` (`_regime`).  In the deep regime, the one the default
+prime runs, the update right of each outer panel of `_OUTER` columns is
+delayed into one dgemm of inner dimension up to `_OUTER`, which runs
+much nearer the host's dgemm peak than the `DEFAULT_BLOCK`-deep updates
+of the other regimes.  The block sizes and the number format are the
+elimination's own: a matrix only hands it its rows (`FfMatrix._rows`).
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ _LIMB = 1 << 16
 _TILE = 1 << 18
 # Columns per sub-panel: rank-1 updates stay within one.
 _SUB = 8
+# Columns per outer panel in the deep regime: the update right of an
+# outer panel is one dgemm of inner dimension up to `_OUTER`.
+_OUTER = 256
 # glibc raises its mmap threshold to the largest block freed so far (up
 # to 32 MB), so after the first elimination the Terracini-sized arrays
 # come from the heap; how much of the heap stays resident then depends on
@@ -194,9 +201,12 @@ def _regime(shape: tuple[int, int], m: int) -> str:
     Deep and per-panel work in float64 and reduce lazily, to balanced
     residues |r| < m (`_ReduceF64`).  Deep: trailing values stay
     unreduced across panels.  Every entry collects at most one product
-    of two residues, below m^2, per pivot, plus at most `DEFAULT_BLOCK`
-    more within a panel, so magnitudes stay below the checked bound
-    (2 min(rows, cols) + DEFAULT_BLOCK + 4) m^2.  Per panel: trailing
+    of two residues, below m^2, per pivot, plus at most `_OUTER` more
+    within one product: the delayed update of an outer panel of
+    `_OUTER` columns sums up to `_OUTER` products before it subtracts
+    them, and so does the product that solves its pivot rows.  So
+    magnitudes stay below the checked bound
+    (2 min(rows, cols) + _OUTER + 4) m^2.  Per panel: trailing
     values are reduced after each panel's update, which bounds them by
     (DEFAULT_BLOCK + 2) m^2.  The first bound below 2^53 picks the
     regime; when neither fits, the eager regime works in int64 and
@@ -206,7 +216,7 @@ def _regime(shape: tuple[int, int], m: int) -> str:
     it and stays far inside int64.
     """
     short = min(shape)
-    if (short * 2 + DEFAULT_BLOCK + 4) * m * m < _F64_EXACT:
+    if (short * 2 + _OUTER + 4) * m * m < _F64_EXACT:
         return "deep"
     if (DEFAULT_BLOCK + 2) * m * m < _F64_EXACT:
         return "per-panel"
@@ -220,17 +230,25 @@ def _apply_pivots(trail, below, lfac, ninv, reduce_, m, settle, matmul):
     the rows under them, both as views (one row per matrix row);
     `lfac[i, j]` (j > i) is the multiple of pivot row i subtracted from
     row j, and `ninv` the inverses of the k pivots.  The pivot rows are
-    solved against each other and scaled, then `below` gets one matmul,
-    in row tiles so each tile's product is consumed while cached;
-    `settle`, if given, then brings each tile back into range.
+    solved against each other and scaled: one pivot at a time
+    (`_solve_rows`) for up to `DEFAULT_BLOCK` pivots, and for more (an
+    outer panel of the deep regime) by one product, in column tiles,
+    with the inverse of their lower factor (`_lower_inverse`).  Then
+    `below` gets one matmul, in row tiles so each tile's product is
+    consumed while cached; `settle`, if given, then brings each tile back
+    into range.
     """
     k = len(ninv)
-    for i in range(k):
-        if i:
-            trail[i] -= matmul(lfac[None, :i, i], trail[:i])[0]
-        reduce_(trail[i], m)
-        trail[i] *= ninv[i]
-        reduce_(trail[i], m)
+    if k > DEFAULT_BLOCK:
+        inv = _lower_inverse(lfac, ninv, reduce_, m, matmul)
+        step = _row_step(k)
+        for s in range(0, trail.shape[1], step):
+            part = trail[:, s : s + step]
+            reduce_(part, m)
+            part[...] = matmul(inv, part)
+            reduce_(part, m)
+    else:
+        _solve_rows(trail, lfac, ninv, reduce_, m, matmul)
     l21 = lfac[:k, k:].T
     if l21.any():
         step = _row_step(trail.shape[1])
@@ -239,6 +257,58 @@ def _apply_pivots(trail, below, lfac, ninv, reduce_, m, settle, matmul):
             tile -= matmul(l21[s : s + step], trail)
             if settle is not None:
                 settle(tile, m)
+
+
+def _solve_rows(trail, lfac, ninv, reduce_, m, matmul) -> None:
+    """Solve the pivot rows `trail` against each other, one at a time:
+    row i loses lfac[l, i] times each solved row l < i and is then scaled
+    by ninv[i], the inverse of its pivot."""
+    for i in range(len(ninv)):
+        if i:
+            trail[i] -= matmul(lfac[None, :i, i], trail[:i])[0]
+        reduce_(trail[i], m)
+        trail[i] *= ninv[i]
+        reduce_(trail[i], m)
+
+
+def _lower_inverse(lfac, ninv, reduce_, m, matmul) -> np.ndarray:
+    """The k x k matrix X that solves k pivot rows in one product.
+
+    X is the identity solved as `_solve_rows` solves pivot rows: row i
+    is ninv[i] (e_i - sum over l < i of lfac[l, i] X[l]), reduced.  The
+    diagonal blocks of `DEFAULT_BLOCK` rows are solved that way, one row
+    of every block at a time; block row j then gets its entries left of
+    the block as -X_jj (L_j X_<j), where L_j holds lfac[l, i] at (i, l).
+    """
+    k = len(ninv)
+    b = DEFAULT_BLOCK
+    n = -(-k // b) * b
+    # padded to whole blocks with identity rows
+    low = np.zeros((n, n))
+    low[:k, :k] = lfac[:k, :k]
+    diag = np.ones(n)
+    diag[:k] = ninv
+    # row i of X is diag[i] e_i plus scaled[l, i] X[l], for each l < i
+    scaled = low * -diag
+    reduce_(scaled, m)
+    spans = [slice(j, j + b) for j in range(0, n, b)]
+    sdiag = np.stack([scaled[s, s] for s in spans])
+    xdiag = np.stack([np.diag(diag[s]) for s in spans])
+    for i in range(1, b):
+        row = matmul(sdiag[:, None, :i, i], xdiag[:, :i, :i])[:, 0]
+        reduce_(row, m)
+        xdiag[:, i, :i] = row
+    inv = np.zeros((n, n))
+    for j, s in enumerate(spans):
+        inv[s, s] = xdiag[j]
+        if j:
+            done = s.start
+            left = matmul(low[:done, s].T, inv[:done, :done])
+            reduce_(left, m)
+            left = matmul(xdiag[j], left)
+            reduce_(left, m)
+            inv[s, :done] = -left
+    return inv[:k, :k]
 
 
 def _add_m_if_negative(x: np.ndarray, m: int) -> None:
@@ -320,12 +390,14 @@ def _echelon_blocked(
     order, so only U, which is not canonical, can differ from an
     elimination in the given order.  A dense input keeps its order.
 
-    Each panel of `DEFAULT_BLOCK` columns is factored on a transposed
-    copy, so the column reduce, the pivot search and the rank-1 updates
-    stream contiguous memory.  Rank-1 updates stay within sub-panels of
-    `_SUB` columns; a sub-panel's pivots reach the panel's later
-    columns, and a panel's pivots the trailing columns, in one matmul
-    each.
+    The columns are cut into outer panels, `_OUTER` columns wide in the
+    deep regime and `DEFAULT_BLOCK` wide in the others.  An outer panel
+    is factored in panels of `DEFAULT_BLOCK` columns (`_factor_panel`),
+    and each panel's pivots update only the columns left of the outer
+    panel's end.  The outer panel's pivots then reach the columns right
+    of it in one delayed update, a dgemm whose inner dimension is their
+    count.  All the outer panel's multipliers live in one array, so a
+    later panel's row swap permutes those of the earlier panels too.
     """
     rows = first.size
     regime = _regime((rows, cols), m)
@@ -335,101 +407,57 @@ def _echelon_blocked(
     else:
         dtype, reduce_, matmul = np.float64, _ReduceF64(m), np.matmul
     settle = reduce_ if regime == "per-panel" else None
+    width = _OUTER if regime == "deep" else DEFAULT_BLOCK
     a = np.empty((rows, cols), dtype=dtype)
     started = _sorted_rows(first, fill, a)
     pivots: list[int] = []
     r = 0
-    c0 = 0
-    while r < rows and c0 < cols:
-        c1 = min(c0 + DEFAULT_BLOCK, cols)
-        # rows from `end` on are still zero left of c1: no pivot so far
-        # has touched them, and none in this panel will.  Each pivot so
-        # far took a row that had started, so r <= end.
-        end = int(started[c1])
-        if end == r:
-            c0 = c1
+    for outer0 in range(0, cols, width):
+        outer1 = min(outer0 + width, cols)
+        # rows from `stop` on are still zero left of outer1: no pivot so
+        # far has touched them, and none in this outer panel will.  Each
+        # pivot so far took a row that had started, so r <= stop.
+        stop = int(started[outer1])
+        if stop == r:
             continue
-        w = c1 - c0
-        nact = end - r
-        pan = a[r:end, c0:c1].T.copy()
-        lfac = np.zeros((w, nact), dtype=a.dtype)
-        # order[i]: the active row that the panel's swaps moved to position i
-        order = np.arange(nact)
+        r0 = r
+        # mult[i, q]: the multiple of the outer panel's pivot row i
+        # subtracted from row r0 + q
+        mult = np.zeros((outer1 - outer0, stop - r0), dtype=dtype)
         ninv: list[int] = []
-        k = 0
-        for j0 in range(0, w, _SUB):
-            j1 = min(j0 + _SUB, w)
-            k0 = k
-            for j in range(j0, j1):
-                if k == nact:
-                    break
-                reduce_(pan[j, k:], m)
-                nz = np.flatnonzero(pan[j, k:])
-                if nz.size == 0:
-                    continue
-                p = k + int(nz[0])
-                if p != k:
-                    _swap_columns(pan, k, p)
-                    _swap_columns(lfac[:k], k, p)
-                    order[k], order[p] = order[p], order[k]
-                inv = pow(int(pan[j, k]), -1, m)
-                ninv.append(inv)
-                prow = pan[j:j1, k]
-                reduce_(prow, m)
-                prow *= inv
-                # the scaled pivot is exactly 1: a residue of 1 is far
-                # from a rounding tie, so the update below zeroes the
-                # pivot column under it
-                reduce_(prow, m)
-                below = pan[j, k + 1 :].copy()
-                nnz = np.count_nonzero(below)
-                if 2 * nnz > below.size:
-                    # dense column: a contiguous rank-1 update beats
-                    # gather/scatter on the hit rows
-                    upd = pan[j:j1, k + 1 :]
-                    upd -= np.multiply(prow[:, None], below[None, :])
-                    if eager:
-                        reduce_(upd, m)
-                elif nnz:
-                    hit = np.flatnonzero(below)
-                    sel = k + 1 + hit
-                    upd = pan[j:j1, sel] - np.multiply(
-                        prow[:, None], below[None, hit]
-                    )
-                    if eager:
-                        reduce_(upd, m)
-                    pan[j:j1, sel] = upd
-                lfac[k, k + 1 :] = below
-                pivots.append(c0 + j)
-                k += 1
-            if k > k0 and j1 < w:
+        for c0 in range(outer0, outer1, DEFAULT_BLOCK):
+            c1 = min(c0 + DEFAULT_BLOCK, outer1)
+            end = int(started[c1])
+            if end == r:
+                continue
+            q = r - r0
+            k = _factor_panel(
+                a[r:end], c0, c1, mult[:, : end - r0], q,
+                ninv, pivots, reduce_, m, matmul, eager,
+            )
+            if k and c1 < outer1:
                 _apply_pivots(
-                    pan[j1:, k0:k].T,
-                    pan[j1:, k:].T,
-                    lfac[k0:k, k0:],
-                    ninv[k0:],
+                    a[r : r + k, c1:outer1],
+                    a[r + k : end, c1:outer1],
+                    mult[q : q + k, q : end - r0],
+                    ninv[q:],
                     reduce_,
                     m,
                     None,
                     matmul,
                 )
-        a[r:end, c0:c1] = pan.T
-        moved = np.flatnonzero(order != np.arange(nact))
-        if moved.size:
-            a[r + moved, c1:] = a[r + order[moved], c1:]
-        if k and c1 < cols:
+            r += k
+        if r > r0 and outer1 < cols:
             _apply_pivots(
-                a[r : r + k, c1:],
-                a[r + k : end, c1:],
-                lfac,
+                a[r0:r, outer1:],
+                a[r:stop, outer1:],
+                mult[: r - r0],
                 ninv,
                 reduce_,
                 m,
                 settle,
                 matmul,
             )
-        r += k
-        c0 = c1
     rank = len(pivots)
     if not eager:
         # converted in place, one row tile at a time, so no second
@@ -443,6 +471,89 @@ def _echelon_blocked(
             _add_m_if_negative(tile, m)
         a = out
     return a[:rank], pivots
+
+
+def _factor_panel(act, c0, c1, mult, q, ninv, pivots, reduce_, m, matmul, eager):
+    """Factor columns [c0, c1) of the active rows `act`, a view of the
+    working array; return the number of pivots found.
+
+    `mult` holds the outer panel's multipliers, one row per pivot and
+    one column per active row of the outer panel; `act` is its rows from
+    `q` on, and this panel's pivots are its pivots from `q` on.  The
+    panel is factored on a transposed copy, so the column reduce, the
+    pivot search and the rank-1 updates stream contiguous memory.
+    Rank-1 updates stay within sub-panels of `_SUB` columns; a
+    sub-panel's pivots reach the panel's later columns in one matmul.  A
+    row swap moves the two rows right of the panel and their multipliers
+    from the outer panel's earlier pivots.  Appends the pivots'
+    inverses to `ninv` and their columns to `pivots`.
+    """
+    w = c1 - c0
+    nact = act.shape[0]
+    pan = act[:, c0:c1].T.copy()
+    lfac = mult[q : q + w, q:]
+    # order[i]: the active row that the panel's swaps moved to position i
+    order = np.arange(nact)
+    k = 0
+    for j0 in range(0, w, _SUB):
+        j1 = min(j0 + _SUB, w)
+        k0 = k
+        for j in range(j0, j1):
+            if k == nact:
+                break
+            reduce_(pan[j, k:], m)
+            nz = np.flatnonzero(pan[j, k:])
+            if nz.size == 0:
+                continue
+            p = k + int(nz[0])
+            if p != k:
+                _swap_columns(pan, k, p)
+                _swap_columns(mult[: q + k], q + k, q + p)
+                order[k], order[p] = order[p], order[k]
+            inv = pow(int(pan[j, k]), -1, m)
+            ninv.append(inv)
+            prow = pan[j:j1, k]
+            reduce_(prow, m)
+            prow *= inv
+            # the scaled pivot is exactly 1: a residue of 1 is far from a
+            # rounding tie, so the update below zeroes the pivot column
+            # under it
+            reduce_(prow, m)
+            below = pan[j, k + 1 :].copy()
+            nnz = np.count_nonzero(below)
+            if 2 * nnz > below.size:
+                # dense column: a contiguous rank-1 update beats
+                # gather/scatter on the hit rows
+                upd = pan[j:j1, k + 1 :]
+                upd -= np.multiply(prow[:, None], below[None, :])
+                if eager:
+                    reduce_(upd, m)
+            elif nnz:
+                hit = np.flatnonzero(below)
+                sel = k + 1 + hit
+                upd = pan[j:j1, sel] - np.multiply(prow[:, None], below[None, hit])
+                if eager:
+                    reduce_(upd, m)
+                pan[j:j1, sel] = upd
+            lfac[k, k + 1 :] = below
+            pivots.append(c0 + j)
+            k += 1
+        if k > k0 and j1 < w:
+            _apply_pivots(
+                pan[j1:, k0:k].T,
+                pan[j1:, k:].T,
+                lfac[k0:k, k0:],
+                ninv[q + k0 :],
+                reduce_,
+                m,
+                None,
+                matmul,
+            )
+    act[:, c0:c1] = pan.T
+    moved = np.flatnonzero(order != np.arange(nact))
+    if moved.size:
+        act[moved, c1:] = act[order[moved], c1:]
+    return k
 
 
 def _swap_columns(x: np.ndarray, k: int, p: int) -> None:

@@ -6,7 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from chowcert import pipeline
 from chowcert.cli import main
+
+
+def refuse_to_compute(*args, **kwargs):
+    raise AssertionError("computed before checking the output path")
 
 
 def verify_in_subprocess(path):
@@ -62,6 +67,37 @@ class TestCertifyCommand:
     def test_seed_validation(self):
         with pytest.raises(SystemExit):
             main(["certify", "--n", "2", "--seed", "-3", "--out", "x"])
+
+    @pytest.mark.parametrize("where", ("missing directory", "a directory"))
+    def test_unwritable_out_refused_before_computing(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        monkeypatch.setattr(pipeline, "certify", refuse_to_compute)
+        out = tmp_path / "missing" / "c.txt" if where == "missing directory" else tmp_path
+        code = main(["certify", "--n", "6", "--seed", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+
+    def test_failed_run_leaves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "cert.txt"
+        code = main(
+            ["certify", "--n", "2", "--r", "5", "--seed", "1", "--out", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+
+    def test_existing_out_is_overwritten(self, tmp_path):
+        out = tmp_path / "cert.txt"
+        out.write_text("old\n" * 1000)
+        code = main(
+            ["certify", "--n", "2", "--r", "1", "--seed", "42", "--out", str(out)]
+        )
+        assert code == 0
+        text = out.read_text()
+        assert text.startswith("seed = 42\n")
+        assert "old" not in text
 
 
 class TestVerifyCommand:
@@ -152,6 +188,16 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert "FAILED cases: n in [2, 3]" in captured.err
         assert "cases TRUE" not in captured.out
+
+    def test_unwritable_csv_refused_before_computing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline, "sweep", refuse_to_compute)
+        out = tmp_path / "missing" / "s.csv"
+        code = main(["sweep", "--min", "2", "--max", "8", "--csv", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: No such file or directory")
 
     def test_cap(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

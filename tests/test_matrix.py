@@ -11,6 +11,7 @@ from chowcert.field import PrimeModulus, is_prime
 from chowcert.matrix import (
     _F64_EXACT,
     _LIMB,
+    _OUTER,
     _SUB,
     DEFAULT_BLOCK,
     FfMatrix,
@@ -389,7 +390,7 @@ def primes_around(edge):
 
 def regime_factors(shape):
     """The deep and the per-panel bounds of `_regime`, as multiples of m^2."""
-    return 2 * min(shape) + DEFAULT_BLOCK + 4, DEFAULT_BLOCK + 2
+    return 2 * min(shape) + _OUTER + 4, DEFAULT_BLOCK + 2
 
 
 def boundary_moduli(shape):
@@ -469,10 +470,15 @@ SHAPE_CASES = [
     ((2 * DEFAULT_BLOCK + last + 8, 2 * DEFAULT_BLOCK + last), last)
     for last in LAST_PANEL
 ] + [((100, 2 * DEFAULT_BLOCK + last), last) for last in LAST_PANEL]
+# Three outer panels of the deep regime, the last narrower than a panel.
+# Few rows keep the naive oracle cheap; the first outer panel still
+# holds more than `DEFAULT_BLOCK` pivots.
+WIDE_LAST = 40
+WIDE_CASE = ((100, 2 * _OUTER + WIDE_LAST), WIDE_LAST)
 
 
 class TestEliminationRegimes:
-    @pytest.mark.parametrize("shape,last", SHAPE_CASES)
+    @pytest.mark.parametrize("shape,last", SHAPE_CASES + [WIDE_CASE])
     def test_boundary_moduli_reach_every_regime(self, shape, last):
         cases = boundary_moduli(shape)
         cases += [(m, "eager") for m in old_int64_moduli(shape)]
@@ -480,7 +486,7 @@ class TestEliminationRegimes:
             assert _regime(shape, m) == expected, m
         assert {name for _, name in cases} == set(REGIMES)
 
-    @pytest.mark.parametrize("shape,last", SHAPE_CASES)
+    @pytest.mark.parametrize("shape,last", SHAPE_CASES + [WIDE_CASE])
     def test_blocked_matches_naive_at_every_limit(self, shape, last):
         rows, cols = shape
         rng = np.random.default_rng(rows * cols)
@@ -635,6 +641,67 @@ class TestRowProfileOrder:
         a, started = profile_ordered(data)
         assert np.array_equal(a, data)
         assert started.tolist() == [0] + [9] * 5
+
+
+def deep_limit_prime(shape):
+    """The largest prime that still runs the deep regime."""
+    return next(m for m, name in boundary_moduli(shape) if name == "deep")
+
+
+OUTER_SHAPE = (190, WIDE_CASE[0][1])
+
+
+def outer_panel_cases(m, rng):
+    """(name, data) inputs of `OUTER_SHAPE` that cross the deep regime's
+    outer panels; the last outer panel is `WIDE_LAST` columns wide."""
+    rows, cols = OUTER_SHAPE
+    k = _OUTER
+    # rows from column 0 take the first outer panel's pivots, and the
+    # others start in the last one: the second has no started row
+    skipped = [0] * 80 + sorted(rng.integers(2 * k, cols, rows - 80))
+    # more than a panel of pivots from column 0, then rows that start
+    # around the end of the first outer panel
+    edge = [0] * 100 + sorted(rng.choice([k - 1, k, k + 1], rows - 100))
+    # A panel of rows from column 0, then rows that the first panel's
+    # pivots zero up to a column s: sums of those rows plus a row that
+    # starts at s.  In a later panel of the same outer panel, a row that
+    # starts earlier is swapped up past them, and their multipliers
+    # from the first panel must move with them.
+    base = profile_matrix([0] * DEFAULT_BLOCK, cols, m, rng)
+    late = [DEFAULT_BLOCK + 6, 2 * DEFAULT_BLOCK + 2, k + 3]
+    sums = _mod_matmul(rng.integers(1, m, (len(late), DEFAULT_BLOCK)), base, m)
+    sums = (sums + profile_matrix(late, cols, m, rng)) % m
+    rest = rows - DEFAULT_BLOCK - len(late)
+    others = profile_matrix(rng.integers(DEFAULT_BLOCK, cols, rest), cols, m, rng)
+    return [
+        ("skipped outer panel", profile_matrix(skipped, cols, m, rng)),
+        ("outer panel edge", profile_matrix(edge, cols, m, rng)),
+        ("swap after multipliers", np.vstack([base, sums, others])),
+    ]
+
+
+class TestOuterPanels:
+    """The deep regime's delayed update right of each outer panel."""
+
+    @pytest.mark.parametrize("m", (20201, deep_limit_prime(OUTER_SHAPE), P31))
+    def test_blocked_matches_naive(self, m):
+        cols = OUTER_SHAPE[1]
+        assert _regime(OUTER_SHAPE, m) == ("eager" if m == P31 else "deep")
+        rng = np.random.default_rng(m)
+        modulus = PrimeModulus(m)
+        for name, data in outer_panel_cases(m, rng):
+            mat = FfMatrix(data, modulus)
+            naive = mat.rref(naive=True)
+            fast = mat.rref()
+            assert fast.pivot_cols == naive.pivot_cols, (m, name)
+            assert_row_echelon(fast)
+            assert fast.echelon == naive.echelon, (m, name)
+            f0 = rng.integers(0, m, cols - naive.rank)
+            normal = null_vector(fast, f0)
+            assert np.array_equal(normal, null_vector(naive, f0)), (m, name)
+            assert not (data.astype(object) @ normal.astype(object) % m).any()
+            if name == "skipped outer panel":
+                assert not [c for c in naive.pivot_cols if _OUTER <= c < 2 * _OUTER]
 
 
 class TestEliminationMemory:
