@@ -25,7 +25,11 @@ reduces every operand in int64 and forms every product with
 prime runs, the update right of each outer panel of `_OUTER` columns is
 delayed into one dgemm of inner dimension up to `_OUTER`, which runs
 much nearer the host's dgemm peak than the `DEFAULT_BLOCK`-deep updates
-of the other regimes.  The block sizes and the number format are the
+of the other regimes.  No pivot row is solved on its own: each outer
+panel keeps one solve matrix, the inverse of its pivots' lower factor,
+grown a sub-panel at a time, and the pivot rows of a sub-panel, a panel
+or the whole outer panel are solved by one product with its diagonal
+block (`_extend_solve`).  The block sizes and the number format are the
 elimination's own: a matrix only hands it its rows (`FfMatrix._rows`).
 """
 
@@ -204,8 +208,9 @@ def _regime(shape: tuple[int, int], m: int) -> str:
     of two residues, below m^2, per pivot, plus at most `_OUTER` more
     within one product: the delayed update of an outer panel of
     `_OUTER` columns sums up to `_OUTER` products before it subtracts
-    them, and so does the product that solves its pivot rows.  So
-    magnitudes stay below the checked bound
+    them, and so do the products that build its solve matrix and solve
+    its pivot rows with it, each with reduced operands.  So magnitudes
+    stay below the checked bound
     (2 min(rows, cols) + _OUTER + 4) m^2.  Per panel: trailing
     values are reduced after each panel's update, which bounds them by
     (DEFAULT_BLOCK + 2) m^2.  The first bound below 2^53 picks the
@@ -223,33 +228,25 @@ def _regime(shape: tuple[int, int], m: int) -> str:
     return "eager"
 
 
-def _apply_pivots(trail, below, lfac, ninv, reduce_, m, settle, matmul):
+def _apply_pivots(trail, below, inv, l21, reduce_, m, settle, matmul):
     """Carry a block of pivots into the columns right of it.
 
     `trail` holds the k pivot rows' entries in those columns and `below`
-    the rows under them, both as views (one row per matrix row);
-    `lfac[i, j]` (j > i) is the multiple of pivot row i subtracted from
-    row j, and `ninv` the inverses of the k pivots.  The pivot rows are
-    solved against each other and scaled: one pivot at a time
-    (`_solve_rows`) for up to `DEFAULT_BLOCK` pivots, and for more (an
-    outer panel of the deep regime) by one product, in column tiles,
-    with the inverse of their lower factor (`_lower_inverse`).  Then
-    `below` gets one matmul, in row tiles so each tile's product is
-    consumed while cached; `settle`, if given, then brings each tile back
-    into range.
+    the rows under them, both as views (one row per matrix row); `inv`
+    is the k x k diagonal block of the outer panel's solve matrix that
+    belongs to these pivots (`_extend_solve`), and `l21[j, i]` the
+    multiple of pivot row i subtracted from row j of `below`.  The pivot
+    rows are solved against each other and scaled by one product with
+    `inv`, in column tiles.  Then `below` gets one matmul, in row tiles
+    so each tile's product is consumed while cached; `settle`, if given,
+    then brings each tile back into range.
     """
-    k = len(ninv)
-    if k > DEFAULT_BLOCK:
-        inv = _lower_inverse(lfac, ninv, reduce_, m, matmul)
-        step = _row_step(k)
-        for s in range(0, trail.shape[1], step):
-            part = trail[:, s : s + step]
-            reduce_(part, m)
-            part[...] = matmul(inv, part)
-            reduce_(part, m)
-    else:
-        _solve_rows(trail, lfac, ninv, reduce_, m, matmul)
-    l21 = lfac[:k, k:].T
+    step = _row_step(len(inv))
+    for s in range(0, trail.shape[1], step):
+        part = trail[:, s : s + step]
+        reduce_(part, m)
+        part[...] = matmul(inv, part)
+        reduce_(part, m)
     if l21.any():
         step = _row_step(trail.shape[1])
         for s in range(0, below.shape[0], step):
@@ -259,56 +256,43 @@ def _apply_pivots(trail, below, lfac, ninv, reduce_, m, settle, matmul):
                 settle(tile, m)
 
 
-def _solve_rows(trail, lfac, ninv, reduce_, m, matmul) -> None:
-    """Solve the pivot rows `trail` against each other, one at a time:
-    row i loses lfac[l, i] times each solved row l < i and is then scaled
-    by ninv[i], the inverse of its pivot."""
-    for i in range(len(ninv)):
-        if i:
-            trail[i] -= matmul(lfac[None, :i, i], trail[:i])[0]
-        reduce_(trail[i], m)
-        trail[i] *= ninv[i]
-        reduce_(trail[i], m)
+def _extend_solve(solve, mult, s0, s1, reduce_, m, matmul) -> None:
+    """Add the rows of pivots s0..s1 of an outer panel to its solve matrix.
 
-
-def _lower_inverse(lfac, ninv, reduce_, m, matmul) -> np.ndarray:
-    """The k x k matrix X that solves k pivot rows in one product.
-
-    X is the identity solved as `_solve_rows` solves pivot rows: row i
-    is ninv[i] (e_i - sum over l < i of lfac[l, i] X[l]), reduced.  The
-    diagonal blocks of `DEFAULT_BLOCK` rows are solved that way, one row
-    of every block at a time; block row j then gets its entries left of
-    the block as -X_jj (L_j X_<j), where L_j holds lfac[l, i] at (i, l).
+    The pivot rows T of the outer panel are M S, where S are the solved
+    rows, M[i, i] is pivot i and M[i, l] = mult[l, i] (l < i) the
+    multiple of solved row l subtracted from row i.  `solve` is X, the
+    inverse of M, so X T = S; X is lower triangular and each of its
+    diagonal blocks is the inverse of M's block, so any run of pivots is
+    solved by one product with its block of X.  Pivots s0..s1, those of
+    one sub-panel, come with their inverses on the diagonal of `solve`.
+    They get their diagonal block by forward substitution in Python
+    integers, row i being X[i, i] (e_i - sum over l < i of M[i, l] X[l]),
+    and the block left of it as -X_s (C X_<s0), with C = M[s0:s1, :s0]
+    read from `mult`.  Those multipliers are final: a row swap only
+    moves rows that are not yet pivots.  Entries stay below m in
+    magnitude, and in [0, m) when `reduce_` makes them canonical.
     """
-    k = len(ninv)
-    b = DEFAULT_BLOCK
-    n = -(-k // b) * b
-    # padded to whole blocks with identity rows
-    low = np.zeros((n, n))
-    low[:k, :k] = lfac[:k, :k]
-    diag = np.ones(n)
-    diag[:k] = ninv
-    # row i of X is diag[i] e_i plus scaled[l, i] X[l], for each l < i
-    scaled = low * -diag
-    reduce_(scaled, m)
-    spans = [slice(j, j + b) for j in range(0, n, b)]
-    sdiag = np.stack([scaled[s, s] for s in spans])
-    xdiag = np.stack([np.diag(diag[s]) for s in spans])
-    for i in range(1, b):
-        row = matmul(sdiag[:, None, :i, i], xdiag[:, :i, :i])[:, 0]
-        reduce_(row, m)
-        xdiag[:, i, :i] = row
-    inv = np.zeros((n, n))
-    for j, s in enumerate(spans):
-        inv[s, s] = xdiag[j]
-        if j:
-            done = s.start
-            left = matmul(low[:done, s].T, inv[:done, :done])
-            reduce_(left, m)
-            left = matmul(xdiag[j], left)
-            reduce_(left, m)
-            inv[s, :done] = -left
-    return inv[:k, :k]
+    n = s1 - s0
+    # low[i][l] = M[s0 + i, s0 + l]
+    low = mult[s0:s1, s0:s1].T.astype(np.int64).tolist()
+    ninv = solve.diagonal()[s0:s1].astype(np.int64).tolist()
+    block = [[0] * n for _ in range(n)]
+    for i, row in enumerate(block):
+        row[i] = ninv[i]
+        for j in range(i):
+            t = 0
+            for l in range(j, i):
+                t += low[i][l] * block[l][j]
+            row[j] = -t * ninv[i] % m
+    solve[s0:s1, s0:s1] = block
+    if s0:
+        left = matmul(mult[:s0, s0:s1].T, solve[:s0, :s0])
+        reduce_(left, m)
+        left = matmul(solve[s0:s1, s0:s1], left)
+        np.negative(left, out=left)
+        reduce_(left, m)
+        solve[s0:s1, :s0] = left
 
 
 def _add_m_if_negative(x: np.ndarray, m: int) -> None:
@@ -424,7 +408,8 @@ def _echelon_blocked(
         # mult[i, q]: the multiple of the outer panel's pivot row i
         # subtracted from row r0 + q
         mult = np.zeros((outer1 - outer0, stop - r0), dtype=dtype)
-        ninv: list[int] = []
+        # the outer panel's solve matrix (`_extend_solve`)
+        solve = np.zeros((outer1 - outer0,) * 2, dtype=dtype)
         for c0 in range(outer0, outer1, DEFAULT_BLOCK):
             c1 = min(c0 + DEFAULT_BLOCK, outer1)
             end = int(started[c1])
@@ -432,27 +417,28 @@ def _echelon_blocked(
                 continue
             q = r - r0
             k = _factor_panel(
-                a[r:end], c0, c1, mult[:, : end - r0], q,
-                ninv, pivots, reduce_, m, matmul, eager,
+                a[r:end], c0, c1, mult[:, : end - r0], solve, q,
+                pivots, reduce_, m, matmul, eager,
             )
             if k and c1 < outer1:
                 _apply_pivots(
                     a[r : r + k, c1:outer1],
                     a[r + k : end, c1:outer1],
-                    mult[q : q + k, q : end - r0],
-                    ninv[q:],
+                    solve[q : q + k, q : q + k],
+                    mult[q : q + k, q + k : end - r0].T,
                     reduce_,
                     m,
                     None,
                     matmul,
                 )
             r += k
-        if r > r0 and outer1 < cols:
+        kk = r - r0
+        if kk and outer1 < cols:
             _apply_pivots(
                 a[r0:r, outer1:],
                 a[r:stop, outer1:],
-                mult[: r - r0],
-                ninv,
+                solve[:kk, :kk],
+                mult[:kk, kk:].T,
                 reduce_,
                 m,
                 settle,
@@ -473,7 +459,7 @@ def _echelon_blocked(
     return a[:rank], pivots
 
 
-def _factor_panel(act, c0, c1, mult, q, ninv, pivots, reduce_, m, matmul, eager):
+def _factor_panel(act, c0, c1, mult, solve, q, pivots, reduce_, m, matmul, eager):
     """Factor columns [c0, c1) of the active rows `act`, a view of the
     working array; return the number of pivots found.
 
@@ -482,11 +468,14 @@ def _factor_panel(act, c0, c1, mult, q, ninv, pivots, reduce_, m, matmul, eager)
     `q` on, and this panel's pivots are its pivots from `q` on.  The
     panel is factored on a transposed copy, so the column reduce, the
     pivot search and the rank-1 updates stream contiguous memory.
-    Rank-1 updates stay within sub-panels of `_SUB` columns; a
-    sub-panel's pivots reach the panel's later columns in one matmul.  A
-    row swap moves the two rows right of the panel and their multipliers
-    from the outer panel's earlier pivots.  Appends the pivots'
-    inverses to `ninv` and their columns to `pivots`.
+    Rank-1 updates stay within sub-panels of `_SUB` columns.  A
+    sub-panel's pivots then extend `solve`, the outer panel's solve
+    matrix, and reach the panel's later columns in two matmuls: its
+    block of `solve` solves their rows, and one product updates the rows
+    below.  A row swap moves the two rows right of the panel and their
+    multipliers from the outer panel's earlier pivots.  Writes each
+    pivot's inverse to the diagonal of `solve` and appends its column to
+    `pivots`.
     """
     w = c1 - c0
     nact = act.shape[0]
@@ -511,7 +500,7 @@ def _factor_panel(act, c0, c1, mult, q, ninv, pivots, reduce_, m, matmul, eager)
                 _swap_columns(mult[: q + k], q + k, q + p)
                 order[k], order[p] = order[p], order[k]
             inv = pow(int(pan[j, k]), -1, m)
-            ninv.append(inv)
+            solve[q + k, q + k] = inv
             prow = pan[j:j1, k]
             reduce_(prow, m)
             prow *= inv
@@ -538,12 +527,15 @@ def _factor_panel(act, c0, c1, mult, q, ninv, pivots, reduce_, m, matmul, eager)
             lfac[k, k + 1 :] = below
             pivots.append(c0 + j)
             k += 1
-        if k > k0 and j1 < w:
+        if k == k0:
+            continue
+        _extend_solve(solve, mult, q + k0, q + k, reduce_, m, matmul)
+        if j1 < w:
             _apply_pivots(
                 pan[j1:, k0:k].T,
                 pan[j1:, k:].T,
-                lfac[k0:k, k0:],
-                ninv[q + k0 :],
+                solve[q + k0 : q + k, q + k0 : q + k],
+                lfac[k0:k, k:].T,
                 reduce_,
                 m,
                 None,

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from chowcert.matrix import (
     FfMatrix,
     _matmul_naive,
     _mod_matmul,
+    _apply_pivots,
+    _extend_solve,
+    _reduce_i64,
     _ReduceF64,
     _regime,
     _sorted_rows,
@@ -595,7 +599,7 @@ def profile_cases(rows, cols, m, rng):
 
 def per_panel_prime(shape):
     """The largest prime that still runs the per-panel regime."""
-    return next(m for m, name in boundary_moduli(shape) if name == "per-panel")
+    return max(m for m, name in boundary_moduli(shape) if name == "per-panel")
 
 
 def profile_ordered(data):
@@ -702,6 +706,186 @@ class TestOuterPanels:
             assert not (data.astype(object) @ normal.astype(object) % m).any()
             if name == "skipped outer panel":
                 assert not [c for c in naive.pivot_cols if _OUTER <= c < 2 * _OUTER]
+
+
+def forward_substitution(trail, mult, piv_inv, m):
+    """The per-pivot solve, as an oracle, in Python integers: row i of
+    `trail` loses mult[l, i] times each solved row l < i and is then
+    scaled by piv_inv[i], the inverse of its pivot."""
+    out = []
+    for i, row in enumerate(trail.astype(np.int64).tolist()):
+        for l in range(i):
+            c = int(mult[l, i])
+            row = [a - c * b for a, b in zip(row, out[l])]
+        out.append([a * int(piv_inv[i]) % m for a in row])
+    return out
+
+
+def regime_kernels(regime, m):
+    """The working dtype, the reduction and the product of a regime, as
+    `_echelon_blocked` picks them."""
+    if regime == "eager":
+        return np.int64, _reduce_i64, partial(_mod_matmul, m=m)
+    return np.float64, _ReduceF64(m), np.matmul
+
+
+def residues(shape, m, rng, balanced):
+    """Random residues: balanced, |x| < m, half of them negative, as the
+    float64 regimes keep them; otherwise canonical."""
+    x = rng.integers(0, m, shape)
+    return x - m * rng.integers(0, 2, shape) * (x > 0) if balanced else x
+
+
+# Runs of pivots that one diagonal block of the solve matrix solves: a
+# single pivot, sub-panels, panels and a whole deep outer panel.
+SOLVE_BLOCKS = (1, _SUB - 1, _SUB, _SUB + 1, DEFAULT_BLOCK, DEFAULT_BLOCK + 1, _OUTER)
+
+
+class TestSolveMatrix:
+    """Solving pivot rows by one product with a diagonal block of the
+    outer panel's solve matrix, against the per-pivot solve."""
+
+    @pytest.mark.parametrize(
+        "m,regime",
+        [
+            (deep_limit_prime(OUTER_SHAPE), "deep"),
+            (per_panel_prime(OUTER_SHAPE), "per-panel"),
+            (P31, "eager"),
+        ],
+    )
+    def test_blocks_match_forward_substitution(self, m, regime):
+        assert _regime(OUTER_SHAPE, m) == regime
+        dtype, reduce_, matmul = regime_kernels(regime, m)
+        balanced = regime != "eager"
+        # the largest solve matrix of the regime: one outer panel
+        kk = _OUTER if regime == "deep" else DEFAULT_BLOCK
+        rng = np.random.default_rng(m)
+        # multipliers above the diagonal, as the elimination stores them
+        mult = np.triu(residues((kk, kk), m, rng, balanced), 1).astype(dtype)
+        piv_inv = rng.integers(1, m, kk)
+        solve = np.zeros((kk, kk), dtype=dtype)
+        # grown a sub-panel at a time; a sub-panel may find fewer pivots
+        # than it has columns
+        starts = [0]
+        while starts[-1] < kk:
+            s0 = starts[-1]
+            s1 = min(s0 + int(rng.integers(1, _SUB + 1)), kk)
+            solve[s0:s1, s0:s1] = np.diag(piv_inv[s0:s1])
+            _extend_solve(solve, mult, s0, s1, reduce_, m, matmul)
+            starts.append(s1)
+        for b in (b for b in SOLVE_BLOCKS if b <= kk):
+            # the first block and the last one that starts a sub-panel
+            for o in {0, max(s for s in starts if s + b <= kk)}:
+                trail = residues((b, 37), m, rng, balanced).astype(dtype)
+                if balanced:
+                    # unreduced trailing values, up to the largest the
+                    # reduction takes
+                    trail[:, 0] = _F64_EXACT + 1 - m
+                    trail[::2, 0] *= -1
+                    trail[:, 1] = rng.integers(-(2**52), 2**52, b)
+                else:
+                    trail[:, 0] = rng.integers(-(2**62), 2**62, b)
+                below = residues((5, 37), m, rng, balanced).astype(dtype)
+                l21 = residues((5, b), m, rng, balanced).astype(dtype)
+                want = forward_substitution(
+                    trail, mult[o : o + b, o : o + b], piv_inv[o : o + b], m
+                )
+                solved = np.array(want, dtype=object)
+                want_below = (
+                    below.astype(np.int64).astype(object)
+                    - l21.astype(np.int64).astype(object) @ solved
+                ) % m
+                _apply_pivots(
+                    trail, below, solve[o : o + b, o : o + b], l21,
+                    reduce_, m, None, matmul,
+                )
+                assert (trail.astype(np.int64) % m).tolist() == want, (b, o)
+                assert (below.astype(np.int64) % m).tolist() == want_below.tolist()
+
+
+def swap_matrix(shape, base, m, rng):
+    """Rows whose multipliers from the first `base` pivots move with them.
+
+    `base` rows from column 0 take the first pivots.  Then come sums of
+    them plus a row that starts later, at a column s: the base pivots
+    leave them zero up to s, with nonzero multipliers.  In profile order
+    they sit right after the base rows, so in each column before s a row
+    that starts there is swapped up past one of them, which carries its
+    multipliers along; when it later becomes a pivot, in a later
+    sub-panel, panel or outer panel, its row of the solve matrix is
+    built from those swapped multipliers.
+    """
+    rows, cols = shape
+    late = [base + 3, base + _SUB + 2, base + DEFAULT_BLOCK + 2, _OUTER + 3]
+    head = profile_matrix([0] * base, cols, m, rng)
+    sums = _mod_matmul(rng.integers(1, m, (len(late), base)), head, m)
+    sums = (sums + profile_matrix(late, cols, m, rng)) % m
+    # rows that start before each late row does
+    starts = rng.integers(base, cols, rows - base - len(late))
+    starts[:4] = [base, base + 1, base + _SUB, base + DEFAULT_BLOCK]
+    return np.vstack([head, sums, profile_matrix(starts, cols, m, rng)])
+
+
+class TestSwappedMultipliers:
+    """A later sub-panel or panel swaps rows that carry multipliers from
+    the outer panel's earlier pivots."""
+
+    @pytest.mark.parametrize("base", (_SUB, DEFAULT_BLOCK))
+    def test_blocked_matches_naive_at_every_limit(self, base):
+        shape, _ = WIDE_CASE
+        rng = np.random.default_rng(base)
+        for m, regime in boundary_moduli(shape) + [(P31, "eager")]:
+            assert _regime(shape, m) == regime
+            data = swap_matrix(shape, base, m, rng)
+            mat = FfMatrix(data, PrimeModulus(m))
+            naive = mat.rref(naive=True)
+            fast = mat.rref()
+            assert fast.pivot_cols == naive.pivot_cols, m
+            assert_row_echelon(fast)
+            assert fast.echelon == naive.echelon, m
+
+
+class TestExactness:
+    """Every value a float64 regime reduces is within the reduction's
+    stated precondition, |x| <= 2^53 - m, and every operand of an eager
+    product is canonical, at each regime's largest modulus."""
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_preconditions_hold(self, regime, monkeypatch):
+        seen = []
+
+        def checked_reduce(self, x, m):
+            assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
+            seen.append(x.size)
+            reduce_f64(self, x, m)
+
+        def checked_matmul(a, b, m):
+            for x in (a, b):
+                assert x.min(initial=0) >= 0 and x.max(initial=0) < m
+            seen.append(a.size)
+            return mod_matmul(a, b, m)
+
+        reduce_f64 = _ReduceF64.__call__
+        mod_matmul = _mod_matmul
+        monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
+        monkeypatch.setattr("chowcert.matrix._mod_matmul", checked_matmul)
+        for shape, _ in SHAPE_CASES + [WIDE_CASE, (OUTER_SHAPE, None)]:
+            m = {
+                "deep": deep_limit_prime(shape),
+                "per-panel": per_panel_prime(shape),
+                "eager": P31,
+            }[regime]
+            assert _regime(shape, m) == regime
+            rng = np.random.default_rng(m)
+            rows, cols = shape
+            for data in (
+                structured_matrix(rows, cols, m, rng),
+                extreme_matrix(rows, cols, m, rng),
+                swap_matrix(shape, _SUB, m, rng),
+            ):
+                mat = FfMatrix(data, PrimeModulus(m))
+                assert mat.rref().pivot_cols == mat.rref(naive=True).pivot_cols
+        assert seen
 
 
 class TestEliminationMemory:
