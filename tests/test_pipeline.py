@@ -105,6 +105,20 @@ class TestPinnedCertificates:
         cert = certify(8, prime=prime, seed=1591688259)
         assert integrity_digest(cert) == digest
 
+    @pytest.mark.parametrize(
+        "n,prime,digest",
+        [
+            (12, 3000017, "8dca393cf6e0266762e550295824bf176e9ffea8d761193e6f69ce26ee5052d6"),
+            (20, 3000017, "1a0a413c4ad6c08e9276227bb650bf9827d6f8829d8adc16064fe8d99a97b7f4"),
+            # the largest prime a float64 regime takes
+            (12, 11682149, "0fc61a4ecb79691281fc0c5748d8be1b81ab8aa37be4ef6e0b5e375f6e55b7d5"),
+        ],
+    )
+    def test_per_panel_regime(self, n, prime, digest):
+        # digests computed when all three ran the per-panel regime
+        cert = certify(n, prime=prime, seed=77)
+        assert integrity_digest(cert) == digest
+
     def test_eager_regime_at_2_31_minus_1(self):
         # m = 2^31 - 1 takes the eager int64 elimination
         cert = certify(8, prime=2**31 - 1, seed=1591688259)
