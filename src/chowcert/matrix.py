@@ -21,16 +21,16 @@ fewer entries is split into 16-bit limbs, one dgemm per limb
 reduction to balanced residues, |r| < m, which are made canonical once,
 when U is converted to int64; or, for moduli too large for that, it
 reduces every operand in int64 and forms every product with
-`_mod_matmul` (`_regime`).  In the deep regime, the one the default
-prime runs, the update right of each outer panel of `_OUTER` columns is
-delayed into one dgemm of inner dimension up to `_OUTER`, which runs
-much nearer the host's dgemm peak than the `DEFAULT_BLOCK`-deep updates
-of the other regimes.  No pivot row is solved on its own: each outer
-panel keeps one solve matrix, the inverse of its pivots' lower factor,
-grown a sub-panel at a time, and the pivot rows of a sub-panel, a panel
-or the whole outer panel are solved by one product with its diagonal
-block (`_extend_solve`).  The block sizes and the number format are the
-elimination's own: a matrix only hands it its rows (`FfMatrix._rows`).
+`_mod_matmul` (`_regime`).  In float64 the update right of each outer
+panel of `_OUTER` columns is delayed into one dgemm of inner dimension
+up to `_OUTER`, which runs much nearer the host's dgemm peak than the
+`DEFAULT_BLOCK`-deep updates of the int64 regime.  No pivot row is
+solved on its own: each outer panel keeps one solve matrix, the inverse
+of its pivots' lower factor, grown a sub-panel at a time, and the pivot
+rows of a sub-panel, a panel or the whole outer panel are solved by one
+product with its diagonal block (`_extend_solve`).  The block sizes and
+the number format are the elimination's own: a matrix only hands it its
+rows (`FfMatrix._rows`).
 """
 
 from __future__ import annotations
@@ -56,9 +56,11 @@ _LIMB = 1 << 16
 _TILE = 1 << 18
 # Columns per sub-panel: rank-1 updates stay within one.
 _SUB = 8
-# Columns per outer panel in the deep regime: the update right of an
+# Columns per outer panel in the float64 regimes: the update right of an
 # outer panel is one dgemm of inner dimension up to `_OUTER`.
 _OUTER = 256
+# Columns per outer panel in each regime (`_regime`).
+_OUTER_WIDTH = {"deep": _OUTER, "settled": _OUTER, "eager": DEFAULT_BLOCK}
 # glibc raises its mmap threshold to the largest block freed so far (up
 # to 32 MB), so after the first elimination the Terracini-sized arrays
 # come from the heap; how much of the heap stays resident then depends on
@@ -179,13 +181,11 @@ class _ReduceF64:
     four ufunc calls, one temporary.  The rounded quotient q is within
     1/2 + |x / m| 2^-52 of x / m, so for |x| <= 2^53 - m, q m and
     x - q m are exact integers and the result r is congruent to x with
-    |r| <= m/2 + |x| 2^-52 < m.  So r is zero exactly when x is 0 mod m,
-    and a product of two residues stays below m^2.  The float64 regimes
-    stay well inside |x| <= 2^53 - m: their bounds count each product of
-    two residues as up to m^2, which is about four times its actual
-    (m/2 + 2)^2.  Residues are balanced, not canonical:
-    `_echelon_blocked` adds m to the negative entries of U when it
-    converts them to int64.
+    |r| <= m/2 + |x| 2^-52 < m/2 + 2, so |r| <= m // 2 + 2.  So r is
+    zero exactly when x is 0 mod m.  The float64 regimes keep every
+    value within |x| <= 2^53 - m (`_regime`).  Residues are balanced, not
+    canonical: `_echelon_blocked` adds m to the negative entries of U
+    when it converts them to int64.
     """
 
     def __init__(self, m: int):
@@ -200,35 +200,37 @@ class _ReduceF64:
 
 
 def _regime(shape: tuple[int, int], m: int) -> str:
-    """The elimination regime: "deep", "per-panel" or "eager".
+    """The elimination regime: "deep", "settled" or "eager".
 
-    Deep and per-panel work in float64 and reduce lazily, to balanced
-    residues |r| < m (`_ReduceF64`).  Deep: trailing values stay
-    unreduced across panels.  Every entry collects at most one product
-    of two residues, below m^2, per pivot, plus at most `_OUTER` more
-    within one product: the delayed update of an outer panel of
-    `_OUTER` columns sums up to `_OUTER` products before it subtracts
-    them, and so do the products that build its solve matrix and solve
-    its pivot rows with it, each with reduced operands.  So magnitudes
-    stay below the checked bound
-    (2 min(rows, cols) + _OUTER + 4) m^2.  Per panel: trailing
-    values are reduced after each panel's update, which bounds them by
-    (DEFAULT_BLOCK + 2) m^2.  The first bound below 2^53 picks the
-    regime; when neither fits, the eager regime works in int64 and
-    forms every product with `_mod_matmul`.  It reduces each value to
-    [0, m) when it is read (pivot column, pivot row, matmul operands),
-    so a trailing value only ever has reduced products subtracted from
-    it and stays far inside int64.
+    Deep and settled share one float64 schedule (`_OUTER_WIDTH`) and
+    reduce lazily to balanced residues of at most b = m // 2 + 2
+    (`_ReduceF64`); settled also reduces the trailing tiles after each
+    outer panel's update.  A product of two residues is at most b^2; one
+    with a canonical operand (a pivot inverse, or an entry of a solve
+    matrix's diagonal block) at most (m - 1) b < 2 b^2, so it counts as
+    two.  A product that extends a solve matrix or solves pivot rows
+    with it (`_extend_solve`) has at most `_OUTER` terms, `_SUB` of them
+    canonical: it counts as _OUTER + _SUB.  A value starts at most m + 1
+    (canonical, or balanced) and collects one product per pivot until it
+    is next reduced: up to `_OUTER` if settled, min(rows, cols) if not.
+    So a count p bounds every value by p b^2 + m + 1, which must stay
+    within the reduction's range, 2^53 - m.  Settled counts
+    _OUTER + _SUB; deep adds min(rows, cols), which keeps its limit below
+    settled's.  Past both, the eager regime works in int64 and forms
+    every product with `_mod_matmul`.  It reduces each value to [0, m)
+    when it is read (pivot column, pivot row, matmul operands), so a
+    trailing value only ever has reduced products subtracted from it and
+    stays far inside int64.
     """
-    short = min(shape)
-    if (short * 2 + _OUTER + 4) * m * m < _F64_EXACT:
-        return "deep"
-    if (DEFAULT_BLOCK + 2) * m * m < _F64_EXACT:
-        return "per-panel"
+    b = m // 2 + 2
+    solve = _OUTER + _SUB
+    for regime, count in (("deep", min(shape) + solve), ("settled", solve)):
+        if count * b * b + 2 * m <= _F64_EXACT:
+            return regime
     return "eager"
 
 
-def _apply_pivots(trail, below, inv, l21, reduce_, m, settle, matmul):
+def _apply_pivots(trail, below, inv, l21, reduce_, m, matmul, settle=None):
     """Carry a block of pivots into the columns right of it.
 
     `trail` holds the k pivot rows' entries in those columns and `below`
@@ -374,14 +376,14 @@ def _echelon_blocked(
     order, so only U, which is not canonical, can differ from an
     elimination in the given order.  A dense input keeps its order.
 
-    The columns are cut into outer panels, `_OUTER` columns wide in the
-    deep regime and `DEFAULT_BLOCK` wide in the others.  An outer panel
-    is factored in panels of `DEFAULT_BLOCK` columns (`_factor_panel`),
-    and each panel's pivots update only the columns left of the outer
-    panel's end.  The outer panel's pivots then reach the columns right
-    of it in one delayed update, a dgemm whose inner dimension is their
-    count.  All the outer panel's multipliers live in one array, so a
-    later panel's row swap permutes those of the earlier panels too.
+    The columns are cut into outer panels (`_OUTER_WIDTH`).  An outer
+    panel is factored in panels of `DEFAULT_BLOCK` columns
+    (`_factor_panel`), and each panel's pivots update only the columns
+    left of the outer panel's end.  The outer panel's pivots then reach
+    the columns right of it in one delayed update, a dgemm whose inner
+    dimension is their count; the settled regime then reduces it.  All
+    the outer panel's multipliers live in one array, so a later panel's
+    row swap permutes those of the earlier panels too.
     """
     rows = first.size
     regime = _regime((rows, cols), m)
@@ -390,8 +392,8 @@ def _echelon_blocked(
         dtype, reduce_, matmul = np.int64, _reduce_i64, partial(_mod_matmul, m=m)
     else:
         dtype, reduce_, matmul = np.float64, _ReduceF64(m), np.matmul
-    settle = reduce_ if regime == "per-panel" else None
-    width = _OUTER if regime == "deep" else DEFAULT_BLOCK
+    settle = reduce_ if regime == "settled" else None
+    width = _OUTER_WIDTH[regime]
     a = np.empty((rows, cols), dtype=dtype)
     started = _sorted_rows(first, fill, a)
     pivots: list[int] = []
@@ -428,7 +430,6 @@ def _echelon_blocked(
                     mult[q : q + k, q + k : end - r0].T,
                     reduce_,
                     m,
-                    None,
                     matmul,
                 )
             r += k
@@ -441,8 +442,8 @@ def _echelon_blocked(
                 mult[:kk, kk:].T,
                 reduce_,
                 m,
-                settle,
                 matmul,
+                settle,
             )
     rank = len(pivots)
     if not eager:
@@ -509,21 +510,10 @@ def _factor_panel(act, c0, c1, mult, solve, q, pivots, reduce_, m, matmul, eager
             # under it
             reduce_(prow, m)
             below = pan[j, k + 1 :].copy()
-            nnz = np.count_nonzero(below)
-            if 2 * nnz > below.size:
-                # dense column: a contiguous rank-1 update beats
-                # gather/scatter on the hit rows
-                upd = pan[j:j1, k + 1 :]
-                upd -= np.multiply(prow[:, None], below[None, :])
-                if eager:
-                    reduce_(upd, m)
-            elif nnz:
-                hit = np.flatnonzero(below)
-                sel = k + 1 + hit
-                upd = pan[j:j1, sel] - np.multiply(prow[:, None], below[None, hit])
-                if eager:
-                    reduce_(upd, m)
-                pan[j:j1, sel] = upd
+            upd = pan[j:j1, k + 1 :]
+            upd -= np.multiply(prow[:, None], below[None, :])
+            if eager:
+                reduce_(upd, m)
             lfac[k, k + 1 :] = below
             pivots.append(c0 + j)
             k += 1
@@ -538,7 +528,6 @@ def _factor_panel(act, c0, c1, mult, solve, q, pivots, reduce_, m, matmul, eager
                 lfac[k0:k, k:].T,
                 reduce_,
                 m,
-                None,
                 matmul,
             )
     act[:, c0:c1] = pan.T

@@ -149,6 +149,7 @@ def certify(
         )
     if retries < 1:
         raise ValueError("need at least one attempt")
+    _check_memory(n, r)
     if seed is None:
         seed = secrets.randbits(64)
     hexp = expected_hessian_rank(n)
@@ -234,6 +235,19 @@ def _physical_memory() -> int | None:
     return pages * page if pages > 0 and page > 0 else None
 
 
+def _check_memory(n: int, r: int) -> None:
+    """Refuse an (n, r) run whose elimination working array, its one
+    full-size array, exceeds physical memory, before anything is built."""
+    rows, cols = 3 * (n + 1) * r, ambient_dimension(n)
+    need = working_array_bytes(rows, cols)
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"n = {n}, r = {r} needs a {rows} x {cols} working array of "
+            f"{need} bytes, more than the {have} bytes of physical memory"
+        )
+
+
 def verify_certificate(cert: Certificate) -> VerificationReport:
     """Recompute both ranks from the recorded vectors and compare.
 
@@ -262,17 +276,10 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             f"support moduli below 2^31"
         )
         return VerificationReport(False, failures, cert)
-    # the replay's one full-size array is the elimination's working
-    # array; one that cannot fit in memory is refused before anything
-    # is built, rather than exhausting memory part way
-    rows, cols = 3 * (cert.n + 1) * cert.r, cert.ambient_dim
-    need = working_array_bytes(rows, cols)
-    have = _physical_memory()
-    if have is not None and need > have:
-        failures.append(
-            f"replay needs a {rows} x {cols} working array of {need} bytes, "
-            f"more than the {have} bytes of physical memory"
-        )
+    try:
+        _check_memory(cert.n, cert.r)
+    except ValueError as exc:
+        failures.append(f"replay refused: {exc}")
         return VerificationReport(False, failures, cert)
     try:
         points = [_point_from_vectors(vs, modulus) for vs in cert.points]
@@ -421,6 +428,8 @@ def sweep(
             f"explicitly if you mean it"
         )
     modulus = _as_modulus(prime)
+    # the largest case needs the largest array: refused before the first
+    _check_memory(n_max, default_r(n_max))
     if seed is None:
         seed = secrets.randbits(64)
     rows: list[SweepRow] = []

@@ -88,6 +88,21 @@ class TestCertifyCommand:
         assert code == 1
         assert not out.exists()
 
+    def test_run_beyond_physical_memory_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "_physical_memory", lambda: 20000)
+        monkeypatch.setattr(pipeline, "sample_point", refuse_to_compute)
+        out = tmp_path / "cert.txt"
+        # n=5, r=3: a 54 x 56 working array of 24192 bytes
+        code = main(["certify", "--n", "5", "--seed", "1", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: n = 5, r = 3 needs a 54 x 56 working array of 24192 bytes, "
+            "more than the 20000 bytes of physical memory"
+        ]
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_existing_out_is_overwritten(self, tmp_path):
         out = tmp_path / "cert.txt"
         out.write_text("old\n" * 1000)
@@ -206,6 +221,25 @@ class TestSweepCommand:
         )
         assert code == 1
         assert "cap" in capsys.readouterr().err
+
+    def test_largest_case_beyond_physical_memory_refused_first(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # n=2..4 would fit; n=5 needs 24192 bytes
+        monkeypatch.setattr(pipeline, "_physical_memory", lambda: 20000)
+        monkeypatch.setattr(pipeline, "certify", refuse_to_compute)
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", "--min", "2", "--max", "5", "--seed", "3", "--csv", str(out)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: n = 5, r = 3 needs a 54 x 56 working array of 24192 bytes, "
+            "more than the 20000 bytes of physical memory"
+        ]
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_empty_range_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -212,7 +212,7 @@ class TestStreamedBuild:
         "prime,n,regime",
         [
             (20201, 12, "deep"),
-            (3000017, 13, "per-panel"),
+            (11682149, 13, "settled"),
             (2**31 - 1, 8, "eager"),
             # quadric coefficients vanish often, so rows start late
             (7, 8, "deep"),

@@ -20,6 +20,8 @@ from chowcert.matrix import (
     _mod_matmul,
     _apply_pivots,
     _extend_solve,
+    _factor_panel,
+    _OUTER_WIDTH,
     _reduce_i64,
     _ReduceF64,
     _regime,
@@ -369,20 +371,20 @@ class TestRrefResultInvariants:
         assert np.array_equal(pivot_block, np.eye(res.rank, dtype=np.int64))
 
 
-REGIMES = ("deep", "per-panel", "eager")
+REGIMES = ("deep", "settled", "eager")
 # int64 range that bounded two regimes the eager one has replaced; the
 # moduli around those limits stay under test
 I64_MAX = 2**63 - 1
 
 
-def largest_fitting(factor, limit):
-    """Largest m with factor * m^2 below limit."""
-    m = math.isqrt(limit // factor)
-    while factor * m * m >= limit:
-        m -= 1
-    while factor * (m + 1) ** 2 < limit:
-        m += 1
-    return m
+def largest_fitting(fits):
+    """Largest m with fits(m), for a test that holds up to some m >= 1
+    and fails above it."""
+    lo, hi = 1, 2**32
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
 
 
 def primes_around(edge):
@@ -392,31 +394,39 @@ def primes_around(edge):
     return under, over
 
 
-def regime_factors(shape):
-    """The deep and the per-panel bounds of `_regime`, as multiples of m^2."""
-    return 2 * min(shape) + _OUTER + 4, DEFAULT_BLOCK + 2
+def regime_counts(shape):
+    """The deep and the settled product counts of `_regime`."""
+    return min(shape) + _OUTER + _SUB, _OUTER + _SUB
+
+
+def fits_f64(count, m):
+    """`_regime`'s bound: `count` products of balanced residues, each at
+    most (m // 2 + 2)^2, on a value of at most m + 1, stay within the
+    range of `_ReduceF64`, 2^53 - m."""
+    b = m // 2 + 2
+    return count * b * b + m + 1 <= 2**53 - m
 
 
 def boundary_moduli(shape):
     """(prime, regime) just under and just over every regime limit.
 
     The limits, in the order `_regime` tries them: the deep and the
-    per-panel magnitude bounds against the exact float64 range.  Under a
+    settled magnitude bounds against the exact float64 range.  Under a
     limit the regime it guards runs; just over it, the next one.
     """
     out = []
-    for i, factor in enumerate(regime_factors(shape)):
-        under, over = primes_around(largest_fitting(factor, _F64_EXACT))
+    for i, count in enumerate(regime_counts(shape)):
+        under, over = primes_around(largest_fitting(partial(fits_f64, count)))
         out += [(under, REGIMES[i]), (over, REGIMES[i + 1])]
     return out
 
 
 def old_int64_moduli(shape):
-    """Primes just under and just over the former int64 deep and
-    per-panel limits; all of them now run the eager regime."""
+    """Primes just under and just over two former int64 limits, of a
+    deep and a per-panel regime; all of them now run the eager regime."""
     out = []
-    for factor in regime_factors(shape):
-        out += primes_around(largest_fitting(factor, I64_MAX))
+    for factor in (2 * min(shape) + _OUTER + 4, DEFAULT_BLOCK + 2):
+        out += primes_around(largest_fitting(lambda m: factor * m * m < I64_MAX))
     return out
 
 
@@ -441,6 +451,14 @@ def extreme_matrix(rows, cols, m, rng):
     a[rows // 2] = a[2]
     a[:, cols // 3] = (a[:, 0] + (m - 1) * a[:, 1]) % m
     return a
+
+
+def half_modulus_matrix(rows, cols, m, rng):
+    """Entries (m - 1) / 2 and (m + 1) / 2 for odd m: they balance to
+    +-(m - 1) / 2, the largest residues, where `extreme_matrix`'s
+    entries near m - 1 balance to the smallest.  So the first products
+    are as large as products of two residues get."""
+    return (m - 1) // 2 + rng.integers(0, 2, (rows, cols))
 
 
 def low_rank_matrix(rows, cols, m, rng, inner):
@@ -542,13 +560,14 @@ class TestBalancedReduction:
 
     @pytest.mark.parametrize("shape,last", SHAPE_CASES)
     def test_residues_congruent_and_below_m(self, shape, last):
-        deep = regime_factors(shape)[0]
+        deep = regime_counts(shape)[0]
         moduli = SMALL_PRIMES + [20201]
         moduli += [m for m, _ in boundary_moduli(shape)]
         for m in moduli:
             # the deep regime's bound; for moduli beyond it, the largest
             # magnitude the reduction is exact for
-            bound = min(deep * m * m, _F64_EXACT + 1 - m)
+            b = m // 2 + 2
+            bound = min(deep * b * b + m + 1, _F64_EXACT + 1 - m)
             xs = reduction_inputs(m, bound)
             r = np.array(xs, dtype=np.float64)
             _ReduceF64(m)(r, m)
@@ -556,7 +575,8 @@ class TestBalancedReduction:
             for x, got in zip(xs, r.tolist()):
                 assert int(got) % m == x % m, (m, x)
                 assert abs(got) <= m / 2 + abs(x) * 2.0**-52, (m, x)
-                assert abs(got) < m, (m, x)
+                # the residue bound the regimes' product counts use
+                assert abs(got) <= b and abs(got) < m, (m, x)
                 if x % m == 1:
                     # what a scaled pivot reduces to
                     assert got == 1, (m, x)
@@ -597,9 +617,9 @@ def profile_cases(rows, cols, m, rng):
     ]
 
 
-def per_panel_prime(shape):
-    """The largest prime that still runs the per-panel regime."""
-    return max(m for m, name in boundary_moduli(shape) if name == "per-panel")
+def settled_prime(shape):
+    """The largest prime that still runs the settled regime."""
+    return max(m for m, name in boundary_moduli(shape) if name == "settled")
 
 
 def profile_ordered(data):
@@ -618,7 +638,7 @@ class TestRowProfileOrder:
     def test_blocked_matches_naive(self, shape, last):
         rows, cols = shape
         rng = np.random.default_rng(rows + cols)
-        for m in (20201, per_panel_prime(shape), P31):
+        for m in (20201, settled_prime(shape), P31):
             modulus = PrimeModulus(m)
             for name, data in profile_cases(rows, cols, m, rng):
                 mat = FfMatrix(data, modulus)
@@ -656,8 +676,9 @@ OUTER_SHAPE = (190, WIDE_CASE[0][1])
 
 
 def outer_panel_cases(m, rng):
-    """(name, data) inputs of `OUTER_SHAPE` that cross the deep regime's
-    outer panels; the last outer panel is `WIDE_LAST` columns wide."""
+    """(name, data) inputs of `OUTER_SHAPE` that cross the float64
+    regimes' outer panels; the last outer panel is `WIDE_LAST` columns
+    wide."""
     rows, cols = OUTER_SHAPE
     k = _OUTER
     # rows from column 0 take the first outer panel's pivots, and the
@@ -685,12 +706,15 @@ def outer_panel_cases(m, rng):
 
 
 class TestOuterPanels:
-    """The deep regime's delayed update right of each outer panel."""
+    """The delayed update right of each outer panel, in every regime."""
 
-    @pytest.mark.parametrize("m", (20201, deep_limit_prime(OUTER_SHAPE), P31))
+    @pytest.mark.parametrize(
+        "m", (20201, deep_limit_prime(OUTER_SHAPE), settled_prime(OUTER_SHAPE), P31)
+    )
     def test_blocked_matches_naive(self, m):
         cols = OUTER_SHAPE[1]
-        assert _regime(OUTER_SHAPE, m) == ("eager" if m == P31 else "deep")
+        regimes = {settled_prime(OUTER_SHAPE): "settled", P31: "eager"}
+        assert _regime(OUTER_SHAPE, m) == regimes.get(m, "deep")
         rng = np.random.default_rng(m)
         modulus = PrimeModulus(m)
         for name, data in outer_panel_cases(m, rng):
@@ -737,7 +761,7 @@ def residues(shape, m, rng, balanced):
 
 
 # Runs of pivots that one diagonal block of the solve matrix solves: a
-# single pivot, sub-panels, panels and a whole deep outer panel.
+# single pivot, sub-panels, panels and a whole float64 outer panel.
 SOLVE_BLOCKS = (1, _SUB - 1, _SUB, _SUB + 1, DEFAULT_BLOCK, DEFAULT_BLOCK + 1, _OUTER)
 
 
@@ -749,7 +773,7 @@ class TestSolveMatrix:
         "m,regime",
         [
             (deep_limit_prime(OUTER_SHAPE), "deep"),
-            (per_panel_prime(OUTER_SHAPE), "per-panel"),
+            (settled_prime(OUTER_SHAPE), "settled"),
             (P31, "eager"),
         ],
     )
@@ -758,7 +782,7 @@ class TestSolveMatrix:
         dtype, reduce_, matmul = regime_kernels(regime, m)
         balanced = regime != "eager"
         # the largest solve matrix of the regime: one outer panel
-        kk = _OUTER if regime == "deep" else DEFAULT_BLOCK
+        kk = _OUTER_WIDTH[regime]
         rng = np.random.default_rng(m)
         # multipliers above the diagonal, as the elimination stores them
         mult = np.triu(residues((kk, kk), m, rng, balanced), 1).astype(dtype)
@@ -797,7 +821,7 @@ class TestSolveMatrix:
                 ) % m
                 _apply_pivots(
                     trail, below, solve[o : o + b, o : o + b], l21,
-                    reduce_, m, None, matmul,
+                    reduce_, m, matmul,
                 )
                 assert (trail.astype(np.int64) % m).tolist() == want, (b, o)
                 assert (below.astype(np.int64) % m).tolist() == want_below.tolist()
@@ -847,8 +871,10 @@ class TestSwappedMultipliers:
 
 class TestExactness:
     """Every value a float64 regime reduces is within the reduction's
-    stated precondition, |x| <= 2^53 - m, and every operand of an eager
-    product is canonical, at each regime's largest modulus."""
+    stated precondition, |x| <= 2^53 - m, each of the settled regime's
+    outer panels starts from values of at most m + 1, and every operand
+    of an eager product is canonical, at each regime's largest modulus,
+    on inputs whose balanced residues are the smallest and the largest."""
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_preconditions_hold(self, regime, monkeypatch):
@@ -865,14 +891,21 @@ class TestExactness:
             seen.append(a.size)
             return mod_matmul(a, b, m)
 
+        def checked_panel(act, c0, *rest):
+            if regime == "settled" and c0 % _OUTER == 0:
+                assert np.abs(act[:, c0:]).max(initial=0) <= m + 1
+                seen.append(act.size)
+            return _factor_panel(act, c0, *rest)
+
         reduce_f64 = _ReduceF64.__call__
         mod_matmul = _mod_matmul
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         monkeypatch.setattr("chowcert.matrix._mod_matmul", checked_matmul)
+        monkeypatch.setattr("chowcert.matrix._factor_panel", checked_panel)
         for shape, _ in SHAPE_CASES + [WIDE_CASE, (OUTER_SHAPE, None)]:
             m = {
                 "deep": deep_limit_prime(shape),
-                "per-panel": per_panel_prime(shape),
+                "settled": settled_prime(shape),
                 "eager": P31,
             }[regime]
             assert _regime(shape, m) == regime
@@ -881,6 +914,7 @@ class TestExactness:
             for data in (
                 structured_matrix(rows, cols, m, rng),
                 extreme_matrix(rows, cols, m, rng),
+                half_modulus_matrix(rows, cols, m, rng),
                 swap_matrix(shape, _SUB, m, rng),
             ):
                 mat = FfMatrix(data, PrimeModulus(m))

@@ -12,7 +12,7 @@ from chowcert.certificate import (
     parse_certificate,
 )
 from chowcert.field import derive_seed
-from chowcert.matrix import FfMatrix
+from chowcert.matrix import FfMatrix, _regime
 from chowcert.pipeline import (
     GenericityError,
     certify,
@@ -82,9 +82,8 @@ class TestPinnedCertificates:
         )
 
     def test_many_panels_at_20201(self):
-        # a 1827x1771 elimination: 28 panels, both dense and sparse
-        # pivot columns, a row swap at nearly every pivot; digest
-        # computed before the balanced reduction
+        # a 1827x1771 elimination: 28 panels, a row swap at nearly
+        # every pivot; digest computed before the balanced reduction
         cert = certify(20, prime=20201, seed=1591688259)
         assert integrity_digest(cert) == (
             "9690b0b8c6040b9297952f55738bce8eec34f2da17dbde2b9d326c8b214b2fc9"
@@ -106,16 +105,19 @@ class TestPinnedCertificates:
         assert integrity_digest(cert) == digest
 
     @pytest.mark.parametrize(
-        "n,prime,digest",
+        "n,prime,regime,digest",
         [
-            (12, 3000017, "8dca393cf6e0266762e550295824bf176e9ffea8d761193e6f69ce26ee5052d6"),
-            (20, 3000017, "1a0a413c4ad6c08e9276227bb650bf9827d6f8829d8adc16064fe8d99a97b7f4"),
+            (12, 3000017, "deep", "8dca393cf6e0266762e550295824bf176e9ffea8d761193e6f69ce26ee5052d6"),
+            (20, 3000017, "deep", "1a0a413c4ad6c08e9276227bb650bf9827d6f8829d8adc16064fe8d99a97b7f4"),
             # the largest prime a float64 regime takes
-            (12, 11682149, "0fc61a4ecb79691281fc0c5748d8be1b81ab8aa37be4ef6e0b5e375f6e55b7d5"),
+            (12, 11682149, "settled", "0fc61a4ecb79691281fc0c5748d8be1b81ab8aa37be4ef6e0b5e375f6e55b7d5"),
         ],
     )
-    def test_per_panel_regime(self, n, prime, digest):
-        # digests computed when all three ran the per-panel regime
+    def test_large_float64_primes(self, n, prime, regime, digest):
+        # digests computed when all three ran a former per-panel
+        # regime, with 64-column outer panels
+        shape = (3 * (n + 1) * default_r(n), comb(n + 3, 3))
+        assert _regime(shape, prime) == regime
         cert = certify(n, prime=prime, seed=77)
         assert integrity_digest(cert) == digest
 
