@@ -128,6 +128,22 @@ class TestPinnedCertificates:
             "785042ade7050a577c703390a563174ae887d41416b04410c0d045350a643eff"
         )
 
+    @pytest.mark.parametrize(
+        "n,prime,digest",
+        [
+            # the benchmark's certify_n30 shape, 5487 x 5456
+            (30, 20201, "d302f024c244a1adc00c1521722578e062993818876635449282bba21ae49d53"),
+            (24, 20201, "90544c3c1f49157da2e7fb1d4e8e28ec008804d561184db4b11fffbd80db9479"),
+            # the benchmark's certify_p31 shape, in the eager regime
+            (16, 2**31 - 1, "c4599eafab63e08c56e61e69cb09677c7288099fdce09902c3c93ced5369fc34"),
+        ],
+    )
+    def test_benchmark_sizes_at_seed_77(self, n, prime, digest):
+        # digests computed with the dense elimination of the whole
+        # Terracini matrix
+        cert = certify(n, prime=prime, seed=77)
+        assert integrity_digest(cert) == digest
+
 
 class TestVerify:
     def test_reference_certificate(self):
