@@ -3,7 +3,10 @@
 Random points (products of three linear forms), per-point tangent
 bases, the stacked tangent matrix for several points, and the
 curvature-form matrix obtained by contracting second derivatives of the
-product map with a normal vector.
+product map with a normal vector.  Every tangent vector is a variable
+times a quadric, so the stacked matrix is kept as its quadrics and the
+variable shift maps, and it is eliminated as the Macaulay matrix it is
+(`TerraciniMatrix`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import PrimeModulus, SeededRng, _check_same_modulus
-from .matrix import FfMatrix, _mod_matmul
+from .matrix import FfMatrix, _mod_matmul, _split_echelon
 from .poly import (
     LinearForm,
     Poly,
@@ -116,10 +119,11 @@ class TerraciniMatrix(FfMatrix):
 
     Row (p, k, i) holds `quads[3 p + k]`, the quadric of the two forms
     of point p other than k, at the columns `shifts[i]` (multiplication
-    by x_i) and zeros elsewhere.  The elimination's working array is
-    written from these directly (`_rows`), so the int64 matrix `data` is
-    never needed for a rank or a kernel vector; it is built on first
-    access.
+    by x_i) and zeros elsewhere.  So the matrix is the Macaulay matrix of
+    the quadrics in degree 3, and it is eliminated as one
+    (`matrix._split_echelon`): only the rows that do not start a new
+    column are ever written out.  The int64 matrix `data` is never
+    needed for a rank or a kernel vector; it is built on first access.
     """
 
     __slots__ = ("_quads", "_shifts", "_shape", "_data")
@@ -138,27 +142,20 @@ class TerraciniMatrix(FfMatrix):
     @property
     def data(self) -> np.ndarray:
         if self._data is None:
-            out = np.empty(self._shape, dtype=np.int64)
-            self._fill(out, np.arange(self.rows))
+            nvar = self._shifts.shape[0]
+            rows = np.arange(self.rows)
+            out = np.zeros(self._shape, dtype=np.int64)
+            np.put_along_axis(
+                out, self._shifts[rows % nvar], self._quads[rows // nvar], axis=1
+            )
             out.setflags(write=False)
             self._data = out
         return self._data
 
-    def _fill(self, out: np.ndarray, rows: np.ndarray) -> None:
-        """Write the rows numbered `rows` into `out`, one per row of it."""
-        nvar = self._shifts.shape[0]
-        out[...] = 0
-        np.put_along_axis(
-            out, self._shifts[rows % nvar], self._quads[rows // nvar], axis=1
-        )
-
-    def _rows(self):
-        # Grevlex is a term order and index 0 is its largest monomial, so
-        # every shift map is increasing and row (p, k, i) starts at
-        # shifts[i] of the first nonzero index of its quadric.  Quadrics
-        # are products of two nonzero forms over a field, never zero.
-        lead = (self._quads != 0).argmax(axis=1)
-        return self._shifts[:, lead].T.ravel(), self._fill
+    def _echelon(self, m: int):
+        # Grevlex is a term order, so every shift map is increasing, as
+        # the split requires.
+        return _split_echelon(self._quads, self._shifts, self.cols, m)
 
 
 def terracini_matrix(points) -> TerraciniMatrix:

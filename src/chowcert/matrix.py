@@ -29,8 +29,19 @@ solved on its own: each outer panel keeps one solve matrix, the inverse
 of its pivots' lower factor, grown a sub-panel at a time, and the pivot
 rows of a sub-panel, a panel or the whole outer panel are solved by one
 product with its diagonal block (`_extend_solve`).  The block sizes and
-the number format are the elimination's own: a matrix only hands it its
-rows (`FfMatrix._rows`).
+the number format are the elimination's own.
+
+A matrix may eliminate itself by its structure (the `FfMatrix._echelon`
+hook).  A Macaulay matrix, one row x_i w per variable x_i and row w of a
+basis, is eliminated by its A|B / C|D split, as in Groebner-basis
+linear algebra (`_split_echelon`): with the basis in reduced echelon
+form W', the rows x_i w'_j that start a new column (A, `ShiftedRows`)
+are already in echelon form with pivot 1 and are never written out; the
+others (C) are reduced to zero on A's leading columns, left-looking,
+one product per variable, and only their Schur complement D' is
+eliminated, by the same blocked kernel.  The pivots are A's leading
+columns and D''s pivots, the kernel vector comes from back-substitution
+over D' and then over A, and both stay canonical.
 """
 
 from __future__ import annotations
@@ -61,6 +72,10 @@ _SUB = 8
 _OUTER = 256
 # Columns per outer panel in each regime (`_regime`).
 _OUTER_WIDTH = {"deep": _OUTER, "settled": _OUTER, "eager": DEFAULT_BLOCK}
+# A rows per block of the split's left-looking multiplier solve
+# (`_solve_multipliers`); at most `_OUTER`, so the block's solve product
+# stays within the float64 regimes' bound (`_regime`).
+_SPLIT_BLOCK = _OUTER
 # glibc raises its mmap threshold to the largest block freed so far (up
 # to 32 MB), so after the first elimination the Terracini-sized arrays
 # come from the heap; how much of the heap stays resident then depends on
@@ -221,6 +236,19 @@ def _regime(shape: tuple[int, int], m: int) -> str:
     when it is read (pivot column, pivot row, matmul operands), so a
     trailing value only ever has reduced products subtracted from it and
     stays far inside int64.
+
+    The split of a Macaulay matrix (`_split_echelon`) runs its own
+    products in the regime of the whole matrix's shape, on balanced
+    residues: the multipliers X and the basis W'.  The left-looking
+    update of X (`_solve_multipliers`) and the Schur product
+    (`_schur_update`) subtract at most one term per A row, so at most
+    rank <= min(rows, cols) terms, from a value of at most m + 1; deep
+    reduces once, after all of them, and settled after every `_OUTER`
+    terms (`_subtract_product`).  The in-block solve (`_solve_block`) is
+    a fresh product of at most `_SPLIT_BLOCK` <= `_OUTER` terms.  So the
+    two counts above bound these products too; eager forms them with
+    `_mod_matmul`.  D' is then eliminated in the regime of its own
+    shape.
     """
     b = m // 2 + 2
     solve = _OUTER + _SUB
@@ -314,7 +342,8 @@ def _row_step(cols: int) -> int:
 def _first_nonzero(data: np.ndarray) -> np.ndarray:
     """The first nonzero column of each row of `data`, and the column
     count for an all-zero row; scanned one row tile at a time.  Entries
-    are canonical, so the test `!= 0` is exact."""
+    are reduced (canonical, or balanced residues), so the test `!= 0`
+    is exact."""
     rows, cols = data.shape
     first = np.full(rows, cols, dtype=np.int64)
     if cols:
@@ -345,10 +374,21 @@ def _sorted_rows(first: np.ndarray, fill, a: np.ndarray) -> np.ndarray:
 
 
 def working_array_bytes(rows: int, cols: int) -> int:
-    """Bytes of the working array that eliminating a rows x cols matrix
-    allocates: the elimination's one full-size array, 8 bytes an entry
-    in every regime (float64, or int64 when eager)."""
+    """Bytes of the working array that eliminating a dense rows x cols
+    matrix allocates: the elimination's one full-size array, 8 bytes an
+    entry in every regime (float64, or int64 when eager).  The split of
+    a Macaulay matrix (`_split_echelon`) holds less, its C rows and
+    their Schur complement, so for it this is an upper bound."""
     return rows * cols * 8
+
+
+def _echelon_dense(data: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
+    """`_echelon_blocked` on the rows of a canonical int64 matrix."""
+
+    def fill(out, rows):
+        out[...] = data[rows]
+
+    return _echelon_blocked(_first_nonzero(data), fill, data.shape[1], m)
 
 
 def _echelon_blocked(
@@ -544,6 +584,294 @@ def _swap_columns(x: np.ndarray, k: int, p: int) -> None:
     x[:, p] = t
 
 
+def _unit_upper_inverse(u: np.ndarray, m: int) -> np.ndarray:
+    """The inverse of a unit upper triangular matrix over Z_m.
+
+    Entries in and out are canonical.  The two halves are inverted on
+    their own and joined by V12 = -V11 U12 V22, two `_mod_matmul`; a
+    block of at most `_SUB` rows is solved by back substitution in
+    Python integers.
+    """
+    k = len(u)
+    if k <= _SUB:
+        up = u.tolist()
+        inv = [[int(i == j) for j in range(k)] for i in range(k)]
+        for i in reversed(range(k)):
+            for j in range(i + 1, k):
+                t = sum(up[i][l] * inv[l][j] for l in range(i + 1, j + 1))
+                inv[i][j] = -t % m
+        return np.array(inv, dtype=np.int64).reshape(k, k)
+    h = k // 2
+    out = np.zeros_like(u)
+    out[:h, :h] = v11 = _unit_upper_inverse(u[:h, :h], m)
+    out[h:, h:] = v22 = _unit_upper_inverse(u[h:, h:], m)
+    out[:h, h:] = -_mod_matmul(_mod_matmul(v11, u[:h, h:], m), v22, m) % m
+    return out
+
+
+def _reduced_echelon(data: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
+    """The nonzero rows of the reduced row echelon form, and the pivots.
+
+    The blocked elimination's U, times the inverse of its unit upper
+    triangular block on the pivot columns.
+    """
+    upper, pivots = _echelon_dense(data, m)
+    return _mod_matmul(_unit_upper_inverse(upper[:, pivots], m), upper, m), pivots
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Exact sum over each row of a * b mod m, for canonical int64 rows.
+
+    Each product is below 2^62 and reduced before the sum, so a row of
+    k entries sums to less than k m < 2^63 for any k < 2^32; a plain
+    int64 dot would overflow at 2^31 - 1 from three terms on.
+    """
+    prod = a * b
+    prod %= m
+    return prod.sum(axis=1) % m
+
+
+@dataclass(frozen=True, eq=False)
+class ShiftedRows:
+    """The rows x_i w_j of a Macaulay matrix that start a new column.
+
+    `basis` holds the rows w_j, canonical and in reduced row echelon
+    form; `shifts[i]` maps the column of each monomial t to that of
+    x_i t, increasingly.  Row k is x_{var[k]} w_{row[k]}: it is zero left
+    of `lead[k]`, the image of w_j's leading column, and 1 there.  `lead`
+    is strictly increasing, so the rows are in echelon form with unit
+    pivots, and their leading columns are pivots of any matrix whose
+    row space holds them.
+    """
+
+    basis: np.ndarray
+    shifts: np.ndarray
+    var: np.ndarray
+    row: np.ndarray
+    lead: np.ndarray
+    cols: int
+
+    @cached_property
+    def rest(self) -> np.ndarray:
+        """The columns that lead no row, in order."""
+        keep = np.ones(self.cols, dtype=bool)
+        keep[self.lead] = False
+        return np.flatnonzero(keep)
+
+    @cached_property
+    def source(self) -> np.ndarray:
+        """source[i, c]: the column t with shifts[i, t] = c, or -1."""
+        nv, nb = self.shifts.shape
+        out = np.full((nv, self.cols), -1, dtype=np.int64)
+        out[np.arange(nv)[:, None], self.shifts] = np.arange(nb)
+        return out
+
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """`source`, with -1 where t leads a row w_j of the basis.
+
+        The basis is reduced, so its column t is then zero but in w_j,
+        and of the rows x_i w, only x_i w_j, which leads column c, is
+        nonzero at c.  No product needs those columns: a row never
+        reduces its own leading column.
+        """
+        out = self.source.copy()
+        leads = np.zeros(self.basis.shape[1] + 1, dtype=bool)
+        leads[(self.basis != 0).argmax(axis=1)] = True
+        out[leads[out]] = -1
+        return out
+
+    def block(self, k0: int, k1: int) -> np.ndarray:
+        """Rows k0..k1 in their own leading columns: unit upper
+        triangular, canonical int64."""
+        t = self.source[self.var[k0:k1, None], self.lead[None, k0:k1]]
+        return np.where(t >= 0, self.basis[self.row[k0:k1, None], t], 0)
+
+    def dense(self) -> np.ndarray:
+        """Every row at full width, as int64."""
+        out = np.zeros((self.lead.size, self.cols), dtype=np.int64)
+        np.put_along_axis(out, self.shifts[self.var], self.basis[self.row], axis=1)
+        return out
+
+    def back_substitute(self, x: np.ndarray, m: int) -> None:
+        """Solve the rows for x at their leading columns, in place.
+
+        Every other coordinate of x must be set.  Blocks of
+        `DEFAULT_BLOCK` rows go in decreasing order of leading column:
+        a row is zero left of its lead, so it needs only coordinates
+        right of it.  A block first collects each row's dot with the
+        coordinates known so far (its own leads are still 0), then
+        solves its unit upper triangular block from the last row up.
+        """
+        for k1 in range(self.lead.size, 0, -DEFAULT_BLOCK):
+            k0 = max(k1 - DEFAULT_BLOCK, 0)
+            known = x[self.shifts[self.var[k0:k1]]]
+            acc = _dot_rows(self.basis[self.row[k0:k1]], known, m)
+            tri = self.block(k0, k1)
+            lead = self.lead[k0:k1]
+            for t in range(k1 - k0 - 1, -1, -1):
+                v = -acc[t] % m
+                x[lead[t]] = v
+                acc[:t] = (acc[:t] + tri[:t, t] * v) % m
+
+
+def _subtract_product(target, hit, left, right, reduce_, m, matmul, depth):
+    """target[hit] -= left @ right, in place.
+
+    With `depth`, the product is cut into runs of at most `depth` inner
+    terms, and the touched rows are reduced after each run.
+    """
+    if depth is None:
+        target[hit] -= matmul(left, right)
+        return
+    for s in range(0, left.shape[1], depth):
+        part = target[hit]
+        part -= matmul(left[:, s : s + depth], right[s : s + depth])
+        reduce_(part, m)
+        target[hit] = part
+
+
+def _solve_block(part, tri, reduce_, m, matmul):
+    """Solve X_K U_KK = R_K, transposed: `part` holds R_K^T, reduced,
+    and `tri` is U_KK, unit upper triangular and canonical.
+
+    One product with the exact inverse of `tri`, balanced in float64;
+    `part` itself when `tri` is the identity, as it mostly is.
+    """
+    if np.count_nonzero(tri) == len(tri):
+        return part
+    inv = _unit_upper_inverse(tri, m).T
+    if part.dtype == np.int64:
+        return matmul(inv, part)
+    part = matmul(np.where(inv > m // 2, inv - m, inv).astype(np.float64), part)
+    reduce_(part, m)
+    return part
+
+
+def _solve_multipliers(ct, shifted, pos, starts, sources, wv, reduce_, m, matmul, depth):
+    """Overwrite C's A columns with X, where C_A = X U_AA.
+
+    `ct` holds C transposed, one row per column of C: row pos[k] holds
+    C's column at the lead of A row k and receives X's column k.  The
+    A rows of variable i own the rows starts[i]..starts[i+1], in lead
+    order, and the A row of `ct`'s row p shifts row sources[p] of `wv`,
+    the basis in the working format.  Left-looking, one block of
+    `_SPLIT_BLOCK` A rows at a time: the block's columns lose every
+    earlier A row's contribution, one product per variable, since the
+    A rows of variable i are basis rows shifted by x_i
+    (`ShiftedRows.reach`); then `_solve_block` solves them.
+    """
+    nv = starts.size - 1
+    done = np.zeros(nv, dtype=np.int64)
+    for k0 in range(0, shifted.lead.size, _SPLIT_BLOCK):
+        k1 = min(k0 + _SPLIT_BLOCK, shifted.lead.size)
+        lead = shifted.lead[k0:k1]
+        part = ct[pos[k0:k1]]
+        for i in np.flatnonzero(done):
+            t = shifted.reach[i, lead]
+            hit = np.flatnonzero(t >= 0)
+            if hit.size:
+                g = slice(starts[i], starts[i] + done[i])
+                left = wv[np.ix_(sources[g], t[hit])].T
+                _subtract_product(part, hit, left, ct[g], reduce_, m, matmul, depth)
+        reduce_(part, m)
+        ct[pos[k0:k1]] = _solve_block(part, shifted.block(k0, k1), reduce_, m, matmul)
+        done += np.bincount(shifted.var[k0:k1], minlength=nv)
+
+
+def _schur_update(dt, xt, shifted, starts, sources, wv, reduce_, m, matmul, depth):
+    """D' = C_rest - X A_rest, transposed and in place in `dt`, C's
+    columns that lead no A row; one product per variable."""
+    for i in range(starts.size - 1):
+        g = slice(starts[i], starts[i + 1])
+        t = shifted.reach[i, shifted.rest]
+        hit = np.flatnonzero(t >= 0)
+        if hit.size and g.start < g.stop:
+            left = wv[np.ix_(sources[g], t[hit])].T
+            _subtract_product(dt, hit, left, xt[g], reduce_, m, matmul, depth)
+    if depth is None:
+        step = _row_step(dt.shape[1])
+        for s in range(0, dt.shape[0], step):
+            reduce_(dt[s : s + step], m)
+
+
+def _split_echelon(basis, shifts, cols, m):
+    """Row echelon data of a Macaulay matrix, by its A|B / C|D split.
+
+    The matrix has one row x_i w per shift map i and row w of `basis`,
+    w's entries moved to the columns `shifts[i]`; each shift map must be
+    increasing, so x_i w starts at the image of w's first nonzero column.
+    Its row space is that of the rows x_i w'_j, where W' is the reduced
+    row echelon form of `basis`.  Among those, the rows A, one for each
+    distinct leading column, are in echelon form with unit pivots
+    (`ShiftedRows`); the others are C.  The pivots are A's leading
+    columns together with those of the Schur complement D' = C_rest -
+    X A_rest, with X solved from C_A = X A_A (`_solve_multipliers`,
+    `_schur_update`); D' is eliminated by `_echelon_blocked`.  Only C
+    is ever written out, transposed, in one working array whose A
+    columns X overwrites; D' is copied out of it, and C freed, before
+    D''s elimination allocates its own.  Returns D''s U over the columns
+    `rest` of the `ShiftedRows`, the pivots of the whole matrix, and the
+    `ShiftedRows`; `null_vector` solves for a kernel vector from them.
+
+    The products run in the regime of the whole matrix's shape
+    (`_regime`); D' picks its own.
+    """
+    nv, nb = shifts.shape[0], basis.shape[0]
+    regime = _regime((nv * nb, cols), m)
+    if regime == "eager":
+        dtype, reduce_, matmul = np.int64, _reduce_i64, partial(_mod_matmul, m=m)
+    else:
+        dtype, reduce_, matmul = np.float64, _ReduceF64(m), np.matmul
+    depth = _OUTER if regime == "settled" else None
+    wp, lm = _reduced_echelon(basis, m)
+    # row (i, j) of the shifted basis is number i * rank + j; A takes
+    # the first row, the one of least i, at each leading column
+    rank = len(lm)
+    lead = shifts[:, lm].ravel()
+    order = np.argsort(lead, kind="stable")
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = lead[order[1:]] != lead[order[:-1]]
+    a, c = order[new], order[~new]
+    shifted = ShiftedRows(wp, shifts, a // rank, a % rank, lead[a], cols)
+    wv = wp.astype(dtype)
+    if regime != "eager":
+        wv[wv > m // 2] -= m
+    # C's columns, in the order the working array holds them: X's,
+    # grouped by variable and each group in lead order, then the
+    # columns that lead no A row
+    na, rest = a.size, shifted.rest
+    group = np.argsort(shifted.var, kind="stable")
+    pos = np.empty(na, dtype=np.int64)
+    pos[group] = np.arange(na)
+    starts = np.searchsorted(shifted.var[group], np.arange(nv + 1))
+    where = np.empty(cols, dtype=np.int64)
+    where[shifted.lead] = pos
+    where[rest] = na + np.arange(rest.size)
+    # C row s of those numbered c is column s of ct
+    ct = np.zeros((cols, c.size), dtype=dtype)
+    step = _row_step(nb)
+    for s in range(0, c.size, step):
+        q = c[s : s + step]
+        ct[where[shifts[q // rank]], np.arange(s, s + q.size)[:, None]] = wv[q % rank]
+    sources = shifted.row[group]
+    args = (starts, sources, wv, reduce_, m, matmul, depth)
+    _solve_multipliers(ct, shifted, pos, *args)
+    _schur_update(ct[na:], ct[:na], shifted, *args)
+    d = np.empty((c.size, rest.size), dtype=dtype)
+    step = _row_step(c.size)
+    for s in range(0, rest.size, step):
+        d[:, s : s + step] = ct[na + s : na + s + step].T
+    del ct
+
+    def fill(out, sel):
+        out[...] = d[sel]
+
+    upper, pivots = _echelon_blocked(_first_nonzero(d), fill, rest.size, m)
+    pivots = np.sort(np.concatenate([shifted.lead, rest[pivots]]))
+    return upper, pivots.tolist(), shifted
+
+
 class FfMatrix:
     """Immutable dense matrix over Z_m, entries canonical in [0, m)."""
 
@@ -636,69 +964,72 @@ class FfMatrix:
 
     def rref(self, naive: bool = False) -> "RrefResult":
         m = self.modulus.value
+        shifted = None
         if naive:
             echelon, pivots = _rref_naive(self.data, m)
             upper = echelon[: len(pivots)]
         else:
-            first, fill = self._rows()
-            upper, pivots = _echelon_blocked(first, fill, self.cols, m)
+            upper, pivots, shifted = self._echelon(m)
         upper.setflags(write=False)
         return RrefResult(
             upper=upper,
             pivot_cols=tuple(pivots),
             modulus=self.modulus,
             rows=self.rows,
+            cols=self.cols,
+            shifted=shifted,
         )
 
     def rank(self, naive: bool = False) -> int:
         return self.rref(naive=naive).rank
 
-    def _rows(self):
-        """The rows as the blocked elimination takes them: `first`, the
-        first nonzero column of each row, and `fill(out, rows)`, which
-        writes the rows numbered `rows` into `out` (`_sorted_rows`).  A
-        matrix that can write its rows without holding `data` overrides
-        this."""
-        data = self.data
-
-        def fill(out, rows):
-            out[...] = data[rows]
-
-        return _first_nonzero(data), fill
+    def _echelon(self, m: int):
+        """The blocked elimination: U, the pivots, and the rows it left
+        out of U as already in echelon form (`ShiftedRows`, or None).  A
+        matrix with more structure than `data` overrides this."""
+        upper, pivots = _echelon_dense(self.data, m)
+        return upper, pivots, None
 
 
 @dataclass(frozen=True, eq=False)
 class RrefResult:
     """Row echelon data of one elimination: rank, pivots and the rows U.
 
-    `upper` holds the `rank` nonzero rows of a row echelon form, entries
-    in [0, m): row k is zero left of `pivot_cols[k]` and 1 there, so U
-    restricted to the pivot columns is unit upper triangular.  Rank
-    tests and kernel vectors need nothing more, and the elimination
-    stops there.  `echelon`, the reduced row echelon form padded with
-    zero rows to `rows`, is the naive reduction of U on first access:
-    U has the input's row space and pivots, so this is the input's
-    canonical reduced form, whichever path produced U.
+    `upper` holds nonzero rows of a row echelon form, entries in [0, m):
+    row k is zero left of its pivot and 1 there, so U restricted to its
+    pivot columns is unit upper triangular.  Without `shifted`, U has
+    all `rank` rows over all `cols` columns, its pivots `pivot_cols`.
+    With it, the matrix's other echelon rows are the `ShiftedRows`, and
+    U is the echelon form of the Schur complement over the columns that
+    lead none of them (`shifted.rest`, `_split_echelon`).  Rank tests
+    and kernel vectors need nothing more, and the elimination stops
+    there.  `echelon`, the reduced row echelon form padded with zero
+    rows to `rows`, is the naive reduction of all the echelon rows on
+    first access: they have the input's row space and pivots, so this
+    is the input's canonical reduced form, whichever path produced them.
     """
 
     upper: np.ndarray
     pivot_cols: tuple[int, ...]
     modulus: PrimeModulus
     rows: int
+    cols: int
+    shifted: ShiftedRows | None = None
 
     @property
     def rank(self) -> int:
         return len(self.pivot_cols)
 
-    @property
-    def cols(self) -> int:
-        return self.upper.shape[1]
-
     @cached_property
     def echelon(self) -> FfMatrix:
-        reduced, _ = _rref_naive(self.upper, self.modulus.value)
+        rows = self.upper
+        if self.shifted is not None:
+            schur = np.zeros((len(rows), self.cols), dtype=np.int64)
+            schur[:, self.shifted.rest] = rows
+            rows = np.vstack([self.shifted.dense(), schur])
+        reduced, _ = _rref_naive(rows, self.modulus.value)
         full = np.zeros((self.rows, self.cols), dtype=np.int64)
-        full[: self.rank] = reduced
+        full[: self.rank] = reduced[: self.rank]
         return FfMatrix(full, self.modulus)
 
     @property
@@ -713,8 +1044,11 @@ def null_vector(res: RrefResult, f0) -> np.ndarray:
     Solves U x = 0 for the pivot coordinates by blocked back-substitution
     over the echelon rows, from the last pivot block up; U is unit upper
     triangular on the pivot columns, so the solution is unique and equals
-    -X f0 from the reduced form.  The result is annihilated exactly by
-    any matrix whose row space the echelon rows came from.
+    -X f0 from the reduced form.  After a split elimination, U covers
+    only the columns `res.shifted.rest`; the shifted rows then give the
+    coordinates at their leading columns (`ShiftedRows.back_substitute`).
+    The result is annihilated exactly by any matrix whose row space the
+    echelon rows came from.
     """
     m = res.modulus.value
     c = res.cols - res.rank
@@ -725,17 +1059,31 @@ def null_vector(res: RrefResult, f0) -> np.ndarray:
         raise ValueError(f"free vector must have length {c}, got {f0.shape}")
     normal = np.zeros(res.cols, dtype=np.int64)
     normal[list(res.free_cols)] = f0
-    upper = res.upper
-    for i0 in reversed(range(0, res.rank, DEFAULT_BLOCK)):
-        i1 = min(i0 + DEFAULT_BLOCK, res.rank)
-        pcols = list(res.pivot_cols[i0:i1])
+    shifted = res.shifted
+    if shifted is None:
+        _back_substitute(res.upper, list(res.pivot_cols), normal, m)
+        return normal
+    rest = shifted.rest
+    pivots = np.setdiff1d(res.pivot_cols, shifted.lead, assume_unique=True)
+    part = normal[rest]
+    _back_substitute(res.upper, np.searchsorted(rest, pivots).tolist(), part, m)
+    normal[rest] = part
+    shifted.back_substitute(normal, m)
+    return normal
+
+
+def _back_substitute(upper, pivots, x, m) -> None:
+    """Solve U x = 0 for x at the pivot columns, in place, the other
+    coordinates given; U is unit upper triangular on `pivots`."""
+    for i0 in reversed(range(0, len(pivots), DEFAULT_BLOCK)):
+        i1 = min(i0 + DEFAULT_BLOCK, len(pivots))
+        pcols = pivots[i0:i1]
         first = pcols[0]
         # rows i0..i1 against every coordinate known so far: the free
         # ones and the pivots of later blocks (this block's are still 0)
-        acc = _mod_matmul(upper[i0:i1, first:], normal[first:, None], m)[:, 0]
+        acc = _mod_matmul(upper[i0:i1, first:], x[first:, None], m)[:, 0]
         tri = upper[i0:i1, pcols]
         for t in range(i1 - i0 - 1, -1, -1):
-            x = -acc[t] % m
-            normal[pcols[t]] = x
-            acc[:t] = (acc[:t] + tri[:t, t] * x) % m
-    return normal
+            v = -acc[t] % m
+            x[pcols[t]] = v
+            acc[:t] = (acc[:t] + tri[:t, t] * v) % m

@@ -236,8 +236,9 @@ def _physical_memory() -> int | None:
 
 
 def _check_memory(n: int, r: int) -> None:
-    """Refuse an (n, r) run whose elimination working array, its one
-    full-size array, exceeds physical memory, before anything is built."""
+    """Refuse an (n, r) run whose Terracini matrix, as one 8-byte array,
+    exceeds physical memory, before anything is built.  The elimination
+    holds less (`working_array_bytes`), so this is a safe upper bound."""
     rows, cols = 3 * (n + 1) * r, ambient_dimension(n)
     need = working_array_bytes(rows, cols)
     have = _physical_memory()

@@ -15,13 +15,7 @@ from chowcert.geometry import (
     tangent_basis,
     terracini_matrix,
 )
-from chowcert.matrix import (
-    FfMatrix,
-    _first_nonzero,
-    _regime,
-    _sorted_rows,
-    null_vector,
-)
+from chowcert.matrix import FfMatrix, _regime, _rref_naive, null_vector
 from chowcert.pipeline import default_r
 from chowcert.poly import LinearForm, Poly, contract, monomial_basis
 
@@ -160,6 +154,16 @@ def oracle_points(n, modulus):
     return points + [ChowPoint(tuple(forms))]
 
 
+def late_point(n, modulus, rng):
+    """A point whose forms vanish on x_0..x_{n/2 - 1}."""
+    m = modulus.value
+    coords = [rng.vector(modulus, n + 1) for _ in range(3)]
+    for c in coords:
+        c[: n // 2] = 0
+        c[n // 2] = 1 + c[n // 2] % (m - 1)
+    return ChowPoint(tuple(LinearForm(c, modulus) for c in coords))
+
+
 class TestTerraciniOracle:
     @pytest.mark.parametrize("prime", (3, 20201, 2**31 - 1))
     @pytest.mark.parametrize("n", (1, 2, 5, 12))
@@ -172,18 +176,11 @@ class TestTerraciniOracle:
     @pytest.mark.parametrize("n", (5, 12))
     def test_forms_with_leading_zeros(self, n, prime):
         """A point whose forms vanish on x_0..x_{n/2 - 1}: its rows start
-        far right of a generic point's, and the elimination, which takes
-        rows in order of their first nonzero column, must still agree
-        with the naive one."""
+        far right of a generic point's, and the elimination must still
+        agree with the naive one."""
         modulus = PrimeModulus(prime)
-        m = modulus.value
-        rng = SeededRng(77 * n + m % 1000)
-        coords = [rng.vector(modulus, n + 1) for _ in range(3)]
-        for c in coords:
-            c[: n // 2] = 0
-            c[n // 2] = 1 + c[n // 2] % (m - 1)
-        late = ChowPoint(tuple(LinearForm(c, modulus) for c in coords))
-        points = [late, sample_point(n, modulus, rng)]
+        rng = SeededRng(77 * n + prime % 1000)
+        points = [late_point(n, modulus, rng), sample_point(n, modulus, rng)]
         mat = terracini_matrix(points)
         assert np.array_equal(mat.data, tangent_rows(points))
         naive = mat.rref(naive=True)
@@ -194,19 +191,12 @@ class TestTerraciniOracle:
         assert np.array_equal(null_vector(fast, f0), null_vector(naive, f0))
 
 
-def sorted_rows(mat):
-    """The working array the blocked elimination starts from, as int64,
-    and `started`."""
-    first, fill = mat._rows()
-    a = np.empty(mat.shape, dtype=np.int64)
-    return a, _sorted_rows(first, fill, a)
-
-
 class TestStreamedBuild:
-    """The rows are written from the quadrics: their first nonzero
-    columns and their sort must equal those of the int64 matrix, in
-    every regime, and eliminate to the same pivots and U as a plain
-    `FfMatrix`."""
+    """The elimination works from the quadrics: it never builds the int64
+    rows, and it must find the pivots and the reduced form of a plain
+    `FfMatrix` of the same rows, in every regime.  (U is not canonical,
+    and the split has none for the whole matrix, so the reduced forms
+    are compared.)"""
 
     @pytest.mark.parametrize(
         "prime,n,regime",
@@ -225,19 +215,114 @@ class TestStreamedBuild:
         points += [sample_point(n, modulus, rng) for _ in range(default_r(n) - 3)]
         tmat = terracini_matrix(points)
         assert _regime(tmat.shape, prime) == regime
-        a, started = sorted_rows(tmat)
         streamed = tmat.rref()
         # neither the shape nor the elimination builds the int64 rows
         assert tmat._data is None
-        assert np.array_equal(tmat._rows()[0], _first_nonzero(tmat.data))
         assert not tmat.data.flags.writeable
-        plain = FfMatrix(tmat.data, modulus)
-        b, expected = sorted_rows(plain)
-        assert np.array_equal(a, b)
-        assert np.array_equal(started, expected)
-        plain = plain.rref()
+        plain = FfMatrix(tmat.data, modulus).rref()
+        assert plain.shifted is None and streamed.shifted is not None
         assert streamed.pivot_cols == plain.pivot_cols
-        assert np.array_equal(streamed.upper, plain.upper)
+        assert streamed.echelon == plain.echelon
+
+
+def split_leads(tmat):
+    """The leading column of every row x_i w'_j, row (i, j) at i * rank
+    + j, where W' is the naive reduced form of the quadrics."""
+    reduced, lm = _rref_naive(tmat._quads, tmat.modulus.value)
+    return reduced[: len(lm)], tmat._shifts[:, lm].ravel()
+
+
+def assert_split_rows(tmat, res):
+    """The A rows are one shifted row of W' per distinct leading column,
+    in echelon form with unit pivots, and U covers the other columns."""
+    rows = res.shifted
+    basis, leads = split_leads(tmat)
+    assert np.array_equal(rows.basis, basis)
+    assert rows.lead.tolist() == sorted(set(leads.tolist()))
+    dense = rows.dense()
+    for k, c in enumerate(rows.lead.tolist()):
+        assert not dense[k, :c].any() and dense[k, c] == 1
+        # row k is x_i w'_j with lead c
+        assert leads[rows.var[k] * len(basis) + rows.row[k]] == c
+    assert rows.rest.tolist() == sorted(set(range(tmat.cols)) - set(leads.tolist()))
+    assert res.upper.shape == (res.rank - rows.lead.size, rows.rest.size)
+
+
+def assert_split_matches_naive(tmat, seed):
+    """Pivots, reduced form and kernel vector of the split elimination
+    equal those of the naive one on the int64 rows."""
+    m = tmat.modulus.value
+    naive = FfMatrix(tmat.data, tmat.modulus).rref(naive=True)
+    split = tmat.rref()
+    assert_split_rows(tmat, split)
+    assert split.pivot_cols == naive.pivot_cols
+    assert split.echelon == naive.echelon
+    if naive.rank < tmat.cols:
+        f0 = np.random.default_rng(seed).integers(0, m, tmat.cols - naive.rank)
+        normal = null_vector(split, f0)
+        assert np.array_equal(normal, null_vector(naive, f0))
+        assert not (tmat.data.astype(object) @ normal.astype(object) % m).any()
+    return split
+
+
+class TestMacaulaySplit:
+    """The Terracini matrix eliminated as the Macaulay matrix of its
+    quadrics (`matrix._split_echelon`), against the naive elimination
+    of its int64 rows."""
+
+    @pytest.mark.parametrize(
+        "prime,n,regime",
+        [
+            # two blocks of A rows, the second one's triangle the identity
+            (20201, 12, "deep"),
+            (11682149, 13, "settled"),
+            (2**31 - 1, 12, "eager"),
+            # quadric coefficients vanish often
+            (7, 9, "deep"),
+        ],
+    )
+    def test_regimes(self, prime, n, regime):
+        modulus = PrimeModulus(prime)
+        rng = SeededRng(prime % 1000 + n)
+        points = [sample_point(n, modulus, rng) for _ in range(default_r(n))]
+        tmat = terracini_matrix(points)
+        assert _regime(tmat.shape, prime) == regime
+        assert_split_matches_naive(tmat, n)
+        # several rows x_i w'_j share a leading column: C is not empty
+        _, leads = split_leads(tmat)
+        assert np.unique(leads, return_counts=True)[1].max() >= 3
+
+    @pytest.mark.parametrize("prime", (3, 7, 20201, 2**31 - 1))
+    @pytest.mark.parametrize("n", (1, 2, 5, 12))
+    def test_oracle_points(self, n, prime):
+        tmat = terracini_matrix(oracle_points(n, PrimeModulus(prime)))
+        assert_split_matches_naive(tmat, prime + n)
+
+    @pytest.mark.parametrize("prime", (7, 20201, 2**31 - 1))
+    @pytest.mark.parametrize("n", (5, 12))
+    def test_forms_with_leading_zeros(self, n, prime):
+        modulus = PrimeModulus(prime)
+        rng = SeededRng(31 * n + prime % 1000)
+        points = [late_point(n, modulus, rng), sample_point(n, modulus, rng)]
+        assert_split_matches_naive(terracini_matrix(points), n)
+
+    @pytest.mark.parametrize("prime", (7, 20201, 2**31 - 1))
+    @pytest.mark.parametrize("n", (1, 2, 6, 10))
+    def test_repeated_point(self, n, prime):
+        """A point taken twice: its quadrics repeat, so rank W < 3r."""
+        modulus = PrimeModulus(prime)
+        rng = SeededRng(n + prime % 1000)
+        p, q = (sample_point(n, modulus, rng) for _ in range(2))
+        tmat = terracini_matrix([p, q, p])
+        res = assert_split_matches_naive(tmat, n)
+        assert len(res.shifted.basis) < len(tmat._quads)
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_smallest_n(self, n):
+        rng = SeededRng(n)
+        for r in (1, 2, 3):
+            points = [sample_point(n, MOD, rng) for _ in range(r)]
+            assert_split_matches_naive(terracini_matrix(points), r)
 
 
 def certified_normal(points):

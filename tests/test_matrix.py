@@ -9,25 +9,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowcert.field import PrimeModulus, is_prime
+from chowcert.geometry import TerraciniMatrix
 from chowcert.matrix import (
     _F64_EXACT,
     _LIMB,
     _OUTER,
+    _SPLIT_BLOCK,
     _SUB,
     DEFAULT_BLOCK,
     FfMatrix,
+    ShiftedRows,
     _matmul_naive,
     _mod_matmul,
     _apply_pivots,
+    _dot_rows,
     _extend_solve,
     _factor_panel,
+    _first_nonzero,
     _OUTER_WIDTH,
     _reduce_i64,
     _ReduceF64,
     _regime,
+    _schur_update,
+    _solve_block,
+    _solve_multipliers,
     _sorted_rows,
+    _subtract_product,
     null_vector,
 )
+from chowcert.poly import _shift_map
 
 MOD = PrimeModulus(20201)
 Z7 = PrimeModulus(7)
@@ -625,9 +635,12 @@ def settled_prime(shape):
 def profile_ordered(data):
     """The working array the blocked elimination starts from, as int64,
     and `started`."""
-    first, fill = FfMatrix(data, Z7)._rows()
+
+    def fill(out, rows):
+        out[...] = data[rows]
+
     a = np.empty(data.shape, dtype=np.int64)
-    return a, _sorted_rows(first, fill, a)
+    return a, _sorted_rows(_first_nonzero(data), fill, a)
 
 
 class TestRowProfileOrder:
@@ -869,6 +882,52 @@ class TestSwappedMultipliers:
             assert fast.echelon == naive.echelon, m
 
 
+def macaulay_matrix(basis, n, m):
+    """The degree-3 Macaulay matrix of the quadrics `basis` in n + 1
+    variables, row (j, i) being x_i times quadric j; a `TerraciniMatrix`
+    holds any quadrics, and eliminates them by the split."""
+    shifts = np.stack([_shift_map(n, 2, i) for i in range(n + 1)])
+    return TerraciniMatrix(basis, shifts, math.comb(n + 3, 3), PrimeModulus(m))
+
+
+# 33 quadrics in 13 variables: a 429 x 455 Macaulay matrix of rank 429
+# at most, whose A rows make two blocks of the multiplier solve, the
+# first block's triangle not the identity
+SPLIT_N, SPLIT_Q = 12, 33
+SPLIT_SHAPE = ((SPLIT_N + 1) * SPLIT_Q, math.comb(SPLIT_N + 3, 3))
+
+
+def split_counts(shape):
+    """Per product of the split, the terms a value collects before it is
+    next reduced, in the deep and in the settled regime (`_regime`): one
+    per A row, at most min(shape), for the X update and the Schur
+    product, cut into runs of `_OUTER` when settled; `_SPLIT_BLOCK` for
+    the in-block solve."""
+    return {
+        "X update": (min(shape), _OUTER),
+        "in-block solve": (_SPLIT_BLOCK, _SPLIT_BLOCK),
+        "Schur product": (min(shape), _OUTER),
+    }
+
+
+def split_bases(m, rng):
+    """(name, quadrics) for the split at modulus m: random quadrics, ones
+    with repeated rows (so rank W < 3r), and reduced ones whose free
+    entries balance to the largest residues, +-(m - 1) / 2, or to the
+    smallest (`top_heavy`); reduced, they are W' itself."""
+    q, nb = SPLIT_Q, math.comb(SPLIT_N + 2, 2)
+    eye = np.eye(q, dtype=np.int64)
+    rand = rng.integers(0, m, (q, nb))
+    repeated = rand.copy()
+    repeated[q // 2 :] = rand[: q - q // 2]
+    return [
+        ("random", rand),
+        ("repeated", repeated),
+        ("half modulus", np.hstack([eye, half_modulus_matrix(q, nb - q, m, rng)])),
+        ("top heavy", np.hstack([eye, top_heavy(q, nb - q, m, rng)])),
+    ]
+
+
 class TestExactness:
     """Every value a float64 regime reduces is within the reduction's
     stated precondition, |x| <= 2^53 - m, each of the settled regime's
@@ -920,6 +979,100 @@ class TestExactness:
                 mat = FfMatrix(data, PrimeModulus(m))
                 assert mat.rref().pivot_cols == mat.rref(naive=True).pivot_cols
         assert seen
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_split_preconditions_hold(self, regime, monkeypatch):
+        """The same for the products of the split (`_split_echelon`), each
+        of which must run: the left-looking X update, the in-block
+        solve, the Schur product, and the A back-substitution, whose
+        dots (`_dot_rows`) must stay inside int64."""
+        m = {
+            "deep": deep_limit_prime(SPLIT_SHAPE),
+            "settled": settled_prime(SPLIT_SHAPE),
+            "eager": P31,
+        }[regime]
+        assert _regime(SPLIT_SHAPE, m) == regime
+        if regime != "eager":
+            limit = regime_counts(SPLIT_SHAPE)[REGIMES.index(regime)]
+            for name, counts in split_counts(SPLIT_SHAPE).items():
+                assert counts[REGIMES.index(regime)] <= limit, name
+        phase = []
+        seen = set()
+
+        def within(name, f):
+            def run(*args):
+                phase.append(name)
+                try:
+                    return f(*args)
+                finally:
+                    phase.pop()
+
+            return run
+
+        def checked_reduce(self, x, m):
+            assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
+            seen.add(phase[-1] if phase else None)
+            reduce_f64(self, x, m)
+
+        def checked_matmul(a, b, m):
+            for x in (a, b):
+                assert x.min(initial=0) >= 0 and x.max(initial=0) < m
+            seen.add(phase[-1] if phase else None)
+            return mod_matmul(a, b, m)
+
+        def checked_dots(a, b, m):
+            for x in (a, b):
+                assert x.min(initial=0) >= 0 and x.max(initial=0) < m
+            # each product below 2^63, reduced, and their sum too
+            assert (m - 1) ** 2 <= I64_MAX and a.shape[1] * (m - 1) <= I64_MAX
+            seen.add("A back-substitution")
+            return dot_rows(a, b, m)
+
+        reduce_f64, mod_matmul, dot_rows = _ReduceF64.__call__, _mod_matmul, _dot_rows
+        monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
+        monkeypatch.setattr("chowcert.matrix._mod_matmul", checked_matmul)
+        monkeypatch.setattr("chowcert.matrix._dot_rows", checked_dots)
+        for name, f in (
+            ("X update", _solve_multipliers),
+            ("in-block solve", _solve_block),
+            ("Schur product", _schur_update),
+        ):
+            monkeypatch.setattr(f"chowcert.matrix.{f.__name__}", within(name, f))
+        rng = np.random.default_rng(m)
+        for name, basis in split_bases(m, rng):
+            mat = macaulay_matrix(basis, SPLIT_N, m)
+            naive = FfMatrix(mat.data, mat.modulus).rref(naive=True)
+            res = mat.rref()
+            assert res.pivot_cols == naive.pivot_cols, name
+            f0 = rng.integers(0, m, mat.cols - naive.rank)
+            assert np.array_equal(null_vector(res, f0), null_vector(naive, f0)), name
+        assert {"X update", "in-block solve", "Schur product", "A back-substitution"} <= seen
+
+    def test_settled_products_reduced_between_runs(self, monkeypatch):
+        """Settled, a product deeper than `_OUTER` is cut into runs, each
+        reduced before the next: at the largest settled modulus, with the
+        largest balanced residues, the sum of all its terms would leave
+        the reduction's range."""
+        m = settled_prime(SPLIT_SHAPE)
+        inner = 2 * _OUTER + 5
+        assert not fits_f64(inner, m)
+
+        def checked_reduce(self, x, m):
+            assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
+            reduce_f64(self, x, m)
+
+        reduce_f64 = _ReduceF64.__call__
+        monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
+        rng = np.random.default_rng(m)
+        b = m // 2
+        left = np.full((3, inner), float(b))
+        right = np.full((inner, 4), float(b))
+        target = residues((5, 4), m, rng, True).astype(np.float64)
+        hit = np.array([0, 2, 4])
+        want = target.astype(np.int64).astype(object)
+        want[hit] -= left.astype(np.int64).astype(object) @ right.astype(np.int64).astype(object)
+        _subtract_product(target, hit, left, right, _ReduceF64(m), m, np.matmul, _OUTER)
+        assert (target.astype(np.int64) % m).tolist() == (want % m).tolist()
 
 
 class TestEliminationMemory:

@@ -12,9 +12,11 @@ from chowcert.certificate import (
     parse_certificate,
 )
 from chowcert.field import derive_seed
+from chowcert.geometry import terracini_matrix
 from chowcert.matrix import FfMatrix, _regime
 from chowcert.pipeline import (
     GenericityError,
+    _point_from_vectors,
     certify,
     default_r,
     generic_rank,
@@ -423,8 +425,8 @@ def traced_peak(run):
 
 
 class TestTerraciniMemory:
-    """certify and verify eliminate the working array written straight
-    from the quadrics: the int64 Terracini matrix is never built."""
+    """certify and verify write only the split's C rows, straight from
+    the quadrics: the int64 Terracini matrix is never built."""
 
     def test_data_never_built(self, monkeypatch):
         import chowcert.pipeline as pl
@@ -443,13 +445,20 @@ class TestTerraciniMemory:
         assert all(t._data is None for t in built)
 
     def test_peak_near_one_working_array(self):
-        # at n=20 the matrix (26 MB) is far larger than one 2 MB row
-        # tile of the trailing update, whose temporaries would dominate
-        # the peak of a smaller case
-        n = 20
-        rows, cols = 3 * (n + 1) * default_r(n), comb(n + 3, 3)
+        # certify and verify hold one working array of the C rows, and
+        # D' beside it while it is copied out: C plus D', 34 MB at n=24,
+        # where the Terracini matrix is 67 MB, so the bound fails for any
+        # array of the whole matrix; the 2 MB row tiles and the X solve's
+        # blocks of 256 C columns would dominate a smaller case
+        n = 24
         cert, certify_peak = traced_peak(lambda: certify(n, seed=3))
         report, verify_peak = traced_peak(lambda: verify_certificate(cert))
         assert report.ok
-        assert certify_peak < 1.3 * rows * cols * 8
-        assert verify_peak < 1.3 * rows * cols * 8
+        points = [_point_from_vectors(vs, cert.modulus) for vs in cert.points]
+        tmat = terracini_matrix(points)
+        split = tmat.rref().shifted
+        c_rows = (n + 1) * len(split.basis) - split.lead.size
+        working = c_rows * (tmat.cols + split.rest.size) * 8
+        assert working < 0.6 * tmat.rows * tmat.cols * 8
+        assert certify_peak < 1.2 * working
+        assert verify_peak < 1.2 * working
