@@ -18,7 +18,6 @@ from chowcert.matrix import (
     _SUB,
     DEFAULT_BLOCK,
     FfMatrix,
-    ShiftedRows,
     _matmul_naive,
     _mod_matmul,
     _apply_pivots,
