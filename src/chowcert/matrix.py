@@ -659,33 +659,30 @@ class ShiftedRows:
         return np.flatnonzero(keep)
 
     @cached_property
-    def source(self) -> np.ndarray:
-        """source[i, c]: the column t with shifts[i, t] = c, or -1."""
-        nv, nb = self.shifts.shape
-        out = np.full((nv, self.cols), -1, dtype=np.int64)
-        out[np.arange(nv)[:, None], self.shifts] = np.arange(nb)
-        return out
-
-    @cached_property
     def reach(self) -> np.ndarray:
-        """`source`, with -1 where t leads a row w_j of the basis.
+        """reach[i, c]: the column t with shifts[i, t] = c, or -1 where
+        there is none or t leads a row w_j of the basis.
 
         The basis is reduced, so its column t is then zero but in w_j,
-        and of the rows x_i w, only x_i w_j, which leads column c, is
-        nonzero at c.  No product needs those columns: a row never
-        reduces its own leading column.
+        and of the rows x_i w, only x_i w_j, which leads c, is nonzero at
+        c.  No product needs those entries: a row never reduces its own
+        leading column.
         """
-        out = self.source.copy()
-        leads = np.zeros(self.basis.shape[1] + 1, dtype=bool)
-        leads[(self.basis != 0).argmax(axis=1)] = True
-        out[leads[out]] = -1
+        nv, nb = self.shifts.shape
+        t = np.arange(nb)
+        t[(self.basis != 0).argmax(axis=1)] = -1
+        out = np.full((nv, self.cols), -1, dtype=np.int64)
+        out[np.arange(nv)[:, None], self.shifts] = t
         return out
 
     def block(self, k0: int, k1: int) -> np.ndarray:
         """Rows k0..k1 in their own leading columns: unit upper
-        triangular, canonical int64."""
-        t = self.source[self.var[k0:k1, None], self.lead[None, k0:k1]]
-        return np.where(t >= 0, self.basis[self.row[k0:k1, None], t], 0)
+        triangular, canonical int64; off the diagonal, only the entries
+        that `reach` finds can be nonzero."""
+        t = self.reach[self.var[k0:k1, None], self.lead[None, k0:k1]]
+        out = np.where(t >= 0, self.basis[self.row[k0:k1, None], t], 0)
+        np.fill_diagonal(out, 1)
+        return out
 
     def dense(self) -> np.ndarray:
         """Every row at full width, as int64."""
