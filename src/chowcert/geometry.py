@@ -124,12 +124,15 @@ class TerraciniMatrix(FfMatrix):
     (`matrix._split_echelon`): only the rows that do not start a new
     column are ever written out.  The int64 matrix `data` is never
     needed for a rank or a kernel vector; it is built on first access.
+    The quadrics are kept read-only, so an elimination copies them
+    rather than working in them (`matrix._echelon_blocked`).
     """
 
     __slots__ = ("_quads", "_shifts", "_shape", "_data")
 
     def __init__(self, quads: np.ndarray, shifts: np.ndarray, cols: int, modulus):
-        self._quads = quads
+        self._quads = quads.view()
+        self._quads.setflags(write=False)
         self._shifts = shifts
         self._shape = (quads.shape[0] * shifts.shape[0], cols)
         self._data = None

@@ -7,11 +7,12 @@ a panel-blocked one whose bulk updates are exact dgemm calls.
 
 The blocked elimination stops at row echelon form: rank, pivots and the
 unit-upper rows U, which is all that rank tests and kernel vectors need.
-Rows join it at their first nonzero column: it sorts them by that
-column and eliminates each panel only on the rows that have started.
-There is no Gauss-Jordan back pass: kernel vectors come from
-back-substitution over U.  Pivots and the kernel vector with given free
-coordinates are canonical, so both paths return bit-identical results.
+It takes the rows in the order given: the matrices it eliminates (the
+quadrics, the Schur complement of a split, the Hessian) are dense, with
+nearly every row nonzero from the first columns on.  There is no
+Gauss-Jordan back pass: kernel vectors come from back-substitution
+over U.  Pivots and the kernel vector with given free coordinates are
+canonical, so both paths return bit-identical results.
 
 Entries live in int64 arrays; moduli below 2^31 are supported.  Every
 product is a float64 dgemm kept exact, below 2^53: one plain dgemm when
@@ -339,82 +340,32 @@ def _row_step(cols: int) -> int:
     return max(1, _TILE // max(cols, 1))
 
 
-def _first_nonzero(data: np.ndarray) -> np.ndarray:
-    """The first nonzero column of each row of `data`, and the column
-    count for an all-zero row; scanned one row tile at a time.  Entries
-    are reduced (canonical, or balanced residues), so the test `!= 0`
-    is exact."""
-    rows, cols = data.shape
-    first = np.full(rows, cols, dtype=np.int64)
-    if cols:
-        step = _row_step(cols)
-        for s in range(0, rows, step):
-            nz = data[s : s + step] != 0
-            first[s : s + step] = np.where(nz.any(axis=1), nz.argmax(axis=1), cols)
-    return first
-
-
-def _sorted_rows(first: np.ndarray, fill, a: np.ndarray) -> np.ndarray:
-    """Write the rows into `a`, stably sorted by first nonzero column.
-
-    `first[q]` is the first nonzero column of row q (the column count
-    for an all-zero row), and `fill(out, rows)` writes the rows numbered
-    `rows` into `out`, one per row of it.  It is called one row tile at
-    a time, so no full-size temporary is allocated beside `a`.  Returns
-    `started`, where `started[c]` counts the rows whose first nonzero
-    column is below c.
-    """
-    cols = a.shape[1]
-    perm = np.argsort(first, kind="stable")
-    started = np.searchsorted(first[perm], np.arange(cols + 1))
-    step = _row_step(cols)
-    for s in range(0, first.size, step):
-        fill(a[s : s + step], perm[s : s + step])
-    return started
-
-
 def working_array_bytes(rows: int, cols: int) -> int:
-    """Bytes of the working array that eliminating a dense rows x cols
-    matrix allocates: the elimination's one full-size array, 8 bytes an
-    entry in every regime (float64, or int64 when eager).  The split of
-    a Macaulay matrix (`_split_echelon`) holds less, its C rows and
-    their Schur complement, so for it this is an upper bound."""
+    """Bytes of a whole rows x cols matrix as one 8-byte array.  A dense
+    matrix is eliminated in one such array (float64, or int64 when
+    eager).  The split of a Macaulay matrix (`_split_echelon`) holds its
+    C rows and, while it copies it out, their Schur complement D': about
+    half of this at generic points, but C has more rows for other bases,
+    up to nearly as many as the whole matrix."""
     return rows * cols * 8
 
 
-def _echelon_dense(data: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
-    """`_echelon_blocked` on the rows of a canonical int64 matrix."""
-
-    def fill(out, rows):
-        out[...] = data[rows]
-
-    return _echelon_blocked(_first_nonzero(data), fill, data.shape[1], m)
-
-
-def _echelon_blocked(
-    first: np.ndarray, fill, cols: int, m: int
-) -> tuple[np.ndarray, list[int]]:
+def _echelon_blocked(a: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
     """Panel-blocked row echelon form with deferred reduction.
 
-    Takes the rows as `_sorted_rows` does, `first` and `fill`, and
-    writes them into its working array, float64 or, in the eager regime
-    (`_regime`), int64.  Returns the rank nonzero rows U of a row
-    echelon form, reduced to [0, m), and the pivot columns: row k of U
-    is zero left of pivot k and 1 at it.  Rank-1 updates accumulate
-    unreduced; a value is reduced mod m only when it is about to be read
-    (the pivot-search column, the pivot row, matmul operands), within
-    the bounds that `_regime` checks.  In float64 the reductions leave
+    Eliminates the rows of `a`, entries reduced (canonical, or balanced
+    residues), in the order given.  The working array is `a` itself when
+    it is writeable and already of the regime's dtype (`_regime`),
+    float64 or, when eager, int64; otherwise one copy of it in that
+    dtype.  Returns the rank nonzero rows U of a row echelon form,
+    reduced to [0, m), and the pivot columns: row k of U is zero left of
+    pivot k and 1 at it.  Pivots do not depend on the row order; U,
+    which is not canonical, does.  Rank-1 updates accumulate unreduced;
+    a value is reduced mod m only when it is about to be read (the
+    pivot-search column, the pivot row, matmul operands), within the
+    bounds that `_regime` checks.  In float64 the reductions leave
     balanced residues; U is made canonical when it is converted to
     int64.
-
-    Rows join the elimination at their first nonzero column: they come
-    sorted by it, and each panel [c0, c1) and its trailing update
-    involve only the rows that start left of c1.  The later rows are
-    zero in every pivot column so far, so every multiplier for them is
-    zero and no pivot touches them; a panel with no started rows is
-    skipped.  Pivot columns do not depend on the row
-    order, so only U, which is not canonical, can differ from an
-    elimination in the given order.  A dense input keeps its order.
 
     The columns are cut into outer panels (`_OUTER_WIDTH`).  An outer
     panel is factored in panels of `DEFAULT_BLOCK` columns
@@ -423,9 +374,10 @@ def _echelon_blocked(
     the columns right of it in one delayed update, a dgemm whose inner
     dimension is their count; the settled regime then reduces it.  All
     the outer panel's multipliers live in one array, so a later panel's
-    row swap permutes those of the earlier panels too.
+    row swap permutes those of the earlier panels too.  The elimination
+    ends once every row holds a pivot.
     """
-    rows = first.size
+    rows, cols = a.shape
     regime = _regime((rows, cols), m)
     eager = regime == "eager"
     if eager:
@@ -434,40 +386,34 @@ def _echelon_blocked(
         dtype, reduce_, matmul = np.float64, _ReduceF64(m), np.matmul
     settle = reduce_ if regime == "settled" else None
     width = _OUTER_WIDTH[regime]
-    a = np.empty((rows, cols), dtype=dtype)
-    started = _sorted_rows(first, fill, a)
+    if a.dtype != dtype or not a.flags.writeable:
+        a = a.astype(dtype)
     pivots: list[int] = []
     r = 0
     for outer0 in range(0, cols, width):
+        if r == rows:
+            break
         outer1 = min(outer0 + width, cols)
-        # rows from `stop` on are still zero left of outer1: no pivot so
-        # far has touched them, and none in this outer panel will.  Each
-        # pivot so far took a row that had started, so r <= stop.
-        stop = int(started[outer1])
-        if stop == r:
-            continue
         r0 = r
         # mult[i, q]: the multiple of the outer panel's pivot row i
         # subtracted from row r0 + q
-        mult = np.zeros((outer1 - outer0, stop - r0), dtype=dtype)
+        mult = np.zeros((outer1 - outer0, rows - r0), dtype=dtype)
         # the outer panel's solve matrix (`_extend_solve`)
         solve = np.zeros((outer1 - outer0,) * 2, dtype=dtype)
         for c0 in range(outer0, outer1, DEFAULT_BLOCK):
+            if r == rows:
+                break
             c1 = min(c0 + DEFAULT_BLOCK, outer1)
-            end = int(started[c1])
-            if end == r:
-                continue
             q = r - r0
             k = _factor_panel(
-                a[r:end], c0, c1, mult[:, : end - r0], solve, q,
-                pivots, reduce_, m, matmul, eager,
+                a[r:], c0, c1, mult, solve, q, pivots, reduce_, m, matmul, eager
             )
             if k and c1 < outer1:
                 _apply_pivots(
                     a[r : r + k, c1:outer1],
-                    a[r + k : end, c1:outer1],
+                    a[r + k :, c1:outer1],
                     solve[q : q + k, q : q + k],
-                    mult[q : q + k, q + k : end - r0].T,
+                    mult[q : q + k, q + k :].T,
                     reduce_,
                     m,
                     matmul,
@@ -477,7 +423,7 @@ def _echelon_blocked(
         if kk and outer1 < cols:
             _apply_pivots(
                 a[r0:r, outer1:],
-                a[r:stop, outer1:],
+                a[r:, outer1:],
                 solve[:kk, :kk],
                 mult[:kk, kk:].T,
                 reduce_,
@@ -485,6 +431,8 @@ def _echelon_blocked(
                 matmul,
                 settle,
             )
+        # freed before the next outer panel allocates its own
+        del mult, solve
     rank = len(pivots)
     if not eager:
         # converted in place, one row tile at a time, so no second
@@ -613,9 +561,10 @@ def _reduced_echelon(data: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
     """The nonzero rows of the reduced row echelon form, and the pivots.
 
     The blocked elimination's U, times the inverse of its unit upper
-    triangular block on the pivot columns.
+    triangular block on the pivot columns.  `data` is its working array
+    when it can be (`_echelon_blocked`).
     """
-    upper, pivots = _echelon_dense(data, m)
+    upper, pivots = _echelon_blocked(data, m)
     return _mod_matmul(_unit_upper_inverse(upper[:, pivots], m), upper, m), pivots
 
 
@@ -806,8 +755,10 @@ def _split_echelon(basis, shifts, cols, m):
     X A_rest, with X solved from C_A = X A_A (`_solve_multipliers`,
     `_schur_update`); D' is eliminated by `_echelon_blocked`.  Only C
     is ever written out, transposed, in one working array whose A
-    columns X overwrites; D' is copied out of it, and C freed, before
-    D''s elimination allocates its own.  Returns D''s U over the columns
+    columns X overwrites; D' is copied out of it into an array of its
+    own, C is freed, and D' is eliminated in that array.  `basis` is
+    eliminated in place as well when it is a writeable array of the
+    regime's dtype (`_echelon_blocked`).  Returns D''s U over the columns
     `rest` of the `ShiftedRows`, the pivots of the whole matrix, and the
     `ShiftedRows`; `null_vector` solves for a kernel vector from them.
 
@@ -860,11 +811,7 @@ def _split_echelon(basis, shifts, cols, m):
     for s in range(0, rest.size, step):
         d[:, s : s + step] = ct[na + s : na + s + step].T
     del ct
-
-    def fill(out, sel):
-        out[...] = d[sel]
-
-    upper, pivots = _echelon_blocked(_first_nonzero(d), fill, rest.size, m)
+    upper, pivots = _echelon_blocked(d, m)
     pivots = np.sort(np.concatenate([shifted.lead, rest[pivots]]))
     return upper, pivots.tolist(), shifted
 
@@ -984,7 +931,7 @@ class FfMatrix:
         """The blocked elimination: U, the pivots, and the rows it left
         out of U as already in echelon form (`ShiftedRows`, or None).  A
         matrix with more structure than `data` overrides this."""
-        upper, pivots = _echelon_dense(self.data, m)
+        upper, pivots = _echelon_blocked(self.data, m)
         return upper, pivots, None
 
 

@@ -237,15 +237,19 @@ def _physical_memory() -> int | None:
 
 def _check_memory(n: int, r: int) -> None:
     """Refuse an (n, r) run whose Terracini matrix, as one 8-byte array,
-    exceeds physical memory, before anything is built.  The elimination
-    holds less (`working_array_bytes`), so this is a safe upper bound."""
+    exceeds physical memory, before anything is built.  The split
+    elimination holds about half of that at generic points
+    (`working_array_bytes`); the bound stays the whole matrix because a
+    replayed certificate's points are untrusted, and at degenerate
+    points C has more rows, up to nearly as many as the whole matrix."""
     rows, cols = 3 * (n + 1) * r, ambient_dimension(n)
     need = working_array_bytes(rows, cols)
     have = _physical_memory()
     if have is not None and need > have:
         raise ValueError(
-            f"n = {n}, r = {r} needs a {rows} x {cols} working array of "
-            f"{need} bytes, more than the {have} bytes of physical memory"
+            f"n = {n}, r = {r}: the {rows} x {cols} Terracini matrix takes "
+            f"{need} bytes as one 8-byte array, more than the {have} bytes "
+            "of physical memory"
         )
 
 

@@ -92,13 +92,13 @@ class TestCertifyCommand:
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: 20000)
         monkeypatch.setattr(pipeline, "sample_point", refuse_to_compute)
         out = tmp_path / "cert.txt"
-        # n=5, r=3: a 54 x 56 working array of 24192 bytes
+        # n=5, r=3: a 54 x 56 Terracini matrix, 24192 bytes at 8 an entry
         code = main(["certify", "--n", "5", "--seed", "1", "--out", str(out)])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "error: n = 5, r = 3 needs a 54 x 56 working array of 24192 bytes, "
-            "more than the 20000 bytes of physical memory"
+            "error: n = 5, r = 3: the 54 x 56 Terracini matrix takes 24192 bytes "
+            "as one 8-byte array, more than the 20000 bytes of physical memory"
         ]
         assert captured.out == ""
         assert not out.exists()
@@ -225,7 +225,7 @@ class TestSweepCommand:
     def test_largest_case_beyond_physical_memory_refused_first(
         self, tmp_path, capsys, monkeypatch
     ):
-        # n=2..4 would fit; n=5 needs 24192 bytes
+        # n=2..4 would fit; n=5's matrix takes 24192 bytes
         monkeypatch.setattr(pipeline, "_physical_memory", lambda: 20000)
         monkeypatch.setattr(pipeline, "certify", refuse_to_compute)
         out = tmp_path / "sweep.csv"
@@ -235,8 +235,8 @@ class TestSweepCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "error: n = 5, r = 3 needs a 54 x 56 working array of 24192 bytes, "
-            "more than the 20000 bytes of physical memory"
+            "error: n = 5, r = 3: the 54 x 56 Terracini matrix takes 24192 bytes "
+            "as one 8-byte array, more than the 20000 bytes of physical memory"
         ]
         assert captured.out == ""
         assert not out.exists()

@@ -317,6 +317,19 @@ class TestMacaulaySplit:
         res = assert_split_matches_naive(tmat, n)
         assert len(res.shifted.basis) < len(tmat._quads)
 
+    def test_quadrics_left_as_they_are(self):
+        """The eager regime works in int64, the quadrics' own dtype: the
+        elimination must copy them, not eliminate them in place."""
+        modulus = PrimeModulus(2**31 - 1)
+        rng = SeededRng(5)
+        tmat = terracini_matrix([sample_point(5, modulus, rng) for _ in range(4)])
+        quads = tmat._quads.copy()
+        first = tmat.rref()
+        assert np.array_equal(tmat._quads, quads)
+        again = tmat.rref()
+        assert again.pivot_cols == first.pivot_cols
+        assert np.array_equal(again.upper, first.upper)
+
     @pytest.mark.parametrize("n", (1, 2))
     def test_smallest_n(self, n):
         rng = SeededRng(n)

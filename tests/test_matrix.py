@@ -24,7 +24,6 @@ from chowcert.matrix import (
     _dot_rows,
     _extend_solve,
     _factor_panel,
-    _first_nonzero,
     _OUTER_WIDTH,
     _reduce_i64,
     _ReduceF64,
@@ -32,7 +31,6 @@ from chowcert.matrix import (
     _schur_update,
     _solve_block,
     _solve_multipliers,
-    _sorted_rows,
     _subtract_product,
     null_vector,
 )
@@ -442,7 +440,7 @@ def old_int64_moduli(shape):
 def structured_matrix(rows, cols, m, rng):
     """Random entries with zero columns and rows that repeat others.
 
-    The second panel is zero: a panel whose started rows give no pivot.
+    The second panel is zero: a panel that gives no pivot.
     """
     a = rng.integers(0, m, (rows, cols))
     a[:, [0, cols // 2, cols - 3]] = 0
@@ -602,9 +600,11 @@ def profile_matrix(starts, cols, m, rng):
     return a
 
 
-def profile_cases(rows, cols, m, rng):
-    """(name, data) inputs whose rows start at varied columns."""
-    # reverse profile order, every third row zero
+def row_order_cases(rows, cols, m, rng):
+    """(name, data) inputs whose rows start at varied columns, in an
+    order the elimination keeps: zero rows among the others, rows in
+    reverse order of their first column, and panels with no pivot."""
+    # rows in reverse order of their first column, every third row zero
     reverse = np.linspace(cols - 1, 0, rows).astype(int)
     reverse[::3] = cols
     # a few rows from column 0, the rest starting around a panel edge
@@ -620,7 +620,7 @@ def profile_cases(rows, cols, m, rng):
         ("reverse", profile_matrix(reverse, cols, m, rng)),
         ("panel edge", profile_matrix(edge, cols, m, rng)),
         ("after rank", late_rows[rng.permutation(rows)]),
-        # every panel but the last has no started row
+        # no panel but the last has a pivot
         ("last column", profile_matrix([cols - 1] * rows, cols, m, rng)),
         ("zero", np.zeros((rows, cols), dtype=np.int64)),
     ]
@@ -631,20 +631,9 @@ def settled_prime(shape):
     return max(m for m, name in boundary_moduli(shape) if name == "settled")
 
 
-def profile_ordered(data):
-    """The working array the blocked elimination starts from, as int64,
-    and `started`."""
-
-    def fill(out, rows):
-        out[...] = data[rows]
-
-    a = np.empty(data.shape, dtype=np.int64)
-    return a, _sorted_rows(_first_nonzero(data), fill, a)
-
-
 class TestRowProfileOrder:
-    """Rows join the elimination at their first nonzero column; the
-    result must not depend on the order the rows came in."""
+    """Rows are eliminated in the order they come in, wherever they
+    start; pivots and kernel vectors must not depend on that order."""
 
     @pytest.mark.parametrize("shape,last", SHAPE_CASES)
     def test_blocked_matches_naive(self, shape, last):
@@ -652,7 +641,7 @@ class TestRowProfileOrder:
         rng = np.random.default_rng(rows + cols)
         for m in (20201, settled_prime(shape), P31):
             modulus = PrimeModulus(m)
-            for name, data in profile_cases(rows, cols, m, rng):
+            for name, data in row_order_cases(rows, cols, m, rng):
                 mat = FfMatrix(data, modulus)
                 naive = mat.rref(naive=True)
                 fast = mat.rref()
@@ -664,19 +653,6 @@ class TestRowProfileOrder:
                     normal = null_vector(fast, f0)
                     assert np.array_equal(normal, null_vector(naive, f0))
                     assert not (data.astype(object) @ normal.astype(object) % m).any()
-
-    def test_order_and_counts(self):
-        data = np.array([[0, 0, 3], [0, 0, 0], [1, 2, 0], [0, 4, 0], [5, 0, 0]])
-        a, started = profile_ordered(data)
-        # stable: rows 2 and 4 both start at column 0
-        assert a.tolist() == data[[2, 4, 3, 0, 1]].tolist()
-        assert started.tolist() == [0, 2, 3, 4]
-
-    def test_dense_rows_keep_their_order(self):
-        data = np.random.default_rng(3).integers(1, 7, (9, 5))
-        a, started = profile_ordered(data)
-        assert np.array_equal(a, data)
-        assert started.tolist() == [0] + [9] * 5
 
 
 def deep_limit_prime(shape):
@@ -694,8 +670,8 @@ def outer_panel_cases(m, rng):
     rows, cols = OUTER_SHAPE
     k = _OUTER
     # rows from column 0 take the first outer panel's pivots, and the
-    # others start in the last one: the second has no started row
-    skipped = [0] * 80 + sorted(rng.integers(2 * k, cols, rows - 80))
+    # others start in the last one: the second has no pivot
+    no_pivots = [0] * 80 + sorted(rng.integers(2 * k, cols, rows - 80))
     # more than a panel of pivots from column 0, then rows that start
     # around the end of the first outer panel
     edge = [0] * 100 + sorted(rng.choice([k - 1, k, k + 1], rows - 100))
@@ -711,7 +687,7 @@ def outer_panel_cases(m, rng):
     rest = rows - DEFAULT_BLOCK - len(late)
     others = profile_matrix(rng.integers(DEFAULT_BLOCK, cols, rest), cols, m, rng)
     return [
-        ("skipped outer panel", profile_matrix(skipped, cols, m, rng)),
+        ("outer panel without pivots", profile_matrix(no_pivots, cols, m, rng)),
         ("outer panel edge", profile_matrix(edge, cols, m, rng)),
         ("swap after multipliers", np.vstack([base, sums, others])),
     ]
@@ -740,7 +716,7 @@ class TestOuterPanels:
             normal = null_vector(fast, f0)
             assert np.array_equal(normal, null_vector(naive, f0)), (m, name)
             assert not (data.astype(object) @ normal.astype(object) % m).any()
-            if name == "skipped outer panel":
+            if name == "outer panel without pivots":
                 assert not [c for c in naive.pivot_cols if _OUTER <= c < 2 * _OUTER]
 
 
@@ -1076,11 +1052,12 @@ class TestExactness:
 
 class TestEliminationMemory:
     def test_peak_stays_near_one_working_array(self):
-        """The rows are sorted into the working array one tile at a time:
-        gathering them in one step would hold a second full-size copy."""
+        """The read-only input is copied once into the float64 working
+        array, which becomes U's int64 array in place: any second
+        full-size array would break the bound."""
         rows = cols = 1200
         rng = np.random.default_rng(12)
-        # reverse profile, so every row moves
+        # rows in reverse order of their first column
         starts = np.linspace(cols - 1, 0, rows).astype(int) // 2
         mat = FfMatrix(profile_matrix(starts, cols, 20201, rng), MOD)
         tracemalloc.start()

@@ -11,10 +11,11 @@ from chowcert.certificate import (
     integrity_digest,
     parse_certificate,
 )
-from chowcert.field import derive_seed
-from chowcert.geometry import terracini_matrix
+from chowcert.field import PrimeModulus, SeededRng, derive_seed
+from chowcert.geometry import sample_point, terracini_matrix
 from chowcert.matrix import FfMatrix, _regime
 from chowcert.pipeline import (
+    DEFAULT_PRIME,
     GenericityError,
     _point_from_vectors,
     certify,
@@ -462,3 +463,36 @@ class TestTerraciniMemory:
         assert working < 0.6 * tmat.rows * tmat.cols * 8
         assert certify_peak < 1.2 * working
         assert verify_peak < 1.2 * working
+
+    def test_schur_complement_eliminated_in_place(self, monkeypatch):
+        # D' is eliminated in the array it was copied into: inside its
+        # elimination, memory grows by the multipliers, the panels and
+        # the 2 MB row tiles, not by a second D'-sized array.  At n=30
+        # D' is 33 MB, far above those; at n=24 they are half of it
+        import chowcert.matrix as mx
+
+        n = 30
+        rng = SeededRng(3)
+        modulus = PrimeModulus(DEFAULT_PRIME)
+        tmat = terracini_matrix(
+            [sample_point(n, modulus, rng) for _ in range(default_r(n))]
+        )
+        calls = []
+        original = mx._echelon_blocked
+
+        def measured(a, m):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = original(a, m)
+            calls.append((a.shape, tracemalloc.get_traced_memory()[1] - entry))
+            return out
+
+        monkeypatch.setattr(mx, "_echelon_blocked", measured)
+        res, _ = traced_peak(tmat.rref)
+        # the quadrics W', then D'
+        assert len(calls) == 2
+        shape, growth = calls[1]
+        split = res.shifted
+        c_rows = (n + 1) * len(split.basis) - split.lead.size
+        assert shape == (c_rows, split.rest.size)
+        assert growth < 0.5 * c_rows * split.rest.size * 8
