@@ -160,6 +160,14 @@ def _parse_int(raw: str, what: str) -> int:
         raise CertificateError(f"{what}: not an integer: {_echo(raw)}") from None
 
 
+def _parse_count(raw: str, what: str) -> int:
+    """A metadata count: an integer >= 0."""
+    value = _parse_int(raw, what)
+    if value < 0:
+        raise CertificateError(f"{what}: need a count >= 0, got {_echo(value)}")
+    return value
+
+
 def _parse_vector(raw: str, what: str, length: int, prime: int) -> tuple[int, ...]:
     match = _VECTOR_RE.match(raw.strip())
     if not match:
@@ -271,9 +279,9 @@ def parse_certificate(text: str) -> Certificate:
             raise CertificateError(f"duplicate metadata line: {_echo(key)}")
         seen.add(key)
         if key == "attempt":
-            attempt = _parse_int(value, "attempt")
+            attempt = _parse_count(value, "attempt")
         elif key == "resamples":
-            resamples = _parse_int(value, "resamples")
+            resamples = _parse_count(value, "resamples")
         elif key == "seconds":
             try:
                 seconds = float(value)
@@ -281,6 +289,10 @@ def parse_certificate(text: str) -> Certificate:
                 raise CertificateError(
                     f"seconds: not a number: {_echo(value)}"
                 ) from None
+            if not (math.isfinite(seconds) and seconds >= 0):
+                raise CertificateError(
+                    f"seconds: need a finite time >= 0, got {_echo(value)}"
+                )
         elif key == "check":
             check = value
         else:

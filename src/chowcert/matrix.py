@@ -42,7 +42,12 @@ others (C) are reduced to zero on A's leading columns, left-looking,
 one product per variable, and only their Schur complement D' is
 eliminated, by the same blocked kernel.  The pivots are A's leading
 columns and D''s pivots, the kernel vector comes from back-substitution
-over D' and then over A, and both stay canonical.
+over D' and then over A, and both stay canonical.  A's unit triangle is
+nearly flat: within a block of rows, few rows depend on others, and
+chains of dependent rows are short.  So both solves with it, for C's
+multipliers and for the kernel vector, go by dependency level, one
+product for all the rows whose dependencies are solved
+(`_level_solve`), not by an inverse or row by row.
 """
 
 from __future__ import annotations
@@ -245,11 +250,12 @@ def _regime(shape: tuple[int, int], m: int) -> str:
     (`_schur_update`) subtract at most one term per A row, so at most
     rank <= min(rows, cols) terms, from a value of at most m + 1; deep
     reduces once, after all of them, and settled after every `_OUTER`
-    terms (`_subtract_product`).  The in-block solve (`_solve_block`) is
-    a fresh product of at most `_SPLIT_BLOCK` <= `_OUTER` terms.  So the
-    two counts above bound these products too; eager forms them with
-    `_mod_matmul`.  D' is then eliminated in the regime of its own
-    shape.
+    terms (`_subtract_product`).  The in-block solve (`_solve_block`)
+    subtracts from each value, reduced, at most one product of fewer
+    than `_SPLIT_BLOCK` <= `_OUTER` terms, that of the level that solves
+    its row (`_level_solve`).  So the two counts above bound these
+    products too; eager forms them with `_mod_matmul`.  D' is then
+    eliminated in the regime of its own shape.
     """
     b = m // 2 + 2
     solve = _OUTER + _SUB
@@ -277,7 +283,9 @@ def _apply_pivots(trail, below, inv, l21, reduce_, m, matmul, settle=None):
         part = trail[:, s : s + step]
         reduce_(part, m)
         part[...] = matmul(inv, part)
-        reduce_(part, m)
+        if part.dtype != np.int64:
+            # `_mod_matmul` already returns canonical residues
+            reduce_(part, m)
     if l21.any():
         step = _row_step(trail.shape[1])
         for s in range(0, below.shape[0], step):
@@ -319,7 +327,9 @@ def _extend_solve(solve, mult, s0, s1, reduce_, m, matmul) -> None:
     solve[s0:s1, s0:s1] = block
     if s0:
         left = matmul(mult[:s0, s0:s1].T, solve[:s0, :s0])
-        reduce_(left, m)
+        if left.dtype != np.int64:
+            # `_mod_matmul` already returns canonical residues
+            reduce_(left, m)
         left = matmul(solve[s0:s1, s0:s1], left)
         np.negative(left, out=left)
         reduce_(left, m)
@@ -538,7 +548,9 @@ def _unit_upper_inverse(u: np.ndarray, m: int) -> np.ndarray:
     Entries in and out are canonical.  The two halves are inverted on
     their own and joined by V12 = -V11 U12 V22, two `_mod_matmul`; a
     block of at most `_SUB` rows is solved by back substitution in
-    Python integers.
+    Python integers.  Only `_reduced_echelon` uses it: the triangle of
+    W's pivots is dense, as deep as it is wide, where a level solve
+    (`_level_solve`) would run one product per row.
     """
     k = len(u)
     if k <= _SUB:
@@ -566,6 +578,36 @@ def _reduced_echelon(data: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
     """
     upper, pivots = _echelon_blocked(data, m)
     return _mod_matmul(_unit_upper_inverse(upper[:, pivots], m), upper, m), pivots
+
+
+def _level_solve(off, y, reduce_, m, matmul) -> None:
+    """Solve (I + N) Y = R in place, by dependency level.
+
+    N is `off`, strictly upper or strictly lower triangular, canonical.
+    `y` holds R, reduced (balanced float64 or canonical int64), and
+    receives Y: row t of Y is R_t minus N[t, s] Y_s over the rows s that
+    row t depends on, those with N[t, s] != 0.  Each pass solves, with
+    one product (`matmul`, then `reduce_`), every row whose dependencies
+    are all solved (level scheduling: Anderson and Saad, 1989).  A
+    product has fewer than len(off) terms, balanced residues in
+    float64, and canonical operands in int64.  Some row is always
+    ready, since N is strictly triangular, so there are as many passes
+    as the longest dependency chain has rows beyond its first, and none
+    when N is zero.
+    """
+    dep = off != 0
+    todo = dep.any(axis=1)
+    while todo.any():
+        ready = np.flatnonzero(todo & ~(dep & todo).any(axis=1))
+        src = np.flatnonzero(dep[ready].any(axis=0))
+        left = off[np.ix_(ready, src)]
+        if y.dtype != np.int64:
+            left = np.where(left > m // 2, left - m, left).astype(np.float64)
+        part = y[ready]
+        part -= matmul(left, y[src])
+        reduce_(part, m)
+        y[ready] = part
+        todo[ready] = False
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -625,13 +667,11 @@ class ShiftedRows:
         return out
 
     def block(self, k0: int, k1: int) -> np.ndarray:
-        """Rows k0..k1 in their own leading columns: unit upper
-        triangular, canonical int64; off the diagonal, only the entries
-        that `reach` finds can be nonzero."""
+        """Rows k0..k1 in their own leading columns, without their unit
+        diagonal: strictly upper triangular, canonical int64; only the
+        entries that `reach` finds can be nonzero."""
         t = self.reach[self.var[k0:k1, None], self.lead[None, k0:k1]]
-        out = np.where(t >= 0, self.basis[self.row[k0:k1, None], t], 0)
-        np.fill_diagonal(out, 1)
-        return out
+        return np.where(t >= 0, self.basis[self.row[k0:k1, None], t], 0)
 
     def dense(self) -> np.ndarray:
         """Every row at full width, as int64."""
@@ -647,18 +687,17 @@ class ShiftedRows:
         a row is zero left of its lead, so it needs only coordinates
         right of it.  A block first collects each row's dot with the
         coordinates known so far (its own leads are still 0), then
-        solves its unit upper triangular block from the last row up.
+        solves its unit upper triangle for its leads by level
+        (`_level_solve`), one `_mod_matmul` per level.
         """
+        matmul = partial(_mod_matmul, m=m)
         for k1 in range(self.lead.size, 0, -DEFAULT_BLOCK):
             k0 = max(k1 - DEFAULT_BLOCK, 0)
             known = x[self.shifts[self.var[k0:k1]]]
             acc = _dot_rows(self.basis[self.row[k0:k1]], known, m)
-            tri = self.block(k0, k1)
-            lead = self.lead[k0:k1]
-            for t in range(k1 - k0 - 1, -1, -1):
-                v = -acc[t] % m
-                x[lead[t]] = v
-                acc[:t] = (acc[:t] + tri[:t, t] * v) % m
+            y = (-acc % m)[:, None]
+            _level_solve(self.block(k0, k1), y, _reduce_i64, m, matmul)
+            x[self.lead[k0:k1]] = y[:, 0]
 
 
 def _subtract_product(target, hit, left, right, reduce_, m, matmul, depth):
@@ -677,21 +716,16 @@ def _subtract_product(target, hit, left, right, reduce_, m, matmul, depth):
         target[hit] = part
 
 
-def _solve_block(part, tri, reduce_, m, matmul):
-    """Solve X_K U_KK = R_K, transposed: `part` holds R_K^T, reduced,
-    and `tri` is U_KK, unit upper triangular and canonical.
+def _solve_block(part, off, reduce_, m, matmul) -> None:
+    """Solve X_K U_KK = R_K, transposed and in place: `part` holds
+    R_K^T, reduced, and `off` is U_KK without its unit diagonal,
+    strictly upper triangular and canonical.
 
-    One product with the exact inverse of `tri`, balanced in float64;
-    `part` itself when `tri` is the identity, as it mostly is.
+    U_KK^T X_K^T = R_K^T is solved by level (`_level_solve`) on the
+    strictly lower `off.T`: one product per level, and none when U_KK
+    is the identity, as it mostly is.
     """
-    if np.count_nonzero(tri) == len(tri):
-        return part
-    inv = _unit_upper_inverse(tri, m).T
-    if part.dtype == np.int64:
-        return matmul(inv, part)
-    part = matmul(np.where(inv > m // 2, inv - m, inv).astype(np.float64), part)
-    reduce_(part, m)
-    return part
+    _level_solve(off.T, part, reduce_, m, matmul)
 
 
 def _solve_multipliers(ct, shifted, pos, starts, sources, wv, reduce_, m, matmul, depth):
@@ -721,7 +755,8 @@ def _solve_multipliers(ct, shifted, pos, starts, sources, wv, reduce_, m, matmul
                 left = wv[np.ix_(sources[g], t[hit])].T
                 _subtract_product(part, hit, left, ct[g], reduce_, m, matmul, depth)
         reduce_(part, m)
-        ct[pos[k0:k1]] = _solve_block(part, shifted.block(k0, k1), reduce_, m, matmul)
+        _solve_block(part, shifted.block(k0, k1), reduce_, m, matmul)
+        ct[pos[k0:k1]] = part
         done += np.bincount(shifted.var[k0:k1], minlength=nv)
 
 

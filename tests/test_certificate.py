@@ -212,6 +212,29 @@ class TestValidation:
             dataclasses.replace(cert, seconds=99.0)
         )
 
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("attempt", -7, "attempt: need a count"),
+            ("resamples", -2, "resamples: need a count"),
+            ("seconds", -1.0, "seconds: need a finite time"),
+            ("seconds", float("inf"), "seconds: need a finite time"),
+            ("seconds", float("nan"), "seconds: need a finite time"),
+        ],
+    )
+    def test_metadata_out_of_range(self, field, value, match):
+        """Metadata the digest covers (attempt, resamples) or not
+        (seconds) must still be in range: with a matching `check` line,
+        only the parser can refuse it."""
+        text = format_certificate(make_cert(**{field: value}))
+        assert f"{field} = " in text
+        with pytest.raises(CertificateError, match=match):
+            parse_certificate(text)
+
+    def test_metadata_zero_accepted(self):
+        cert = make_cert(attempt=0, resamples=0, seconds=0.0)
+        assert parse_certificate(format_certificate(cert)) == cert
+
 
 class TestParserRobustness:
     """Edits of the reference fixture that the grammar might read in more

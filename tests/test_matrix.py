@@ -18,12 +18,14 @@ from chowcert.matrix import (
     _SUB,
     DEFAULT_BLOCK,
     FfMatrix,
+    ShiftedRows,
     _matmul_naive,
     _mod_matmul,
     _apply_pivots,
     _dot_rows,
     _extend_solve,
     _factor_panel,
+    _level_solve,
     _OUTER_WIDTH,
     _reduce_i64,
     _ReduceF64,
@@ -32,9 +34,10 @@ from chowcert.matrix import (
     _solve_block,
     _solve_multipliers,
     _subtract_product,
+    _unit_upper_inverse,
     null_vector,
 )
-from chowcert.poly import _shift_map
+from chowcert.poly import _shift_map, monomial_basis
 
 MOD = PrimeModulus(20201)
 Z7 = PrimeModulus(7)
@@ -903,6 +906,190 @@ def split_bases(m, rng):
     ]
 
 
+def substitution(off, r, m):
+    """(I + N)^-1 R mod m by plain substitution in Python integers, N =
+    `off` strictly lower or strictly upper triangular: rows in the order
+    that solves each one after every row it depends on."""
+    k = len(off)
+    n = off.astype(np.int64).tolist()
+    rows = r.astype(np.int64).tolist()
+    y = [None] * k
+    for t in range(k) if not np.triu(off).any() else reversed(range(k)):
+        row = rows[t]
+        for s, c in enumerate(n[t]):
+            if c:
+                row = [a - c * b for a, b in zip(row, y[s])]
+        y[t] = [a % m for a in row]
+    return y
+
+
+def level_count(off):
+    """The levels of a strictly triangular N: a row that depends on none
+    has level 0, any other one more than the highest row it depends on;
+    a level solve runs one product per level above 0."""
+    k = len(off)
+    dep = (off != 0).tolist()
+    level = [0] * k
+    for t in range(k) if not np.triu(off).any() else reversed(range(k)):
+        level[t] = max((level[s] + 1 for s in range(k) if dep[t][s]), default=0)
+    return max(level, default=0)
+
+
+def shallow_triangle(k, m, rng):
+    """Strictly lower k x k, mostly zero, as the A triangles of the split
+    are: one row in six depends on one to three earlier rows, with
+    entries that balance to the largest residues."""
+    low = np.zeros((k, k), dtype=np.int64)
+    for t in range(1, k):
+        if rng.random() < 1 / 6:
+            deps = rng.choice(t, min(t, int(rng.integers(1, 4))), replace=False)
+            low[t, deps] = half_modulus_matrix(1, deps.size, m, rng)
+    return low
+
+
+def reduced_extremes(shape, regime, m):
+    """Right-hand sides as reduced as the split hands them over, at their
+    largest: m // 2 + 2 in float64 (`_ReduceF64`), m - 1 in int64."""
+    if regime == "eager":
+        return np.full(shape, m - 1, dtype=np.int64)
+    return np.full(shape, m // 2 + 2, dtype=np.float64)
+
+
+def one_level(entries):
+    """Strictly lower: the last row depends on every other row, with the
+    entries of its row in `entries`; one level of len(entries) - 1
+    terms."""
+    low = np.zeros_like(entries)
+    low[-1, :-1] = entries[-1, :-1]
+    return low
+
+
+# A reduced basis of five quadrics in x_0..x_3 (monomials as variable
+# pairs) whose A triangle is a chain of nine rows, eight levels, in the
+# multiplier solve and in the back-substitution alike; the Macaulay
+# matrix, 20 x 20, has rank 18 and three C rows.
+DEEP_BASIS = (
+    {(1, 1): 1, (1, 2): 3},
+    {(0, 2): 1, (1, 2): 3},
+    {(2, 2): 1, (0, 3): 6, (2, 3): 2},
+    {(1, 3): 1, (2, 3): 4},
+    {(3, 3): 1},
+)
+
+
+def deep_basis():
+    index = monomial_basis(3, 2)._index
+    out = np.zeros((len(DEEP_BASIS), len(index)), dtype=np.int64)
+    for j, terms in enumerate(DEEP_BASIS):
+        for pair, c in terms.items():
+            out[j, index[pair]] = c
+    return out
+
+
+# the regimes of the split at SPLIT_SHAPE, each at its largest modulus
+SPLIT_REGIMES = (
+    (deep_limit_prime(SPLIT_SHAPE), "deep"),
+    (settled_prime(SPLIT_SHAPE), "settled"),
+    (P31, "eager"),
+)
+
+
+class TestLevelSolve:
+    """`_level_solve` against plain substitution, in both orientations:
+    upper as in `ShiftedRows.back_substitute`, lower as in the
+    multiplier solve (`_solve_block`)."""
+
+    @pytest.mark.parametrize("upper", (False, True), ids=("lower", "upper"))
+    @pytest.mark.parametrize("m,regime", SPLIT_REGIMES)
+    def test_matches_substitution(self, m, regime, upper, monkeypatch):
+        """One product per level, each within the regime's bounds, on
+        triangles of `_SPLIT_BLOCK` rows: shallow and sparse, dense, and
+        one level as wide as the block.  Right-hand sides are at the
+        largest residues, entries balance to the largest residues or,
+        near m - 1 (`top_heavy`), to the smallest."""
+
+        def checked_reduce(self, x, m):
+            assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
+            reduce_f64(self, x, m)
+
+        reduce_f64 = _ReduceF64.__call__
+        monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
+        assert _regime(SPLIT_SHAPE, m) == regime
+        _, reduce_, matmul = regime_kernels(regime, m)
+        k = _SPLIT_BLOCK
+        rng = np.random.default_rng(m + upper)
+        for name, low in (
+            ("shallow", shallow_triangle(k, m, rng)),
+            ("dense", np.tril(half_modulus_matrix(k, k, m, rng), -1)),
+            ("dense top heavy", np.tril(top_heavy(k, k, m, rng), -1)),
+            ("one level", one_level(half_modulus_matrix(k, k, m, rng))),
+            ("one level top heavy", one_level(top_heavy(k, k, m, rng))),
+        ):
+            off = low[::-1, ::-1] if upper else low
+            levels = level_count(off)
+            expect = {"shallow": range(2, 11), "dense": [k - 1], "one level": [1]}
+            assert levels in expect[name.removesuffix(" top heavy")], name
+            y = reduced_extremes((k, 3), regime, m)
+            want = substitution(off, y, m)
+            products = []
+
+            def counted(a, b):
+                if regime == "eager":
+                    for x in (a, b):
+                        assert x.min(initial=0) >= 0 and x.max(initial=0) < m
+                assert a.shape[1] < k
+                products.append(a.shape)
+                return matmul(a, b)
+
+            _level_solve(off, y, reduce_, m, counted)
+            assert (y.astype(np.int64) % m).tolist() == want, name
+            assert len(products) == levels, name
+
+    @pytest.mark.parametrize("m,regime", SPLIT_REGIMES)
+    def test_identity_runs_no_product(self, m, regime):
+        _, reduce_, _ = regime_kernels(regime, m)
+        y = reduced_extremes((_SPLIT_BLOCK, 4), regime, m)
+        want = y.copy()
+
+        def no_product(a, b):
+            raise AssertionError("a product ran")
+
+        off = np.zeros((_SPLIT_BLOCK,) * 2, dtype=np.int64)
+        _level_solve(off, y, reduce_, m, no_product)
+        assert np.array_equal(y, want)
+
+    @pytest.mark.parametrize("m", (7, 20201, settled_prime(SPLIT_SHAPE), P31))
+    def test_deep_triangle_in_the_split(self, m, monkeypatch):
+        """A degenerate basis whose A triangle is a chain deeper than the
+        split meets at sampled points: both solves run one pass per level,
+        and the kernel vector matches the naive elimination's."""
+        passes = []
+
+        def counted(off, y, reduce_, m, matmul):
+            calls = []
+
+            def product(a, b):
+                calls.append(a.shape)
+                return matmul(a, b)
+
+            level_solve(off, y, reduce_, m, product)
+            passes.append((len(calls), level_count(off)))
+
+        level_solve = _level_solve
+        monkeypatch.setattr("chowcert.matrix._level_solve", counted)
+        mat = macaulay_matrix(deep_basis(), 3, m)
+        naive = FfMatrix(mat.data, mat.modulus).rref(naive=True)
+        res = mat.rref()
+        assert res.pivot_cols == naive.pivot_cols
+        rng = np.random.default_rng(m)
+        f0 = rng.integers(0, m, mat.cols - naive.rank)
+        normal = null_vector(res, f0)
+        assert np.array_equal(normal, null_vector(naive, f0))
+        assert not (mat.data.astype(object) @ normal.astype(object) % m).any()
+        # one multiplier solve and one back-substitution, each 8 levels deep
+        assert passes == [(8, 8), (8, 8)]
+
+
 class TestExactness:
     """Every value a float64 regime reduces is within the reduction's
     stated precondition, |x| <= 2^53 - m, each of the settled regime's
@@ -960,7 +1147,10 @@ class TestExactness:
         """The same for the products of the split (`_split_echelon`), each
         of which must run: the left-looking X update, the in-block
         solve, the Schur product, and the A back-substitution, whose
-        dots (`_dot_rows`) must stay inside int64."""
+        dots (`_dot_rows`) must stay inside int64.  The in-block solve
+        runs by level, at least two levels deep here, and neither solve
+        with A's triangle inverts it: only W's reduction, outside them,
+        calls `_unit_upper_inverse`."""
         m = {
             "deep": deep_limit_prime(SPLIT_SHAPE),
             "settled": settled_prime(SPLIT_SHAPE),
@@ -995,6 +1185,22 @@ class TestExactness:
             seen.add(phase[-1] if phase else None)
             return mod_matmul(a, b, m)
 
+        def counted_levels(off, y, reduce_, m, matmul):
+            calls = []
+
+            def product(a, b):
+                calls.append(a.shape)
+                return matmul(a, b)
+
+            level_solve(off, y, reduce_, m, product)
+            if phase[-1] == "in-block solve":
+                levels.append(len(calls))
+
+        def checked_inverse(u, m):
+            assert not phase, phase
+            inverted.append(len(u))
+            return unit_upper_inverse(u, m)
+
         def checked_dots(a, b, m):
             for x in (a, b):
                 assert x.min(initial=0) >= 0 and x.max(initial=0) < m
@@ -1004,15 +1210,24 @@ class TestExactness:
             return dot_rows(a, b, m)
 
         reduce_f64, mod_matmul, dot_rows = _ReduceF64.__call__, _mod_matmul, _dot_rows
+        level_solve, unit_upper_inverse = _level_solve, _unit_upper_inverse
+        levels, inverted = [], []
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         monkeypatch.setattr("chowcert.matrix._mod_matmul", checked_matmul)
         monkeypatch.setattr("chowcert.matrix._dot_rows", checked_dots)
+        monkeypatch.setattr("chowcert.matrix._level_solve", counted_levels)
+        monkeypatch.setattr("chowcert.matrix._unit_upper_inverse", checked_inverse)
         for name, f in (
             ("X update", _solve_multipliers),
             ("in-block solve", _solve_block),
             ("Schur product", _schur_update),
         ):
             monkeypatch.setattr(f"chowcert.matrix.{f.__name__}", within(name, f))
+        monkeypatch.setattr(
+            ShiftedRows,
+            "back_substitute",
+            within("A back-substitution", ShiftedRows.back_substitute),
+        )
         rng = np.random.default_rng(m)
         for name, basis in split_bases(m, rng):
             mat = macaulay_matrix(basis, SPLIT_N, m)
@@ -1022,6 +1237,7 @@ class TestExactness:
             f0 = rng.integers(0, m, mat.cols - naive.rank)
             assert np.array_equal(null_vector(res, f0), null_vector(naive, f0)), name
         assert {"X update", "in-block solve", "Schur product", "A back-substitution"} <= seen
+        assert max(levels) >= 2 and inverted
 
     def test_settled_products_reduced_between_runs(self, monkeypatch):
         """Settled, a product deeper than `_OUTER` is cut into runs, each
