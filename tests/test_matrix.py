@@ -935,6 +935,23 @@ def level_count(off):
     return max(level, default=0)
 
 
+def counting_level_solve(record):
+    """`_level_solve`, then record(off, count), count being the number of
+    products it ran."""
+
+    def run(off, y, reduce_, m, matmul):
+        calls = []
+
+        def product(a, b):
+            calls.append(a.shape)
+            return matmul(a, b)
+
+        _level_solve(off, y, reduce_, m, product)
+        record(off, len(calls))
+
+    return run
+
+
 def shallow_triangle(k, m, rng):
     """Strictly lower k x k, mostly zero, as the A triangles of the split
     are: one row in six depends on one to three earlier rows, with
@@ -1064,19 +1081,10 @@ class TestLevelSolve:
         split meets at sampled points: both solves run one pass per level,
         and the kernel vector matches the naive elimination's."""
         passes = []
-
-        def counted(off, y, reduce_, m, matmul):
-            calls = []
-
-            def product(a, b):
-                calls.append(a.shape)
-                return matmul(a, b)
-
-            level_solve(off, y, reduce_, m, product)
-            passes.append((len(calls), level_count(off)))
-
-        level_solve = _level_solve
-        monkeypatch.setattr("chowcert.matrix._level_solve", counted)
+        monkeypatch.setattr(
+            "chowcert.matrix._level_solve",
+            counting_level_solve(lambda off, n: passes.append((n, level_count(off)))),
+        )
         mat = macaulay_matrix(deep_basis(), 3, m)
         naive = FfMatrix(mat.data, mat.modulus).rref(naive=True)
         res = mat.rref()
@@ -1185,21 +1193,14 @@ class TestExactness:
             seen.add(phase[-1] if phase else None)
             return mod_matmul(a, b, m)
 
-        def counted_levels(off, y, reduce_, m, matmul):
-            calls = []
-
-            def product(a, b):
-                calls.append(a.shape)
-                return matmul(a, b)
-
-            level_solve(off, y, reduce_, m, product)
+        def in_block_levels(off, count):
             if phase[-1] == "in-block solve":
-                levels.append(len(calls))
+                levels.append(count)
 
         def checked_inverse(u, m):
             assert not phase, phase
             inverted.append(len(u))
-            return unit_upper_inverse(u, m)
+            return _unit_upper_inverse(u, m)
 
         def checked_dots(a, b, m):
             for x in (a, b):
@@ -1210,12 +1211,13 @@ class TestExactness:
             return dot_rows(a, b, m)
 
         reduce_f64, mod_matmul, dot_rows = _ReduceF64.__call__, _mod_matmul, _dot_rows
-        level_solve, unit_upper_inverse = _level_solve, _unit_upper_inverse
         levels, inverted = [], []
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         monkeypatch.setattr("chowcert.matrix._mod_matmul", checked_matmul)
         monkeypatch.setattr("chowcert.matrix._dot_rows", checked_dots)
-        monkeypatch.setattr("chowcert.matrix._level_solve", counted_levels)
+        monkeypatch.setattr(
+            "chowcert.matrix._level_solve", counting_level_solve(in_block_levels)
+        )
         monkeypatch.setattr("chowcert.matrix._unit_upper_inverse", checked_inverse)
         for name, f in (
             ("X update", _solve_multipliers),
