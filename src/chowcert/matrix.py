@@ -18,14 +18,16 @@ Entries live in int64 arrays; moduli below 2^31 are supported.  Every
 product is a float64 dgemm kept exact, below 2^53: one plain dgemm when
 the inner dimension and the modulus allow it, otherwise the operand with
 fewer entries is split into 16-bit limbs, one dgemm per limb
-(`_mod_matmul`).  The elimination runs in float64 with deferred
-reduction to balanced residues, |r| < m, which are made canonical once,
-when U is converted to int64; or, for moduli too large for that, it
-reduces every operand in int64 and forms every product with
-`_mod_matmul` (`_regime`).  In float64 the update right of each outer
-panel of `_OUTER` columns is delayed into one dgemm of inner dimension
-up to `_OUTER`, which runs much nearer the host's dgemm peak than the
-`DEFAULT_BLOCK`-deep updates of the int64 regime.  No pivot row is
+(`_mod_matmul`).  The modulus alone picks the kernels (`_regime`).  Up
+to m = 11682149 the elimination runs in float64 with deferred reduction
+to balanced residues, |r| < m, which are made canonical once, when U is
+converted to int64: a value is reduced when it is read, or before it
+collects more products than the modulus's budget allows.  Past that
+("eager"), it reduces every operand in int64 and forms every product
+with `_mod_matmul`.  In float64 the update right of each outer panel of
+`_OUTER` columns is delayed into one dgemm of inner dimension up to
+`_OUTER`, which runs much nearer the host's dgemm peak than the
+updates of inner dimension `DEFAULT_BLOCK` in int64.  No pivot row is
 solved on its own: each outer panel keeps one solve matrix, the inverse
 of its pivots' lower factor, grown a sub-panel at a time, and the pivot
 rows of a sub-panel, a panel or the whole outer panel are solved by one
@@ -73,14 +75,13 @@ _LIMB = 1 << 16
 _TILE = 1 << 18
 # Columns per sub-panel: rank-1 updates stay within one.
 _SUB = 8
-# Columns per outer panel in the float64 regimes: the update right of an
-# outer panel is one dgemm of inner dimension up to `_OUTER`.
+# Columns per outer panel in float64 (`DEFAULT_BLOCK` in int64): the
+# update right of an outer panel is one dgemm of inner dimension up to
+# `_OUTER`.
 _OUTER = 256
-# Columns per outer panel in each regime (`_regime`).
-_OUTER_WIDTH = {"deep": _OUTER, "settled": _OUTER, "eager": DEFAULT_BLOCK}
 # A rows per block of the split's left-looking multiplier solve
 # (`_solve_multipliers`); at most `_OUTER`, so the block's solve product
-# stays within the float64 regimes' bound (`_regime`).
+# stays within every float64 budget (`_regime`).
 _SPLIT_BLOCK = _OUTER
 # glibc raises its mmap threshold to the largest block freed so far (up
 # to 32 MB), so after the first elimination the Terracini-sized arrays
@@ -203,7 +204,7 @@ class _ReduceF64:
     1/2 + |x / m| 2^-52 of x / m, so for |x| <= 2^53 - m, q m and
     x - q m are exact integers and the result r is congruent to x with
     |r| <= m/2 + |x| 2^-52 < m/2 + 2, so |r| <= m // 2 + 2.  So r is
-    zero exactly when x is 0 mod m.  The float64 regimes keep every
+    zero exactly when x is 0 mod m.  The float64 budget keeps every
     value within |x| <= 2^53 - m (`_regime`).  Residues are balanced, not
     canonical: `_echelon_blocked` adds m to the negative entries of U
     when it converts them to int64.
@@ -220,52 +221,61 @@ class _ReduceF64:
         x -= q
 
 
-def _regime(shape: tuple[int, int], m: int) -> str:
-    """The elimination regime: "deep", "settled" or "eager".
+def _regime(m: int):
+    """The elimination's kernels at modulus m, which alone decides them:
+    the working dtype, `reduce_(x, m)`, `matmul(a, b)` and `budget`, the
+    number of products a value may collect between two reductions.
 
-    Deep and settled share one float64 schedule (`_OUTER_WIDTH`) and
-    reduce lazily to balanced residues of at most b = m // 2 + 2
-    (`_ReduceF64`); settled also reduces the trailing tiles after each
-    outer panel's update.  A product of two residues is at most b^2; one
-    with a canonical operand (a pivot inverse, or an entry of a solve
-    matrix's diagonal block) at most (m - 1) b < 2 b^2, so it counts as
-    two.  A product that extends a solve matrix or solves pivot rows
-    with it (`_extend_solve`) has at most `_OUTER` terms, `_SUB` of them
-    canonical: it counts as _OUTER + _SUB.  A value starts at most m + 1
-    (canonical, or balanced) and collects one product per pivot until it
-    is next reduced: up to `_OUTER` if settled, min(rows, cols) if not.
-    So a count p bounds every value by p b^2 + m + 1, which must stay
-    within the reduction's range, 2^53 - m.  Settled counts
-    _OUTER + _SUB; deep adds min(rows, cols), which keeps its limit below
-    settled's.  Past both, the eager regime works in int64 and forms
-    every product with `_mod_matmul`.  It reduces each value to [0, m)
-    when it is read (pivot column, pivot row, matmul operands), so a
-    trailing value only ever has reduced products subtracted from it and
-    stays far inside int64.
+    In float64, reductions leave balanced residues of at most
+    b = m // 2 + 2 (`_ReduceF64`), so a product of two of them is at most
+    b^2; one with a canonical operand (a pivot inverse, or an entry of a
+    solve matrix's diagonal block) is at most (m - 1) b < 2 b^2, so it
+    counts as two.  A value starts at most m + 1 (canonical, or
+    balanced), so after p products it is at most p b^2 + m + 1, which
+    must stay within the reduction's range, 2^53 - m: hence
+    budget = (2^53 - 1 - 2m) // b^2, 88262259 at 20201, 4003 at 3000017.
+    A product that extends a solve matrix or solves pivot rows with it
+    (`_extend_solve`) has at most `_OUTER` terms, `_SUB` of them
+    canonical, and replaces a value: it counts _OUTER + _SUB.  So
+    float64 holds while budget >= _OUTER + _SUB, up to m = 11682149,
+    where budget is 264.  Every other value is reduced before it
+    collects more than `budget` products:
 
-    The split of a Macaulay matrix (`_split_echelon`) runs its own
-    products in the regime of the whole matrix's shape, on balanced
-    residues: the multipliers X and the basis W'.  The left-looking
-    update of X (`_solve_multipliers`) and the Schur product
-    (`_schur_update`) subtract at most one term per A row, so at most
-    rank <= min(rows, cols) terms, from a value of at most m + 1; deep
-    reduces once, after all of them, and settled after every `_OUTER`
-    terms (`_subtract_product`).  The in-block solve (`_solve_block`)
-    subtracts from each value, reduced, at most one product of fewer
-    than `_SPLIT_BLOCK` <= `_OUTER` terms, that of the level that solves
-    its row (`_level_solve`).  So the two counts above bound these
-    products too; eager forms them with `_mod_matmul`.  D' is then
-    eliminated in the regime of its own shape.
+    - in `_echelon_blocked` a value collects one product per pivot
+      applied to it and is reduced when it is read (the pivot-search
+      column, the pivot rows, matmul operands).  The columns right of an
+      outer panel get its pivots in one delayed update; the next outer
+      panel adds at most its width.  When the pivots applied since the
+      trailing columns were last reduced, plus that width, would exceed
+      `budget`, the update reduces ("settles") the trailing tiles.  At
+      20201 that never happens; at 11682149 it happens after every full
+      outer panel;
+    - in a split (`_split_echelon`), the left-looking update of X
+      (`_solve_multipliers`) and the Schur product (`_schur_update`)
+      subtract at most one term per A row from a value of at most m + 1.
+      With at most `budget` A rows they reduce once, after all of them;
+      otherwise they go in runs of at most `budget` terms and reduce the
+      touched rows after each run (`_subtract_product`).  The in-block
+      solve (`_solve_block`) subtracts from each value, reduced, at most
+      one product of fewer than `_SPLIT_BLOCK` <= `_OUTER` terms, that
+      of the level that solves its row (`_level_solve`).
+
+    Past 11682149 the elimination works in int64 ("eager") and forms
+    every product with `_mod_matmul`, which returns it reduced to
+    [0, m).  It reduces each value to [0, m) when it is read, so a value
+    below m with p such products subtracted stays below m + p m, and one
+    rank-1 product, below (m - 1)^2 < 2^62, more keeps it inside int64
+    for p <= budget = (2^62 - m) // m, about 2^31: no elimination here
+    reaches it, so eager never settles and the split reduces once.
     """
     b = m // 2 + 2
-    solve = _OUTER + _SUB
-    for regime, count in (("deep", min(shape) + solve), ("settled", solve)):
-        if count * b * b + 2 * m <= _F64_EXACT:
-            return regime
-    return "eager"
+    budget = (_F64_EXACT - 2 * m) // (b * b)
+    if budget >= _OUTER + _SUB:
+        return np.float64, _ReduceF64(m), np.matmul, budget
+    return np.int64, _reduce_i64, partial(_mod_matmul, m=m), (2**62 - m) // m
 
 
-def _apply_pivots(trail, below, inv, l21, reduce_, m, matmul, settle=None):
+def _apply_pivots(trail, below, inv, l21, reduce_, m, matmul, settle=False):
     """Carry a block of pivots into the columns right of it.
 
     `trail` holds the k pivot rows' entries in those columns and `below`
@@ -275,8 +285,8 @@ def _apply_pivots(trail, below, inv, l21, reduce_, m, matmul, settle=None):
     multiple of pivot row i subtracted from row j of `below`.  The pivot
     rows are solved against each other and scaled by one product with
     `inv`, in column tiles.  Then `below` gets one matmul, in row tiles
-    so each tile's product is consumed while cached; `settle`, if given,
-    then brings each tile back into range.
+    so each tile's product is consumed while cached; with `settle`, each
+    tile is then reduced, even where no multiplier is nonzero.
     """
     step = _row_step(len(inv))
     for s in range(0, trail.shape[1], step):
@@ -286,13 +296,13 @@ def _apply_pivots(trail, below, inv, l21, reduce_, m, matmul, settle=None):
         if part.dtype != np.int64:
             # `_mod_matmul` already returns canonical residues
             reduce_(part, m)
-    if l21.any():
+    if settle or l21.any():
         step = _row_step(trail.shape[1])
         for s in range(0, below.shape[0], step):
             tile = below[s : s + step]
             tile -= matmul(l21[s : s + step], trail)
-            if settle is not None:
-                settle(tile, m)
+            if settle:
+                reduce_(tile, m)
 
 
 def _extend_solve(solve, mult, s0, s1, reduce_, m, matmul) -> None:
@@ -365,9 +375,9 @@ def _echelon_blocked(a: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
 
     Eliminates the rows of `a`, entries reduced (canonical, or balanced
     residues), in the order given.  The working array is `a` itself when
-    it is writeable and already of the regime's dtype (`_regime`),
-    float64 or, when eager, int64; otherwise one copy of it in that
-    dtype.  Returns the rank nonzero rows U of a row echelon form,
+    it is writeable and already of the modulus's working dtype
+    (`_regime`), float64 or, when eager, int64; otherwise one copy of it
+    in that dtype.  Returns the rank nonzero rows U of a row echelon form,
     reduced to [0, m), and the pivot columns: row k of U is zero left of
     pivot k and 1 at it.  Pivots do not depend on the row order; U,
     which is not canonical, does.  Rank-1 updates accumulate unreduced;
@@ -377,29 +387,29 @@ def _echelon_blocked(a: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
     balanced residues; U is made canonical when it is converted to
     int64.
 
-    The columns are cut into outer panels (`_OUTER_WIDTH`).  An outer
-    panel is factored in panels of `DEFAULT_BLOCK` columns
-    (`_factor_panel`), and each panel's pivots update only the columns
-    left of the outer panel's end.  The outer panel's pivots then reach
-    the columns right of it in one delayed update, a dgemm whose inner
-    dimension is their count; the settled regime then reduces it.  All
+    The columns are cut into outer panels of `_OUTER` columns in
+    float64, `DEFAULT_BLOCK` in int64.  An outer panel is factored in
+    panels of `DEFAULT_BLOCK` columns (`_factor_panel`), and each
+    panel's pivots update only the columns left of the outer panel's
+    end.  The outer panel's pivots then reach the columns right of it in
+    one delayed update, a dgemm whose inner dimension is their count;
+    the update also reduces ("settles") those columns when the pivots
+    applied to them since they were last reduced, plus the next outer
+    panel's width, would exceed the modulus's budget (`_regime`).  All
     the outer panel's multipliers live in one array, so a later panel's
     row swap permutes those of the earlier panels too.  The elimination
     ends once every row holds a pivot.
     """
     rows, cols = a.shape
-    regime = _regime((rows, cols), m)
-    eager = regime == "eager"
-    if eager:
-        dtype, reduce_, matmul = np.int64, _reduce_i64, partial(_mod_matmul, m=m)
-    else:
-        dtype, reduce_, matmul = np.float64, _ReduceF64(m), np.matmul
-    settle = reduce_ if regime == "settled" else None
-    width = _OUTER_WIDTH[regime]
+    dtype, reduce_, matmul, budget = _regime(m)
+    eager = dtype == np.int64
+    width = DEFAULT_BLOCK if eager else _OUTER
     if a.dtype != dtype or not a.flags.writeable:
         a = a.astype(dtype)
     pivots: list[int] = []
     r = 0
+    # pivots applied to the trailing columns since they were last reduced
+    applied = 0
     for outer0 in range(0, cols, width):
         if r == rows:
             break
@@ -431,6 +441,8 @@ def _echelon_blocked(a: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
             r += k
         kk = r - r0
         if kk and outer1 < cols:
+            applied += kk
+            settle = applied + min(width, cols - outer1) > budget
             _apply_pivots(
                 a[r0:r, outer1:],
                 a[r:, outer1:],
@@ -439,8 +451,10 @@ def _echelon_blocked(a: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
                 reduce_,
                 m,
                 matmul,
-                settle,
+                settle=settle,
             )
+            if settle:
+                applied = 0
         # freed before the next outer panel allocates its own
         del mult, solve
     rank = len(pivots)
@@ -549,8 +563,8 @@ def _unit_upper_inverse(u: np.ndarray, m: int) -> np.ndarray:
     their own and joined by V12 = -V11 U12 V22, two `_mod_matmul`; a
     block of at most `_SUB` rows is solved by back substitution in
     Python integers.  Only `_reduced_echelon` uses it: the triangle of
-    W's pivots is dense, as deep as it is wide, where a level solve
-    (`_level_solve`) would run one product per row.
+    W's pivots is dense, with as many levels as rows, where a level
+    solve (`_level_solve`) would run one product per row.
     """
     k = len(u)
     if k <= _SUB:
@@ -669,9 +683,13 @@ class ShiftedRows:
     def block(self, k0: int, k1: int) -> np.ndarray:
         """Rows k0..k1 in their own leading columns, without their unit
         diagonal: strictly upper triangular, canonical int64; only the
-        entries that `reach` finds can be nonzero."""
+        entries that `reach` finds can be nonzero, and only those are
+        read from the basis."""
         t = self.reach[self.var[k0:k1, None], self.lead[None, k0:k1]]
-        return np.where(t >= 0, self.basis[self.row[k0:k1, None], t], 0)
+        i, j = np.nonzero(t >= 0)
+        out = np.zeros(t.shape, dtype=np.int64)
+        out[i, j] = self.basis[self.row[k0 + i], t[i, j]]
+        return out
 
     def dense(self) -> np.ndarray:
         """Every row at full width, as int64."""
@@ -793,20 +811,16 @@ def _split_echelon(basis, shifts, cols, m):
     columns X overwrites; D' is copied out of it into an array of its
     own, C is freed, and D' is eliminated in that array.  `basis` is
     eliminated in place as well when it is a writeable array of the
-    regime's dtype (`_echelon_blocked`).  Returns D''s U over the columns
+    working dtype (`_echelon_blocked`).  Returns D''s U over the columns
     `rest` of the `ShiftedRows`, the pivots of the whole matrix, and the
     `ShiftedRows`; `null_vector` solves for a kernel vector from them.
 
-    The products run in the regime of the whole matrix's shape
-    (`_regime`); D' picks its own.
+    A value of X or D' collects at most one product term per A row: with
+    at most the modulus's budget of A rows it is reduced once, after all
+    of them, otherwise after every run of `budget` terms (`_regime`).
     """
     nv, nb = shifts.shape[0], basis.shape[0]
-    regime = _regime((nv * nb, cols), m)
-    if regime == "eager":
-        dtype, reduce_, matmul = np.int64, _reduce_i64, partial(_mod_matmul, m=m)
-    else:
-        dtype, reduce_, matmul = np.float64, _ReduceF64(m), np.matmul
-    depth = _OUTER if regime == "settled" else None
+    dtype, reduce_, matmul, budget = _regime(m)
     wp, lm = _reduced_echelon(basis, m)
     # row (i, j) of the shifted basis is number i * rank + j; A takes
     # the first row, the one of least i, at each leading column
@@ -817,8 +831,9 @@ def _split_echelon(basis, shifts, cols, m):
     new[1:] = lead[order[1:]] != lead[order[:-1]]
     a, c = order[new], order[~new]
     shifted = ShiftedRows(wp, shifts, a // rank, a % rank, lead[a], cols)
+    depth = None if a.size <= budget else budget
     wv = wp.astype(dtype)
-    if regime != "eager":
+    if dtype == np.float64:
         wv[wv > m // 2] -= m
     # C's columns, in the order the working array holds them: X's,
     # grouped by variable and each group in lead order, then the

@@ -15,7 +15,7 @@ from chowcert.geometry import (
     tangent_basis,
     terracini_matrix,
 )
-from chowcert.matrix import FfMatrix, _regime, _rref_naive, null_vector
+from chowcert.matrix import FfMatrix, _rref_naive, null_vector
 from chowcert.pipeline import default_r
 from chowcert.poly import LinearForm, Poly, contract, monomial_basis
 
@@ -194,9 +194,9 @@ class TestTerraciniOracle:
 class TestStreamedBuild:
     """The elimination works from the quadrics: it never builds the int64
     rows, and it must find the pivots and the reduced form of a plain
-    `FfMatrix` of the same rows, in every regime.  (U is not canonical,
-    and the split has none for the whole matrix, so the reduced forms
-    are compared.)"""
+    `FfMatrix` of the same rows, under every kind of schedule (`Schedule`
+    in conftest).  (U is not canonical, and the split has none for the
+    whole matrix, so the reduced forms are compared.)"""
 
     @pytest.mark.parametrize(
         "prime,n,regime",
@@ -208,13 +208,12 @@ class TestStreamedBuild:
             (7, 8, "deep"),
         ],
     )
-    def test_equals_sorted_int64_matrix(self, prime, n, regime):
+    def test_equals_sorted_int64_matrix(self, prime, n, regime, schedule):
         modulus = PrimeModulus(prime)
         points = oracle_points(n, modulus)
         rng = SeededRng(prime % 1000 + n)
         points += [sample_point(n, modulus, rng) for _ in range(default_r(n) - 3)]
         tmat = terracini_matrix(points)
-        assert _regime(tmat.shape, prime) == regime
         streamed = tmat.rref()
         # neither the shape nor the elimination builds the int64 rows
         assert tmat._data is None
@@ -223,6 +222,10 @@ class TestStreamedBuild:
         assert plain.shifted is None and streamed.shifted is not None
         assert streamed.pivot_cols == plain.pivot_cols
         assert streamed.echelon == plain.echelon
+        schedule.assert_kind(regime, prime)
+        if n >= 12:
+            # the whole matrix has more than one outer panel
+            assert schedule.settles
 
 
 def split_leads(tmat):
@@ -281,13 +284,13 @@ class TestMacaulaySplit:
             (7, 9, "deep"),
         ],
     )
-    def test_regimes(self, prime, n, regime):
+    def test_regimes(self, prime, n, regime, schedule):
         modulus = PrimeModulus(prime)
         rng = SeededRng(prime % 1000 + n)
         points = [sample_point(n, modulus, rng) for _ in range(default_r(n))]
         tmat = terracini_matrix(points)
-        assert _regime(tmat.shape, prime) == regime
         assert_split_matches_naive(tmat, n)
+        schedule.assert_kind(regime, prime)
         # several rows x_i w'_j share a leading column: C is not empty
         _, leads = split_leads(tmat)
         assert np.unique(leads, return_counts=True)[1].max() >= 3

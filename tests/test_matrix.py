@@ -1,7 +1,6 @@
 import math
 import os
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from chowcert.matrix import (
     _extend_solve,
     _factor_panel,
     _level_solve,
-    _OUTER_WIDTH,
     _reduce_i64,
     _ReduceF64,
     _regime,
@@ -381,7 +379,14 @@ class TestRrefResultInvariants:
         assert np.array_equal(pivot_block, np.eye(res.rank, dtype=np.int64))
 
 
+# Labels of the moduli under test, by what the reduction schedule does
+# there (`_regime`): "deep", a float64 budget that holds a whole matrix
+# of the shape, so no value is reduced before it is read; "settled", a
+# float64 budget short of that, which settles the trailing tiles after
+# outer updates and cuts the split's products into runs; "eager", int64.
 REGIMES = ("deep", "settled", "eager")
+# the largest prime the float64 kernels take, and the next prime
+F64_LAST, EAGER_FIRST = 11682149, 11682161
 # int64 range that bounded two regimes the eager one has replaced; the
 # moduli around those limits stay under test
 I64_MAX = 2**63 - 1
@@ -404,9 +409,11 @@ def primes_around(edge):
     return under, over
 
 
-def regime_counts(shape):
-    """The deep and the settled product counts of `_regime`."""
-    return min(shape) + _OUTER + _SUB, _OUTER + _SUB
+def whole_count(shape):
+    """The most products a value of a matrix of this shape collects if
+    it is never reduced before it is read: one per pivot, and one solve
+    product of _OUTER + _SUB."""
+    return min(shape) + _OUTER + _SUB
 
 
 def fits_f64(count, m):
@@ -417,16 +424,25 @@ def fits_f64(count, m):
     return count * b * b + m + 1 <= 2**53 - m
 
 
-def boundary_moduli(shape):
-    """(prime, regime) just under and just over every regime limit.
+def f64_budget(m):
+    """`_regime`'s float64 budget, at any modulus."""
+    b = m // 2 + 2
+    return (2**53 - 1 - 2 * m) // (b * b)
 
-    The limits, in the order `_regime` tries them: the deep and the
-    settled magnitude bounds against the exact float64 range.  Under a
-    limit the regime it guards runs; just over it, the next one.
-    """
+
+def budget_edge(count):
+    """The largest prime whose budget holds `count` products, and the
+    next prime."""
+    return primes_around(largest_fitting(lambda m: f64_budget(m) >= count))
+
+
+def boundary_moduli(shape):
+    """(prime, label) just under and just over each budget limit: the
+    shape's `whole_count`, under which its matrices are never reduced
+    early, and _OUTER + _SUB, under which the kernels are float64."""
     out = []
-    for i, count in enumerate(regime_counts(shape)):
-        under, over = primes_around(largest_fitting(partial(fits_f64, count)))
+    for i, count in enumerate((whole_count(shape), _OUTER + _SUB)):
+        under, over = budget_edge(count)
         out += [(under, REGIMES[i]), (over, REGIMES[i + 1])]
     return out
 
@@ -512,11 +528,20 @@ WIDE_CASE = ((100, 2 * _OUTER + WIDE_LAST), WIDE_LAST)
 class TestEliminationRegimes:
     @pytest.mark.parametrize("shape,last", SHAPE_CASES + [WIDE_CASE])
     def test_boundary_moduli_reach_every_regime(self, shape, last):
+        """The kernels follow the modulus alone, float64 through
+        `F64_LAST` at every shape; the shape only moves the prime up to
+        which none of its values is reduced early."""
         cases = boundary_moduli(shape)
         cases += [(m, "eager") for m in old_int64_moduli(shape)]
-        for m, expected in cases:
-            assert _regime(shape, m) == expected, m
+        for m, label in cases:
+            dtype, _, _, budget = _regime(m)
+            assert (dtype is np.int64) == (label == "eager"), m
+            if label == "deep":
+                assert budget >= whole_count(shape), m
+            elif label == "settled":
+                assert _OUTER + _SUB <= budget < whole_count(shape), m
         assert {name for _, name in cases} == set(REGIMES)
+        assert [m for m, _ in cases[2:4]] == [F64_LAST, EAGER_FIRST]
 
     @pytest.mark.parametrize("shape,last", SHAPE_CASES + [WIDE_CASE])
     def test_blocked_matches_naive_at_every_limit(self, shape, last):
@@ -570,14 +595,14 @@ class TestBalancedReduction:
 
     @pytest.mark.parametrize("shape,last", SHAPE_CASES)
     def test_residues_congruent_and_below_m(self, shape, last):
-        deep = regime_counts(shape)[0]
         moduli = SMALL_PRIMES + [20201]
         moduli += [m for m, _ in boundary_moduli(shape)]
         for m in moduli:
-            # the deep regime's bound; for moduli beyond it, the largest
-            # magnitude the reduction is exact for
+            # the most a value of the shape reaches unreduced; for moduli
+            # whose budget is shorter, the largest magnitude the
+            # reduction is exact for
             b = m // 2 + 2
-            bound = min(deep * b * b + m + 1, _F64_EXACT + 1 - m)
+            bound = min(whole_count(shape) * b * b + m + 1, _F64_EXACT + 1 - m)
             xs = reduction_inputs(m, bound)
             r = np.array(xs, dtype=np.float64)
             _ReduceF64(m)(r, m)
@@ -585,7 +610,7 @@ class TestBalancedReduction:
             for x, got in zip(xs, r.tolist()):
                 assert int(got) % m == x % m, (m, x)
                 assert abs(got) <= m / 2 + abs(x) * 2.0**-52, (m, x)
-                # the residue bound the regimes' product counts use
+                # the residue bound the budget's product counts use
                 assert abs(got) <= b and abs(got) < m, (m, x)
                 if x % m == 1:
                     # what a scaled pivot reduces to
@@ -629,11 +654,6 @@ def row_order_cases(rows, cols, m, rng):
     ]
 
 
-def settled_prime(shape):
-    """The largest prime that still runs the settled regime."""
-    return max(m for m, name in boundary_moduli(shape) if name == "settled")
-
-
 class TestRowProfileOrder:
     """Rows are eliminated in the order they come in, wherever they
     start; pivots and kernel vectors must not depend on that order."""
@@ -642,7 +662,7 @@ class TestRowProfileOrder:
     def test_blocked_matches_naive(self, shape, last):
         rows, cols = shape
         rng = np.random.default_rng(rows + cols)
-        for m in (20201, settled_prime(shape), P31):
+        for m in (20201, F64_LAST, P31):
             modulus = PrimeModulus(m)
             for name, data in row_order_cases(rows, cols, m, rng):
                 mat = FfMatrix(data, modulus)
@@ -658,9 +678,10 @@ class TestRowProfileOrder:
                     assert not (data.astype(object) @ normal.astype(object) % m).any()
 
 
-def deep_limit_prime(shape):
-    """The largest prime that still runs the deep regime."""
-    return next(m for m, name in boundary_moduli(shape) if name == "deep")
+def whole_prime(shape):
+    """The largest prime whose budget holds a whole matrix of the shape
+    (`whole_count`): none of its values is reduced before it is read."""
+    return boundary_moduli(shape)[0][0]
 
 
 OUTER_SHAPE = (190, WIDE_CASE[0][1])
@@ -668,8 +689,7 @@ OUTER_SHAPE = (190, WIDE_CASE[0][1])
 
 def outer_panel_cases(m, rng):
     """(name, data) inputs of `OUTER_SHAPE` that cross the float64
-    regimes' outer panels; the last outer panel is `WIDE_LAST` columns
-    wide."""
+    outer panels; the last outer panel is `WIDE_LAST` columns wide."""
     rows, cols = OUTER_SHAPE
     k = _OUTER
     # rows from column 0 take the first outer panel's pivots, and the
@@ -697,15 +717,13 @@ def outer_panel_cases(m, rng):
 
 
 class TestOuterPanels:
-    """The delayed update right of each outer panel, in every regime."""
+    """The delayed update right of each outer panel, in float64 with and
+    without settles, and in int64."""
 
-    @pytest.mark.parametrize(
-        "m", (20201, deep_limit_prime(OUTER_SHAPE), settled_prime(OUTER_SHAPE), P31)
-    )
+    @pytest.mark.parametrize("m", (20201, whole_prime(OUTER_SHAPE), F64_LAST, P31))
     def test_blocked_matches_naive(self, m):
         cols = OUTER_SHAPE[1]
-        regimes = {settled_prime(OUTER_SHAPE): "settled", P31: "eager"}
-        assert _regime(OUTER_SHAPE, m) == regimes.get(m, "deep")
+        assert (_regime(m)[0] is np.int64) == (m == P31)
         rng = np.random.default_rng(m)
         modulus = PrimeModulus(m)
         for name, data in outer_panel_cases(m, rng):
@@ -736,17 +754,9 @@ def forward_substitution(trail, mult, piv_inv, m):
     return out
 
 
-def regime_kernels(regime, m):
-    """The working dtype, the reduction and the product of a regime, as
-    `_echelon_blocked` picks them."""
-    if regime == "eager":
-        return np.int64, _reduce_i64, partial(_mod_matmul, m=m)
-    return np.float64, _ReduceF64(m), np.matmul
-
-
 def residues(shape, m, rng, balanced):
-    """Random residues: balanced, |x| < m, half of them negative, as the
-    float64 regimes keep them; otherwise canonical."""
+    """Random residues: balanced, |x| < m, half of them negative, as
+    float64 keeps them; otherwise canonical."""
     x = rng.integers(0, m, shape)
     return x - m * rng.integers(0, 2, shape) * (x > 0) if balanced else x
 
@@ -762,18 +772,14 @@ class TestSolveMatrix:
 
     @pytest.mark.parametrize(
         "m,regime",
-        [
-            (deep_limit_prime(OUTER_SHAPE), "deep"),
-            (settled_prime(OUTER_SHAPE), "settled"),
-            (P31, "eager"),
-        ],
+        [(whole_prime(OUTER_SHAPE), "deep"), (F64_LAST, "settled"), (P31, "eager")],
     )
     def test_blocks_match_forward_substitution(self, m, regime):
-        assert _regime(OUTER_SHAPE, m) == regime
-        dtype, reduce_, matmul = regime_kernels(regime, m)
+        dtype, reduce_, matmul, _ = _regime(m)
         balanced = regime != "eager"
-        # the largest solve matrix of the regime: one outer panel
-        kk = _OUTER_WIDTH[regime]
+        assert balanced == (dtype is np.float64)
+        # the largest solve matrix of the dtype: one outer panel
+        kk = _OUTER if balanced else DEFAULT_BLOCK
         rng = np.random.default_rng(m)
         # multipliers above the diagonal, as the elimination stores them
         mult = np.triu(residues((kk, kk), m, rng, balanced), 1).astype(dtype)
@@ -849,8 +855,8 @@ class TestSwappedMultipliers:
     def test_blocked_matches_naive_at_every_limit(self, base):
         shape, _ = WIDE_CASE
         rng = np.random.default_rng(base)
-        for m, regime in boundary_moduli(shape) + [(P31, "eager")]:
-            assert _regime(shape, m) == regime
+        for m, label in boundary_moduli(shape) + [(P31, "eager")]:
+            assert (_regime(m)[0] is np.int64) == (label == "eager")
             data = swap_matrix(shape, base, m, rng)
             mat = FfMatrix(data, PrimeModulus(m))
             naive = mat.rref(naive=True)
@@ -873,19 +879,6 @@ def macaulay_matrix(basis, n, m):
 # first block's triangle not the identity
 SPLIT_N, SPLIT_Q = 12, 33
 SPLIT_SHAPE = ((SPLIT_N + 1) * SPLIT_Q, math.comb(SPLIT_N + 3, 3))
-
-
-def split_counts(shape):
-    """Per product of the split, the terms a value collects before it is
-    next reduced, in the deep and in the settled regime (`_regime`): one
-    per A row, at most min(shape), for the X update and the Schur
-    product, cut into runs of `_OUTER` when settled; `_SPLIT_BLOCK` for
-    the in-block solve."""
-    return {
-        "X update": (min(shape), _OUTER),
-        "in-block solve": (_SPLIT_BLOCK, _SPLIT_BLOCK),
-        "Schur product": (min(shape), _OUTER),
-    }
 
 
 def split_bases(m, rng):
@@ -1003,10 +996,10 @@ def deep_basis():
     return out
 
 
-# the regimes of the split at SPLIT_SHAPE, each at its largest modulus
+# the schedules of the split at SPLIT_SHAPE, each at its largest modulus
 SPLIT_REGIMES = (
-    (deep_limit_prime(SPLIT_SHAPE), "deep"),
-    (settled_prime(SPLIT_SHAPE), "settled"),
+    (whole_prime(SPLIT_SHAPE), "deep"),
+    (F64_LAST, "settled"),
     (P31, "eager"),
 )
 
@@ -1031,8 +1024,7 @@ class TestLevelSolve:
 
         reduce_f64 = _ReduceF64.__call__
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
-        assert _regime(SPLIT_SHAPE, m) == regime
-        _, reduce_, matmul = regime_kernels(regime, m)
+        _, reduce_, matmul, _ = _regime(m)
         k = _SPLIT_BLOCK
         rng = np.random.default_rng(m + upper)
         for name, low in (
@@ -1064,7 +1056,7 @@ class TestLevelSolve:
 
     @pytest.mark.parametrize("m,regime", SPLIT_REGIMES)
     def test_identity_runs_no_product(self, m, regime):
-        _, reduce_, _ = regime_kernels(regime, m)
+        _, reduce_, _, _ = _regime(m)
         y = reduced_extremes((_SPLIT_BLOCK, 4), regime, m)
         want = y.copy()
 
@@ -1075,7 +1067,7 @@ class TestLevelSolve:
         _level_solve(off, y, reduce_, m, no_product)
         assert np.array_equal(y, want)
 
-    @pytest.mark.parametrize("m", (7, 20201, settled_prime(SPLIT_SHAPE), P31))
+    @pytest.mark.parametrize("m", (7, 20201, F64_LAST, P31))
     def test_deep_triangle_in_the_split(self, m, monkeypatch):
         """A degenerate basis whose A triangle is a chain deeper than the
         split meets at sampled points: both solves run one pass per level,
@@ -1098,16 +1090,24 @@ class TestLevelSolve:
         assert passes == [(8, 8), (8, 8)]
 
 
-class TestExactness:
-    """Every value a float64 regime reduces is within the reduction's
-    stated precondition, |x| <= 2^53 - m, each of the settled regime's
-    outer panels starts from values of at most m + 1, and every operand
-    of an eager product is canonical, at each regime's largest modulus,
-    on inputs whose balanced residues are the smallest and the largest."""
+# The largest prime whose budget holds two full outer panels' pivots:
+# no first outer update settles there, and a later one may.
+MIXED = budget_edge(2 * _OUTER)[0]
 
-    @pytest.mark.parametrize("regime", REGIMES)
-    def test_preconditions_hold(self, regime, monkeypatch):
+
+class TestExactness:
+    """Every value float64 reduces is within the reduction's stated
+    precondition, |x| <= 2^53 - m, each outer panel starts from values
+    that leave room in the budget for its own pivots, and every operand
+    of an eager product is canonical, at the largest modulus of each
+    schedule, on inputs whose balanced residues are the smallest and the
+    largest."""
+
+    @pytest.mark.parametrize("regime", ("deep", "settled", "mixed", "eager"))
+    def test_preconditions_hold(self, regime, monkeypatch, schedule):
         seen = []
+        # the number of outer updates before the current elimination
+        before = [0]
 
         def checked_reduce(self, x, m):
             assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
@@ -1121,8 +1121,18 @@ class TestExactness:
             return mod_matmul(a, b, m)
 
         def checked_panel(act, c0, *rest):
-            if regime == "settled" and c0 % _OUTER == 0:
-                assert np.abs(act[:, c0:]).max(initial=0) <= m + 1
+            if regime != "eager" and c0 % _OUTER == 0:
+                if c0 == 0:
+                    before[0] = len(schedule.settles)
+                updates = schedule.settles[before[0] :]
+                # right after a settle, values of at most m + 1; else at
+                # most budget - width products since the last reduction
+                width = min(_OUTER, act.shape[1] - c0)
+                b = m // 2 + 2
+                bound = m + 1
+                if not (updates and updates[-1]):
+                    bound += (_regime(m)[3] - width) * b * b
+                assert np.abs(act[:, c0:]).max(initial=0) <= bound
                 seen.append(act.size)
             return _factor_panel(act, c0, *rest)
 
@@ -1133,11 +1143,11 @@ class TestExactness:
         monkeypatch.setattr("chowcert.matrix._factor_panel", checked_panel)
         for shape, _ in SHAPE_CASES + [WIDE_CASE, (OUTER_SHAPE, None)]:
             m = {
-                "deep": deep_limit_prime(shape),
-                "settled": settled_prime(shape),
+                "deep": whole_prime(shape),
+                "settled": F64_LAST,
+                "mixed": MIXED,
                 "eager": P31,
             }[regime]
-            assert _regime(shape, m) == regime
             rng = np.random.default_rng(m)
             rows, cols = shape
             for data in (
@@ -1151,24 +1161,18 @@ class TestExactness:
         assert seen
 
     @pytest.mark.parametrize("regime", REGIMES)
-    def test_split_preconditions_hold(self, regime, monkeypatch):
+    def test_split_preconditions_hold(self, regime, monkeypatch, schedule):
         """The same for the products of the split (`_split_echelon`), each
         of which must run: the left-looking X update, the in-block
         solve, the Schur product, and the A back-substitution, whose
-        dots (`_dot_rows`) must stay inside int64.  The in-block solve
-        runs by level, at least two levels deep here, and neither solve
-        with A's triangle inverts it: only W's reduction, outside them,
-        calls `_unit_upper_inverse`."""
-        m = {
-            "deep": deep_limit_prime(SPLIT_SHAPE),
-            "settled": settled_prime(SPLIT_SHAPE),
-            "eager": P31,
-        }[regime]
-        assert _regime(SPLIT_SHAPE, m) == regime
-        if regime != "eager":
-            limit = regime_counts(SPLIT_SHAPE)[REGIMES.index(regime)]
-            for name, counts in split_counts(SPLIT_SHAPE).items():
-                assert counts[REGIMES.index(regime)] <= limit, name
+        dots (`_dot_rows`) must stay inside int64.  The X update and the
+        Schur product reduce once where the budget holds one term per A
+        row, and after every run of `budget` terms where it does not.
+        The in-block solve runs by level, at least two levels deep here,
+        and neither solve with A's triangle inverts it: only W's
+        reduction, outside them, calls `_unit_upper_inverse`."""
+        m = dict((label, p) for p, label in SPLIT_REGIMES)[regime]
+        budget = _regime(m)[3]
         phase = []
         seen = set()
 
@@ -1231,23 +1235,33 @@ class TestExactness:
             within("A back-substitution", ShiftedRows.back_substitute),
         )
         rng = np.random.default_rng(m)
+        depths = set()
         for name, basis in split_bases(m, rng):
             mat = macaulay_matrix(basis, SPLIT_N, m)
             naive = FfMatrix(mat.data, mat.modulus).rref(naive=True)
+            schedule.depths.clear()
             res = mat.rref()
             assert res.pivot_cols == naive.pivot_cols, name
             f0 = rng.integers(0, m, mat.cols - naive.rank)
             assert np.array_equal(null_vector(res, f0), null_vector(naive, f0)), name
+            runs = res.shifted.lead.size > budget
+            assert set(schedule.depths) == {budget if runs else None}, name
+            depths |= set(schedule.depths)
         assert {"X update", "in-block solve", "Schur product", "A back-substitution"} <= seen
         assert max(levels) >= 2 and inverted
+        # at most min(shape) A rows: only the largest float64 modulus's
+        # budget falls short of them, and then some products run in runs
+        assert (budget < min(SPLIT_SHAPE)) == (regime == "settled")
+        assert (budget in depths) == (regime == "settled")
 
     def test_settled_products_reduced_between_runs(self, monkeypatch):
-        """Settled, a product deeper than `_OUTER` is cut into runs, each
-        reduced before the next: at the largest settled modulus, with the
-        largest balanced residues, the sum of all its terms would leave
-        the reduction's range."""
-        m = settled_prime(SPLIT_SHAPE)
-        inner = 2 * _OUTER + 5
+        """Past the budget, a product is cut into runs of `budget` terms,
+        each reduced before the next: at the largest float64 modulus,
+        with the largest balanced residues, the sum of all its terms
+        would leave the reduction's range."""
+        m = F64_LAST
+        budget = _regime(m)[3]
+        inner = 2 * budget + 5
         assert not fits_f64(inner, m)
 
         def checked_reduce(self, x, m):
@@ -1264,8 +1278,101 @@ class TestExactness:
         hit = np.array([0, 2, 4])
         want = target.astype(np.int64).astype(object)
         want[hit] -= left.astype(np.int64).astype(object) @ right.astype(np.int64).astype(object)
-        _subtract_product(target, hit, left, right, _ReduceF64(m), m, np.matmul, _OUTER)
+        _subtract_product(target, hit, left, right, _ReduceF64(m), m, np.matmul, budget)
         assert (target.astype(np.int64) % m).tolist() == (want % m).tolist()
+
+
+# Rows that start at the first column of the first three outer panels,
+# `STAIRS` of each, over three full outer panels and a last one
+# `WIDE_LAST` columns wide: the outer updates carry 200, 120 and 150
+# pivots, and the outer panels after them are 256, 256 and 40 wide.
+STAIRS = (200, 120, 150)
+STAIR_SHAPE = (sum(STAIRS), 3 * _OUTER + WIDE_LAST)
+
+
+def stair_matrix(m, rng):
+    starts = np.repeat([0, _OUTER, 2 * _OUTER], STAIRS)
+    return profile_matrix(starts, STAIR_SHAPE[1], m, rng)
+
+
+class TestSchedule:
+    """One float64 schedule: the modulus alone sets the kernels and the
+    budget, and the trailing columns are reduced only when the pivots
+    applied since their last reduction, plus the next outer panel's
+    width, would exceed the budget."""
+
+    def test_kernels_follow_the_modulus_alone(self):
+        budgets = {20201: 88262259, 3000017: 4003, F64_LAST: 264}
+        for m, want in budgets.items():
+            dtype, reduce_, matmul, budget = _regime(m)
+            assert dtype is np.float64 and matmul is np.matmul
+            assert isinstance(reduce_, _ReduceF64)
+            assert budget == want == f64_budget(m)
+            assert fits_f64(budget, m) and not fits_f64(budget + 1, m)
+        # the next odd modulus is past the float64 limit already
+        assert f64_budget(F64_LAST + 2) == 263 < _OUTER + _SUB
+        for m in (F64_LAST + 2, EAGER_FIRST, P31):
+            dtype, reduce_, _, budget = _regime(m)
+            assert dtype is np.int64 and reduce_ is _reduce_i64
+            # more products than any elimination here applies
+            assert budget >= 2**31
+        assert boundary_moduli(STAIR_SHAPE)[2:] == [
+            (F64_LAST, "settled"),
+            (EAGER_FIRST, "eager"),
+        ]
+        # the stairs' first two outer updates fit at `MIXED`, not three
+        assert 2 * _OUTER <= _regime(MIXED)[3] < STAIRS[0] + STAIRS[1] + _OUTER
+
+    @pytest.mark.parametrize(
+        "m,settles",
+        [
+            (20201, [False] * 3),
+            # 200 pivots and a full outer panel fit, 320 and one do not
+            (MIXED, [False, True, False]),
+            # only the last update, 150 pivots and 40 columns, fits
+            (F64_LAST, [True, True, False]),
+        ],
+    )
+    def test_settles_when_the_budget_runs_out(self, m, settles, schedule, monkeypatch):
+        def checked_reduce(self, x, m):
+            assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
+            reduce_f64(self, x, m)
+
+        reduce_f64 = _ReduceF64.__call__
+        monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
+        rng = np.random.default_rng(m)
+        data = stair_matrix(m, rng)
+        res = FfMatrix(data, PrimeModulus(m)).rref()
+        assert schedule.settles == settles
+        # each group's rows are independent from its first column on
+        want = [_OUTER * i + j for i, g in enumerate(STAIRS) for j in range(g)]
+        assert list(res.pivot_cols) == want
+        assert_row_echelon(res)
+        f0 = rng.integers(0, m, STAIR_SHAPE[1] - res.rank)
+        normal = null_vector(res, f0)
+        assert not (data.astype(object) @ normal.astype(object) % m).any()
+
+    def test_settle_without_multipliers(self):
+        """An outer update that settles reduces the trailing tiles even
+        where no row below has a multiplier: their values still hold the
+        products of earlier updates, which the count then forgets."""
+        m = F64_LAST
+        rng = np.random.default_rng(m)
+        trail = residues((4, 6), m, rng, True).astype(np.float64)
+        below = np.full((5, 6), float(_F64_EXACT + 1 - m))
+        want = below.astype(np.int64) % m
+        inv = np.eye(4)
+        l21 = np.zeros((5, 4))
+        _apply_pivots(trail, below, inv, l21, _ReduceF64(m), m, np.matmul, settle=True)
+        assert np.abs(below).max() <= m // 2 + 2
+        assert np.array_equal(below.astype(np.int64) % m, want)
+
+    def test_eager_never_settles(self, schedule):
+        rng = np.random.default_rng(P31)
+        res = FfMatrix(stair_matrix(P31, rng), PrimeModulus(P31)).rref()
+        assert res.rank == sum(STAIRS)
+        # one outer update per 64-column outer panel with pivots
+        assert len(schedule.settles) > 3 and not any(schedule.settles)
 
 
 class TestEliminationMemory:

@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import tracemalloc
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,7 @@ from chowcert.certificate import (
 )
 from chowcert.field import PrimeModulus, SeededRng, derive_seed
 from chowcert.geometry import sample_point, terracini_matrix
-from chowcert.matrix import FfMatrix, _regime
+from chowcert.matrix import FfMatrix
 from chowcert.pipeline import (
     DEFAULT_PRIME,
     GenericityError,
@@ -116,13 +115,13 @@ class TestPinnedCertificates:
             (12, 11682149, "settled", "0fc61a4ecb79691281fc0c5748d8be1b81ab8aa37be4ef6e0b5e375f6e55b7d5"),
         ],
     )
-    def test_large_float64_primes(self, n, prime, regime, digest):
+    def test_large_float64_primes(self, n, prime, regime, schedule, digest):
         # digests computed when all three ran a former per-panel
-        # regime, with 64-column outer panels
-        shape = (3 * (n + 1) * default_r(n), comb(n + 3, 3))
-        assert _regime(shape, prime) == regime
+        # regime, with 64-column outer panels; at 3000017 the budget
+        # holds these matrices whole, at 11682149 it does not
         cert = certify(n, prime=prime, seed=77)
         assert integrity_digest(cert) == digest
+        schedule.assert_kind(regime, prime)
 
     def test_eager_regime_at_2_31_minus_1(self):
         # m = 2^31 - 1 takes the eager int64 elimination
@@ -141,11 +140,13 @@ class TestPinnedCertificates:
             (16, 2**31 - 1, "c4599eafab63e08c56e61e69cb09677c7288099fdce09902c3c93ced5369fc34"),
         ],
     )
-    def test_benchmark_sizes_at_seed_77(self, n, prime, digest):
+    def test_benchmark_sizes_at_seed_77(self, n, prime, digest, schedule):
         # digests computed with the dense elimination of the whole
-        # Terracini matrix
+        # Terracini matrix; the budget holds these matrices whole, so no
+        # value is reduced before it is read
         cert = certify(n, prime=prime, seed=77)
         assert integrity_digest(cert) == digest
+        schedule.assert_kind("eager" if prime == 2**31 - 1 else "deep", prime)
 
 
 class TestVerify:
