@@ -31,8 +31,15 @@ updates of inner dimension `DEFAULT_BLOCK` in int64.  No pivot row is
 solved on its own: each outer panel keeps one solve matrix, the inverse
 of its pivots' lower factor, grown a sub-panel at a time, and the pivot
 rows of a sub-panel, a panel or the whole outer panel are solved by one
-product with its diagonal block (`_extend_solve`).  The block sizes and
-the number format are the elimination's own.
+product with its diagonal block (`_extend_solve`).  A panel is factored
+column by column on a transposed copy (`_factor_panel`), with as few
+numpy calls per pivot as the loop allows: the candidate pivot is tested
+as a scalar and the column searched only when it is zero, the pivot row
+is scaled in Python integers, and the rank-1 update stays within a
+sub-panel of `_SUB` columns; each sub-panel's pivots then reach the
+panel's later columns by two products on the transposed panel, whose
+rows are contiguous.  The block sizes and the number format are the
+elimination's own.
 
 A matrix may eliminate itself by its structure (the `FfMatrix._echelon`
 hook).  A Macaulay matrix, one row x_i w per variable x_i and row w of a
@@ -228,14 +235,19 @@ def _regime(m: int):
 
     In float64, reductions leave balanced residues of at most
     b = m // 2 + 2 (`_ReduceF64`), so a product of two of them is at most
-    b^2; one with a canonical operand (a pivot inverse, or an entry of a
-    solve matrix's diagonal block) is at most (m - 1) b < 2 b^2, so it
-    counts as two.  A value starts at most m + 1 (canonical, or
+    b^2; one with a canonical operand (an entry of a solve matrix's
+    diagonal block) is at most (m - 1) b < 2 b^2, so it counts as two.
+    A pivot row scaled by its pivot's inverse in Python integers
+    (`_factor_panel`) is stored balanced, not canonical, so each term of
+    a rank-1 update, that row times a reduced column, counts as one
+    product, and a value collects at most `_SUB - 1` of them before it
+    is next read.  A value starts at most m + 1 (canonical, or
     balanced), so after p products it is at most p b^2 + m + 1, which
     must stay within the reduction's range, 2^53 - m: hence
     budget = (2^53 - 1 - 2m) // b^2, 88262259 at 20201, 4003 at 3000017.
     A product that extends a solve matrix or solves pivot rows with it
-    (`_extend_solve`) has at most `_OUTER` terms, `_SUB` of them
+    (`_extend_solve`, `_apply_pivots`, and within a panel
+    `_factor_panel`) has at most `_OUTER` terms, `_SUB` of them
     canonical, and replaces a value: it counts _OUTER + _SUB.  So
     float64 holds while budget >= _OUTER + _SUB, up to m = 11682149,
     where budget is 264.  Every other value is reduced before it
@@ -277,6 +289,12 @@ def _regime(m: int):
 
 def _apply_pivots(trail, below, inv, l21, reduce_, m, matmul, settle=False):
     """Carry a block of pivots into the columns right of it.
+
+    Its two callers are in `_echelon_blocked`: after each panel, into
+    the rest of its outer panel, and after each outer panel, into the
+    columns right of it, with `settle` when the budget runs out
+    (`_regime`).  Within a panel, `_factor_panel` makes the same two
+    products itself, on its transposed copy.
 
     `trail` holds the k pivot rows' entries in those columns and `below`
     the rows under them, both as views (one row per matrix row); `inv`
@@ -481,14 +499,25 @@ def _factor_panel(act, c0, c1, mult, solve, q, pivots, reduce_, m, matmul, eager
     `q` on, and this panel's pivots are its pivots from `q` on.  The
     panel is factored on a transposed copy, so the column reduce, the
     pivot search and the rank-1 updates stream contiguous memory.
-    Rank-1 updates stay within sub-panels of `_SUB` columns.  A
-    sub-panel's pivots then extend `solve`, the outer panel's solve
-    matrix, and reach the panel's later columns in two matmuls: its
-    block of `solve` solves their rows, and one product updates the rows
-    below.  A row swap moves the two rows right of the panel and their
-    multipliers from the outer panel's earlier pivots.  Writes each
-    pivot's inverse to the diagonal of `solve` and appends its column to
-    `pivots`.
+
+    The pivot is the first nonzero of its column on the active rows.
+    After the column reduce, the candidate, the entry of the next active
+    row, is tested as a scalar; only when it is zero is the column
+    searched, and the rows swapped, and a column that is zero on every
+    active row is skipped.  The pivot row's entries in the sub-panel, at
+    most `_SUB`, are scaled by the pivot's inverse in Python integers and
+    written back once, balanced in float64 and canonical in int64
+    (`_regime`); the rank-1 update, within the sub-panel, is one product
+    of that row and the column below the pivot, which becomes the
+    pivot's row of multipliers.  A sub-panel's pivots then extend
+    `solve`, the outer panel's solve matrix, and reach the panel's later
+    columns by two products on the transposed panel, whose rows are
+    contiguous: the sub-panel's rows there, as columns of the copy, are
+    solved by the transposed diagonal block of `solve`, then times the
+    sub-panel's multipliers subtracted from the rows below.  A row swap
+    moves the two rows right of the panel and their multipliers from the
+    outer panel's earlier pivots.  Writes each pivot's inverse to the
+    diagonal of `solve` and appends its column to `pivots`.
     """
     w = c1 - c0
     nact = act.shape[0]
@@ -496,6 +525,8 @@ def _factor_panel(act, c0, c1, mult, solve, q, pivots, reduce_, m, matmul, eager
     lfac = mult[q : q + w, q:]
     # order[i]: the active row that the panel's swaps moved to position i
     order = np.arange(nact)
+    # scaled pivot rows are stored balanced in float64, canonical in int64
+    half = 0 if eager else m // 2
     k = 0
     for j0 in range(0, w, _SUB):
         j1 = min(j0 + _SUB, w)
@@ -503,45 +534,46 @@ def _factor_panel(act, c0, c1, mult, solve, q, pivots, reduce_, m, matmul, eager
         for j in range(j0, j1):
             if k == nact:
                 break
-            reduce_(pan[j, k:], m)
-            nz = np.flatnonzero(pan[j, k:])
-            if nz.size == 0:
-                continue
-            p = k + int(nz[0])
-            if p != k:
+            col = pan[j, k:]
+            reduce_(col, m)
+            prow = pan[j:j1, k]
+            vals = prow.tolist()
+            if not vals[0]:
+                nz = np.flatnonzero(col)
+                if nz.size == 0:
+                    continue
+                p = k + int(nz[0])
                 _swap_columns(pan, k, p)
                 _swap_columns(mult[: q + k], q + k, q + p)
                 order[k], order[p] = order[p], order[k]
-            inv = pow(int(pan[j, k]), -1, m)
+                vals = prow.tolist()
+            inv = pow(int(vals[0]), -1, m)
             solve[q + k, q + k] = inv
-            prow = pan[j:j1, k]
-            reduce_(prow, m)
-            prow *= inv
-            # the scaled pivot is exactly 1: a residue of 1 is far from a
-            # rounding tie, so the update below zeroes the pivot column
-            # under it
-            reduce_(prow, m)
-            below = pan[j, k + 1 :].copy()
+            # the scaled pivot is exactly 1, so the update below zeroes
+            # the pivot column under it
+            prow[:] = [(int(x) * inv + half) % m - half for x in vals]
+            below = lfac[k, k + 1 :]
+            below[:] = col[1:]
             upd = pan[j:j1, k + 1 :]
-            upd -= np.multiply(prow[:, None], below[None, :])
+            upd -= prow[:, None] * below
             if eager:
                 reduce_(upd, m)
-            lfac[k, k + 1 :] = below
             pivots.append(c0 + j)
             k += 1
         if k == k0:
             continue
         _extend_solve(solve, mult, q + k0, q + k, reduce_, m, matmul)
         if j1 < w:
-            _apply_pivots(
-                pan[j1:, k0:k].T,
-                pan[j1:, k:].T,
-                solve[q + k0 : q + k, q + k0 : q + k],
-                lfac[k0:k, k:].T,
-                reduce_,
-                m,
-                matmul,
-            )
+            # the sub-panel's pivot rows in the panel's later columns, as
+            # columns of `pan`: solved by the transposed block of
+            # `solve`, then carried into the rows below
+            t = pan[j1:, k0:k]
+            reduce_(t, m)
+            t[...] = matmul(t, solve[q + k0 : q + k, q + k0 : q + k].T)
+            if not eager:
+                # `_mod_matmul` already returns canonical residues
+                reduce_(t, m)
+            pan[j1:, k:] -= matmul(t, lfac[k0:k, k:])
     act[:, c0:c1] = pan.T
     moved = np.flatnonzero(order != np.arange(nact))
     if moved.size:

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from chowcert.certificate import format_certificate
+import chowcert.pipeline as pipeline
+from chowcert.certificate import format_certificate, integrity_digest
 from chowcert.field import PrimeModulus, SeededRng
 from chowcert.geometry import (
     hessian_at,
@@ -65,13 +66,59 @@ def test_criterion_1_reference_certificate_replay():
     report(1, f"reference certificate replays 48/48 and 15/15 in {elapsed * 1e3:.1f}ms")
 
 
-def test_criterion_2_sweep_to_n30():
+# The check lines of the 29 certificates of sweep(2, 30, seed=20260811),
+# n = 2..30 in order: every change to the elimination must leave them
+# as they are.
+SWEEP_DIGESTS = (
+    "d08e7a33c81b0fd8abc34e0ac08ededaabe8e36ed668bc2b93fa1067d14b7360",
+    "63269c3afaab3003336c8b476f585f2763430c28ac5221d2c181f7e7690cec17",
+    "fca20150a7fa2da271bb6cc69e91a63e12c47fd1a73956028ca698bcceb354d9",
+    "c73d8f261f649cbdb2f6b509a1b8d2b75876b1589792e5e00717c6bef0f2dfe1",
+    "4ef2c49b7de9537221b367844259a44cf8ec94d6090c02bb0a09b9e93c62aa46",
+    "0b4fce34789308d50d798ed0d1afe45c3eed8d7622189e26b6ca83f7481d7388",
+    "791daf9f16c729783d621ba68641509a4f8df818683c5f5dee426f257cea4026",
+    "7112404cf87f6eb65a4f316ae2ce54f7c31949e2751b4a40594b14e0e5ab7b38",
+    "f2ce70e13087478590c23c90cb86066bdbc8ce39f710ce1aca5a0de9cedb2300",
+    "000bbadce1a6ff0fb634033a687485b81314d8abeddbe8129e1d2b40dff98a62",
+    "98d6057303b36a6443f6b2cbfeef132b3442d193cf0d56cbba890d80871e16e0",
+    "aea3487a98c27c890d622485a7546d21268861eab9b1bf402d916171fde91b94",
+    "e2713bcb3464ff295872e6f7a29fc5cc84dd67549908b64318f87382776a9dd2",
+    "3cf92b921b743bf4610aeb2f3b52d7737a266a1303809553afe2d93c61c1ada0",
+    "008925642b5475e99eff3bce8a8d9160e27c28fcedb98cc684781d571af3be03",
+    "e37a2160f0d81347fd9339d0732f1d3f0c8823e41f107a8866506ac696802819",
+    "fae9a0d8eba80f4ae4ced8d91c78773477766c51ef866088e8f8449255073649",
+    "2c28fa08dd86c73715758c905989b78d1e3b49ce6575e204772f96005847ac60",
+    "f3b1c24051909d6943bb1185ffe2f321c6d37fb4d009bfc0b1b087219b891c83",
+    "4cfe3c39822093f77cf21dc5c88f76e7ea0afed0c8ab8133e27bbf9bd1fb7f1b",
+    "456477499fa337a8ac1a8152c1cf9e6e80379a59f0448b80051b9028e72958e9",
+    "364e986653caf6d85f43b8ab6a10364b1c10136776c717e94cc78a03b915b301",
+    "544dcbac7098161bf863c6466a40c5adaf68cad0bb2ee506f0777ef976938eb9",
+    "795f0badf9d2625a541c73682225760b3f18f52ad7c0e2157a82f6ff9687ec68",
+    "8fa613fcd1c254ac923d8bca2c8dd96705ddbc87467a64d17d6e4885b30e3a5f",
+    "aa7cf1b6d3805dc86de7a42b83613fcc4de684b0bbfba6770979f22873f7dc35",
+    "93437a00bc6cf6631e9e4db6c2c18f390b02482c5ef53a845e1fa564023af3e7",
+    "82874ec736c8876edce604dee607db9e19a3a66d6d8986537da4738e3fcc2773",
+    "acd12f4526a9c9119180db555baebb63f70e9c98dd90226a788aac7bb611c91e",
+)
+
+
+def test_criterion_2_sweep_to_n30(monkeypatch):
     basis = monomial_basis(102, 3)
     assert basis.dim == 187460  # the largest case is touched via indexing only
     exps = [0] * 103
     exps[100] = 3
     assert basis.exponents_of(basis.index_of(exps)) == tuple(exps)
 
+    # the certificates the sweep makes, captured as it makes them
+    digests = []
+
+    def recorded(*args, **kwargs):
+        cert = certify_case(*args, **kwargs)
+        digests.append(integrity_digest(cert))
+        return cert
+
+    certify_case = pipeline.certify
+    monkeypatch.setattr(pipeline, "certify", recorded)
     start = time.perf_counter()
     rows = sweep(2, 30, prime=20201, seed=20260811)
     elapsed = time.perf_counter() - start
@@ -80,8 +127,9 @@ def test_criterion_2_sweep_to_n30():
         assert row.verdict, f"n={row.n} failed"
         assert row.tangent_rank == (3 * row.n + 1) * row.r, f"n={row.n}"
         assert row.hessian_rank == 3 * row.n, f"n={row.n}"
+    assert tuple(digests) == SWEEP_DIGESTS
     assert elapsed < 600, f"sweep took {elapsed:.1f}s"
-    report(2, f"29 cases all TRUE with full ranks in {elapsed:.1f}s")
+    report(2, f"29 pinned certificates, all TRUE with full ranks, in {elapsed:.1f}s")
 
 
 def test_criterion_3_rank_table_to_n103():

@@ -1,12 +1,14 @@
 import math
 import os
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chowcert.matrix as matrix
 from chowcert.field import PrimeModulus, is_prime
 from chowcert.geometry import TerraciniMatrix
 from chowcert.matrix import (
@@ -20,6 +22,7 @@ from chowcert.matrix import (
     ShiftedRows,
     _matmul_naive,
     _mod_matmul,
+    _rref_naive,
     _apply_pivots,
     _dot_rows,
     _extend_solve,
@@ -866,6 +869,215 @@ class TestSwappedMultipliers:
             assert fast.echelon == naive.echelon, m
 
 
+# A panel of the direct `_factor_panel` tests: three sub-panels, the last
+# partial, so a sub-panel's pivots reach later columns of the panel or,
+# in the last, none.  The active rows are zero left of the panel, as in
+# the elimination, and have `PANEL_RIGHT` columns right of it, which the
+# panel's swaps move.
+PANEL_C0, PANEL_W, PANEL_RIGHT = 2, 2 * _SUB + 3, 5
+PANEL_C1 = PANEL_C0 + PANEL_W
+PANEL_COLS = PANEL_C1 + PANEL_RIGHT
+
+
+def panel_rows(starts, m, rng):
+    """Active rows, row i zero left of panel column starts[i]."""
+    return profile_matrix([PANEL_C0 + s for s in starts], PANEL_COLS, m, rng)
+
+
+def panel_cases(m, rng):
+    """(name, active rows, q) for the direct `_factor_panel` tests, q
+    being the number of the outer panel's earlier pivots."""
+    # The first row starts one column late, so the first column swaps.
+    # Sums of the first sub-panel's rows plus rows that start later come
+    # next: reduced, they are zero at the second sub-panel's first
+    # columns, with nonzero multipliers from the first sub-panel's
+    # pivots, and the rows that start there come after them.
+    head = panel_rows([1, 0] + list(range(2, _SUB)), m, rng)
+    late = panel_rows([_SUB + 3, 2 * _SUB + 1], m, rng)
+    sums = (_mod_matmul(rng.integers(1, m, (2, _SUB)), head, m) + late) % m
+    later = [_SUB, _SUB + 1, _SUB + 2] + list(rng.integers(_SUB, PANEL_W, 9))
+    search = np.vstack([head, sums, panel_rows(later, m, rng)])
+    # One column and the whole second sub-panel zero on every row, and
+    # one column a sum of two earlier ones, zero once they are pivots.
+    zero = panel_rows([0] * 20, m, rng)
+    zero[:, PANEL_C0 + 5] = 0
+    zero[:, PANEL_C0 + _SUB : PANEL_C0 + 2 * _SUB] = 0
+    zero[:, PANEL_C0 + 2 * _SUB + 1] = (
+        zero[:, PANEL_C0 + 2] + 3 * zero[:, PANEL_C0 + 4]
+    ) % m
+    # The first pivot row's scaled entries are +-(m - 1) / 2, the largest
+    # balanced residues, and the other rows' entries balance to them.
+    largest = half_modulus_matrix(20, PANEL_COLS, m, rng)
+    largest[:, :PANEL_C0] = 0
+    pivot = int(rng.integers(1, m))
+    h = m // 2
+    signs = rng.integers(0, 2, PANEL_W)
+    largest[0, PANEL_C0:PANEL_C1] = pivot * np.where(signs, h, m - h) % m
+    largest[0, PANEL_C0] = pivot
+    return [
+        ("search", search, 0),
+        ("search", search, 3),
+        ("zero column", zero, 0),
+        ("zero column", zero, 2),
+        # fewer rows than the panel has columns
+        ("short", panel_rows([0] * 5, m, rng), 2),
+        ("largest residues", largest, 0),
+    ]
+
+
+def panel_reference(rows, carried, m):
+    """Columns PANEL_C0..PANEL_C1 of `rows` factored one column at a
+    time in Python integers, the pivot the first nonzero of its column;
+    carried[i] holds the multipliers of row i from the outer panel's
+    earlier pivots, and gets one per pivot.
+
+    Returns the pivot columns, the rows (reduced and eliminated in the
+    panel, pivot rows scaled there, all of them in their final order),
+    the multipliers, the pivots' values, and the count of each branch
+    taken: "first" (the candidate row is the pivot), "swap", "carried"
+    (a swapped row has a multiplier from an earlier sub-panel's pivot of
+    this panel), "skip" (a column zero on the active rows), "empty" (a
+    sub-panel without a pivot, before the last one with one), "full"
+    (every row is a pivot before the panel ends) and "largest" (a pivot
+    row's scaled entries after the pivot in its sub-panel are all
+    +-(m - 1) / 2).
+    """
+    rows = [[int(v) for v in r] for r in rows]
+    carried = [[int(v) % m for v in c] for c in carried]
+    q, n = len(carried[0]), len(rows)
+    pivots, values, subs = [], [], []
+    hits = Counter()
+    k = 0
+    for c in range(PANEL_C0, PANEL_C1):
+        if k == n:
+            hits["full"] += 1
+            break
+        sub = (c - PANEL_C0) // _SUB
+        nz = [i for i in range(k, n) if rows[i][c] % m]
+        if not nz:
+            hits["skip"] += 1
+            continue
+        p = nz[0]
+        if p == k:
+            hits["first"] += 1
+        else:
+            hits["swap"] += 1
+            earlier = [q + l for l, s in enumerate(subs) if s < sub]
+            if any(carried[i][e] for i in (k, p) for e in earlier):
+                hits["carried"] += 1
+            rows[k], rows[p] = rows[p], rows[k]
+            carried[k], carried[p] = carried[p], carried[k]
+        value = rows[k][c] % m
+        inv = pow(value, -1, m)
+        prow = [v * inv % m for v in rows[k][PANEL_C0:PANEL_C1]]
+        rows[k][PANEL_C0:PANEL_C1] = prow
+        end = PANEL_C0 + min((sub + 1) * _SUB, PANEL_W)
+        ahead = {min(v, m - v) for v in rows[k][c + 1 : end]}
+        if ahead == {m // 2}:
+            hits["largest"] += 1
+        for i in range(n):
+            f = rows[i][c] % m if i > k else 0
+            carried[i].append(f)
+            if f:
+                row = zip(rows[i][PANEL_C0:PANEL_C1], prow)
+                rows[i][PANEL_C0:PANEL_C1] = [(a - f * b) % m for a, b in row]
+        pivots.append(c)
+        values.append(value)
+        subs.append(sub)
+        k += 1
+    hits["empty"] += len(set(range(max(subs, default=0))) - set(subs))
+    for r in rows:
+        r[PANEL_C0:PANEL_C1] = [v % m for v in r[PANEL_C0:PANEL_C1]]
+    return pivots, rows, carried, values, hits
+
+
+def lower_inverse(values, mult, m):
+    """The inverse of M mod m, M[i, i] = values[i] and M[i, l] =
+    mult[l, i] for l < i, by forward substitution in Python integers."""
+    out = []
+    for i, value in enumerate(values):
+        row = [int(i == j) for j in range(len(values))]
+        for l in range(i):
+            c = int(mult[l][i]) % m
+            if c:
+                row = [a - c * b for a, b in zip(row, out[l])]
+        inv = pow(int(value), -1, m)
+        out.append([a * inv % m for a in row])
+    return out
+
+
+class TestFactorPanel:
+    """`_factor_panel` on small panels, against a column-by-column
+    reference and `_rref_naive`: every branch its loop keeps is reached
+    at a small prime, the benchmark prime and each regime's largest."""
+
+    @pytest.mark.parametrize("m", (7, 20201, F64_LAST, P31))
+    def test_matches_references(self, m, monkeypatch):
+        def checked_reduce(self, x, m):
+            assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
+            reduce_f64(self, x, m)
+
+        def counted_swap(x, k, p):
+            swaps.append((k, p))
+            swap_columns(x, k, p)
+
+        reduce_f64, swap_columns = _ReduceF64.__call__, matrix._swap_columns
+        monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
+        monkeypatch.setattr(matrix, "_swap_columns", counted_swap)
+        dtype, reduce_, matmul, _ = _regime(m)
+        eager = dtype is np.int64
+        assert eager == (m == P31)
+        rng = np.random.default_rng(m)
+        hits = Counter()
+        swaps = []
+        for name, rows, q in panel_cases(m, rng):
+            nact = len(rows)
+            # the outer panel's q earlier pivots: their multipliers, as
+            # the elimination keeps them, and their rows of `solve`
+            earlier = residues((q, q + nact), m, rng, not eager)
+            mult = np.zeros((q + PANEL_W, q + nact), dtype=dtype)
+            mult[:q] = np.triu(earlier, 1)
+            before = mult.astype(np.int64) % m
+            values = rng.integers(1, m, q).tolist()
+            solve = np.zeros((q + PANEL_W,) * 2, dtype=dtype)
+            solve[:q, :q] = lower_inverse(values, before, m)
+            act = rows.astype(dtype)
+            swaps.clear()
+            pivots = []
+            args = (mult, solve, q, pivots, reduce_, m, matmul, eager)
+            k = _factor_panel(act, PANEL_C0, PANEL_C1, *args)
+            want, out, carried, found, seen = panel_reference(
+                rows, before[:q, q:].T, m
+            )
+            hits += seen
+            assert pivots == want and k == len(want), name
+            assert len(swaps) == 2 * seen["swap"], name
+            got = act.astype(np.int64)
+            assert not got[:, :PANEL_C0].any(), name
+            # stored reduced: canonical in int64, balanced in float64
+            panel = got[:, PANEL_C0:PANEL_C1]
+            if eager:
+                assert panel.min() >= 0 and panel.max() < m, name
+            else:
+                assert np.abs(panel).max() <= m // 2 + 2, name
+            assert (panel % m).tolist() == [r[PANEL_C0:PANEL_C1] for r in out], name
+            assert got[:, PANEL_C1:].tolist() == [r[PANEL_C1:] for r in out], name
+            want_mult = before.copy()
+            want_mult[: q + k, q:] = np.array(carried, dtype=np.int64).T
+            assert np.array_equal(mult.astype(np.int64) % m, want_mult), name
+            want_solve = np.zeros(solve.shape, dtype=np.int64)
+            want_solve[: q + k, : q + k] = lower_inverse(values + found, want_mult, m)
+            assert np.array_equal(solve.astype(np.int64) % m, want_solve), name
+            # the pivots and the row space of the panel's columns, against
+            # the naive elimination
+            naive, naive_pivots = _rref_naive(rows[:, PANEL_C0:PANEL_C1], m)
+            assert [PANEL_C0 + c for c in naive_pivots] == pivots, name
+            reduced, _ = _rref_naive(got[:k, PANEL_C0:PANEL_C1] % m, m)
+            assert np.array_equal(reduced, naive[:k]), name
+        for branch in ("first", "swap", "carried", "skip", "empty", "full", "largest"):
+            assert hits[branch], branch
+
+
 def macaulay_matrix(basis, n, m):
     """The degree-3 Macaulay matrix of the quadrics `basis` in n + 1
     variables, row (j, i) being x_i times quadric j; a `TerraciniMatrix`
@@ -1105,9 +1317,39 @@ class TestExactness:
 
     @pytest.mark.parametrize("regime", ("deep", "settled", "mixed", "eager"))
     def test_preconditions_hold(self, regime, monkeypatch, schedule):
+        """Also counts the in-panel products of `_factor_panel`, those it
+        makes itself and not through `_extend_solve`: each has at most
+        `_SUB` inner terms, and its left operand is reduced and, in
+        float64, balanced."""
         seen = []
         # the number of outer updates before the current elimination
         before = [0]
+        # the innermost of `_factor_panel` and `_extend_solve` running
+        phase = []
+        in_panel = []
+
+        def within(name, f):
+            def run(*args):
+                phase.append(name)
+                try:
+                    return f(*args)
+                finally:
+                    phase.pop()
+
+            return run
+
+        def checked_regime(m):
+            dtype, reduce_, matmul, budget = regime_of(m)
+
+            def product(a, b):
+                if phase[-1:] == ["panel"]:
+                    assert a.shape[1] <= _SUB
+                    if dtype is np.float64:
+                        assert np.abs(a).max(initial=0) <= m // 2 + 2
+                    in_panel.append(a.shape)
+                return matmul(a, b)
+
+            return dtype, reduce_, product, budget
 
         def checked_reduce(self, x, m):
             assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
@@ -1134,13 +1376,18 @@ class TestExactness:
                     bound += (_regime(m)[3] - width) * b * b
                 assert np.abs(act[:, c0:]).max(initial=0) <= bound
                 seen.append(act.size)
-            return _factor_panel(act, c0, *rest)
+            return within("panel", _factor_panel)(act, c0, *rest)
 
         reduce_f64 = _ReduceF64.__call__
         mod_matmul = _mod_matmul
+        regime_of = _regime
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         monkeypatch.setattr("chowcert.matrix._mod_matmul", checked_matmul)
         monkeypatch.setattr("chowcert.matrix._factor_panel", checked_panel)
+        monkeypatch.setattr("chowcert.matrix._regime", checked_regime)
+        monkeypatch.setattr(
+            "chowcert.matrix._extend_solve", within("extend", _extend_solve)
+        )
         for shape, _ in SHAPE_CASES + [WIDE_CASE, (OUTER_SHAPE, None)]:
             m = {
                 "deep": whole_prime(shape),
@@ -1158,7 +1405,7 @@ class TestExactness:
             ):
                 mat = FfMatrix(data, PrimeModulus(m))
                 assert mat.rref().pivot_cols == mat.rref(naive=True).pivot_cols
-        assert seen
+        assert seen and in_panel
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_split_preconditions_hold(self, regime, monkeypatch, schedule):
