@@ -49,7 +49,10 @@ form W', the rows x_i w'_j that start a new column (A, `ShiftedRows`)
 are already in echelon form with pivot 1 and are never written out; the
 others (C) are reduced to zero on A's leading columns, left-looking,
 one product per variable, and only their Schur complement D' is
-eliminated, by the same blocked kernel.  The pivots are A's leading
+eliminated, by the same blocked kernel.  No C row's multipliers or row
+of D' depend on another C row, so C is never held whole: it is written
+and reduced one tile of rows at a time (`_C_TILE`), and only D' and
+one tile are held, with the operands every tile reuses.  The pivots are A's leading
 columns and D''s pivots, the kernel vector comes from back-substitution
 over D' and then over A, and both stay canonical.  A's unit triangle is
 nearly flat: within a block of rows, few rows depend on others, and
@@ -80,6 +83,10 @@ _LIMB = 1 << 16
 # Entries per row tile of a trailing update (2 MB of float64): each
 # tile's product is subtracted while it is still in cache.
 _TILE = 1 << 18
+# Entries per row chunk (256 KB of float64) in which a split writes a
+# tile of C rows and reduces its Schur complement: their temporaries
+# stay small beside the tile.
+_CHUNK = 1 << 15
 # Columns per sub-panel: rank-1 updates stay within one.
 _SUB = 8
 # Columns per outer panel in float64 (`DEFAULT_BLOCK` in int64): the
@@ -90,6 +97,13 @@ _OUTER = 256
 # (`_solve_multipliers`); at most `_OUTER`, so the block's solve product
 # stays within every float64 budget (`_regime`).
 _SPLIT_BLOCK = _OUTER
+# Bytes per tile of C rows in a split (`_split_echelon`): C is written
+# and reduced one tile of its rows at a time, never whole.  A tile holds
+# at least `_C_TILE_ROWS` rows, the width of its products: at n=50 (C
+# rows of 23426 columns), tiles of 44 rows made the split 20% slower
+# than holding C whole, and tiles of 250 rows 4% faster.
+_C_TILE = 1 << 23
+_C_TILE_ROWS = 256
 # glibc raises its mmap threshold to the largest block freed so far (up
 # to 32 MB), so after the first elimination the Terracini-sized arrays
 # come from the heap; how much of the heap stays resident then depends on
@@ -373,18 +387,19 @@ def _add_m_if_negative(x: np.ndarray, m: int) -> None:
     x += (x >> 63) & m
 
 
-def _row_step(cols: int) -> int:
-    """Rows per tile of about `_TILE` entries."""
-    return max(1, _TILE // max(cols, 1))
+def _row_step(cols: int, tile: int = _TILE) -> int:
+    """Rows per tile of about `tile` entries."""
+    return max(1, tile // max(cols, 1))
 
 
 def working_array_bytes(rows: int, cols: int) -> int:
     """Bytes of a whole rows x cols matrix as one 8-byte array.  A dense
     matrix is eliminated in one such array (float64, or int64 when
-    eager).  The split of a Macaulay matrix (`_split_echelon`) holds its
-    C rows and, while it copies it out, their Schur complement D': about
-    half of this at generic points, but C has more rows for other bases,
-    up to nearly as many as the whole matrix."""
+    eager).  The split of a Macaulay matrix (`_split_echelon`) holds the
+    Schur complement D' of its C rows, one tile of C rows and the
+    operands the tiles share: a fifth of this at generic points at n=30
+    and a sixth at n=50 to 60, but D' has more rows and columns for
+    other bases, up to nearly the whole matrix."""
     return rows * cols * 8
 
 
@@ -766,62 +781,95 @@ def _subtract_product(target, hit, left, right, reduce_, m, matmul, depth):
         target[hit] = part
 
 
+def _shift_product(shifted, i, cols, g, sources, wv):
+    """The product by which the A rows g of variable i reach the columns
+    `cols`, or None where they reach none: (hit, left, g), `hit` the
+    positions in `cols` they reach and `left` the entries there of the
+    basis rows they shift, transposed.  A rows are numbered in the order
+    of C's columns (`_split_echelon`): those of variable i hold the
+    positions starts[i]..starts[i+1], in lead order, and the one at
+    position p shifts row sources[p] of `wv`, the basis in the working
+    format.  Row x_i w reaches column c only through the column of w
+    that x_i maps to c (`ShiftedRows.reach`)."""
+    if g.start == g.stop:
+        return None
+    t = shifted.reach[i, cols]
+    hit = np.flatnonzero(t >= 0)
+    if not hit.size:
+        return None
+    return hit, wv[np.ix_(sources[g], t[hit])].T, g
+
+
+def _multiplier_blocks(shifted, starts, sources, wv):
+    """The operands of the multiplier solve (`_solve_multipliers`), one
+    block of `_SPLIT_BLOCK` A rows at a time: its rows k0..k1, its X
+    update, one `_shift_product` per variable with earlier A rows that
+    reach the block's leading columns, and its triangle
+    (`ShiftedRows.block`), None when that is zero."""
+    nv = starts.size - 1
+    done = np.zeros(nv, dtype=np.int64)
+    for k0 in range(0, shifted.lead.size, _SPLIT_BLOCK):
+        k1 = min(k0 + _SPLIT_BLOCK, shifted.lead.size)
+        lead = shifted.lead[k0:k1]
+        update = (
+            _shift_product(shifted, i, lead, slice(starts[i], starts[i] + n), sources, wv)
+            for i, n in enumerate(done.tolist())
+        )
+        off = shifted.block(k0, k1)
+        yield k0, k1, filter(None, update), off if off.any() else None
+        done += np.bincount(shifted.var[k0:k1], minlength=nv)
+
+
+def _schur_products(shifted, starts, sources, wv):
+    """The operands of the Schur product (`_schur_update`): one
+    `_shift_product` per variable whose A rows reach `rest`."""
+    for i in range(starts.size - 1):
+        g = slice(starts[i], starts[i + 1])
+        op = _shift_product(shifted, i, shifted.rest, g, sources, wv)
+        if op is not None:
+            yield op
+
+
 def _solve_block(part, off, reduce_, m, matmul) -> None:
     """Solve X_K U_KK = R_K, transposed and in place: `part` holds
     R_K^T, reduced, and `off` is U_KK without its unit diagonal,
     strictly upper triangular and canonical.
 
     U_KK^T X_K^T = R_K^T is solved by level (`_level_solve`) on the
-    strictly lower `off.T`: one product per level, and none when U_KK
-    is the identity, as it mostly is.
+    strictly lower `off.T`: one product per level.
     """
     _level_solve(off.T, part, reduce_, m, matmul)
 
 
-def _solve_multipliers(ct, shifted, pos, starts, sources, wv, reduce_, m, matmul, depth):
+def _solve_multipliers(ct, pos, blocks, reduce_, m, matmul, depth):
     """Overwrite C's A columns with X, where C_A = X U_AA.
 
     `ct` holds C transposed, one row per column of C: row pos[k] holds
-    C's column at the lead of A row k and receives X's column k.  The
-    A rows of variable i own the rows starts[i]..starts[i+1], in lead
-    order, and the A row of `ct`'s row p shifts row sources[p] of `wv`,
-    the basis in the working format.  Left-looking, one block of
-    `_SPLIT_BLOCK` A rows at a time: the block's columns lose every
-    earlier A row's contribution, one product per variable, since the
-    A rows of variable i are basis rows shifted by x_i
-    (`ShiftedRows.reach`); then `_solve_block` solves them.
+    C's column at the lead of A row k and receives X's column k.
+    Left-looking, one block of A rows at a time (`_multiplier_blocks`):
+    the block's columns lose every earlier A row's contribution, one
+    product per variable, since the A rows of variable i are basis rows
+    shifted by x_i; then `_solve_block` solves them, unless the block's
+    triangle is the identity, as it mostly is.
     """
-    nv = starts.size - 1
-    done = np.zeros(nv, dtype=np.int64)
-    for k0 in range(0, shifted.lead.size, _SPLIT_BLOCK):
-        k1 = min(k0 + _SPLIT_BLOCK, shifted.lead.size)
-        lead = shifted.lead[k0:k1]
+    for k0, k1, update, off in blocks:
         part = ct[pos[k0:k1]]
-        for i in np.flatnonzero(done):
-            t = shifted.reach[i, lead]
-            hit = np.flatnonzero(t >= 0)
-            if hit.size:
-                g = slice(starts[i], starts[i] + done[i])
-                left = wv[np.ix_(sources[g], t[hit])].T
-                _subtract_product(part, hit, left, ct[g], reduce_, m, matmul, depth)
+        for hit, left, g in update:
+            _subtract_product(part, hit, left, ct[g], reduce_, m, matmul, depth)
         reduce_(part, m)
-        _solve_block(part, shifted.block(k0, k1), reduce_, m, matmul)
+        if off is not None:
+            _solve_block(part, off, reduce_, m, matmul)
         ct[pos[k0:k1]] = part
-        done += np.bincount(shifted.var[k0:k1], minlength=nv)
 
 
-def _schur_update(dt, xt, shifted, starts, sources, wv, reduce_, m, matmul, depth):
+def _schur_update(dt, xt, products, reduce_, m, matmul, depth):
     """D' = C_rest - X A_rest, transposed and in place in `dt`, C's
-    columns that lead no A row; one product per variable."""
-    for i in range(starts.size - 1):
-        g = slice(starts[i], starts[i + 1])
-        t = shifted.reach[i, shifted.rest]
-        hit = np.flatnonzero(t >= 0)
-        if hit.size and g.start < g.stop:
-            left = wv[np.ix_(sources[g], t[hit])].T
-            _subtract_product(dt, hit, left, xt[g], reduce_, m, matmul, depth)
+    columns that lead no A row; one product per variable
+    (`_schur_products`)."""
+    for hit, left, g in products:
+        _subtract_product(dt, hit, left, xt[g], reduce_, m, matmul, depth)
     if depth is None:
-        step = _row_step(dt.shape[1])
+        step = _row_step(dt.shape[1], _CHUNK)
         for s in range(0, dt.shape[0], step):
             reduce_(dt[s : s + step], m)
 
@@ -838,20 +886,28 @@ def _split_echelon(basis, shifts, cols, m):
     (`ShiftedRows`); the others are C.  The pivots are A's leading
     columns together with those of the Schur complement D' = C_rest -
     X A_rest, with X solved from C_A = X A_A (`_solve_multipliers`,
-    `_schur_update`); D' is eliminated by `_echelon_blocked`.  Only C
-    is ever written out, transposed, in one working array whose A
-    columns X overwrites; D' is copied out of it into an array of its
-    own, C is freed, and D' is eliminated in that array.  `basis` is
-    eliminated in place as well when it is a writeable array of the
+    `_schur_update`); D' is eliminated by `_echelon_blocked`.  `basis`
+    is eliminated in place as well when it is a writeable array of the
     working dtype (`_echelon_blocked`).  Returns D''s U over the columns
     `rest` of the `ShiftedRows`, the pivots of the whole matrix, and the
     `ShiftedRows`; `null_vector` solves for a kernel vector from them.
+
+    A C row's multipliers and its row of D' depend on no other C row, so
+    C is never held whole: it is written, transposed, one tile of C rows
+    at a time into one buffer (`_C_TILE`, `_C_TILE_ROWS`), X overwrites
+    the tile's A columns, and the tile's rows of D' are copied out into
+    D', which is then eliminated in place.  Tiles are equal in size,
+    give or take a row.  With several tiles, the operands every tile
+    uses (`_multiplier_blocks`, `_schur_products`) are built once; with
+    one, they are built as they are used and D' is allocated after the
+    Schur product, so that C and D' are the largest arrays held.  The
+    tile buffer and the operands are freed before D''s elimination.
 
     A value of X or D' collects at most one product term per A row: with
     at most the modulus's budget of A rows it is reduced once, after all
     of them, otherwise after every run of `budget` terms (`_regime`).
     """
-    nv, nb = shifts.shape[0], basis.shape[0]
+    nv = shifts.shape[0]
     dtype, reduce_, matmul, budget = _regime(m)
     wp, lm = _reduced_echelon(basis, m)
     # row (i, j) of the shifted basis is number i * rank + j; A takes
@@ -867,9 +923,9 @@ def _split_echelon(basis, shifts, cols, m):
     wv = wp.astype(dtype)
     if dtype == np.float64:
         wv[wv > m // 2] -= m
-    # C's columns, in the order the working array holds them: X's,
-    # grouped by variable and each group in lead order, then the
-    # columns that lead no A row
+    # C's columns, in the order a tile holds them: X's, grouped by
+    # variable and each group in lead order, then the columns that lead
+    # no A row
     na, rest = a.size, shifted.rest
     group = np.argsort(shifted.var, kind="stable")
     pos = np.empty(na, dtype=np.int64)
@@ -878,21 +934,41 @@ def _split_echelon(basis, shifts, cols, m):
     where = np.empty(cols, dtype=np.int64)
     where[shifted.lead] = pos
     where[rest] = na + np.arange(rest.size)
-    # C row s of those numbered c is column s of ct
-    ct = np.zeros((cols, c.size), dtype=dtype)
-    step = _row_step(nb)
-    for s in range(0, c.size, step):
-        q = c[s : s + step]
-        ct[where[shifts[q // rank]], np.arange(s, s + q.size)[:, None]] = wv[q % rank]
     sources = shifted.row[group]
-    args = (starts, sources, wv, reduce_, m, matmul, depth)
-    _solve_multipliers(ct, shifted, pos, *args)
-    _schur_update(ct[na:], ct[:na], shifted, *args)
-    d = np.empty((c.size, rest.size), dtype=dtype)
-    step = _row_step(c.size)
-    for s in range(0, rest.size, step):
-        d[:, s : s + step] = ct[na + s : na + s + step].T
-    del ct
+    blocks = _multiplier_blocks(shifted, starts, sources, wv)
+    products = _schur_products(shifted, starts, sources, wv)
+    # the fewest tiles, equal in size, of at most `_C_TILE` bytes or
+    # `_C_TILE_ROWS` rows, whichever is more
+    tiles = max(1, -(-c.size // max(_C_TILE_ROWS, _C_TILE // (8 * cols))))
+    size = max(1, -(-c.size // tiles))
+    if tiles > 1:
+        blocks = [(k0, k1, list(update), off) for k0, k1, update, off in blocks]
+        products = list(products)
+    buf = np.zeros((cols, size), dtype=dtype)
+    args = (reduce_, m, matmul, depth)
+    d = None
+    for s0 in range(0, c.size, size):
+        # C row s of those numbered `tile` is column s of `ct`
+        tile = c[s0 : s0 + size]
+        ct = buf[:, : tile.size]
+        if s0:
+            ct[...] = 0
+        step = _row_step(shifts.shape[1], _CHUNK)
+        for s in range(0, tile.size, step):
+            q = tile[s : s + step]
+            ct[where[shifts[q // rank]], np.arange(s, s + q.size)[:, None]] = wv[q % rank]
+        _solve_multipliers(ct, pos, blocks, *args)
+        _schur_update(ct[na:], ct[:na], products, *args)
+        if d is None:
+            d = np.empty((c.size, rest.size), dtype=dtype)
+        step = _row_step(ct.shape[1])
+        for s in range(0, rest.size, step):
+            d[s0 : s0 + tile.size, s : s + step] = ct[na + s : na + s + step].T
+        del ct
+    del buf, blocks, products
+    if d is None:
+        # no C rows
+        d = np.empty((0, rest.size), dtype=dtype)
     upper, pivots = _echelon_blocked(d, m)
     pivots = np.sort(np.concatenate([shifted.lead, rest[pivots]]))
     return upper, pivots.tolist(), shifted

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import tracemalloc
@@ -1410,18 +1411,24 @@ class TestExactness:
     @pytest.mark.parametrize("regime", REGIMES)
     def test_split_preconditions_hold(self, regime, monkeypatch, schedule):
         """The same for the products of the split (`_split_echelon`), each
-        of which must run: the left-looking X update, the in-block
-        solve, the Schur product, and the A back-substitution, whose
-        dots (`_dot_rows`) must stay inside int64.  The X update and the
-        Schur product reduce once where the budget holds one term per A
-        row, and after every run of `budget` terms where it does not.
-        The in-block solve runs by level, at least two levels deep here,
-        and neither solve with A's triangle inverts it: only W's
-        reduction, outside them, calls `_unit_upper_inverse`."""
+        of which must run, in one tile of C rows and in several: the
+        left-looking X update, the in-block solve, the Schur product,
+        and the A back-substitution, whose dots (`_dot_rows`) must stay
+        inside int64.  The X update and the Schur product reduce once
+        where the budget holds one term per A row, and after every run
+        of `budget` terms where it does not.  The in-block solve runs by
+        level, at least two levels deep here, and neither solve with A's
+        triangle inverts it: only W's reduction, outside them, calls
+        `_unit_upper_inverse`."""
         m = dict((label, p) for p, label in SPLIT_REGIMES)[regime]
         budget = _regime(m)[3]
         phase = []
+        # the tiling of the current run, and (tiling, step) for each step
+        # seen to reduce or multiply
+        tiling = [None]
         seen = set()
+        # Schur products per run
+        tiles = []
 
         def within(name, f):
             def run(*args):
@@ -1433,20 +1440,23 @@ class TestExactness:
 
             return run
 
+        def see(step):
+            seen.add((tiling[0], step))
+
         def checked_reduce(self, x, m):
             assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
-            seen.add(phase[-1] if phase else None)
+            see(phase[-1] if phase else None)
             reduce_f64(self, x, m)
 
         def checked_matmul(a, b, m):
             for x in (a, b):
                 assert x.min(initial=0) >= 0 and x.max(initial=0) < m
-            seen.add(phase[-1] if phase else None)
+            see(phase[-1] if phase else None)
             return mod_matmul(a, b, m)
 
         def in_block_levels(off, count):
             if phase[-1] == "in-block solve":
-                levels.append(count)
+                levels.append((tiling[0], count))
 
         def checked_inverse(u, m):
             assert not phase, phase
@@ -1458,10 +1468,15 @@ class TestExactness:
                 assert x.min(initial=0) >= 0 and x.max(initial=0) < m
             # each product below 2^63, reduced, and their sum too
             assert (m - 1) ** 2 <= I64_MAX and a.shape[1] * (m - 1) <= I64_MAX
-            seen.add("A back-substitution")
+            see("A back-substitution")
             return dot_rows(a, b, m)
 
+        def counted_schur(*args):
+            tiles[-1] += 1
+            return schur_update(*args)
+
         reduce_f64, mod_matmul, dot_rows = _ReduceF64.__call__, _mod_matmul, _dot_rows
+        schur_update = within("Schur product", _schur_update)
         levels, inverted = [], []
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         monkeypatch.setattr("chowcert.matrix._mod_matmul", checked_matmul)
@@ -1473,9 +1488,9 @@ class TestExactness:
         for name, f in (
             ("X update", _solve_multipliers),
             ("in-block solve", _solve_block),
-            ("Schur product", _schur_update),
         ):
             monkeypatch.setattr(f"chowcert.matrix.{f.__name__}", within(name, f))
+        monkeypatch.setattr("chowcert.matrix._schur_update", counted_schur)
         monkeypatch.setattr(
             ShiftedRows,
             "back_substitute",
@@ -1486,16 +1501,28 @@ class TestExactness:
         for name, basis in split_bases(m, rng):
             mat = macaulay_matrix(basis, SPLIT_N, m)
             naive = FfMatrix(mat.data, mat.modulus).rref(naive=True)
-            schedule.depths.clear()
-            res = mat.rref()
-            assert res.pivot_cols == naive.pivot_cols, name
             f0 = rng.integers(0, m, mat.cols - naive.rank)
-            assert np.array_equal(null_vector(res, f0), null_vector(naive, f0)), name
-            runs = res.shifted.lead.size > budget
-            assert set(schedule.depths) == {budget if runs else None}, name
-            depths |= set(schedule.depths)
-        assert {"X update", "in-block solve", "Schur product", "A back-substitution"} <= seen
-        assert max(levels) >= 2 and inverted
+            for tiling[0] in ("one", "several"):
+                schedule.depths.clear()
+                tiles.append(0)
+                with monkeypatch.context() as mp:
+                    if tiling[0] == "several":
+                        # 4 tiles of the 147 C rows of a basis of rank
+                        # 33, 2 of the 50 of one with repeated rows
+                        tile_rows(mp, mat.cols, 40)
+                    res = mat.rref()
+                assert res.pivot_cols == naive.pivot_cols, name
+                normal = null_vector(res, f0)
+                assert np.array_equal(normal, null_vector(naive, f0)), name
+                runs = res.shifted.lead.size > budget
+                assert set(schedule.depths) == {budget if runs else None}, name
+                depths |= set(schedule.depths)
+        assert tiles[::2] == [1] * 4 and min(tiles[1::2]) >= 2
+        steps = {"X update", "in-block solve", "Schur product", "A back-substitution"}
+        for run in ("one", "several"):
+            assert steps <= {step for t, step in seen if t == run}, run
+            assert max(n for t, n in levels if t == run) >= 2, run
+        assert inverted
         # at most min(shape) A rows: only the largest float64 modulus's
         # budget falls short of them, and then some products run in runs
         assert (budget < min(SPLIT_SHAPE)) == (regime == "settled")
@@ -1527,6 +1554,152 @@ class TestExactness:
         want[hit] -= left.astype(np.int64).astype(object) @ right.astype(np.int64).astype(object)
         _subtract_product(target, hit, left, right, _ReduceF64(m), m, np.matmul, budget)
         assert (target.astype(np.int64) % m).tolist() == (want % m).tolist()
+
+
+# (name, C rows per tile at most, the tile widths that run) for the 147
+# C rows of a random basis at `SPLIT_N`; tiles are equal in size but for
+# a shorter last one
+TILINGS = (
+    ("one tile", 147, [147]),
+    ("two tiles", 74, [74, 73]),
+    ("partial last tile", 40, [37, 37, 37, 36]),
+    ("one row per tile", 1, [1] * 147),
+)
+# 7 variables: Macaulay matrices of at most 196 x 84, small enough for
+# the naive elimination of a basis of every quadric
+DEGENERATE_N = 6
+
+
+def tile_rows(monkeypatch, cols, rows):
+    """Set `_C_TILE` and `_C_TILE_ROWS` so that a split of `cols` columns
+    takes at most `rows` C rows a tile."""
+    monkeypatch.setattr(matrix, "_C_TILE", 8 * cols * rows)
+    monkeypatch.setattr(matrix, "_C_TILE_ROWS", 1)
+
+
+def recorded_tiles(monkeypatch):
+    """The width of each tile of C rows that the split reduces, as
+    `_schur_update` sees it."""
+    widths = []
+
+    def recorded(dt, *args):
+        widths.append(dt.shape[1])
+        return schur_update(dt, *args)
+
+    schur_update = _schur_update
+    monkeypatch.setattr(matrix, "_schur_update", recorded)
+    return widths
+
+
+def assert_split_matches_naive(mat, seed, naive=None):
+    """Pivots, and the kernel vector when there is one, of the split
+    against the naive elimination of the int64 rows (`naive`, when it
+    is given)."""
+    m = mat.modulus.value
+    if naive is None:
+        naive = FfMatrix(mat.data, mat.modulus).rref(naive=True)
+    res = mat.rref()
+    assert res.pivot_cols == naive.pivot_cols
+    if naive.rank < mat.cols:
+        f0 = np.random.default_rng(seed).integers(0, m, mat.cols - naive.rank)
+        normal = null_vector(res, f0)
+        assert np.array_equal(normal, null_vector(naive, f0))
+        assert not (mat.data.astype(object) @ normal.astype(object) % m).any()
+    return res
+
+
+@functools.lru_cache(maxsize=None)
+def random_split(m):
+    """The Macaulay matrix of `SPLIT_Q` random quadrics at `SPLIT_N`, and
+    its naive elimination, shared by the tilings."""
+    rng = np.random.default_rng(m)
+    basis = rng.integers(0, m, (SPLIT_Q, math.comb(SPLIT_N + 2, 2)))
+    mat = macaulay_matrix(basis, SPLIT_N, m)
+    return mat, FfMatrix(mat.data, mat.modulus).rref(naive=True)
+
+
+def c_rows(shifted):
+    """The number of C rows of a split: the shifted rows of W' that A
+    does not take."""
+    return len(shifted.shifts) * len(shifted.basis) - shifted.lead.size
+
+
+class TestSplitTiles:
+    """The split reduces C one tile of rows at a time (`_C_TILE`): every
+    tiling gives the naive elimination's pivots and kernel vector, at a
+    modulus where the split's products run whole, one where they run in
+    runs of `budget` terms, and in int64."""
+
+    @pytest.mark.parametrize("m", (20201, F64_LAST, P31))
+    @pytest.mark.parametrize("name,rows,widths", TILINGS, ids=[t[0] for t in TILINGS])
+    def test_tilings_match_naive(self, m, name, rows, widths, monkeypatch, schedule):
+        mat, naive = random_split(m)
+        tile_rows(monkeypatch, mat.cols, rows)
+        ran = recorded_tiles(monkeypatch)
+        res = assert_split_matches_naive(mat, m, naive)
+        assert c_rows(res.shifted) == sum(widths) == 147
+        assert ran == widths
+        runs = res.shifted.lead.size > _regime(m)[3]
+        assert runs == (m == F64_LAST)
+        assert set(schedule.depths) == {_regime(m)[3] if runs else None}
+
+    def test_operands_built_once(self, monkeypatch):
+        """With several tiles, every tile reuses the operands of the X
+        update and the Schur product and the blocks' triangles; only the
+        in-block solve runs once per tile."""
+        mat, _ = random_split(20201)
+        counts = Counter()
+
+        def counted(name, f):
+            def run(*args):
+                counts[name] += 1
+                return f(*args)
+
+            return run
+
+        monkeypatch.setattr(matrix, "_shift_product", counted("operand", matrix._shift_product))
+        monkeypatch.setattr(ShiftedRows, "block", counted("triangle", ShiftedRows.block))
+        monkeypatch.setattr(matrix, "_solve_block", counted("solve", _solve_block))
+        ran = recorded_tiles(monkeypatch)
+        seen = []
+        for rows in (147, 1):
+            counts.clear()
+            tile_rows(monkeypatch, mat.cols, rows)
+            mat.rref()
+            seen.append(dict(counts))
+        one, every_row = seen
+        assert len(ran) == 1 + 147
+        assert one["operand"] == every_row["operand"] > 0
+        assert one["triangle"] == every_row["triangle"] == 2
+        assert every_row["solve"] == 147 * one["solve"] > 0
+
+    @pytest.mark.parametrize("m", (20201, F64_LAST, P31))
+    @pytest.mark.parametrize("rows", (1, 2, 1000))
+    def test_degenerate_bases(self, m, rows, monkeypatch):
+        """Bases whose split has no C rows, no columns that lead no A row
+        (`rest`), or more of those than A rows, in tiles of `rows` C rows
+        at most."""
+        rng = np.random.default_rng(m + rows)
+        nb = math.comb(DEGENERATE_N + 2, 2)
+        cols = math.comb(DEGENERATE_N + 3, 3)
+        tile_rows(monkeypatch, cols, rows)
+        ran = recorded_tiles(monkeypatch)
+        # one quadric: its shifts all lead new columns
+        mat = macaulay_matrix(rng.integers(1, m, (1, nb)), DEGENERATE_N, m)
+        split = assert_split_matches_naive(mat, m).shifted
+        assert c_rows(split) == 0 and split.rest.size > 0 and not ran
+        # every quadric: each cubic leads an A row, and C holds the rest
+        mat = macaulay_matrix(rng.integers(0, m, (nb, nb)), DEGENERATE_N, m)
+        res = assert_split_matches_naive(mat, m)
+        assert res.rank == cols and res.shifted.rest.size == 0
+        assert sum(ran) == c_rows(res.shifted) > 0
+        assert max(ran) <= rows
+        ran.clear()
+        # two quadrics: one C row, and far more rest columns than A rows
+        mat = macaulay_matrix(rng.integers(0, m, (2, nb)), DEGENERATE_N, m)
+        split = assert_split_matches_naive(mat, m).shifted
+        assert c_rows(split) == 1 and split.rest.size > split.lead.size
+        assert ran == [1]
 
 
 # Rows that start at the first column of the first three outer panels,

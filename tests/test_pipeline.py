@@ -426,9 +426,66 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
+def split_entry_memory(monkeypatch):
+    """The memory traced when each split begins (`_split_echelon`), in a
+    list that the runs after this call fill."""
+    import chowcert.geometry as geo
+
+    entries = []
+    split_echelon = geo._split_echelon
+
+    def recorded(*args):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        return split_echelon(*args)
+
+    monkeypatch.setattr(geo, "_split_echelon", recorded)
+    return entries
+
+
+def split_operands(tmat, monkeypatch):
+    """tmat.rref(), and the bytes of the operands that a split of several
+    tiles builds once for all of them: the left operands of the X
+    update and of the Schur product, and the A triangles that are not
+    the identity."""
+    import chowcert.matrix as mx
+
+    sizes = []
+    shift_product, block = mx._shift_product, mx.ShiftedRows.block
+
+    def recorded_product(*args):
+        op = shift_product(*args)
+        if op is not None:
+            sizes.append(op[1].nbytes)
+        return op
+
+    def recorded_block(self, k0, k1):
+        off = block(self, k0, k1)
+        if off.any():
+            sizes.append(off.nbytes)
+        return off
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mx, "_shift_product", recorded_product)
+        mp.setattr(mx.ShiftedRows, "block", recorded_block)
+        res = tmat.rref()
+    return res, sum(sizes)
+
+
+def split_sizes(tmat, split):
+    """Bytes of C, of D' and of one tile of C rows (`_C_TILE`), and the
+    number of tiles, for a split of `tmat`."""
+    import chowcert.matrix as mx
+
+    c = len(split.shifts) * len(split.basis) - split.lead.size
+    tiles = -(-c // max(mx._C_TILE_ROWS, mx._C_TILE // (8 * tmat.cols)))
+    tile = -(-c // tiles) * tmat.cols * 8
+    return c * tmat.cols * 8, c * split.rest.size * 8, tile, tiles
+
+
 class TestTerraciniMemory:
     """certify and verify write only the split's C rows, straight from
-    the quadrics: the int64 Terracini matrix is never built."""
+    the quadrics, one tile of C rows at a time: neither the int64
+    Terracini matrix nor C is ever held whole."""
 
     def test_data_never_built(self, monkeypatch):
         import chowcert.pipeline as pl
@@ -446,24 +503,46 @@ class TestTerraciniMemory:
         assert len(built) >= 2
         assert all(t._data is None for t in built)
 
-    def test_peak_near_one_working_array(self):
-        # certify and verify hold one working array of the C rows, and
-        # D' beside it while it is copied out: C plus D', 34 MB at n=24,
-        # where the Terracini matrix is 67 MB, so the bound fails for any
-        # array of the whole matrix; the 2 MB row tiles and the X solve's
-        # blocks of 256 C columns would dominate a smaller case
+    def test_peak_near_one_working_array(self, monkeypatch):
+        # certify and verify hold D', one tile of C rows and the
+        # operands every tile reuses: 19.5 MB at n=24, in 4 tiles, where
+        # C and D' are 35.6 MB and the Terracini matrix 70 MB, so the
+        # bound fails for C or the whole matrix held at once.  The 20%
+        # covers the temporaries of one block of 256 A rows of a tile;
+        # the memory already held when the split begins (the quadrics,
+        # the monomial tables, about 1 MB) is added, not scaled
         n = 24
+        entries = split_entry_memory(monkeypatch)
         cert, certify_peak = traced_peak(lambda: certify(n, seed=3))
+        certify_entry = max(entries)
+        entries.clear()
         report, verify_peak = traced_peak(lambda: verify_certificate(cert))
         assert report.ok
+        verify_entry = max(entries)
         points = [_point_from_vectors(vs, cert.modulus) for vs in cert.points]
         tmat = terracini_matrix(points)
-        split = tmat.rref().shifted
-        c_rows = (n + 1) * len(split.basis) - split.lead.size
-        working = c_rows * (tmat.cols + split.rest.size) * 8
-        assert working < 0.6 * tmat.rows * tmat.cols * 8
-        assert certify_peak < 1.2 * working
-        assert verify_peak < 1.2 * working
+        res, operands = split_operands(tmat, monkeypatch)
+        c, d, tile, tiles = split_sizes(tmat, res.shifted)
+        assert tiles > 1
+        working = d + tile + operands
+        assert c + d > 1.5 * working
+        assert certify_peak < 1.2 * working + certify_entry
+        assert verify_peak < 1.2 * working + verify_entry
+
+    def test_single_tile_peak(self):
+        # at n=16 and prime 2^31-1, C fits in one tile, which then holds
+        # what the whole of C did: nothing is cached for later tiles, and
+        # D' is allocated only after the Schur product.  The peak comes
+        # in the X update, where the blocks of 256 A rows, their products
+        # split into 16-bit limbs, add about half of C + D' (5.6 MB
+        # against 3.7); holding D' (1 MB) or the A triangles (0.5 MB
+        # each) through it as well would pass the bound
+        cert, peak = traced_peak(lambda: certify(16, prime=2**31 - 1, seed=77))
+        points = [_point_from_vectors(vs, cert.modulus) for vs in cert.points]
+        tmat = terracini_matrix(points)
+        c, d, tile, tiles = split_sizes(tmat, tmat.rref().shifted)
+        assert tiles == 1 and tile == c
+        assert peak < 1.6 * (c + d)
 
     def test_schur_complement_eliminated_in_place(self, monkeypatch):
         # D' is eliminated in the array it was copied into: inside its
