@@ -397,9 +397,9 @@ def working_array_bytes(rows: int, cols: int) -> int:
     matrix is eliminated in one such array (float64, or int64 when
     eager).  The split of a Macaulay matrix (`_split_echelon`) holds the
     Schur complement D' of its C rows, one tile of C rows and the
-    operands the tiles share: a fifth of this at generic points at n=30
-    and a sixth at n=50 to 60, but D' has more rows and columns for
-    other bases, up to nearly the whole matrix."""
+    operands the tiles share: a fourth to a sixth of this at generic
+    points, n = 30 to 60, but D' has more rows and columns for other
+    bases, up to nearly the whole matrix."""
     return rows * cols * 8
 
 
@@ -812,8 +812,8 @@ def _multiplier_blocks(shifted, starts, sources, wv):
         k1 = min(k0 + _SPLIT_BLOCK, shifted.lead.size)
         lead = shifted.lead[k0:k1]
         update = (
-            _shift_product(shifted, i, lead, slice(starts[i], starts[i] + n), sources, wv)
-            for i, n in enumerate(done.tolist())
+            _shift_product(shifted, i, lead, slice(s, s + n), sources, wv)
+            for i, (s, n) in enumerate(zip(starts.tolist(), done.tolist()))
         )
         off = shifted.block(k0, k1)
         yield k0, k1, filter(None, update), off if off.any() else None

@@ -238,7 +238,7 @@ def _physical_memory() -> int | None:
 def _check_memory(n: int, r: int) -> None:
     """Refuse an (n, r) run whose Terracini matrix, as one 8-byte array,
     exceeds physical memory, before anything is built.  The split
-    elimination holds D' and one tile of C rows, a fifth to a sixth of
+    elimination holds D' and one tile of C rows, a fourth to a sixth of
     that at generic points (`working_array_bytes`); the bound stays the
     whole matrix because a replayed certificate's points are untrusted,
     and at degenerate points D' itself can approach the whole matrix's

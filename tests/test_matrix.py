@@ -1591,7 +1591,7 @@ def recorded_tiles(monkeypatch):
     return widths
 
 
-def assert_split_matches_naive(mat, seed, naive=None):
+def assert_matches_naive(mat, seed, naive=None):
     """Pivots, and the kernel vector when there is one, of the split
     against the naive elimination of the int64 rows (`naive`, when it
     is given)."""
@@ -1636,7 +1636,7 @@ class TestSplitTiles:
         mat, naive = random_split(m)
         tile_rows(monkeypatch, mat.cols, rows)
         ran = recorded_tiles(monkeypatch)
-        res = assert_split_matches_naive(mat, m, naive)
+        res = assert_matches_naive(mat, m, naive)
         assert c_rows(res.shifted) == sum(widths) == 147
         assert ran == widths
         runs = res.shifted.lead.size > _regime(m)[3]
@@ -1657,9 +1657,12 @@ class TestSplitTiles:
 
             return run
 
-        monkeypatch.setattr(matrix, "_shift_product", counted("operand", matrix._shift_product))
-        monkeypatch.setattr(ShiftedRows, "block", counted("triangle", ShiftedRows.block))
-        monkeypatch.setattr(matrix, "_solve_block", counted("solve", _solve_block))
+        for owner, name, key in (
+            (matrix, "_shift_product", "operand"),
+            (ShiftedRows, "block", "triangle"),
+            (matrix, "_solve_block", "solve"),
+        ):
+            monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
         ran = recorded_tiles(monkeypatch)
         seen = []
         for rows in (147, 1):
@@ -1686,18 +1689,18 @@ class TestSplitTiles:
         ran = recorded_tiles(monkeypatch)
         # one quadric: its shifts all lead new columns
         mat = macaulay_matrix(rng.integers(1, m, (1, nb)), DEGENERATE_N, m)
-        split = assert_split_matches_naive(mat, m).shifted
+        split = assert_matches_naive(mat, m).shifted
         assert c_rows(split) == 0 and split.rest.size > 0 and not ran
         # every quadric: each cubic leads an A row, and C holds the rest
         mat = macaulay_matrix(rng.integers(0, m, (nb, nb)), DEGENERATE_N, m)
-        res = assert_split_matches_naive(mat, m)
+        res = assert_matches_naive(mat, m)
         assert res.rank == cols and res.shifted.rest.size == 0
         assert sum(ran) == c_rows(res.shifted) > 0
         assert max(ran) <= rows
         ran.clear()
         # two quadrics: one C row, and far more rest columns than A rows
         mat = macaulay_matrix(rng.integers(0, m, (2, nb)), DEGENERATE_N, m)
-        split = assert_split_matches_naive(mat, m).shifted
+        split = assert_matches_naive(mat, m).shifted
         assert c_rows(split) == 1 and split.rest.size > split.lead.size
         assert ran == [1]
 
