@@ -52,14 +52,14 @@ one product per variable, and only their Schur complement D' is
 eliminated, by the same blocked kernel.  No C row's multipliers or row
 of D' depend on another C row, so C is never held whole: it is written
 and reduced one tile of rows at a time (`_C_TILE`), and only D' and
-one tile are held, with the operands every tile reuses.  The pivots are A's leading
-columns and D''s pivots, the kernel vector comes from back-substitution
-over D' and then over A, and both stay canonical.  A's unit triangle is
-nearly flat: within a block of rows, few rows depend on others, and
-chains of dependent rows are short.  So both solves with it, for C's
-multipliers and for the kernel vector, go by dependency level, one
-product for all the rows whose dependencies are solved
-(`_level_solve`), not by an inverse or row by row.
+one tile are held, with the operands every tile reuses.  The pivots
+are A's leading columns and D''s pivots, the kernel vector comes from
+back-substitution over D' and then over A, and both stay canonical.
+A's unit triangle is nearly flat: within a block of rows, few rows
+depend on others, and chains of dependent rows are short.  So both
+solves with it, for C's multipliers and for the kernel vector, go by
+dependency level, one product for all the rows whose dependencies are
+solved (`_level_solve`), not by an inverse or row by row.
 """
 
 from __future__ import annotations
