@@ -27,19 +27,20 @@ collects more products than the modulus's budget allows.  Past that
 with `_mod_matmul`.  In float64 the update right of each outer panel of
 `_OUTER` columns is delayed into one dgemm of inner dimension up to
 `_OUTER`, which runs much nearer the host's dgemm peak than the
-updates of inner dimension `DEFAULT_BLOCK` in int64.  No pivot row is
-solved on its own: each outer panel keeps one solve matrix, the inverse
-of its pivots' lower factor, grown a sub-panel at a time, and the pivot
-rows of a sub-panel, a panel or the whole outer panel are solved by one
-product with its diagonal block (`_extend_solve`).  A panel is factored
-column by column on a transposed copy (`_factor_panel`), with as few
-numpy calls per pivot as the loop allows: the candidate pivot is tested
-as a scalar and the column searched only when it is zero, the pivot row
-is scaled in Python integers, and the rank-1 update stays within a
-sub-panel of `_SUB` columns; each sub-panel's pivots then reach the
-panel's later columns by two products on the transposed panel, whose
-rows are contiguous.  The block sizes and the number format are the
-elimination's own.
+updates of inner dimension `DEFAULT_BLOCK` of the int64 outer panels.
+An outer panel is factored recursively on a transposed copy, whose rows
+are contiguous (`_factor_panel`): its columns are halved, the left half
+is factored, its pivots reach the right half by two products, and the
+right half is factored.  The leaves are sub-panels of `_SUB` columns,
+factored column by column with as few numpy calls per pivot as the loop
+allows: the candidate pivot is tested as a scalar and the column
+searched only when it is zero, the pivot row is scaled in Python
+integers, and the rank-1 update stays within the sub-panel.  No pivot
+row is solved on its own: each outer panel keeps one solve matrix, the
+inverse of its pivots' lower factor, grown a sub-panel at a time, and
+the pivot rows of a left half or of the whole outer panel are solved by
+one product with its diagonal block (`_extend_solve`).  The block sizes
+and the number format are the elimination's own.
 
 A matrix may eliminate itself by its structure (the `FfMatrix._echelon`
 hook).  A Macaulay matrix, one row x_i w per variable x_i and row w of a
@@ -73,8 +74,8 @@ import numpy as np
 
 from .field import PrimeModulus, _check_kernel_modulus, _check_same_modulus
 
-# Columns per panel of the blocked elimination, and rows per block of
-# the back-substitution in `null_vector`.
+# Columns per outer panel of the eager elimination (`_regime`), and rows
+# per block of the back-substitutions of kernel vectors.
 DEFAULT_BLOCK = 64
 
 _F64_EXACT = 2**53 - 1
@@ -83,11 +84,13 @@ _LIMB = 1 << 16
 # Entries per row tile of a trailing update (2 MB of float64): each
 # tile's product is subtracted while it is still in cache.
 _TILE = 1 << 18
-# Entries per row chunk (256 KB of float64) in which a split writes a
-# tile of C rows and reduces its Schur complement: their temporaries
-# stay small beside the tile.
+# Entries per chunk (256 KB of float64): a split writes a tile of C rows
+# and reduces its Schur complement in row chunks, and an outer panel's
+# row swaps reach the columns right of it in column chunks, so their
+# temporaries stay small beside the arrays they change.
 _CHUNK = 1 << 15
-# Columns per sub-panel: rank-1 updates stay within one.
+# Columns per sub-panel, the leaves of `_factor_panel`: rank-1 updates
+# stay within one.
 _SUB = 8
 # Columns per outer panel in float64 (`DEFAULT_BLOCK` in int64): the
 # update right of an outer panel is one dgemm of inner dimension up to
@@ -260,31 +263,34 @@ def _regime(m: int):
     must stay within the reduction's range, 2^53 - m: hence
     budget = (2^53 - 1 - 2m) // b^2, 88262259 at 20201, 4003 at 3000017.
     A product that extends a solve matrix or solves pivot rows with it
-    (`_extend_solve`, `_apply_pivots`, and within a panel
-    `_factor_panel`) has at most `_OUTER` terms, `_SUB` of them
-    canonical, and replaces a value: it counts _OUTER + _SUB.  So
-    float64 holds while budget >= _OUTER + _SUB, up to m = 11682149,
-    where budget is 264.  Every other value is reduced before it
-    collects more than `budget` products:
+    (`_extend_solve`, `_apply_pivots`, and for a left half's pivots
+    `_factor_panel`, with at most `_OUTER // 2` terms) has at most
+    `_OUTER` terms, `_SUB` of them canonical, and replaces a value: it
+    counts _OUTER + _SUB.  So float64 holds while
+    budget >= _OUTER + _SUB, up to m = 11682149, where budget is 264.
+    Every other value is reduced before it collects more than `budget`
+    products:
 
     - in `_echelon_blocked` a value collects one product per pivot
       applied to it and is reduced when it is read (the pivot-search
-      column, the pivot rows, matmul operands).  The columns right of an
-      outer panel get its pivots in one delayed update; the next outer
-      panel adds at most its width.  When the pivots applied since the
-      trailing columns were last reduced, plus that width, would exceed
-      `budget`, the update reduces ("settles") the trailing tiles.  At
-      20201 that never happens; at 11682149 it happens after every full
-      outer panel;
+      column, the pivot rows, matmul operands).  Within an outer panel,
+      a value gets the earlier pivots by the rank-1 updates of its
+      sub-panel and by the products of each left half it lies right of.
+      The columns right of an outer panel get its pivots in one delayed
+      update; the next outer panel adds at most its width.  When the
+      pivots applied since the trailing columns were last reduced, plus
+      that width, would exceed `budget`, the update reduces ("settles")
+      the trailing tiles.  At 20201 that never happens; at 11682149 it
+      happens after every full outer panel;
     - in a split (`_split_echelon`), the left-looking update of X
       (`_solve_multipliers`) and the Schur product (`_schur_update`)
       subtract at most one term per A row from a value of at most m + 1.
       With at most `budget` A rows they reduce once, after all of them;
       otherwise they go in runs of at most `budget` terms and reduce the
       touched rows after each run (`_subtract_product`).  The in-block
-      solve (`_solve_block`) subtracts from each value, reduced, at most
-      one product of fewer than `_SPLIT_BLOCK` <= `_OUTER` terms, that
-      of the level that solves its row (`_level_solve`).
+      solve of `_solve_multipliers` subtracts from each value, reduced,
+      at most one product of fewer than `_SPLIT_BLOCK` <= `_OUTER`
+      terms, that of the level that solves its row (`_level_solve`).
 
     Past 11682149 the elimination works in int64 ("eager") and forms
     every product with `_mod_matmul`, which returns it reduced to
@@ -301,14 +307,13 @@ def _regime(m: int):
     return np.int64, _reduce_i64, partial(_mod_matmul, m=m), (2**62 - m) // m
 
 
-def _apply_pivots(trail, below, inv, l21, reduce_, m, matmul, settle=False):
-    """Carry a block of pivots into the columns right of it.
+def _apply_pivots(trail, below, inv, l21, reduce_, m, matmul, settle):
+    """Carry an outer panel's pivots into the columns right of it.
 
-    Its two callers are in `_echelon_blocked`: after each panel, into
-    the rest of its outer panel, and after each outer panel, into the
-    columns right of it, with `settle` when the budget runs out
-    (`_regime`).  Within a panel, `_factor_panel` makes the same two
-    products itself, on its transposed copy.
+    `_echelon_blocked` calls it after each outer panel, with `settle`
+    when the budget runs out (`_regime`).  Within an outer panel,
+    `_factor_panel` makes the same two products itself, on its
+    transposed copy.
 
     `trail` holds the k pivot rows' entries in those columns and `below`
     the rows under them, both as views (one row per matrix row); `inv`
@@ -421,17 +426,16 @@ def _echelon_blocked(a: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
     int64.
 
     The columns are cut into outer panels of `_OUTER` columns in
-    float64, `DEFAULT_BLOCK` in int64.  An outer panel is factored in
-    panels of `DEFAULT_BLOCK` columns (`_factor_panel`), and each
-    panel's pivots update only the columns left of the outer panel's
-    end.  The outer panel's pivots then reach the columns right of it in
-    one delayed update, a dgemm whose inner dimension is their count;
-    the update also reduces ("settles") those columns when the pivots
+    float64, `DEFAULT_BLOCK` in int64.  Each outer panel is factored
+    whole, on a transposed copy (`_factor_panel`); its row swaps then
+    reach the columns right of it in one permutation, applied in column
+    tiles of at most `_CHUNK` entries, each gathered before it is
+    written.  Its pivots reach those columns in one delayed update
+    (`_apply_pivots`), a dgemm whose inner dimension is their count; the
+    update also reduces ("settles") those columns when the pivots
     applied to them since they were last reduced, plus the next outer
-    panel's width, would exceed the modulus's budget (`_regime`).  All
-    the outer panel's multipliers live in one array, so a later panel's
-    row swap permutes those of the earlier panels too.  The elimination
-    ends once every row holds a pivot.
+    panel's width, would exceed the modulus's budget (`_regime`).  The
+    elimination ends once every row holds a pivot.
     """
     rows, cols = a.shape
     dtype, reduce_, matmul, budget = _regime(m)
@@ -447,40 +451,37 @@ def _echelon_blocked(a: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
         if r == rows:
             break
         outer1 = min(outer0 + width, cols)
-        r0 = r
-        # mult[i, q]: the multiple of the outer panel's pivot row i
-        # subtracted from row r0 + q
-        mult = np.zeros((outer1 - outer0, rows - r0), dtype=dtype)
+        w, nact = outer1 - outer0, rows - r
+        # mult[i, j]: the multiple of the outer panel's pivot row i
+        # subtracted from active row j
+        mult = np.zeros((w, nact), dtype=dtype)
         # the outer panel's solve matrix (`_extend_solve`)
-        solve = np.zeros((outer1 - outer0,) * 2, dtype=dtype)
-        for c0 in range(outer0, outer1, DEFAULT_BLOCK):
-            if r == rows:
-                break
-            c1 = min(c0 + DEFAULT_BLOCK, outer1)
-            q = r - r0
-            k = _factor_panel(
-                a[r:], c0, c1, mult, solve, q, pivots, reduce_, m, matmul, eager
-            )
-            if k and c1 < outer1:
-                _apply_pivots(
-                    a[r : r + k, c1:outer1],
-                    a[r + k :, c1:outer1],
-                    solve[q : q + k, q : q + k],
-                    mult[q : q + k, q + k :].T,
-                    reduce_,
-                    m,
-                    matmul,
-                )
-            r += k
-        kk = r - r0
-        if kk and outer1 < cols:
-            applied += kk
+        solve = np.zeros((w, w), dtype=dtype)
+        # order[j]: the active row that the swaps moved to position j
+        order = np.arange(nact)
+        found: list[int] = []
+        pan = a[r:, outer0:outer1].T.copy()
+        k = _factor_panel(
+            pan, 0, w, 0, mult, solve, order, found, reduce_, m, matmul, eager
+        )
+        a[r:, outer0:outer1] = pan.T
+        del pan
+        pivots += [outer0 + j for j in found]
+        trail = a[r:, outer1:]
+        moved = np.flatnonzero(order != np.arange(nact))
+        if moved.size:
+            step = _row_step(moved.size, _CHUNK)
+            for s in range(0, trail.shape[1], step):
+                tile = trail[:, s : s + step]
+                tile[moved] = tile[order[moved]]
+        if k and outer1 < cols:
+            applied += k
             settle = applied + min(width, cols - outer1) > budget
             _apply_pivots(
-                a[r0:r, outer1:],
-                a[r:, outer1:],
-                solve[:kk, :kk],
-                mult[:kk, kk:].T,
+                trail[:k],
+                trail[k:],
+                solve[:k, :k],
+                mult[:k, k:].T,
                 reduce_,
                 m,
                 matmul,
@@ -488,6 +489,7 @@ def _echelon_blocked(a: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
             )
             if settle:
                 applied = 0
+        r += k
         # freed before the next outer panel allocates its own
         del mult, solve
     rank = len(pivots)
@@ -505,94 +507,93 @@ def _echelon_blocked(a: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
     return a[:rank], pivots
 
 
-def _factor_panel(act, c0, c1, mult, solve, q, pivots, reduce_, m, matmul, eager):
-    """Factor columns [c0, c1) of the active rows `act`, a view of the
-    working array; return the number of pivots found.
+def _factor_panel(
+    pan, j0, j1, k, mult, solve, order, pivots, reduce_, m, matmul, eager
+):
+    """Factor columns [j0, j1) of `pan`, a transposed copy of an outer
+    panel, from active row k on; return the active row after their
+    pivots.
 
-    `mult` holds the outer panel's multipliers, one row per pivot and
-    one column per active row of the outer panel; `act` is its rows from
-    `q` on, and this panel's pivots are its pivots from `q` on.  The
-    panel is factored on a transposed copy, so the column reduce, the
-    pivot search and the rank-1 updates stream contiguous memory.
+    Row j of `pan` is the outer panel's column j and column i its active
+    row i, so the column reduce, the pivot search and the rank-1 updates
+    stream contiguous memory.  The columns left of j0 hold the outer
+    panel's earlier pivots, which must already have reached columns
+    [j0, j1).  Recursive (Toledo, 1997): the columns are split in
+    halves, the left half rounded up to a multiple of `_SUB` columns;
+    the left half is factored, its pivots reach the right half, and the
+    right half is factored.  So the leaves are sub-panels of at most
+    `_SUB` columns, aligned on multiples of `_SUB`.  A left half's
+    pivots reach the right half by two products on `pan`: their rows
+    there, as columns of `pan`, are solved by the transposed diagonal
+    block of `solve`, then times their multipliers subtracted from the
+    rows below.
 
-    The pivot is the first nonzero of its column on the active rows.
-    After the column reduce, the candidate, the entry of the next active
-    row, is tested as a scalar; only when it is zero is the column
-    searched, and the rows swapped, and a column that is zero on every
-    active row is skipped.  The pivot row's entries in the sub-panel, at
-    most `_SUB`, are scaled by the pivot's inverse in Python integers and
-    written back once, balanced in float64 and canonical in int64
-    (`_regime`); the rank-1 update, within the sub-panel, is one product
-    of that row and the column below the pivot, which becomes the
-    pivot's row of multipliers.  A sub-panel's pivots then extend
-    `solve`, the outer panel's solve matrix, and reach the panel's later
-    columns by two products on the transposed panel, whose rows are
-    contiguous: the sub-panel's rows there, as columns of the copy, are
-    solved by the transposed diagonal block of `solve`, then times the
-    sub-panel's multipliers subtracted from the rows below.  A row swap
-    moves the two rows right of the panel and their multipliers from the
-    outer panel's earlier pivots.  Writes each pivot's inverse to the
-    diagonal of `solve` and appends its column to `pivots`.
+    A leaf is factored column by column.  The pivot is the first nonzero
+    of its column on the active rows.  After the column reduce, the
+    candidate, the entry of the next active row, is tested as a scalar;
+    only when it is zero is the column searched, and the rows swapped,
+    and a column that is zero on every active row is skipped.  The pivot
+    row's entries in the leaf, at most `_SUB`, are scaled by the pivot's
+    inverse in Python integers and written back once, balanced in
+    float64 and canonical in int64 (`_regime`); the rank-1 update,
+    within the leaf, is one product of that row and the column below
+    the pivot, which becomes the pivot's row of `mult`, the outer
+    panel's multipliers, one column per active row.  A row swap moves
+    the two rows in `pan`, their multipliers from the outer panel's
+    earlier pivots, and their entries of `order`, the permutation that
+    the caller applies right of the outer panel.  Each pivot's inverse
+    goes to the diagonal of `solve`, and its column j to `pivots`; the
+    leaf's pivots then extend `solve`, the outer panel's solve matrix
+    (`_extend_solve`).
     """
-    w = c1 - c0
-    nact = act.shape[0]
-    pan = act[:, c0:c1].T.copy()
-    lfac = mult[q : q + w, q:]
-    # order[i]: the active row that the panel's swaps moved to position i
-    order = np.arange(nact)
-    # scaled pivot rows are stored balanced in float64, canonical in int64
-    half = 0 if eager else m // 2
-    k = 0
-    for j0 in range(0, w, _SUB):
-        j1 = min(j0 + _SUB, w)
-        k0 = k
-        for j in range(j0, j1):
-            if k == nact:
-                break
-            col = pan[j, k:]
-            reduce_(col, m)
-            prow = pan[j:j1, k]
-            vals = prow.tolist()
-            if not vals[0]:
-                nz = np.flatnonzero(col)
-                if nz.size == 0:
-                    continue
-                p = k + int(nz[0])
-                _swap_columns(pan, k, p)
-                _swap_columns(mult[: q + k], q + k, q + p)
-                order[k], order[p] = order[p], order[k]
-                vals = prow.tolist()
-            inv = pow(int(vals[0]), -1, m)
-            solve[q + k, q + k] = inv
-            # the scaled pivot is exactly 1, so the update below zeroes
-            # the pivot column under it
-            prow[:] = [(int(x) * inv + half) % m - half for x in vals]
-            below = lfac[k, k + 1 :]
-            below[:] = col[1:]
-            upd = pan[j:j1, k + 1 :]
-            upd -= prow[:, None] * below
-            if eager:
-                reduce_(upd, m)
-            pivots.append(c0 + j)
-            k += 1
-        if k == k0:
-            continue
-        _extend_solve(solve, mult, q + k0, q + k, reduce_, m, matmul)
-        if j1 < w:
-            # the sub-panel's pivot rows in the panel's later columns, as
-            # columns of `pan`: solved by the transposed block of
-            # `solve`, then carried into the rows below
-            t = pan[j1:, k0:k]
+    k0 = k
+    if j1 - j0 > _SUB:
+        mid = j0 + _SUB * -(-(j1 - j0) // (2 * _SUB))
+        args = (mult, solve, order, pivots, reduce_, m, matmul, eager)
+        k = _factor_panel(pan, j0, mid, k, *args)
+        if k > k0:
+            t = pan[mid:j1, k0:k]
             reduce_(t, m)
-            t[...] = matmul(t, solve[q + k0 : q + k, q + k0 : q + k].T)
+            t[...] = matmul(t, solve[k0:k, k0:k].T)
             if not eager:
                 # `_mod_matmul` already returns canonical residues
                 reduce_(t, m)
-            pan[j1:, k:] -= matmul(t, lfac[k0:k, k:])
-    act[:, c0:c1] = pan.T
-    moved = np.flatnonzero(order != np.arange(nact))
-    if moved.size:
-        act[moved, c1:] = act[order[moved], c1:]
+            pan[mid:j1, k:] -= matmul(t, mult[k0:k, k:])
+        return _factor_panel(pan, mid, j1, k, *args)
+    nact = pan.shape[1]
+    # scaled pivot rows are stored balanced in float64, canonical in int64
+    half = 0 if eager else m // 2
+    for j in range(j0, j1):
+        if k == nact:
+            break
+        col = pan[j, k:]
+        reduce_(col, m)
+        prow = pan[j:j1, k]
+        vals = prow.tolist()
+        if not vals[0]:
+            nz = np.flatnonzero(col)
+            if nz.size == 0:
+                continue
+            p = k + int(nz[0])
+            _swap_columns(pan, k, p)
+            _swap_columns(mult[:k], k, p)
+            order[k], order[p] = order[p], order[k]
+            vals = prow.tolist()
+        inv = pow(int(vals[0]), -1, m)
+        solve[k, k] = inv
+        # the scaled pivot is exactly 1, so the update below zeroes the
+        # pivot column under it
+        prow[:] = [(int(x) * inv + half) % m - half for x in vals]
+        below = mult[k, k + 1 :]
+        below[:] = col[1:]
+        upd = pan[j:j1, k + 1 :]
+        upd -= prow[:, None] * below
+        if eager:
+            reduce_(upd, m)
+        pivots.append(j)
+        k += 1
+    if k > k0:
+        _extend_solve(solve, mult, k0, k, reduce_, m, matmul)
     return k
 
 
@@ -830,17 +831,6 @@ def _schur_products(shifted, starts, sources, wv):
             yield op
 
 
-def _solve_block(part, off, reduce_, m, matmul) -> None:
-    """Solve X_K U_KK = R_K, transposed and in place: `part` holds
-    R_K^T, reduced, and `off` is U_KK without its unit diagonal,
-    strictly upper triangular and canonical.
-
-    U_KK^T X_K^T = R_K^T is solved by level (`_level_solve`) on the
-    strictly lower `off.T`: one product per level.
-    """
-    _level_solve(off.T, part, reduce_, m, matmul)
-
-
 def _solve_multipliers(ct, pos, blocks, reduce_, m, matmul, depth):
     """Overwrite C's A columns with X, where C_A = X U_AA.
 
@@ -849,8 +839,10 @@ def _solve_multipliers(ct, pos, blocks, reduce_, m, matmul, depth):
     Left-looking, one block of A rows at a time (`_multiplier_blocks`):
     the block's columns lose every earlier A row's contribution, one
     product per variable, since the A rows of variable i are basis rows
-    shifted by x_i; then `_solve_block` solves them, unless the block's
-    triangle is the identity, as it mostly is.
+    shifted by x_i; then, unless the block's triangle U_KK is the
+    identity, as it mostly is, X_K U_KK = R_K is solved transposed,
+    U_KK^T X_K^T = R_K^T, by level on the strictly lower `off.T`
+    (`_level_solve`).
     """
     for k0, k1, update, off in blocks:
         part = ct[pos[k0:k1]]
@@ -858,7 +850,7 @@ def _solve_multipliers(ct, pos, blocks, reduce_, m, matmul, depth):
             _subtract_product(part, hit, left, ct[g], reduce_, m, matmul, depth)
         reduce_(part, m)
         if off is not None:
-            _solve_block(part, off, reduce_, m, matmul)
+            _level_solve(off.T, part, reduce_, m, matmul)
         ct[pos[k0:k1]] = part
 
 

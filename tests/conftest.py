@@ -7,9 +7,8 @@ import chowcert.matrix as matrix
 class Schedule:
     """What the elimination's reduction schedule did (`matrix._regime`).
 
-    `settles` gets one entry per outer update of `_echelon_blocked`, the
-    one `_apply_pivots` call that passes `settle`: True where it reduced
-    the trailing tiles.  `depths` gets the run length of each of the
+    `settles` gets one entry per outer update of `_echelon_blocked`, its
+    `_apply_pivots` call: True where it reduced the trailing tiles.  `depths` gets the run length of each of the
     split's products (`_subtract_product`): None where the product is
     reduced only once, with the others, after the last A row.
     """
@@ -38,8 +37,7 @@ def schedule(monkeypatch):
     apply_pivots, subtract_product = matrix._apply_pivots, matrix._subtract_product
 
     def recorded_apply(*args, **kwargs):
-        if "settle" in kwargs:
-            seen.settles.append(kwargs["settle"])
+        seen.settles.append(kwargs["settle"])
         return apply_pivots(*args, **kwargs)
 
     def recorded_subtract(target, hit, left, right, reduce_, m, matmul, depth):

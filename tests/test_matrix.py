@@ -1,4 +1,5 @@
 import functools
+import gc
 import math
 import os
 import tracemalloc
@@ -33,7 +34,6 @@ from chowcert.matrix import (
     _ReduceF64,
     _regime,
     _schur_update,
-    _solve_block,
     _solve_multipliers,
     _subtract_product,
     _unit_upper_inverse,
@@ -699,14 +699,14 @@ def outer_panel_cases(m, rng):
     # rows from column 0 take the first outer panel's pivots, and the
     # others start in the last one: the second has no pivot
     no_pivots = [0] * 80 + sorted(rng.integers(2 * k, cols, rows - 80))
-    # more than a panel of pivots from column 0, then rows that start
-    # around the end of the first outer panel
+    # more than `DEFAULT_BLOCK` pivots from column 0, then rows that
+    # start around the end of the first outer panel
     edge = [0] * 100 + sorted(rng.choice([k - 1, k, k + 1], rows - 100))
-    # A panel of rows from column 0, then rows that the first panel's
-    # pivots zero up to a column s: sums of those rows plus a row that
-    # starts at s.  In a later panel of the same outer panel, a row that
-    # starts earlier is swapped up past them, and their multipliers
-    # from the first panel must move with them.
+    # `DEFAULT_BLOCK` rows from column 0, then rows that their pivots
+    # zero up to a column s: sums of those rows plus a row that starts
+    # at s.  In a later half of the same outer panel, a row that starts
+    # earlier is swapped up past them, and their multipliers from the
+    # first pivots must move with them.
     base = profile_matrix([0] * DEFAULT_BLOCK, cols, m, rng)
     late = [DEFAULT_BLOCK + 6, 2 * DEFAULT_BLOCK + 2, k + 3]
     sums = _mod_matmul(rng.integers(1, m, (len(late), DEFAULT_BLOCK)), base, m)
@@ -745,6 +745,57 @@ class TestOuterPanels:
                 assert not [c for c in naive.pivot_cols if _OUTER <= c < 2 * _OUTER]
 
 
+# Rows in reverse order of their first column, over three float64 outer
+# panels and eleven eager ones: nearly every pivot swaps two rows.
+SWAP_SHAPE = (200, 700)
+
+
+class TestRowPermutation:
+    """An outer panel's row swaps reach the columns right of it in one
+    permutation, in column tiles of at most `_CHUNK` entries."""
+
+    @pytest.mark.parametrize("chunk", (1, 1000))
+    @pytest.mark.parametrize("m", (20201, F64_LAST, P31))
+    def test_swap_heavy_matches_naive(self, m, chunk, monkeypatch):
+        """With `_CHUNK` at one entry, every column is a tile of its own;
+        at 1000, tiles are several columns wide, the last one narrower."""
+        rows, cols = SWAP_SHAPE
+        rng = np.random.default_rng(m + chunk)
+        data = profile_matrix(np.linspace(cols - 1, 0, rows).astype(int), cols, m, rng)
+        # (outer panel width, rows moved) of each outer panel
+        panels = []
+
+        def recorded_panel(pan, j0, j1, k, mult, solve, order, *rest):
+            out = factor_panel(pan, j0, j1, k, mult, solve, order, *rest)
+            if (j0, j1) == (0, len(pan)):
+                panels.append((len(pan), int((order != np.arange(order.size)).sum())))
+            return out
+
+        factor_panel = _factor_panel
+        monkeypatch.setattr(matrix, "_CHUNK", chunk)
+        monkeypatch.setattr(matrix, "_factor_panel", recorded_panel)
+        mat = FfMatrix(data, PrimeModulus(m))
+        naive = mat.rref(naive=True)
+        fast = mat.rref()
+        assert fast.pivot_cols == naive.pivot_cols
+        assert_row_echelon(fast)
+        assert fast.echelon == naive.echelon
+        f0 = rng.integers(0, m, cols - naive.rank)
+        normal = null_vector(fast, f0)
+        assert np.array_equal(normal, null_vector(naive, f0))
+        assert not (data.astype(object) @ normal.astype(object) % m).any()
+        # the columns per tile and the tiles of each outer panel's
+        # permutation
+        steps, tiles, end = [], [], 0
+        for width, moved in panels:
+            end += width
+            if moved:
+                steps.append(max(1, chunk // moved))
+                tiles.append(-(-(cols - end) // steps[-1]))
+        assert max(tiles) >= 3
+        assert (max(steps) > 1) == (chunk > 1)
+
+
 def forward_substitution(trail, mult, piv_inv, m):
     """The per-pivot solve, as an oracle, in Python integers: row i of
     `trail` loses mult[l, i] times each solved row l < i and is then
@@ -766,7 +817,7 @@ def residues(shape, m, rng, balanced):
 
 
 # Runs of pivots that one diagonal block of the solve matrix solves: a
-# single pivot, sub-panels, panels and a whole float64 outer panel.
+# single pivot, sub-panels, halves and a whole float64 outer panel.
 SOLVE_BLOCKS = (1, _SUB - 1, _SUB, _SUB + 1, DEFAULT_BLOCK, DEFAULT_BLOCK + 1, _OUTER)
 
 
@@ -822,7 +873,7 @@ class TestSolveMatrix:
                 ) % m
                 _apply_pivots(
                     trail, below, solve[o : o + b, o : o + b], l21,
-                    reduce_, m, matmul,
+                    reduce_, m, matmul, settle=False,
                 )
                 assert (trail.astype(np.int64) % m).tolist() == want, (b, o)
                 assert (below.astype(np.int64) % m).tolist() == want_below.tolist()
@@ -837,7 +888,7 @@ def swap_matrix(shape, base, m, rng):
     they sit right after the base rows, so in each column before s a row
     that starts there is swapped up past one of them, which carries its
     multipliers along; when it later becomes a pivot, in a later
-    sub-panel, panel or outer panel, its row of the solve matrix is
+    sub-panel, half or outer panel, its row of the solve matrix is
     built from those swapped multipliers.
     """
     rows, cols = shape
@@ -852,7 +903,7 @@ def swap_matrix(shape, base, m, rng):
 
 
 class TestSwappedMultipliers:
-    """A later sub-panel or panel swaps rows that carry multipliers from
+    """A later sub-panel or half swaps rows that carry multipliers from
     the outer panel's earlier pivots."""
 
     @pytest.mark.parametrize("base", (_SUB, DEFAULT_BLOCK))
@@ -870,91 +921,92 @@ class TestSwappedMultipliers:
             assert fast.echelon == naive.echelon, m
 
 
-# A panel of the direct `_factor_panel` tests: three sub-panels, the last
-# partial, so a sub-panel's pivots reach later columns of the panel or,
-# in the last, none.  The active rows are zero left of the panel, as in
-# the elimination, and have `PANEL_RIGHT` columns right of it, which the
-# panel's swaps move.
-PANEL_C0, PANEL_W, PANEL_RIGHT = 2, 2 * _SUB + 3, 5
-PANEL_C1 = PANEL_C0 + PANEL_W
-PANEL_COLS = PANEL_C1 + PANEL_RIGHT
+# The outer panels of the direct `_factor_panel` tests, as width: width
+# of the left half.  19 columns split unevenly, with a last half of three
+# columns; 40 columns split unevenly twice (24 and 16, then 16 and 8);
+# and a whole float64 outer panel.
+PANEL_HALVES = {19: 16, 40: 24, _OUTER: _OUTER // 2}
 
 
-def panel_rows(starts, m, rng):
-    """Active rows, row i zero left of panel column starts[i]."""
-    return profile_matrix([PANEL_C0 + s for s in starts], PANEL_COLS, m, rng)
-
-
-def panel_cases(m, rng):
-    """(name, active rows, q) for the direct `_factor_panel` tests, q
-    being the number of the outer panel's earlier pivots."""
+def panel_cases(w, m, rng):
+    """(name, active rows) for the direct `_factor_panel` tests on an
+    outer panel of w columns."""
     # The first row starts one column late, so the first column swaps.
     # Sums of the first sub-panel's rows plus rows that start later come
     # next: reduced, they are zero at the second sub-panel's first
     # columns, with nonzero multipliers from the first sub-panel's
     # pivots, and the rows that start there come after them.
-    head = panel_rows([1, 0] + list(range(2, _SUB)), m, rng)
-    late = panel_rows([_SUB + 3, 2 * _SUB + 1], m, rng)
+    head = profile_matrix([1, 0] + list(range(2, _SUB)), w, m, rng)
+    late = profile_matrix([_SUB + 3, 2 * _SUB + 1], w, m, rng)
     sums = (_mod_matmul(rng.integers(1, m, (2, _SUB)), head, m) + late) % m
-    later = [_SUB, _SUB + 1, _SUB + 2] + list(rng.integers(_SUB, PANEL_W, 9))
-    search = np.vstack([head, sums, panel_rows(later, m, rng)])
+    later = [_SUB, _SUB + 1, _SUB + 2] + list(rng.integers(_SUB, w, 9))
+    search = np.vstack([head, sums, profile_matrix(later, w, m, rng)])
+    # The same across the halves: rows that take every pivot of the left
+    # half, sums of them plus rows that start later in the right half,
+    # then rows that start at the right half's first columns.
+    mid = PANEL_HALVES[w]
+    left = profile_matrix(list(range(mid)), w, m, rng)
+    late = profile_matrix([mid + 1, w - 1], w, m, rng)
+    sums = (_mod_matmul(rng.integers(1, m, (2, mid)), left, m) + late) % m
+    right = [mid, mid + 1] + list(rng.integers(mid, w, 4))
+    across = np.vstack([left, sums, profile_matrix(right, w, m, rng)])
     # One column and the whole second sub-panel zero on every row, and
     # one column a sum of two earlier ones, zero once they are pivots.
-    zero = panel_rows([0] * 20, m, rng)
-    zero[:, PANEL_C0 + 5] = 0
-    zero[:, PANEL_C0 + _SUB : PANEL_C0 + 2 * _SUB] = 0
-    zero[:, PANEL_C0 + 2 * _SUB + 1] = (
-        zero[:, PANEL_C0 + 2] + 3 * zero[:, PANEL_C0 + 4]
-    ) % m
+    zero = profile_matrix([0] * 20, w, m, rng)
+    zero[:, 5] = 0
+    zero[:, _SUB : 2 * _SUB] = 0
+    zero[:, 2 * _SUB + 1] = (zero[:, 2] + 3 * zero[:, 4]) % m
     # The first pivot row's scaled entries are +-(m - 1) / 2, the largest
     # balanced residues, and the other rows' entries balance to them.
-    largest = half_modulus_matrix(20, PANEL_COLS, m, rng)
-    largest[:, :PANEL_C0] = 0
+    largest = half_modulus_matrix(20, w, m, rng)
     pivot = int(rng.integers(1, m))
     h = m // 2
-    signs = rng.integers(0, 2, PANEL_W)
-    largest[0, PANEL_C0:PANEL_C1] = pivot * np.where(signs, h, m - h) % m
-    largest[0, PANEL_C0] = pivot
+    largest[0] = pivot * np.where(rng.integers(0, 2, w), h, m - h) % m
+    largest[0, 0] = pivot
     return [
-        ("search", search, 0),
-        ("search", search, 3),
-        ("zero column", zero, 0),
-        ("zero column", zero, 2),
+        ("search", search),
+        ("across the halves", across),
+        ("zero column", zero),
         # fewer rows than the panel has columns
-        ("short", panel_rows([0] * 5, m, rng), 2),
-        ("largest residues", largest, 0),
+        ("short", profile_matrix([0] * 5, w, m, rng)),
+        ("largest residues", largest),
     ]
 
 
-def panel_reference(rows, carried, m):
-    """Columns PANEL_C0..PANEL_C1 of `rows` factored one column at a
-    time in Python integers, the pivot the first nonzero of its column;
-    carried[i] holds the multipliers of row i from the outer panel's
-    earlier pivots, and gets one per pivot.
+def panel_reference(rows, mid, m):
+    """The columns of `rows` factored one at a time in Python integers,
+    the pivot the first nonzero of its column; the right half of the
+    outer panel starts at column `mid`.
 
-    Returns the pivot columns, the rows (reduced and eliminated in the
-    panel, pivot rows scaled there, all of them in their final order),
-    the multipliers, the pivots' values, and the count of each branch
-    taken: "first" (the candidate row is the pivot), "swap", "carried"
-    (a swapped row has a multiplier from an earlier sub-panel's pivot of
-    this panel), "skip" (a column zero on the active rows), "empty" (a
-    sub-panel without a pivot, before the last one with one), "full"
-    (every row is a pivot before the panel ends) and "largest" (a pivot
-    row's scaled entries after the pivot in its sub-panel are all
-    +-(m - 1) / 2).
+    Returns the pivot columns, the rows (reduced, eliminated, pivot rows
+    scaled, in their final order), the first row index of each of them,
+    each row's multipliers, one per pivot, the pivots' values, and the
+    count of each branch taken: "first" (the candidate row is the
+    pivot), "swap", "carried" (a swapped row has a multiplier from the
+    pivot of an earlier sub-panel), "right half" (a swap in the right
+    half, of a row with a multiplier from a pivot of the left half),
+    "skip" (a column zero on the active rows), "empty" (a sub-panel
+    without a pivot, before the last one with one), "full" (every row is
+    a pivot before the panel ends) and "largest" (a pivot row's scaled
+    entries after the pivot in its sub-panel are all +-(m - 1) / 2).
     """
-    rows = [[int(v) for v in r] for r in rows]
-    carried = [[int(v) % m for v in c] for c in carried]
-    q, n = len(carried[0]), len(rows)
+    rows = [[int(v) % m for v in r] for r in rows]
+    n, w = len(rows), len(rows[0])
+    order = list(range(n))
+    carried = [[] for _ in range(n)]
     pivots, values, subs = [], [], []
     hits = Counter()
+
+    def carries(k, p, earlier):
+        return any(carried[i][l] for i in (k, p) for l in earlier)
+
     k = 0
-    for c in range(PANEL_C0, PANEL_C1):
+    for c in range(w):
         if k == n:
             hits["full"] += 1
             break
-        sub = (c - PANEL_C0) // _SUB
-        nz = [i for i in range(k, n) if rows[i][c] % m]
+        sub = c // _SUB
+        nz = [i for i in range(k, n) if rows[i][c]]
         if not nz:
             hits["skip"] += 1
             continue
@@ -963,33 +1015,30 @@ def panel_reference(rows, carried, m):
             hits["first"] += 1
         else:
             hits["swap"] += 1
-            earlier = [q + l for l, s in enumerate(subs) if s < sub]
-            if any(carried[i][e] for i in (k, p) for e in earlier):
+            if carries(k, p, [l for l, s in enumerate(subs) if s < sub]):
                 hits["carried"] += 1
-            rows[k], rows[p] = rows[p], rows[k]
-            carried[k], carried[p] = carried[p], carried[k]
-        value = rows[k][c] % m
+            if c >= mid and carries(k, p, [l for l, j in enumerate(pivots) if j < mid]):
+                hits["right half"] += 1
+            for x in (rows, carried, order):
+                x[k], x[p] = x[p], x[k]
+        value = rows[k][c]
         inv = pow(value, -1, m)
-        prow = [v * inv % m for v in rows[k][PANEL_C0:PANEL_C1]]
-        rows[k][PANEL_C0:PANEL_C1] = prow
-        end = PANEL_C0 + min((sub + 1) * _SUB, PANEL_W)
-        ahead = {min(v, m - v) for v in rows[k][c + 1 : end]}
-        if ahead == {m // 2}:
+        rows[k][c:] = [v * inv % m for v in rows[k][c:]]
+        end = min((sub + 1) * _SUB, w)
+        if {min(v, m - v) for v in rows[k][c + 1 : end]} == {m // 2}:
             hits["largest"] += 1
+        prow = rows[k][c:]
         for i in range(n):
-            f = rows[i][c] % m if i > k else 0
+            f = rows[i][c] if i > k else 0
             carried[i].append(f)
             if f:
-                row = zip(rows[i][PANEL_C0:PANEL_C1], prow)
-                rows[i][PANEL_C0:PANEL_C1] = [(a - f * b) % m for a, b in row]
+                rows[i][c:] = [(a - f * b) % m for a, b in zip(rows[i][c:], prow)]
         pivots.append(c)
         values.append(value)
         subs.append(sub)
         k += 1
     hits["empty"] += len(set(range(max(subs, default=0))) - set(subs))
-    for r in rows:
-        r[PANEL_C0:PANEL_C1] = [v % m for v in r[PANEL_C0:PANEL_C1]]
-    return pivots, rows, carried, values, hits
+    return pivots, rows, order, carried, values, hits
 
 
 def lower_inverse(values, mult, m):
@@ -1008,8 +1057,8 @@ def lower_inverse(values, mult, m):
 
 
 class TestFactorPanel:
-    """`_factor_panel` on small panels, against a column-by-column
-    reference and `_rref_naive`: every branch its loop keeps is reached
+    """`_factor_panel` on whole outer panels, against a column-by-column
+    reference and `_rref_naive`: every branch its leaves keep is reached
     at a small prime, the benchmark prime and each regime's largest."""
 
     @pytest.mark.parametrize("m", (7, 20201, F64_LAST, P31))
@@ -1031,51 +1080,43 @@ class TestFactorPanel:
         rng = np.random.default_rng(m)
         hits = Counter()
         swaps = []
-        for name, rows, q in panel_cases(m, rng):
-            nact = len(rows)
-            # the outer panel's q earlier pivots: their multipliers, as
-            # the elimination keeps them, and their rows of `solve`
-            earlier = residues((q, q + nact), m, rng, not eager)
-            mult = np.zeros((q + PANEL_W, q + nact), dtype=dtype)
-            mult[:q] = np.triu(earlier, 1)
-            before = mult.astype(np.int64) % m
-            values = rng.integers(1, m, q).tolist()
-            solve = np.zeros((q + PANEL_W,) * 2, dtype=dtype)
-            solve[:q, :q] = lower_inverse(values, before, m)
-            act = rows.astype(dtype)
-            swaps.clear()
-            pivots = []
-            args = (mult, solve, q, pivots, reduce_, m, matmul, eager)
-            k = _factor_panel(act, PANEL_C0, PANEL_C1, *args)
-            want, out, carried, found, seen = panel_reference(
-                rows, before[:q, q:].T, m
-            )
-            hits += seen
-            assert pivots == want and k == len(want), name
-            assert len(swaps) == 2 * seen["swap"], name
-            got = act.astype(np.int64)
-            assert not got[:, :PANEL_C0].any(), name
-            # stored reduced: canonical in int64, balanced in float64
-            panel = got[:, PANEL_C0:PANEL_C1]
-            if eager:
-                assert panel.min() >= 0 and panel.max() < m, name
-            else:
-                assert np.abs(panel).max() <= m // 2 + 2, name
-            assert (panel % m).tolist() == [r[PANEL_C0:PANEL_C1] for r in out], name
-            assert got[:, PANEL_C1:].tolist() == [r[PANEL_C1:] for r in out], name
-            want_mult = before.copy()
-            want_mult[: q + k, q:] = np.array(carried, dtype=np.int64).T
-            assert np.array_equal(mult.astype(np.int64) % m, want_mult), name
-            want_solve = np.zeros(solve.shape, dtype=np.int64)
-            want_solve[: q + k, : q + k] = lower_inverse(values + found, want_mult, m)
-            assert np.array_equal(solve.astype(np.int64) % m, want_solve), name
-            # the pivots and the row space of the panel's columns, against
-            # the naive elimination
-            naive, naive_pivots = _rref_naive(rows[:, PANEL_C0:PANEL_C1], m)
-            assert [PANEL_C0 + c for c in naive_pivots] == pivots, name
-            reduced, _ = _rref_naive(got[:k, PANEL_C0:PANEL_C1] % m, m)
-            assert np.array_equal(reduced, naive[:k]), name
-        for branch in ("first", "swap", "carried", "skip", "empty", "full", "largest"):
+        for w, mid in PANEL_HALVES.items():
+            for name, rows in panel_cases(w, m, rng):
+                nact = len(rows)
+                mult = np.zeros((w, nact), dtype=dtype)
+                solve = np.zeros((w, w), dtype=dtype)
+                order = np.arange(nact)
+                pan = np.ascontiguousarray(rows.T, dtype=dtype)
+                swaps.clear()
+                pivots = []
+                args = (mult, solve, order, pivots, reduce_, m, matmul, eager)
+                k = _factor_panel(pan, 0, w, 0, *args)
+                want, out, moved, carried, found, seen = panel_reference(rows, mid, m)
+                hits += seen
+                case = (w, name)
+                assert pivots == want and k == len(want), case
+                assert len(swaps) == 2 * seen["swap"], case
+                assert order.tolist() == moved, case
+                got = pan.T.astype(np.int64)
+                # stored reduced: canonical in int64, balanced in float64
+                if eager:
+                    assert got.min() >= 0 and got.max() < m, case
+                else:
+                    assert np.abs(got).max() <= m // 2 + 2, case
+                assert (got % m).tolist() == out, case
+                want_mult = np.zeros((w, nact), dtype=np.int64)
+                want_mult[:k] = np.array(carried, dtype=np.int64).reshape(nact, k).T
+                assert np.array_equal(mult.astype(np.int64) % m, want_mult), case
+                want_solve = np.zeros((w, w), dtype=np.int64)
+                want_solve[:k, :k] = lower_inverse(found, want_mult, m)
+                assert np.array_equal(solve.astype(np.int64) % m, want_solve), case
+                # the pivots and the row space, against the naive elimination
+                naive, naive_pivots = _rref_naive(rows, m)
+                assert naive_pivots == pivots, case
+                reduced, _ = _rref_naive(got[:k] % m, m)
+                assert np.array_equal(reduced, naive[:k]), case
+        branches = ("first", "swap", "carried", "right half", "skip", "empty")
+        for branch in branches + ("full", "largest"):
             assert hits[branch], branch
 
 
@@ -1220,7 +1261,7 @@ SPLIT_REGIMES = (
 class TestLevelSolve:
     """`_level_solve` against plain substitution, in both orientations:
     upper as in `ShiftedRows.back_substitute`, lower as in the
-    multiplier solve (`_solve_block`)."""
+    multiplier solve (`_solve_multipliers`)."""
 
     @pytest.mark.parametrize("upper", (False, True), ids=("lower", "upper"))
     @pytest.mark.parametrize("m,regime", SPLIT_REGIMES)
@@ -1320,8 +1361,8 @@ class TestExactness:
     def test_preconditions_hold(self, regime, monkeypatch, schedule):
         """Also counts the in-panel products of `_factor_panel`, those it
         makes itself and not through `_extend_solve`: each has at most
-        `_SUB` inner terms, and its left operand is reduced and, in
-        float64, balanced."""
+        half an outer panel's width of inner terms, and its left operand
+        is reduced and, in float64, balanced."""
         seen = []
         # the number of outer updates before the current elimination
         before = [0]
@@ -1344,7 +1385,7 @@ class TestExactness:
 
             def product(a, b):
                 if phase[-1:] == ["panel"]:
-                    assert a.shape[1] <= _SUB
+                    assert a.shape[1] <= _OUTER // 2
                     if dtype is np.float64:
                         assert np.abs(a).max(initial=0) <= m // 2 + 2
                     in_panel.append(a.shape)
@@ -1363,27 +1404,32 @@ class TestExactness:
             seen.append(a.size)
             return mod_matmul(a, b, m)
 
-        def checked_panel(act, c0, *rest):
-            if regime != "eager" and c0 % _OUTER == 0:
-                if c0 == 0:
-                    before[0] = len(schedule.settles)
+        def checked_echelon(a, m):
+            before[0] = len(schedule.settles)
+            return echelon_blocked(a, m)
+
+        def checked_panel(pan, *rest):
+            # an outer panel, not a half of one
+            if regime != "eager" and "panel" not in phase:
                 updates = schedule.settles[before[0] :]
                 # right after a settle, values of at most m + 1; else at
                 # most budget - width products since the last reduction
-                width = min(_OUTER, act.shape[1] - c0)
+                width = len(pan)
                 b = m // 2 + 2
                 bound = m + 1
                 if not (updates and updates[-1]):
                     bound += (_regime(m)[3] - width) * b * b
-                assert np.abs(act[:, c0:]).max(initial=0) <= bound
-                seen.append(act.size)
-            return within("panel", _factor_panel)(act, c0, *rest)
+                assert np.abs(pan).max(initial=0) <= bound
+                seen.append(pan.size)
+            return within("panel", _factor_panel)(pan, *rest)
 
         reduce_f64 = _ReduceF64.__call__
         mod_matmul = _mod_matmul
         regime_of = _regime
+        echelon_blocked = matrix._echelon_blocked
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         monkeypatch.setattr("chowcert.matrix._mod_matmul", checked_matmul)
+        monkeypatch.setattr("chowcert.matrix._echelon_blocked", checked_echelon)
         monkeypatch.setattr("chowcert.matrix._factor_panel", checked_panel)
         monkeypatch.setattr("chowcert.matrix._regime", checked_regime)
         monkeypatch.setattr(
@@ -1475,21 +1521,24 @@ class TestExactness:
             tiles[-1] += 1
             return schur_update(*args)
 
+        def level_solve(*args):
+            # the in-block solve is the level solve of the X update
+            if phase[-1:] == ["X update"]:
+                return within("in-block solve", counted_levels)(*args)
+            return counted_levels(*args)
+
         reduce_f64, mod_matmul, dot_rows = _ReduceF64.__call__, _mod_matmul, _dot_rows
         schur_update = within("Schur product", _schur_update)
+        counted_levels = counting_level_solve(in_block_levels)
         levels, inverted = [], []
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         monkeypatch.setattr("chowcert.matrix._mod_matmul", checked_matmul)
         monkeypatch.setattr("chowcert.matrix._dot_rows", checked_dots)
-        monkeypatch.setattr(
-            "chowcert.matrix._level_solve", counting_level_solve(in_block_levels)
-        )
+        monkeypatch.setattr("chowcert.matrix._level_solve", level_solve)
         monkeypatch.setattr("chowcert.matrix._unit_upper_inverse", checked_inverse)
-        for name, f in (
-            ("X update", _solve_multipliers),
-            ("in-block solve", _solve_block),
-        ):
-            monkeypatch.setattr(f"chowcert.matrix.{f.__name__}", within(name, f))
+        monkeypatch.setattr(
+            "chowcert.matrix._solve_multipliers", within("X update", _solve_multipliers)
+        )
         monkeypatch.setattr("chowcert.matrix._schur_update", counted_schur)
         monkeypatch.setattr(
             ShiftedRows,
@@ -1649,6 +1698,8 @@ class TestSplitTiles:
         in-block solve runs once per tile."""
         mat, _ = random_split(20201)
         counts = Counter()
+        # the number of `_solve_multipliers` calls running
+        inside = [0]
 
         def counted(name, f):
             def run(*args):
@@ -1657,12 +1708,25 @@ class TestSplitTiles:
 
             return run
 
+        def solve_multipliers(*args):
+            inside[0] += 1
+            try:
+                return _solve_multipliers(*args)
+            finally:
+                inside[0] -= 1
+
+        def level_solve(*args):
+            # the in-block solve is the level solve of the X update
+            counts["solve"] += inside[0] > 0
+            return _level_solve(*args)
+
         for owner, name, key in (
             (matrix, "_shift_product", "operand"),
             (ShiftedRows, "block", "triangle"),
-            (matrix, "_solve_block", "solve"),
         ):
             monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
+        monkeypatch.setattr(matrix, "_solve_multipliers", solve_multipliers)
+        monkeypatch.setattr(matrix, "_level_solve", level_solve)
         ran = recorded_tiles(monkeypatch)
         seen = []
         for rows in (147, 1):
@@ -1815,6 +1879,29 @@ class TestEliminationMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1.6 * rows * cols * 8
+
+
+    @pytest.mark.parametrize("m", (20201, P31))
+    def test_nothing_left_for_the_collector(self, m):
+        """With the garbage collector off, an elimination returns traced
+        memory to its entry level: no reference cycle holds any array it
+        made, which would keep each outer panel's copy and multipliers
+        alive until the collector ran."""
+        rows = cols = 400
+        rng = np.random.default_rng(m)
+        starts = np.linspace(cols - 1, 0, rows).astype(int) // 2
+        mat = FfMatrix(profile_matrix(starts, cols, m, rng), PrimeModulus(m))
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            mat.rref()
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # a few small objects, far less than any array of the elimination
+        assert left < rows * cols
 
 
 @settings(max_examples=60, deadline=None)
