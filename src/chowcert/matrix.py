@@ -86,8 +86,9 @@ _LIMB = 1 << 16
 _TILE = 1 << 18
 # Entries per chunk (256 KB of float64): a split writes a tile of C rows
 # and reduces its Schur complement in row chunks, and an outer panel's
-# row swaps reach the columns right of it in column chunks, so their
-# temporaries stay small beside the arrays they change.
+# row swaps reach the columns right of it, and a left half's pivots its
+# right half (`_factor_panel`), in column chunks, so their temporaries
+# stay small beside the arrays they change.
 _CHUNK = 1 << 15
 # Columns per sub-panel, the leaves of `_factor_panel`: rank-1 updates
 # stay within one.
@@ -526,7 +527,7 @@ def _factor_panel(
     pivots reach the right half by two products on `pan`: their rows
     there, as columns of `pan`, are solved by the transposed diagonal
     block of `solve`, then times their multipliers subtracted from the
-    rows below.
+    rows below, in column tiles of at most `_CHUNK` entries.
 
     A leaf is factored column by column.  The pivot is the first nonzero
     of its column on the active rows.  After the column reduce, the
@@ -558,7 +559,11 @@ def _factor_panel(
             if not eager:
                 # `_mod_matmul` already returns canonical residues
                 reduce_(t, m)
-            pan[mid:j1, k:] -= matmul(t, mult[k0:k, k:])
+            # each tile's product is subtracted while it is in cache
+            right = pan[mid:j1]
+            step = _row_step(j1 - mid, _CHUNK)
+            for s in range(k, right.shape[1], step):
+                right[:, s : s + step] -= matmul(t, mult[k0:k, s : s + step])
         return _factor_panel(pan, mid, j1, k, *args)
     nact = pan.shape[1]
     # scaled pivot rows are stored balanced in float64, canonical in int64
