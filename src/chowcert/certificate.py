@@ -322,8 +322,15 @@ def parse_certificate(text: str) -> Certificate:
 
 
 def load_certificate(path) -> Certificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_certificate(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CertificateError(
+            f"not UTF-8 text: invalid byte at offset {exc.start}"
+        ) from None
+    return parse_certificate(text)
 
 
 def save_certificate(cert: Certificate, path) -> None:

@@ -34,13 +34,16 @@ is factored, its pivots reach the right half by two products, and the
 right half is factored.  The leaves are sub-panels of `_SUB` columns,
 factored column by column with as few numpy calls per pivot as the loop
 allows: the candidate pivot is tested as a scalar and the column
-searched only when it is zero, the pivot row is scaled in Python
-integers, and the rank-1 update stays within the sub-panel.  No pivot
-row is solved on its own: each outer panel keeps one solve matrix, the
-inverse of its pivots' lower factor, grown a sub-panel at a time, and
-the pivot rows of a left half or of the whole outer panel are solved by
-one product with its diagonal block (`_extend_solve`).  The block sizes
-and the number format are the elimination's own.
+searched only when it is zero, a row swap moves the two rows right of
+the outer panel at once, the pivot row is scaled in Python integers,
+and the rank-1 update stays within the sub-panel.  No pivot row is
+solved on its own: each outer panel keeps one solve matrix, the inverse
+of its pivots' lower factor, which the recursion builds as it goes: a
+leaf writes its diagonal block, and a node whose halves are factored
+the block that joins them, by two products.  The pivot rows of a left
+half or of the whole outer panel are solved by one product with its
+diagonal block.  The block sizes and the number format are the
+elimination's own.
 
 A matrix may eliminate itself by its structure (the `FfMatrix._echelon`
 hook).  A Macaulay matrix, one row x_i w per variable x_i and row w of a
@@ -85,10 +88,9 @@ _LIMB = 1 << 16
 # tile's product is subtracted while it is still in cache.
 _TILE = 1 << 18
 # Entries per chunk (256 KB of float64): a split writes a tile of C rows
-# and reduces its Schur complement in row chunks, and an outer panel's
-# row swaps reach the columns right of it, and a left half's pivots its
-# right half (`_factor_panel`), in column chunks, so their temporaries
-# stay small beside the arrays they change.
+# and reduces its Schur complement in row chunks, and a left half's
+# pivots reach its right half (`_factor_panel`) in column chunks, so
+# their temporaries stay small beside the arrays they change.
 _CHUNK = 1 << 15
 # Columns per sub-panel, the leaves of `_factor_panel`: rank-1 updates
 # stay within one.
@@ -253,8 +255,9 @@ def _regime(m: int):
 
     In float64, reductions leave balanced residues of at most
     b = m // 2 + 2 (`_ReduceF64`), so a product of two of them is at most
-    b^2; one with a canonical operand (an entry of a solve matrix's
-    diagonal block) is at most (m - 1) b < 2 b^2, so it counts as two.
+    b^2; one with a canonical operand (an entry of a leaf's diagonal
+    block of a solve matrix, `_factor_panel`) is at most
+    (m - 1) b < 2 b^2, so it counts as two.
     A pivot row scaled by its pivot's inverse in Python integers
     (`_factor_panel`) is stored balanced, not canonical, so each term of
     a rank-1 update, that row times a reduced column, counts as one
@@ -263,11 +266,14 @@ def _regime(m: int):
     balanced), so after p products it is at most p b^2 + m + 1, which
     must stay within the reduction's range, 2^53 - m: hence
     budget = (2^53 - 1 - 2m) // b^2, 88262259 at 20201, 4003 at 3000017.
-    A product that extends a solve matrix or solves pivot rows with it
-    (`_extend_solve`, `_apply_pivots`, and for a left half's pivots
-    `_factor_panel`, with at most `_OUTER // 2` terms) has at most
-    `_OUTER` terms, `_SUB` of them canonical, and replaces a value: it
-    counts _OUTER + _SUB.  So float64 holds while
+    A product that solves pivot rows with a solve matrix X
+    (`_apply_pivots`, and for a left half's pivots `_factor_panel`)
+    replaces a value, and so do the two by which `_factor_panel` joins
+    two halves' blocks of X, M[R, L] X_L and then X_R times that,
+    reduced.  Each has at most `_OUTER` terms (`_OUTER // 2` in
+    `_factor_panel`), and at most `_SUB` of those have a canonical
+    operand, since a row or column of X meets one leaf's diagonal block:
+    it counts _OUTER + _SUB.  So float64 holds while
     budget >= _OUTER + _SUB, up to m = 11682149, where budget is 264.
     Every other value is reduced before it collects more than `budget`
     products:
@@ -319,7 +325,7 @@ def _apply_pivots(trail, below, inv, l21, reduce_, m, matmul, settle):
     `trail` holds the k pivot rows' entries in those columns and `below`
     the rows under them, both as views (one row per matrix row); `inv`
     is the k x k diagonal block of the outer panel's solve matrix that
-    belongs to these pivots (`_extend_solve`), and `l21[j, i]` the
+    belongs to these pivots (`_factor_panel`), and `l21[j, i]` the
     multiple of pivot row i subtracted from row j of `below`.  The pivot
     rows are solved against each other and scaled by one product with
     `inv`, in column tiles.  Then `below` gets one matmul, in row tiles
@@ -341,47 +347,6 @@ def _apply_pivots(trail, below, inv, l21, reduce_, m, matmul, settle):
             tile -= matmul(l21[s : s + step], trail)
             if settle:
                 reduce_(tile, m)
-
-
-def _extend_solve(solve, mult, s0, s1, reduce_, m, matmul) -> None:
-    """Add the rows of pivots s0..s1 of an outer panel to its solve matrix.
-
-    The pivot rows T of the outer panel are M S, where S are the solved
-    rows, M[i, i] is pivot i and M[i, l] = mult[l, i] (l < i) the
-    multiple of solved row l subtracted from row i.  `solve` is X, the
-    inverse of M, so X T = S; X is lower triangular and each of its
-    diagonal blocks is the inverse of M's block, so any run of pivots is
-    solved by one product with its block of X.  Pivots s0..s1, those of
-    one sub-panel, come with their inverses on the diagonal of `solve`.
-    They get their diagonal block by forward substitution in Python
-    integers, row i being X[i, i] (e_i - sum over l < i of M[i, l] X[l]),
-    and the block left of it as -X_s (C X_<s0), with C = M[s0:s1, :s0]
-    read from `mult`.  Those multipliers are final: a row swap only
-    moves rows that are not yet pivots.  Entries stay below m in
-    magnitude, and in [0, m) when `reduce_` makes them canonical.
-    """
-    n = s1 - s0
-    # low[i][l] = M[s0 + i, s0 + l]
-    low = mult[s0:s1, s0:s1].T.astype(np.int64).tolist()
-    ninv = solve.diagonal()[s0:s1].astype(np.int64).tolist()
-    block = [[0] * n for _ in range(n)]
-    for i, row in enumerate(block):
-        row[i] = ninv[i]
-        for j in range(i):
-            t = 0
-            for l in range(j, i):
-                t += low[i][l] * block[l][j]
-            row[j] = -t * ninv[i] % m
-    solve[s0:s1, s0:s1] = block
-    if s0:
-        left = matmul(mult[:s0, s0:s1].T, solve[:s0, :s0])
-        if left.dtype != np.int64:
-            # `_mod_matmul` already returns canonical residues
-            reduce_(left, m)
-        left = matmul(solve[s0:s1, s0:s1], left)
-        np.negative(left, out=left)
-        reduce_(left, m)
-        solve[s0:s1, :s0] = left
 
 
 def _add_m_if_negative(x: np.ndarray, m: int) -> None:
@@ -428,10 +393,9 @@ def _echelon_blocked(a: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
 
     The columns are cut into outer panels of `_OUTER` columns in
     float64, `DEFAULT_BLOCK` in int64.  Each outer panel is factored
-    whole, on a transposed copy (`_factor_panel`); its row swaps then
-    reach the columns right of it in one permutation, applied in column
-    tiles of at most `_CHUNK` entries, each gathered before it is
-    written.  Its pivots reach those columns in one delayed update
+    whole, on a transposed copy (`_factor_panel`), which also swaps the
+    active rows' entries right of it, `trail`, as it swaps the rows.
+    Its pivots reach those columns in one delayed update
     (`_apply_pivots`), a dgemm whose inner dimension is their count; the
     update also reduces ("settles") those columns when the pivots
     applied to them since they were last reduced, plus the next outer
@@ -456,25 +420,17 @@ def _echelon_blocked(a: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
         # mult[i, j]: the multiple of the outer panel's pivot row i
         # subtracted from active row j
         mult = np.zeros((w, nact), dtype=dtype)
-        # the outer panel's solve matrix (`_extend_solve`)
+        # the outer panel's solve matrix (`_factor_panel`)
         solve = np.zeros((w, w), dtype=dtype)
-        # order[j]: the active row that the swaps moved to position j
-        order = np.arange(nact)
         found: list[int] = []
         pan = a[r:, outer0:outer1].T.copy()
+        trail = a[r:, outer1:]
         k = _factor_panel(
-            pan, 0, w, 0, mult, solve, order, found, reduce_, m, matmul, eager
+            pan, 0, w, 0, mult, solve, trail, found, reduce_, m, matmul, eager
         )
         a[r:, outer0:outer1] = pan.T
         del pan
         pivots += [outer0 + j for j in found]
-        trail = a[r:, outer1:]
-        moved = np.flatnonzero(order != np.arange(nact))
-        if moved.size:
-            step = _row_step(moved.size, _CHUNK)
-            for s in range(0, trail.shape[1], step):
-                tile = trail[:, s : s + step]
-                tile[moved] = tile[order[moved]]
         if k and outer1 < cols:
             applied += k
             settle = applied + min(width, cols - outer1) > budget
@@ -509,7 +465,7 @@ def _echelon_blocked(a: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _factor_panel(
-    pan, j0, j1, k, mult, solve, order, pivots, reduce_, m, matmul, eager
+    pan, j0, j1, k, mult, solve, trail, pivots, reduce_, m, matmul, eager
 ):
     """Factor columns [j0, j1) of `pan`, a transposed copy of an outer
     panel, from active row k on; return the active row after their
@@ -529,6 +485,20 @@ def _factor_panel(
     block of `solve`, then times their multipliers subtracted from the
     rows below, in column tiles of at most `_CHUNK` entries.
 
+    `solve` is X, the inverse of M, where the outer panel's pivot rows
+    are M times its solved rows: M[i, i] is pivot i and M[i, l] =
+    mult[l, i] (l < i) the multiple of solved row l subtracted from row
+    i.  X is lower triangular and each of its diagonal blocks is the
+    inverse of M's block, so any run of pivots is solved by one product
+    with its block of X.  The recursion writes X as it goes: a leaf its
+    diagonal block, by forward substitution in Python integers, row i
+    being X[i, i] (e_i - sum over l < i of M[i, l] X[l]), canonical; and
+    a node, once both halves are factored, the block below-left of the
+    diagonal that joins them, X[R, L] = -X_R (M[R, L] X_L), with L the
+    left half's pivots and R the right half's, by two products, reduced.
+    The multipliers M[R, L] = mult[L, R].T are final by then: a row swap
+    only moves rows that are not yet pivots.
+
     A leaf is factored column by column.  The pivot is the first nonzero
     of its column on the active rows.  After the column reduce, the
     candidate, the entry of the next active row, is tested as a scalar;
@@ -541,16 +511,14 @@ def _factor_panel(
     the pivot, which becomes the pivot's row of `mult`, the outer
     panel's multipliers, one column per active row.  A row swap moves
     the two rows in `pan`, their multipliers from the outer panel's
-    earlier pivots, and their entries of `order`, the permutation that
-    the caller applies right of the outer panel.  Each pivot's inverse
-    goes to the diagonal of `solve`, and its column j to `pivots`; the
-    leaf's pivots then extend `solve`, the outer panel's solve matrix
-    (`_extend_solve`).
+    earlier pivots, and their entries right of the outer panel, two
+    contiguous rows of `trail`.  Each pivot's column j goes to
+    `pivots`.
     """
     k0 = k
     if j1 - j0 > _SUB:
         mid = j0 + _SUB * -(-(j1 - j0) // (2 * _SUB))
-        args = (mult, solve, order, pivots, reduce_, m, matmul, eager)
+        args = (mult, solve, trail, pivots, reduce_, m, matmul, eager)
         k = _factor_panel(pan, j0, mid, k, *args)
         if k > k0:
             t = pan[mid:j1, k0:k]
@@ -564,10 +532,22 @@ def _factor_panel(
             step = _row_step(j1 - mid, _CHUNK)
             for s in range(k, right.shape[1], step):
                 right[:, s : s + step] -= matmul(t, mult[k0:k, s : s + step])
-        return _factor_panel(pan, mid, j1, k, *args)
+        k1 = _factor_panel(pan, mid, j1, k, *args)
+        if k0 < k < k1:
+            # the block of X that joins the halves: X[R, L]
+            x = matmul(mult[k0:k, k:k1].T, solve[k0:k, k0:k])
+            if not eager:
+                # `_mod_matmul` already returns canonical residues
+                reduce_(x, m)
+            x = matmul(solve[k:k1, k:k1], x)
+            np.negative(x, out=x)
+            reduce_(x, m)
+            solve[k:k1, k0:k] = x
+        return k1
     nact = pan.shape[1]
     # scaled pivot rows are stored balanced in float64, canonical in int64
     half = 0 if eager else m // 2
+    invs = []
     for j in range(j0, j1):
         if k == nact:
             break
@@ -580,12 +560,11 @@ def _factor_panel(
             if nz.size == 0:
                 continue
             p = k + int(nz[0])
-            _swap_columns(pan, k, p)
-            _swap_columns(mult[:k], k, p)
-            order[k], order[p] = order[p], order[k]
+            for x in (pan, mult[:k], trail.T):
+                _swap_columns(x, k, p)
             vals = prow.tolist()
         inv = pow(int(vals[0]), -1, m)
-        solve[k, k] = inv
+        invs.append(inv)
         # the scaled pivot is exactly 1, so the update below zeroes the
         # pivot column under it
         prow[:] = [(int(x) * inv + half) % m - half for x in vals]
@@ -597,8 +576,18 @@ def _factor_panel(
             reduce_(upd, m)
         pivots.append(j)
         k += 1
-    if k > k0:
-        _extend_solve(solve, mult, k0, k, reduce_, m, matmul)
+    if invs:
+        # the leaf's diagonal block of X; low[i][l] = M[k0 + i, k0 + l]
+        low = mult[k0:k, k0:k].T.astype(np.int64).tolist()
+        block = []
+        for i, inv in enumerate(invs):
+            row = [0] * len(invs)
+            row[i] = inv
+            for j in range(i):
+                t = sum(low[i][l] * block[l][j] for l in range(j, i))
+                row[j] = -t * inv % m
+            block.append(row)
+        solve[k0:k, k0:k] = block
     return k
 
 

@@ -165,6 +165,16 @@ class TestVerifyCommand:
         assert len(proc.stdout.encode()) < 300
 
 
+    def test_non_utf8_file_is_rejected_without_traceback(self, tmp_path):
+        out = tmp_path / "cert.txt"
+        out.write_bytes(b"seed = 1\n\xff\xfe\n")
+        proc = verify_in_subprocess(out)
+        assert proc.returncode == 1
+        assert "certificate REJECTED" in proc.stdout
+        assert "parse: not UTF-8 text: invalid byte at offset 9" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+
 class TestRankTableCommand:
     def test_prints_rows(self, capsys):
         assert main(["rank-table", "--min", "1", "--max", "5"]) == 0

@@ -27,7 +27,6 @@ from chowcert.matrix import (
     _rref_naive,
     _apply_pivots,
     _dot_rows,
-    _extend_solve,
     _factor_panel,
     _level_solve,
     _reduce_i64,
@@ -751,24 +750,27 @@ SWAP_SHAPE = (200, 700)
 
 
 class TestRowPermutation:
-    """An outer panel's row swaps reach the columns right of it in one
-    permutation, in column tiles of at most `_CHUNK` entries."""
+    """An outer panel's row swaps reach the columns right of it as they
+    are made, two rows at a time."""
 
     @pytest.mark.parametrize("chunk", (1, 1000))
     @pytest.mark.parametrize("m", (20201, F64_LAST, P31))
     def test_swap_heavy_matches_naive(self, m, chunk, monkeypatch):
-        """With `_CHUNK` at one entry, every column is a tile of its own;
-        at 1000, tiles are several columns wide, the last one narrower."""
+        """With `_CHUNK` at one entry, a left half's pivots reach its
+        right half one column at a time; at 1000, several at a time."""
         rows, cols = SWAP_SHAPE
         rng = np.random.default_rng(m + chunk)
         data = profile_matrix(np.linspace(cols - 1, 0, rows).astype(int), cols, m, rng)
-        # (outer panel width, rows moved) of each outer panel
+        # the rows that each outer panel with columns right of it moved
+        # there
         panels = []
 
-        def recorded_panel(pan, j0, j1, k, mult, solve, order, *rest):
-            out = factor_panel(pan, j0, j1, k, mult, solve, order, *rest)
-            if (j0, j1) == (0, len(pan)):
-                panels.append((len(pan), int((order != np.arange(order.size)).sum())))
+        def recorded_panel(pan, j0, j1, k, mult, solve, trail, *rest):
+            if (j0, j1) != (0, len(pan)) or not trail.shape[1]:
+                return factor_panel(pan, j0, j1, k, mult, solve, trail, *rest)
+            before = trail.copy()
+            out = factor_panel(pan, j0, j1, k, mult, solve, trail, *rest)
+            panels.append(int((trail != before).any(axis=1).sum()))
             return out
 
         factor_panel = _factor_panel
@@ -784,16 +786,9 @@ class TestRowPermutation:
         normal = null_vector(fast, f0)
         assert np.array_equal(normal, null_vector(naive, f0))
         assert not (data.astype(object) @ normal.astype(object) % m).any()
-        # the columns per tile and the tiles of each outer panel's
-        # permutation
-        steps, tiles, end = [], [], 0
-        for width, moved in panels:
-            end += width
-            if moved:
-                steps.append(max(1, chunk // moved))
-                tiles.append(-(-(cols - end) // steps[-1]))
-        assert max(tiles) >= 3
-        assert (max(steps) > 1) == (chunk > 1)
+        # swaps reach the columns right of the first outer panel and of a
+        # later one, whose active rows start below row 0
+        assert panels[0] and any(panels[1:])
 
 
 def forward_substitution(trail, mult, piv_inv, m):
@@ -839,16 +834,21 @@ class TestSolveMatrix:
         # multipliers above the diagonal, as the elimination stores them
         mult = np.triu(residues((kk, kk), m, rng, balanced), 1).astype(dtype)
         piv_inv = rng.integers(1, m, kk)
-        solve = np.zeros((kk, kk), dtype=dtype)
-        # grown a sub-panel at a time; a sub-panel may find fewer pivots
-        # than it has columns
+        # the first pivot of each leaf; a leaf may find fewer pivots than
+        # it has columns
         starts = [0]
         while starts[-1] < kk:
-            s0 = starts[-1]
-            s1 = min(s0 + int(rng.integers(1, _SUB + 1)), kk)
-            solve[s0:s1, s0:s1] = np.diag(piv_inv[s0:s1])
-            _extend_solve(solve, mult, s0, s1, reduce_, m, matmul)
-            starts.append(s1)
+            starts.append(min(starts[-1] + int(rng.integers(1, _SUB + 1)), kk))
+        values = [pow(int(v), -1, m) for v in piv_inv]
+        solve = np.array(lower_inverse(values, mult, m), dtype=np.int64)
+        if balanced:
+            # as `_factor_panel` stores it: canonical on the leaves'
+            # diagonal blocks, balanced elsewhere
+            leaf = np.zeros((kk, kk), dtype=bool)
+            for s0, s1 in zip(starts, starts[1:]):
+                leaf[s0:s1, s0:s1] = True
+            solve[~leaf & (solve > m // 2)] -= m
+        solve = solve.astype(dtype)
         for b in (b for b in SOLVE_BLOCKS if b <= kk):
             # the first block and the last one that starts a sub-panel
             for o in {0, max(s for s in starts if s + b <= kk)}:
@@ -1085,18 +1085,23 @@ class TestFactorPanel:
                 nact = len(rows)
                 mult = np.zeros((w, nact), dtype=dtype)
                 solve = np.zeros((w, w), dtype=dtype)
-                order = np.arange(nact)
+                # the rows' entries right of the outer panel, two per row,
+                # all distinct
+                tail = np.arange(2 * nact, dtype=dtype).reshape(nact, 2)
+                trail = tail.copy()
                 pan = np.ascontiguousarray(rows.T, dtype=dtype)
                 swaps.clear()
                 pivots = []
-                args = (mult, solve, order, pivots, reduce_, m, matmul, eager)
+                args = (mult, solve, trail, pivots, reduce_, m, matmul, eager)
                 k = _factor_panel(pan, 0, w, 0, *args)
                 want, out, moved, carried, found, seen = panel_reference(rows, mid, m)
                 hits += seen
                 case = (w, name)
                 assert pivots == want and k == len(want), case
-                assert len(swaps) == 2 * seen["swap"], case
-                assert order.tolist() == moved, case
+                # each swap moves the rows in `pan`, `mult` and `trail`
+                assert len(swaps) == 3 * seen["swap"], case
+                # the trailing rows end in the reference's row order
+                assert np.array_equal(trail, tail[moved]), case
                 got = pan.T.astype(np.int64)
                 # stored reduced: canonical in int64, balanced in float64
                 if eager:
@@ -1359,14 +1364,17 @@ class TestExactness:
 
     @pytest.mark.parametrize("regime", ("deep", "settled", "mixed", "eager"))
     def test_preconditions_hold(self, regime, monkeypatch, schedule):
-        """Also counts the in-panel products of `_factor_panel`, those it
-        makes itself and not through `_extend_solve`: each has at most
-        half an outer panel's width of inner terms, and its left operand
-        is reduced and, in float64, balanced."""
+        """Also counts the in-panel products of `_factor_panel`, the
+        carries and the joins of its solve matrix alike: each has at most
+        half an outer panel's width of inner terms, and its operands are
+        reduced.  In float64 they are balanced, but that at most `_SUB`
+        of each term list may be canonical entries of a leaf's diagonal
+        block of the solve matrix, in a row of the left operand or a
+        column of the right one (`_regime`)."""
         seen = []
         # the number of outer updates before the current elimination
         before = [0]
-        # the innermost of `_factor_panel` and `_extend_solve` running
+        # "panel" while `_factor_panel` runs
         phase = []
         in_panel = []
 
@@ -1387,7 +1395,13 @@ class TestExactness:
                 if phase[-1:] == ["panel"]:
                     assert a.shape[1] <= _OUTER // 2
                     if dtype is np.float64:
-                        assert np.abs(a).max(initial=0) <= m // 2 + 2
+                        big = [np.abs(x) > m // 2 + 2 for x in (a, b)]
+                        assert max(np.abs(x).max(initial=0) for x in (a, b)) < m
+                        assert (
+                            big[0].sum(axis=1).max(initial=0)
+                            + big[1].sum(axis=0).max(initial=0)
+                            <= _SUB
+                        )
                     in_panel.append(a.shape)
                 return matmul(a, b)
 
@@ -1432,9 +1446,6 @@ class TestExactness:
         monkeypatch.setattr("chowcert.matrix._echelon_blocked", checked_echelon)
         monkeypatch.setattr("chowcert.matrix._factor_panel", checked_panel)
         monkeypatch.setattr("chowcert.matrix._regime", checked_regime)
-        monkeypatch.setattr(
-            "chowcert.matrix._extend_solve", within("extend", _extend_solve)
-        )
         for shape, _ in SHAPE_CASES + [WIDE_CASE, (OUTER_SHAPE, None)]:
             m = {
                 "deep": whole_prime(shape),

@@ -148,6 +148,21 @@ class TestPinnedCertificates:
         assert integrity_digest(cert) == digest
         schedule.assert_kind("eager" if prime == 2**31 - 1 else "deep", prime)
 
+    def test_row_swaps_into_later_outer_panels_at_101(self):
+        # at prime 101 the elimination of D' moves 8, 12 and 10 rows in
+        # its first, third and fourth outer panels, the last two from
+        # active rows 512 and 768, so swaps reach the columns right of an
+        # outer panel that does not start at row 0; the digest is the one
+        # the elimination gave when it replayed each outer panel's swaps
+        # there in one permutation
+        cert = certify(24, prime=101, seed=77)
+        assert integrity_digest(cert) == (
+            "b66bb69b64e1a722ef939698bf7d804f6e5d76373eebf29094e0513e9b6515fa"
+        )
+        assert cert.attempt == 0
+        report = verify_certificate(cert)
+        assert report.ok, report.failures
+
 
 class TestVerify:
     def test_reference_certificate(self):
