@@ -269,11 +269,11 @@ def _regime(m: int):
     A product that solves pivot rows with a solve matrix X
     (`_apply_pivots`, and for a left half's pivots `_factor_panel`)
     replaces a value, and so do the two by which `_factor_panel` joins
-    two halves' blocks of X, M[R, L] X_L and then X_R times that,
-    reduced.  Each has at most `_OUTER` terms (`_OUTER // 2` in
+    two halves' blocks of X: M[R, L] X_L, reduced, and then X_R times
+    that.  Each has at most `_OUTER` terms (`_OUTER // 2` in
     `_factor_panel`), and at most `_SUB` of those have a canonical
     operand, since a row or column of X meets one leaf's diagonal block:
-    it counts _OUTER + _SUB.  So float64 holds while
+    each counts at most _OUTER + _SUB.  So float64 holds while
     budget >= _OUTER + _SUB, up to m = 11682149, where budget is 264.
     Every other value is reduced before it collects more than `budget`
     products:
