@@ -28,22 +28,24 @@ with `_mod_matmul`.  In float64 the update right of each outer panel of
 `_OUTER` columns is delayed into one dgemm of inner dimension up to
 `_OUTER`, which runs much nearer the host's dgemm peak than the
 updates of inner dimension `DEFAULT_BLOCK` of the int64 outer panels.
-An outer panel is factored recursively on a transposed copy, whose rows
-are contiguous (`_factor_panel`): its columns are halved, the left half
-is factored, its pivots reach the right half by two products, and the
-right half is factored.  The leaves are sub-panels of `_SUB` columns,
-factored column by column with as few numpy calls per pivot as the loop
-allows: the candidate pivot is tested as a scalar and the column
-searched only when it is zero, a row swap moves the two rows right of
-the outer panel at once, the pivot row is scaled in Python integers,
-and the rank-1 update stays within the sub-panel.  No pivot row is
-solved on its own: each outer panel keeps one solve matrix, the inverse
-of its pivots' lower factor, which the recursion builds as it goes: a
-leaf writes its diagonal block, and a node whose halves are factored
-the block that joins them, by two products.  The pivot rows of a left
-half or of the whole outer panel are solved by one product with its
-diagonal block.  The block sizes and the number format are the
-elimination's own.
+The matrix is eliminated transposed, one row per column, so a column
+is contiguous, and each outer panel is a view of it with everything
+right of it (`_factor_panel`): its columns are halved, the left half
+is factored, its pivots reach the right half, and the right half is
+factored.  The leaves are sub-panels of `_SUB` columns, factored column
+by column with as few numpy calls per pivot as the loop allows: the
+candidate pivot is tested as a scalar and the column searched only when
+it is zero, a row swap is one column swap of the transposed matrix, the
+pivot row is scaled in Python integers, and the rank-1 update stays
+within the sub-panel.  No pivot row is solved on its own: each outer
+panel keeps one solve matrix, the inverse of its pivots' lower factor,
+which the recursion builds as it goes: a leaf writes its diagonal
+block, and a node whose halves are factored the block that joins them,
+by two products.  The pivots of a left half reach its right half, and
+those of a whole outer panel the columns right of it, by one routine
+(`_carry`): their rows are solved by one product with their diagonal
+block, and their multiples subtracted by another.  The block sizes and
+the number format are the elimination's own.
 
 A matrix may eliminate itself by its structure (the `FfMatrix._echelon`
 hook).  A Macaulay matrix, one row x_i w per variable x_i and row w of a
@@ -55,10 +57,11 @@ others (C) are reduced to zero on A's leading columns, left-looking,
 one product per variable, and only their Schur complement D' is
 eliminated, by the same blocked kernel.  No C row's multipliers or row
 of D' depend on another C row, so C is never held whole: it is written
-and reduced one tile of rows at a time (`_C_TILE`), and only D' and
-one tile are held, with the operands every tile reuses.  The pivots
-are A's leading columns and D''s pivots, the kernel vector comes from
-back-substitution over D' and then over A, and both stay canonical.
+and reduced one tile of rows at a time (`_C_TILE`), transposed, and
+only D', transposed as the blocked kernel takes it, and one tile are
+held, with the operands every tile reuses.  The pivots are A's leading
+columns and D''s pivots, the kernel vector comes from back-substitution
+over D' and then over A, and both stay canonical.
 A's unit triangle is nearly flat: within a block of rows, few rows
 depend on others, and chains of dependent rows are short.  So both
 solves with it, for C's multipliers and for the kernel vector, go by
@@ -84,13 +87,13 @@ DEFAULT_BLOCK = 64
 _F64_EXACT = 2**53 - 1
 # Limb base of the split products in `_mod_matmul`.
 _LIMB = 1 << 16
-# Entries per row tile of a trailing update (2 MB of float64): each
-# tile's product is subtracted while it is still in cache.
+# Entries per row tile of a carry (`_carry`) and of U's conversion to
+# int64 (2 MB of float64): each tile's product is subtracted while it is
+# still in cache.
 _TILE = 1 << 18
 # Entries per chunk (256 KB of float64): a split writes a tile of C rows
-# and reduces its Schur complement in row chunks, and a left half's
-# pivots reach its right half (`_factor_panel`) in column chunks, so
-# their temporaries stay small beside the arrays they change.
+# and reduces its Schur complement in row chunks, so their temporaries
+# stay small beside the arrays they change.
 _CHUNK = 1 << 15
 # Columns per sub-panel, the leaves of `_factor_panel`: rank-1 updates
 # stay within one.
@@ -266,12 +269,11 @@ def _regime(m: int):
     balanced), so after p products it is at most p b^2 + m + 1, which
     must stay within the reduction's range, 2^53 - m: hence
     budget = (2^53 - 1 - 2m) // b^2, 88262259 at 20201, 4003 at 3000017.
-    A product that solves pivot rows with a solve matrix X
-    (`_apply_pivots`, and for a left half's pivots `_factor_panel`)
+    A product that solves pivot rows with a solve matrix X (`_carry`)
     replaces a value, and so do the two by which `_factor_panel` joins
     two halves' blocks of X: M[R, L] X_L, reduced, and then X_R times
-    that.  Each has at most `_OUTER` terms (`_OUTER // 2` in
-    `_factor_panel`), and at most `_SUB` of those have a canonical
+    that.  Each has at most `_OUTER` terms (`_OUTER // 2` within an
+    outer panel), and at most `_SUB` of those have a canonical
     operand, since a row or column of X meets one leaf's diagonal block:
     each counts at most _OUTER + _SUB.  So float64 holds while
     budget >= _OUTER + _SUB, up to m = 11682149, where budget is 264.
@@ -314,39 +316,39 @@ def _regime(m: int):
     return np.int64, _reduce_i64, partial(_mod_matmul, m=m), (2**62 - m) // m
 
 
-def _apply_pivots(trail, below, inv, l21, reduce_, m, matmul, settle):
-    """Carry an outer panel's pivots into the columns right of it.
+def _carry(right, k0, k, mult, solve, reduce_, m, matmul, settle):
+    """Carry an outer panel's pivots k0..k into the columns `right`.
 
-    `_echelon_blocked` calls it after each outer panel, with `settle`
-    when the budget runs out (`_regime`).  Within an outer panel,
-    `_factor_panel` makes the same two products itself, on its
-    transposed copy.
-
-    `trail` holds the k pivot rows' entries in those columns and `below`
-    the rows under them, both as views (one row per matrix row); `inv`
-    is the k x k diagonal block of the outer panel's solve matrix that
-    belongs to these pivots (`_factor_panel`), and `l21[j, i]` the
-    multiple of pivot row i subtracted from row j of `below`.  The pivot
-    rows are solved against each other and scaled by one product with
-    `inv`, in column tiles.  Then `below` gets one matmul, in row tiles
-    so each tile's product is consumed while cached; with `settle`, each
-    tile is then reduced, even where no multiplier is nonzero.
+    `_factor_panel` calls it for a left half's pivots and its right
+    half, and `_echelon_blocked` for a whole outer panel's pivots and
+    every column right of it, with `settle` when the budget runs out
+    (`_regime`).  `right` is a view of the transposed matrix: one row per
+    column, one column per active row of the outer panel, as in `mult`
+    and `solve` (`_factor_panel`).  In row tiles of about `_TILE`
+    entries, so each tile's products are consumed while cached, the
+    pivot rows' entries, columns k0..k of the tile, are solved by one
+    product with the transposed diagonal block of `solve`, then times
+    their multipliers subtracted from the rows after them, columns k
+    on.  With `settle`, those are then reduced, even where no multiplier
+    is nonzero; without it, they are left alone when none is.
     """
-    step = _row_step(len(inv))
-    for s in range(0, trail.shape[1], step):
-        part = trail[:, s : s + step]
+    inv = solve[k0:k, k0:k].T
+    lower = mult[k0:k, k:]
+    subtract = settle or lower.any()
+    step = _row_step(right.shape[1])
+    for s in range(0, len(right), step):
+        tile = right[s : s + step]
+        part = tile[:, k0:k]
         reduce_(part, m)
-        part[...] = matmul(inv, part)
+        part[...] = matmul(part, inv)
         if part.dtype != np.int64:
             # `_mod_matmul` already returns canonical residues
             reduce_(part, m)
-    if settle or l21.any():
-        step = _row_step(trail.shape[1])
-        for s in range(0, below.shape[0], step):
-            tile = below[s : s + step]
-            tile -= matmul(l21[s : s + step], trail)
+        if subtract:
+            below = tile[:, k:]
+            below -= matmul(part, lower)
             if settle:
-                reduce_(tile, m)
+                reduce_(below, m)
 
 
 def _add_m_if_negative(x: np.ndarray, m: int) -> None:
@@ -374,40 +376,43 @@ def working_array_bytes(rows: int, cols: int) -> int:
     return rows * cols * 8
 
 
-def _echelon_blocked(a: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
+def _echelon_blocked(at: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
     """Panel-blocked row echelon form with deferred reduction.
 
-    Eliminates the rows of `a`, entries reduced (canonical, or balanced
-    residues), in the order given.  The working array is `a` itself when
-    it is writeable and already of the modulus's working dtype
-    (`_regime`), float64 or, when eager, int64; otherwise one copy of it
-    in that dtype.  Returns the rank nonzero rows U of a row echelon form,
-    reduced to [0, m), and the pivot columns: row k of U is zero left of
+    `at` is the matrix transposed, shape (cols, rows): row c holds
+    column c.  Eliminates the matrix's rows, entries reduced (canonical,
+    or balanced residues), in the order given.  The working array is
+    `at` itself when it is writeable, C-contiguous and already of the
+    modulus's working dtype (`_regime`), float64 or, when eager, int64;
+    otherwise one copy of it in that dtype.  Returns the rank nonzero
+    rows U of a row echelon form, reduced to [0, m), as a view of the
+    working array, and the pivot columns: row k of U is zero left of
     pivot k and 1 at it.  Pivots do not depend on the row order; U,
     which is not canonical, does.  Rank-1 updates accumulate unreduced;
     a value is reduced mod m only when it is about to be read (the
     pivot-search column, the pivot row, matmul operands), within the
     bounds that `_regime` checks.  In float64 the reductions leave
     balanced residues; U is made canonical when it is converted to
-    int64.
+    int64, in place.
 
     The columns are cut into outer panels of `_OUTER` columns in
     float64, `DEFAULT_BLOCK` in int64.  Each outer panel is factored
-    whole, on a transposed copy (`_factor_panel`), which also swaps the
-    active rows' entries right of it, `trail`, as it swaps the rows.
-    Its pivots reach those columns in one delayed update
-    (`_apply_pivots`), a dgemm whose inner dimension is their count; the
-    update also reduces ("settles") those columns when the pivots
-    applied to them since they were last reduced, plus the next outer
-    panel's width, would exceed the modulus's budget (`_regime`).  The
-    elimination ends once every row holds a pivot.
+    whole (`_factor_panel`) on a view of the working array from its
+    first column to the last and from its first active row on, so a row
+    swap reaches the columns right of it as it is made.  Its pivots
+    reach those columns in one delayed carry (`_carry`), a dgemm whose
+    inner dimension is their count; the carry also reduces ("settles")
+    those columns when the pivots applied to them since they were last
+    reduced, plus the next outer panel's width, would exceed the
+    modulus's budget (`_regime`).  The elimination ends once every row
+    holds a pivot.
     """
-    rows, cols = a.shape
+    cols, rows = at.shape
     dtype, reduce_, matmul, budget = _regime(m)
     eager = dtype == np.int64
     width = DEFAULT_BLOCK if eager else _OUTER
-    if a.dtype != dtype or not a.flags.writeable:
-        a = a.astype(dtype)
+    if at.dtype != dtype or not at.flags.writeable or not at.flags.c_contiguous:
+        at = at.astype(dtype, order="C")
     pivots: list[int] = []
     r = 0
     # pivots applied to the trailing columns since they were last reduced
@@ -415,75 +420,57 @@ def _echelon_blocked(a: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
     for outer0 in range(0, cols, width):
         if r == rows:
             break
-        outer1 = min(outer0 + width, cols)
-        w, nact = outer1 - outer0, rows - r
+        pan = at[outer0:, r:]
+        w = min(width, len(pan))
         # mult[i, j]: the multiple of the outer panel's pivot row i
         # subtracted from active row j
-        mult = np.zeros((w, nact), dtype=dtype)
+        mult = np.zeros((w, rows - r), dtype=dtype)
         # the outer panel's solve matrix (`_factor_panel`)
         solve = np.zeros((w, w), dtype=dtype)
         found: list[int] = []
-        pan = a[r:, outer0:outer1].T.copy()
-        trail = a[r:, outer1:]
-        k = _factor_panel(
-            pan, 0, w, 0, mult, solve, trail, found, reduce_, m, matmul, eager
-        )
-        a[r:, outer0:outer1] = pan.T
-        del pan
+        k = _factor_panel(pan, 0, w, 0, mult, solve, found, reduce_, m, matmul, eager)
         pivots += [outer0 + j for j in found]
-        if k and outer1 < cols:
+        if k and w < len(pan):
             applied += k
-            settle = applied + min(width, cols - outer1) > budget
-            _apply_pivots(
-                trail[:k],
-                trail[k:],
-                solve[:k, :k],
-                mult[:k, k:].T,
-                reduce_,
-                m,
-                matmul,
-                settle=settle,
-            )
+            settle = applied + min(width, len(pan) - w) > budget
+            _carry(pan[w:], 0, k, mult, solve, reduce_, m, matmul, settle)
             if settle:
                 applied = 0
         r += k
         # freed before the next outer panel allocates its own
         del mult, solve
     rank = len(pivots)
+    upper = at[:, :rank]
     if not eager:
         # converted in place, one row tile at a time, so no second
         # full-size array is ever allocated; balanced residues become
         # canonical here
-        out = a.view(np.int64)
-        step = _row_step(cols)
-        for s in range(0, rank, step):
+        out = at.view(np.int64)[:, :rank]
+        step = _row_step(rank)
+        for s in range(0, cols, step):
             tile = out[s : s + step]
-            tile[...] = a[s : s + step]
+            tile[...] = upper[s : s + step]
             _add_m_if_negative(tile, m)
-        a = out
-    return a[:rank], pivots
+        upper = out
+    return upper.T, pivots
 
 
-def _factor_panel(
-    pan, j0, j1, k, mult, solve, trail, pivots, reduce_, m, matmul, eager
-):
-    """Factor columns [j0, j1) of `pan`, a transposed copy of an outer
-    panel, from active row k on; return the active row after their
-    pivots.
+def _factor_panel(pan, j0, j1, k, mult, solve, pivots, reduce_, m, matmul, eager):
+    """Factor columns [j0, j1) of `pan`, an outer panel and the columns
+    right of it, transposed, from active row k on; return the active row
+    after their pivots.
 
-    Row j of `pan` is the outer panel's column j and column i its active
-    row i, so the column reduce, the pivot search and the rank-1 updates
-    stream contiguous memory.  The columns left of j0 hold the outer
+    Row j of `pan` is the matrix's column j from the outer panel's first
+    on, and column i its active row i, so the column reduce, the pivot
+    search and the rank-1 updates stream contiguous memory, and a row
+    swap is one column swap.  The columns left of j0 hold the outer
     panel's earlier pivots, which must already have reached columns
     [j0, j1).  Recursive (Toledo, 1997): the columns are split in
     halves, the left half rounded up to a multiple of `_SUB` columns;
-    the left half is factored, its pivots reach the right half, and the
-    right half is factored.  So the leaves are sub-panels of at most
-    `_SUB` columns, aligned on multiples of `_SUB`.  A left half's
-    pivots reach the right half by two products on `pan`: their rows
-    there, as columns of `pan`, are solved by the transposed diagonal
-    block of `solve`, then times their multipliers subtracted from the
-    rows below, in column tiles of at most `_CHUNK` entries.
+    the left half is factored, its pivots reach the right half
+    (`_carry`), and the right half is factored.  So the leaves are
+    sub-panels of at most `_SUB` columns, aligned on multiples of
+    `_SUB`.
 
     `solve` is X, the inverse of M, where the outer panel's pivot rows
     are M times its solved rows: M[i, i] is pivot i and M[i, l] =
@@ -510,28 +497,17 @@ def _factor_panel(
     within the leaf, is one product of that row and the column below
     the pivot, which becomes the pivot's row of `mult`, the outer
     panel's multipliers, one column per active row.  A row swap moves
-    the two rows in `pan`, their multipliers from the outer panel's
-    earlier pivots, and their entries right of the outer panel, two
-    contiguous rows of `trail`.  Each pivot's column j goes to
-    `pivots`.
+    the two rows in `pan`, from the outer panel's first column to the
+    last, and their multipliers from the outer panel's earlier pivots.
+    Each pivot's column j goes to `pivots`.
     """
     k0 = k
     if j1 - j0 > _SUB:
         mid = j0 + _SUB * -(-(j1 - j0) // (2 * _SUB))
-        args = (mult, solve, trail, pivots, reduce_, m, matmul, eager)
+        args = (mult, solve, pivots, reduce_, m, matmul, eager)
         k = _factor_panel(pan, j0, mid, k, *args)
         if k > k0:
-            t = pan[mid:j1, k0:k]
-            reduce_(t, m)
-            t[...] = matmul(t, solve[k0:k, k0:k].T)
-            if not eager:
-                # `_mod_matmul` already returns canonical residues
-                reduce_(t, m)
-            # each tile's product is subtracted while it is in cache
-            right = pan[mid:j1]
-            step = _row_step(j1 - mid, _CHUNK)
-            for s in range(k, right.shape[1], step):
-                right[:, s : s + step] -= matmul(t, mult[k0:k, s : s + step])
+            _carry(pan[mid:j1], k0, k, mult, solve, reduce_, m, matmul, False)
         k1 = _factor_panel(pan, mid, j1, k, *args)
         if k0 < k < k1:
             # the block of X that joins the halves: X[R, L]
@@ -560,8 +536,8 @@ def _factor_panel(
             if nz.size == 0:
                 continue
             p = k + int(nz[0])
-            for x in (pan, mult[:k], trail.T):
-                _swap_columns(x, k, p)
+            _swap_columns(pan, k, p)
+            _swap_columns(mult[:k], k, p)
             vals = prow.tolist()
         inv = pow(int(vals[0]), -1, m)
         invs.append(inv)
@@ -629,10 +605,10 @@ def _reduced_echelon(data: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
     """The nonzero rows of the reduced row echelon form, and the pivots.
 
     The blocked elimination's U, times the inverse of its unit upper
-    triangular block on the pivot columns.  `data` is its working array
-    when it can be (`_echelon_blocked`).
+    triangular block on the pivot columns.  `data.T` is its working
+    array when it can be (`_echelon_blocked`).
     """
-    upper, pivots = _echelon_blocked(data, m)
+    upper, pivots = _echelon_blocked(data.T, m)
     return _mod_matmul(_unit_upper_inverse(upper[:, pivots], m), upper, m), pivots
 
 
@@ -872,17 +848,17 @@ def _split_echelon(basis, shifts, cols, m):
     (`ShiftedRows`); the others are C.  The pivots are A's leading
     columns together with those of the Schur complement D' = C_rest -
     X A_rest, with X solved from C_A = X A_A (`_solve_multipliers`,
-    `_schur_update`); D' is eliminated by `_echelon_blocked`.  `basis`
-    is eliminated in place as well when it is a writeable array of the
-    working dtype (`_echelon_blocked`).  Returns D''s U over the columns
-    `rest` of the `ShiftedRows`, the pivots of the whole matrix, and the
-    `ShiftedRows`; `null_vector` solves for a kernel vector from them.
+    `_schur_update`); D' is eliminated by `_echelon_blocked`.  Returns
+    D''s U over the columns `rest` of the `ShiftedRows`, the pivots of
+    the whole matrix, and the `ShiftedRows`; `null_vector` solves for a
+    kernel vector from them.
 
     A C row's multipliers and its row of D' depend on no other C row, so
     C is never held whole: it is written, transposed, one tile of C rows
     at a time into one buffer (`_C_TILE`, `_C_TILE_ROWS`), X overwrites
-    the tile's A columns, and the tile's rows of D' are copied out into
-    D', which is then eliminated in place.  Tiles are equal in size,
+    the tile's A columns, and the rest of the tile, its rows of D'
+    transposed, is copied as it is into D' transposed, the layout that
+    `_echelon_blocked` eliminates in place.  Tiles are equal in size,
     give or take a row.  With several tiles, the operands every tile
     uses (`_multiplier_blocks`, `_schur_products`) are built once; with
     one, they are built as they are used and D' is allocated after the
@@ -932,7 +908,7 @@ def _split_echelon(basis, shifts, cols, m):
         products = list(products)
     buf = np.zeros((cols, size), dtype=dtype)
     args = (reduce_, m, matmul, depth)
-    d = None
+    dt = None
     for s0 in range(0, c.size, size):
         # C row s of those numbered `tile` is column s of `ct`
         tile = c[s0 : s0 + size]
@@ -945,17 +921,15 @@ def _split_echelon(basis, shifts, cols, m):
             ct[where[shifts[q // rank]], np.arange(s, s + q.size)[:, None]] = wv[q % rank]
         _solve_multipliers(ct, pos, blocks, *args)
         _schur_update(ct[na:], ct[:na], products, *args)
-        if d is None:
-            d = np.empty((c.size, rest.size), dtype=dtype)
-        step = _row_step(ct.shape[1])
-        for s in range(0, rest.size, step):
-            d[s0 : s0 + tile.size, s : s + step] = ct[na + s : na + s + step].T
+        if dt is None:
+            dt = np.empty((rest.size, c.size), dtype=dtype)
+        dt[:, s0 : s0 + tile.size] = ct[na:]
         del ct
     del buf, blocks, products
-    if d is None:
+    if dt is None:
         # no C rows
-        d = np.empty((0, rest.size), dtype=dtype)
-    upper, pivots = _echelon_blocked(d, m)
+        dt = np.empty((rest.size, 0), dtype=dtype)
+    upper, pivots = _echelon_blocked(dt, m)
     pivots = np.sort(np.concatenate([shifted.lead, rest[pivots]]))
     return upper, pivots.tolist(), shifted
 
@@ -1075,7 +1049,7 @@ class FfMatrix:
         """The blocked elimination: U, the pivots, and the rows it left
         out of U as already in echelon form (`ShiftedRows`, or None).  A
         matrix with more structure than `data` overrides this."""
-        upper, pivots = _echelon_blocked(self.data, m)
+        upper, pivots = _echelon_blocked(self.data.T, m)
         return upper, pivots, None
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ class Schedule:
     """What the elimination's reduction schedule did (`matrix._regime`).
 
     `settles` gets one entry per outer update of `_echelon_blocked`, its
-    `_apply_pivots` call: True where it reduced the trailing tiles.  `depths` gets the run length of each of the
+    own `_carry` call, not those of `_factor_panel`: True where it
+    reduced the trailing tiles.  `depths` gets the run length of each of the
     split's products (`_subtract_product`): None where the product is
     reduced only once, with the others, after the last A row.
     """
@@ -34,16 +37,17 @@ class Schedule:
 def schedule(monkeypatch):
     """A `Schedule` that records every elimination of the test."""
     seen = Schedule()
-    apply_pivots, subtract_product = matrix._apply_pivots, matrix._subtract_product
+    carry, subtract_product = matrix._carry, matrix._subtract_product
 
-    def recorded_apply(*args, **kwargs):
-        seen.settles.append(kwargs["settle"])
-        return apply_pivots(*args, **kwargs)
+    def recorded_carry(*args):
+        if sys._getframe(1).f_code.co_name == "_echelon_blocked":
+            seen.settles.append(args[-1])
+        return carry(*args)
 
     def recorded_subtract(target, hit, left, right, reduce_, m, matmul, depth):
         seen.depths.append(depth)
         return subtract_product(target, hit, left, right, reduce_, m, matmul, depth)
 
-    monkeypatch.setattr(matrix, "_apply_pivots", recorded_apply)
+    monkeypatch.setattr(matrix, "_carry", recorded_carry)
     monkeypatch.setattr(matrix, "_subtract_product", recorded_subtract)
     return seen

@@ -25,7 +25,7 @@ from chowcert.matrix import (
     _matmul_naive,
     _mod_matmul,
     _rref_naive,
-    _apply_pivots,
+    _carry,
     _dot_rows,
     _factor_panel,
     _level_solve,
@@ -751,13 +751,13 @@ SWAP_SHAPE = (200, 700)
 
 class TestRowPermutation:
     """An outer panel's row swaps reach the columns right of it as they
-    are made, two rows at a time."""
+    are made, one column swap of the transposed matrix each."""
 
     @pytest.mark.parametrize("chunk", (1, 1000))
     @pytest.mark.parametrize("m", (20201, F64_LAST, P31))
     def test_swap_heavy_matches_naive(self, m, chunk, monkeypatch):
-        """With `_CHUNK` at one entry, a left half's pivots reach its
-        right half one column at a time; at 1000, several at a time."""
+        """With `_TILE` at one entry, a carry (`_carry`) takes one column
+        at a time; at 1000, several at a time."""
         rows, cols = SWAP_SHAPE
         rng = np.random.default_rng(m + chunk)
         data = profile_matrix(np.linspace(cols - 1, 0, rows).astype(int), cols, m, rng)
@@ -765,16 +765,17 @@ class TestRowPermutation:
         # there
         panels = []
 
-        def recorded_panel(pan, j0, j1, k, mult, solve, trail, *rest):
-            if (j0, j1) != (0, len(pan)) or not trail.shape[1]:
-                return factor_panel(pan, j0, j1, k, mult, solve, trail, *rest)
-            before = trail.copy()
-            out = factor_panel(pan, j0, j1, k, mult, solve, trail, *rest)
-            panels.append(int((trail != before).any(axis=1).sum()))
+        def recorded_panel(pan, j0, j1, k, mult, *rest):
+            # an outer panel, not a half of one, with columns right of it
+            if (j0, j1) != (0, len(mult)) or len(pan) == j1:
+                return factor_panel(pan, j0, j1, k, mult, *rest)
+            before = pan[j1:].copy()
+            out = factor_panel(pan, j0, j1, k, mult, *rest)
+            panels.append(int((pan[j1:] != before).any(axis=0).sum()))
             return out
 
         factor_panel = _factor_panel
-        monkeypatch.setattr(matrix, "_CHUNK", chunk)
+        monkeypatch.setattr(matrix, "_TILE", chunk)
         monkeypatch.setattr(matrix, "_factor_panel", recorded_panel)
         mat = FfMatrix(data, PrimeModulus(m))
         naive = mat.rref(naive=True)
@@ -818,7 +819,7 @@ SOLVE_BLOCKS = (1, _SUB - 1, _SUB, _SUB + 1, DEFAULT_BLOCK, DEFAULT_BLOCK + 1, _
 
 class TestSolveMatrix:
     """Solving pivot rows by one product with a diagonal block of the
-    outer panel's solve matrix, against the per-pivot solve."""
+    outer panel's solve matrix (`_carry`), against the per-pivot solve."""
 
     @pytest.mark.parametrize(
         "m,regime",
@@ -871,10 +872,16 @@ class TestSolveMatrix:
                     below.astype(np.int64).astype(object)
                     - l21.astype(np.int64).astype(object) @ solved
                 ) % m
-                _apply_pivots(
-                    trail, below, solve[o : o + b, o : o + b], l21,
-                    reduce_, m, matmul, settle=False,
-                )
+                # transposed, as `_carry` takes them: o earlier active
+                # rows, the b pivot rows and the 5 rows below them, with
+                # the multipliers of the pivot rows in those 5 columns
+                right = np.zeros((37, o + b + 5), dtype=dtype)
+                right[:, o : o + b] = trail.T
+                right[:, o + b :] = below.T
+                multipliers = np.zeros((kk, o + b + 5), dtype=dtype)
+                multipliers[o : o + b, o + b :] = l21.T
+                _carry(right, o, o + b, multipliers, solve, reduce_, m, matmul, False)
+                trail, below = right[:, o : o + b].T, right[:, o + b :].T
                 assert (trail.astype(np.int64) % m).tolist() == want, (b, o)
                 assert (below.astype(np.int64) % m).tolist() == want_below.tolist()
 
@@ -1088,21 +1095,21 @@ class TestFactorPanel:
                 # the rows' entries right of the outer panel, two per row,
                 # all distinct
                 tail = np.arange(2 * nact, dtype=dtype).reshape(nact, 2)
-                trail = tail.copy()
-                pan = np.ascontiguousarray(rows.T, dtype=dtype)
+                pan = np.ascontiguousarray(np.hstack([rows, tail]).T, dtype=dtype)
                 swaps.clear()
                 pivots = []
-                args = (mult, solve, trail, pivots, reduce_, m, matmul, eager)
+                args = (mult, solve, pivots, reduce_, m, matmul, eager)
                 k = _factor_panel(pan, 0, w, 0, *args)
                 want, out, moved, carried, found, seen = panel_reference(rows, mid, m)
                 hits += seen
                 case = (w, name)
                 assert pivots == want and k == len(want), case
-                # each swap moves the rows in `pan`, `mult` and `trail`
-                assert len(swaps) == 3 * seen["swap"], case
+                # each swap moves the rows in `pan`, the outer panel and
+                # the columns right of it, and in `mult`
+                assert len(swaps) == 2 * seen["swap"], case
                 # the trailing rows end in the reference's row order
-                assert np.array_equal(trail, tail[moved]), case
-                got = pan.T.astype(np.int64)
+                assert np.array_equal(pan[w:].T, tail[moved]), case
+                got = pan[:w].T.astype(np.int64)
                 # stored reduced: canonical in int64, balanced in float64
                 if eager:
                     assert got.min() >= 0 and got.max() < m, case
@@ -1364,8 +1371,9 @@ class TestExactness:
 
     @pytest.mark.parametrize("regime", ("deep", "settled", "mixed", "eager"))
     def test_preconditions_hold(self, regime, monkeypatch, schedule):
-        """Also counts the in-panel products of `_factor_panel`, the
-        carries and the joins of its solve matrix alike: each has at most
+        """Also counts the in-panel products of `_factor_panel`, its
+        carries (`_carry`) and the joins of its solve matrix alike: each
+        has at most
         half an outer panel's width of inner terms, and its operands are
         reduced.  In float64 they are balanced, but that at most `_SUB`
         of each term list may be canonical entries of a leaf's diagonal
@@ -1422,20 +1430,21 @@ class TestExactness:
             before[0] = len(schedule.settles)
             return echelon_blocked(a, m)
 
-        def checked_panel(pan, *rest):
-            # an outer panel, not a half of one
+        def checked_panel(pan, j0, j1, *rest):
+            # an outer panel, j1 columns wide, not a half of one, and the
+            # columns right of it
             if regime != "eager" and "panel" not in phase:
                 updates = schedule.settles[before[0] :]
                 # right after a settle, values of at most m + 1; else at
                 # most budget - width products since the last reduction
-                width = len(pan)
+                width = j1
                 b = m // 2 + 2
                 bound = m + 1
                 if not (updates and updates[-1]):
                     bound += (_regime(m)[3] - width) * b * b
                 assert np.abs(pan).max(initial=0) <= bound
                 seen.append(pan.size)
-            return within("panel", _factor_panel)(pan, *rest)
+            return within("panel", _factor_panel)(pan, j0, j1, *rest)
 
         reduce_f64 = _ReduceF64.__call__
         mod_matmul = _mod_matmul
@@ -1856,12 +1865,16 @@ class TestSchedule:
         products of earlier updates, which the count then forgets."""
         m = F64_LAST
         rng = np.random.default_rng(m)
-        trail = residues((4, 6), m, rng, True).astype(np.float64)
-        below = np.full((5, 6), float(_F64_EXACT + 1 - m))
+        # transposed, as `_carry` takes them: 4 pivot rows, then 5 rows
+        # below them, none with a multiplier
+        right = np.empty((6, 9))
+        right[:, :4] = residues((4, 6), m, rng, True).T
+        right[:, 4:] = float(_F64_EXACT + 1 - m)
+        below = right[:, 4:]
         want = below.astype(np.int64) % m
-        inv = np.eye(4)
-        l21 = np.zeros((5, 4))
-        _apply_pivots(trail, below, inv, l21, _ReduceF64(m), m, np.matmul, settle=True)
+        solve = np.eye(4)
+        mult = np.zeros((4, 9))
+        _carry(right, 0, 4, mult, solve, _ReduceF64(m), m, np.matmul, True)
         assert np.abs(below).max() <= m // 2 + 2
         assert np.array_equal(below.astype(np.int64) % m, want)
 
@@ -1871,6 +1884,67 @@ class TestSchedule:
         assert res.rank == sum(STAIRS)
         # one outer update per 64-column outer panel with pivots
         assert len(schedule.settles) > 3 and not any(schedule.settles)
+
+
+class TestWorkingArray:
+    """`_echelon_blocked` eliminates one array, the matrix transposed:
+    each outer panel that `_factor_panel` factors is a view of it, never
+    a copy, and in a split it is the buffer the split wrote D' into."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Per `_echelon_blocked` call, its argument as it came in and
+        the outer panels `_factor_panel` factored."""
+        calls = []
+
+        def recorded_echelon(at, m):
+            calls.append((at, at.copy(), []))
+            return echelon_blocked(at, m)
+
+        def recorded_panel(pan, j0, j1, k, mult, *rest):
+            if (j0, j1) == (0, len(mult)):
+                calls[-1][2].append(pan)
+            return factor_panel(pan, j0, j1, k, mult, *rest)
+
+        echelon_blocked, factor_panel = matrix._echelon_blocked, _factor_panel
+        monkeypatch.setattr(matrix, "_echelon_blocked", recorded_echelon)
+        monkeypatch.setattr(matrix, "_factor_panel", recorded_panel)
+        return calls
+
+    @pytest.mark.parametrize("m", (20201, P31))
+    def test_outer_panels_are_views(self, m, monkeypatch):
+        calls = self.record(monkeypatch)
+        rng = np.random.default_rng(m)
+        # full column rank: every outer panel holds pivots, and U's
+        # columns reach into the last one
+        data = rng.integers(0, m, (600, 560))
+        res = FfMatrix(data, PrimeModulus(m)).rref()
+        assert res.rank == 560
+        [(_, _, pans)] = calls
+        assert len(pans) == -(-560 // (DEFAULT_BLOCK if m == P31 else _OUTER))
+        for pan in pans:
+            assert np.shares_memory(pan, res.upper)
+
+    @pytest.mark.parametrize("m", (20201, P31))
+    def test_split_eliminates_its_buffer(self, m, monkeypatch):
+        mat, naive = random_split(m)
+        tile_rows(monkeypatch, mat.cols, 40)
+        tiles = []
+
+        def recorded_schur(dt, *args):
+            schur_update(dt, *args)
+            tiles.append(dt.copy())
+
+        schur_update = _schur_update
+        monkeypatch.setattr(matrix, "_schur_update", recorded_schur)
+        calls = self.record(monkeypatch)
+        res = assert_matches_naive(mat, m, naive)
+        # the basis's elimination, then D''s
+        at, given, pans = calls[-1]
+        assert len(tiles) == 4
+        assert np.array_equal(given, np.hstack(tiles))
+        assert pans and all(np.shares_memory(pan, at) for pan in pans)
+        assert np.shares_memory(res.upper, at)
 
 
 class TestEliminationMemory:

@@ -560,8 +560,8 @@ class TestTerraciniMemory:
         assert peak < 1.6 * (c + d)
 
     def test_schur_complement_eliminated_in_place(self, monkeypatch):
-        # D' is eliminated in the array it was copied into: inside its
-        # elimination, memory grows by the multipliers, the panels and
+        # D' is eliminated in the array it was copied into, transposed:
+        # inside its elimination, memory grows by the multipliers and
         # the 2 MB row tiles, not by a second D'-sized array.  At n=30
         # D' is 33 MB, far above those; at n=24 they are half of it
         import chowcert.matrix as mx
@@ -589,5 +589,5 @@ class TestTerraciniMemory:
         shape, growth = calls[1]
         split = res.shifted
         c_rows = (n + 1) * len(split.basis) - split.lead.size
-        assert shape == (c_rows, split.rest.size)
+        assert shape == (split.rest.size, c_rows)
         assert growth < 0.5 * c_rows * split.rest.size * 8
