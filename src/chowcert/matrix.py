@@ -57,11 +57,14 @@ others (C) are reduced to zero on A's leading columns, left-looking,
 one product per variable, and only their Schur complement D' is
 eliminated, by the same blocked kernel.  No C row's multipliers or row
 of D' depend on another C row, so C is never held whole: it is written
-and reduced one tile of rows at a time (`_C_TILE`), transposed, and
-only D', transposed as the blocked kernel takes it, and one tile are
-held, with the operands every tile reuses.  The pivots are A's leading
-columns and D''s pivots, the kernel vector comes from back-substitution
-over D' and then over A, and both stay canonical.
+and reduced one tile of rows at a time (`_C_TILE`), transposed, its
+entries on A's leading columns into one tile of X's columns and the
+others straight into D', which is allocated once, transposed as the
+blocked kernel takes it.  Only D', one tile of X and the operands every
+tile reuses are held, each operand once however many products share
+it.  The pivots are A's leading columns and D''s pivots, the kernel
+vector comes from back-substitution over D' and then over A, and both
+stay canonical.
 A's unit triangle is nearly flat: within a block of rows, few rows
 depend on others, and chains of dependent rows are short.  So both
 solves with it, for C's multipliers and for the kernel vector, go by
@@ -369,8 +372,8 @@ def working_array_bytes(rows: int, cols: int) -> int:
     """Bytes of a whole rows x cols matrix as one 8-byte array.  A dense
     matrix is eliminated in one such array (float64, or int64 when
     eager).  The split of a Macaulay matrix (`_split_echelon`) holds the
-    Schur complement D' of its C rows, one tile of C rows and the
-    operands the tiles share: a fourth to a sixth of this at generic
+    Schur complement D' of its C rows, one tile of C rows on X's columns
+    and the operands the tiles share: 15 to 19% of this at generic
     points, n = 30 to 60, but D' has more rows and columns for other
     bases, up to nearly the whole matrix."""
     return rows * cols * 8
@@ -752,26 +755,67 @@ def _subtract_product(target, hit, left, right, reduce_, m, matmul, depth):
         target[hit] = part
 
 
-def _shift_product(shifted, i, cols, g, sources, wv):
+def _shift_product(shifted, i, cols, g, sources):
     """The product by which the A rows g of variable i reach the columns
-    `cols`, or None where they reach none: (hit, left, g), `hit` the
-    positions in `cols` they reach and `left` the entries there of the
-    basis rows they shift, transposed.  A rows are numbered in the order
-    of C's columns (`_split_echelon`): those of variable i hold the
-    positions starts[i]..starts[i+1], in lead order, and the one at
-    position p shifts row sources[p] of `wv`, the basis in the working
-    format.  Row x_i w reaches column c only through the column of w
-    that x_i maps to c (`ShiftedRows.reach`)."""
+    `cols`, or None where they reach none: (hit, rows, used, g), `hit`
+    the positions in `cols` they reach; its left operand holds the
+    entries of the basis rows `rows` that they shift in the columns
+    `used` that reach `hit`, transposed (`_gather`).  A rows are
+    numbered in the order of C's columns (`_split_echelon`): those of
+    variable i hold the positions starts[i]..starts[i+1], in lead order,
+    and the one at position p shifts basis row sources[p].  Row x_i w
+    reaches column c only through the column of w that x_i maps to c
+    (`ShiftedRows.reach`)."""
     if g.start == g.stop:
         return None
     t = shifted.reach[i, cols]
     hit = np.flatnonzero(t >= 0)
     if not hit.size:
         return None
-    return hit, wv[np.ix_(sources[g], t[hit])].T, g
+    return hit, sources[g], t[hit], g
 
 
-def _multiplier_blocks(shifted, starts, sources, wv):
+def _gather(wv, rows, used):
+    """The left operand of a product (`_shift_product`): the entries of
+    `wv`, the basis in the working format, in `rows` and `used`,
+    transposed."""
+    return wv[np.ix_(rows, used)].T
+
+
+def _pooled(wv, ops):
+    """`_gather` for the products `ops`, a list, as take(rows, used):
+    each distinct pair of rows and columns is gathered once, so products
+    of the same rows and columns share one array (`_schur_products`),
+    and every array is a view of one block of memory.  The operands are
+    freed together once the tiles are done.  Gathered as many arrays
+    below the mmap threshold (`_MMAP_THRESHOLD`), they left holes among
+    the arrays that outlive them, too small for the multipliers of D''s
+    elimination, so the heap grew past them and kept them resident for
+    the next call: 21 MB of heap, 16 MB of it free, after certify(30).
+    One block leaves one free region, at the top of the heap, which D''s
+    elimination reuses and which is then returned to the system.
+    """
+    lefts = {}
+    for _, rows, used, _ in ops:
+        lefts.setdefault((rows.tobytes(), used.tobytes()), (rows, used))
+    pool = np.empty(sum(r.size * u.size for r, u in lefts.values()), dtype=wv.dtype)
+    o = 0
+    for key, (rows, used) in lefts.items():
+        left = pool[o : o + rows.size * used.size].reshape(used.size, rows.size)
+        left[...] = _gather(wv, rows, used)
+        lefts[key] = left
+        o += left.size
+    return lambda rows, used: lefts[rows.tobytes(), used.tobytes()]
+
+
+def _gathered(ops, take):
+    """The products `ops` (`_shift_product`) as (hit, left, g), with
+    left = take(rows, used)."""
+    for hit, rows, used, g in ops:
+        yield hit, take(rows, used), g
+
+
+def _multiplier_blocks(shifted, starts, sources):
     """The operands of the multiplier solve (`_solve_multipliers`), one
     block of `_SPLIT_BLOCK` A rows at a time: its rows k0..k1, its X
     update, one `_shift_product` per variable with earlier A rows that
@@ -783,7 +827,7 @@ def _multiplier_blocks(shifted, starts, sources, wv):
         k1 = min(k0 + _SPLIT_BLOCK, shifted.lead.size)
         lead = shifted.lead[k0:k1]
         update = (
-            _shift_product(shifted, i, lead, slice(s, s + n), sources, wv)
+            _shift_product(shifted, i, lead, slice(s, s + n), sources)
             for i, (s, n) in enumerate(zip(starts.tolist(), done.tolist()))
         )
         off = shifted.block(k0, k1)
@@ -791,12 +835,15 @@ def _multiplier_blocks(shifted, starts, sources, wv):
         done += np.bincount(shifted.var[k0:k1], minlength=nv)
 
 
-def _schur_products(shifted, starts, sources, wv):
+def _schur_products(shifted, starts, sources):
     """The operands of the Schur product (`_schur_update`): one
-    `_shift_product` per variable whose A rows reach `rest`."""
+    `_shift_product` per variable whose A rows reach `rest`.  At generic
+    points the last variables' A rows shift all of W''s rows and reach
+    `rest` through the same columns of W', so their products have the
+    same left operand, which `_pooled` gathers once."""
     for i in range(starts.size - 1):
         g = slice(starts[i], starts[i + 1])
-        op = _shift_product(shifted, i, shifted.rest, g, sources, wv)
+        op = _shift_product(shifted, i, shifted.rest, g, sources)
         if op is not None:
             yield op
 
@@ -854,16 +901,19 @@ def _split_echelon(basis, shifts, cols, m):
     kernel vector from them.
 
     A C row's multipliers and its row of D' depend on no other C row, so
-    C is never held whole: it is written, transposed, one tile of C rows
-    at a time into one buffer (`_C_TILE`, `_C_TILE_ROWS`), X overwrites
-    the tile's A columns, and the rest of the tile, its rows of D'
-    transposed, is copied as it is into D' transposed, the layout that
-    `_echelon_blocked` eliminates in place.  Tiles are equal in size,
-    give or take a row.  With several tiles, the operands every tile
-    uses (`_multiplier_blocks`, `_schur_products`) are built once; with
-    one, they are built as they are used and D' is allocated after the
-    Schur product, so that C and D' are the largest arrays held.  The
-    tile buffer and the operands are freed before D''s elimination.
+    C is never held whole.  D' is allocated once, transposed, the layout
+    that `_echelon_blocked` eliminates in place, and C is written one
+    tile of C rows at a time (`_C_TILE`, `_C_TILE_ROWS`, counted on C's
+    full width): each row's entries on A's leading columns go into one
+    buffer of X's columns, transposed, where X overwrites them, and its
+    entries on `rest` straight into the tile's columns of D', where the
+    Schur product turns them into D'.  Tiles are equal in size, give or
+    take a row.  With several tiles, the operands every tile uses
+    (`_multiplier_blocks`, `_schur_products`) are built once, their
+    left operands in one block of memory, one for all the products of
+    the same rows and columns (`_pooled`); with one, they are built as
+    they are used.  The tile buffer and the operands are freed before
+    D''s elimination.
 
     A value of X or D' collects at most one product term per A row: with
     at most the modulus's budget of A rows it is reduced once, after all
@@ -885,9 +935,9 @@ def _split_echelon(basis, shifts, cols, m):
     wv = wp.astype(dtype)
     if dtype == np.float64:
         wv[wv > m // 2] -= m
-    # C's columns, in the order a tile holds them: X's, grouped by
+    # C's columns: X's, in the order a tile holds them, grouped by
     # variable and each group in lead order, then the columns that lead
-    # no A row
+    # no A row, in the order of D''s rows
     na, rest = a.size, shifted.rest
     group = np.argsort(shifted.var, kind="stable")
     pos = np.empty(na, dtype=np.int64)
@@ -896,9 +946,16 @@ def _split_echelon(basis, shifts, cols, m):
     where = np.empty(cols, dtype=np.int64)
     where[shifted.lead] = pos
     where[rest] = na + np.arange(rest.size)
+    # per variable i, the basis columns that x_i moves to X's columns
+    # and to D''s, and the rows they land in
+    fill = []
+    for i in range(nv):
+        w = where[shifts[i]]
+        x = w < na
+        fill.append((np.flatnonzero(x), w[x], np.flatnonzero(~x), w[~x] - na))
     sources = shifted.row[group]
-    blocks = _multiplier_blocks(shifted, starts, sources, wv)
-    products = _schur_products(shifted, starts, sources, wv)
+    blocks = _multiplier_blocks(shifted, starts, sources)
+    products = _schur_products(shifted, starts, sources)
     # the fewest tiles, equal in size, of at most `_C_TILE` bytes or
     # `_C_TILE_ROWS` rows, whichever is more
     tiles = max(1, -(-c.size // max(_C_TILE_ROWS, _C_TILE // (8 * cols))))
@@ -906,29 +963,37 @@ def _split_echelon(basis, shifts, cols, m):
     if tiles > 1:
         blocks = [(k0, k1, list(update), off) for k0, k1, update, off in blocks]
         products = list(products)
-    buf = np.zeros((cols, size), dtype=dtype)
+        take = _pooled(wv, [op for b in blocks for op in b[2]] + products)
+        blocks = [(k0, k1, list(_gathered(u, take)), off) for k0, k1, u, off in blocks]
+        products = list(_gathered(products, take))
+    else:
+        take = partial(_gather, wv)
+        blocks = ((k0, k1, _gathered(u, take), off) for k0, k1, u, off in blocks)
+        products = _gathered(products, take)
+    dt = np.zeros((rest.size, c.size), dtype=dtype)
+    buf = np.zeros((na, size), dtype=dtype)
     args = (reduce_, m, matmul, depth)
-    dt = None
+    step = _row_step(shifts.shape[1], _CHUNK)
     for s0 in range(0, c.size, size):
-        # C row s of those numbered `tile` is column s of `ct`
+        # C row s of those numbered `tile` is column s of `xt` and
+        # column s0 + s of `dt`
         tile = c[s0 : s0 + size]
-        ct = buf[:, : tile.size]
+        xt = buf[:, : tile.size]
         if s0:
-            ct[...] = 0
-        step = _row_step(shifts.shape[1], _CHUNK)
-        for s in range(0, tile.size, step):
-            q = tile[s : s + step]
-            ct[where[shifts[q // rank]], np.arange(s, s + q.size)[:, None]] = wv[q % rank]
-        _solve_multipliers(ct, pos, blocks, *args)
-        _schur_update(ct[na:], ct[:na], products, *args)
-        if dt is None:
-            dt = np.empty((rest.size, c.size), dtype=dtype)
-        dt[:, s0 : s0 + tile.size] = ct[na:]
-        del ct
-    del buf, blocks, products
-    if dt is None:
-        # no C rows
-        dt = np.empty((rest.size, 0), dtype=dtype)
+            xt[...] = 0
+        var = tile // rank
+        for i in np.flatnonzero(np.bincount(var)).tolist():
+            xsrc, xdst, dsrc, ddst = fill[i]
+            mine = np.flatnonzero(var == i)
+            for s in range(0, mine.size, step):
+                k = mine[s : s + step]
+                w = wv[tile[k] % rank]
+                xt[xdst[:, None], k] = w[:, xsrc].T
+                dt[ddst[:, None], s0 + k] = w[:, dsrc].T
+        _solve_multipliers(xt, pos, blocks, *args)
+        _schur_update(dt[:, s0 : s0 + tile.size], xt, products, *args)
+        del xt
+    del buf, blocks, products, take
     upper, pivots = _echelon_blocked(dt, m)
     pivots = np.sort(np.concatenate([shifted.lead, rest[pivots]]))
     return upper, pivots.tolist(), shifted

@@ -1946,6 +1946,28 @@ class TestWorkingArray:
         assert pans and all(np.shares_memory(pan, at) for pan in pans)
         assert np.shares_memory(res.upper, at)
 
+    @pytest.mark.parametrize("m", (20201, P31))
+    @pytest.mark.parametrize("rows,tiles", ((147, 1), (40, 4)))
+    def test_schur_rows_written_in_place(self, m, rows, tiles, monkeypatch):
+        """Each tile's rows of D' are written and reduced where D''s
+        elimination finds them: every `_schur_update` target is a view
+        of the array `_echelon_blocked` eliminates, not a tile buffer."""
+        mat, naive = random_split(m)
+        tile_rows(monkeypatch, mat.cols, rows)
+        targets = []
+
+        def recorded_schur(dt, *args):
+            targets.append(dt)
+            schur_update(dt, *args)
+
+        schur_update = _schur_update
+        monkeypatch.setattr(matrix, "_schur_update", recorded_schur)
+        calls = self.record(monkeypatch)
+        assert_matches_naive(mat, m, naive)
+        at = calls[-1][0]
+        assert len(targets) == tiles
+        assert all(np.shares_memory(dt, at) for dt in targets)
+
 
 class TestEliminationMemory:
     def test_peak_stays_near_one_working_array(self):

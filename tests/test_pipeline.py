@@ -460,30 +460,35 @@ def split_entry_memory(monkeypatch):
 def split_operands(tmat, monkeypatch):
     """tmat.rref(), and the bytes of the operands that a split of several
     tiles builds once for all of them: the left operands of the X
-    update and of the Schur product, and the A triangles that are not
-    the identity."""
+    update and of the Schur product, each array counted once however
+    many products share it, and the A triangles that are not the
+    identity."""
     import chowcert.matrix as mx
 
-    sizes = []
-    shift_product, block = mx._shift_product, mx.ShiftedRows.block
+    # id -> array, each kept alive so that no id is reused
+    held = {}
+    solve_multipliers, schur_update = mx._solve_multipliers, mx._schur_update
 
-    def recorded_product(*args):
-        op = shift_product(*args)
-        if op is not None:
-            sizes.append(op[1].nbytes)
-        return op
+    def keep(arrays):
+        held.update((id(a), a) for a in arrays if a is not None)
 
-    def recorded_block(self, k0, k1):
-        off = block(self, k0, k1)
-        if off.any():
-            sizes.append(off.nbytes)
-        return off
+    def recorded_solve(ct, pos, blocks, *args):
+        # several tiles: the operands are lists, read here unconsumed
+        assert isinstance(blocks, list)
+        for _, _, update, off in blocks:
+            keep([off] + [left for _, left, _ in update])
+        return solve_multipliers(ct, pos, blocks, *args)
+
+    def recorded_schur(dt, xt, products, *args):
+        assert isinstance(products, list)
+        keep(left for _, left, _ in products)
+        return schur_update(dt, xt, products, *args)
 
     with monkeypatch.context() as mp:
-        mp.setattr(mx, "_shift_product", recorded_product)
-        mp.setattr(mx.ShiftedRows, "block", recorded_block)
+        mp.setattr(mx, "_solve_multipliers", recorded_solve)
+        mp.setattr(mx, "_schur_update", recorded_schur)
         res = tmat.rref()
-    return res, sum(sizes)
+    return res, sum(a.nbytes for a in held.values())
 
 
 def split_sizes(tmat, split):
@@ -519,13 +524,16 @@ class TestTerraciniMemory:
         assert all(t._data is None for t in built)
 
     def test_peak_near_one_working_array(self, monkeypatch):
-        # certify and verify hold D', one tile of C rows and the
-        # operands every tile reuses: 19.5 MB at n=24, in 4 tiles, where
-        # C and D' are 35.6 MB and the Terracini matrix 70 MB, so the
-        # bound fails for C or the whole matrix held at once.  The 20%
-        # covers the temporaries of one block of 256 A rows of a tile;
-        # the memory already held when the split begins (the quadrics,
-        # the monomial tables, about 1 MB) is added, not scaled
+        # certify and verify hold D', one tile of C rows on X's columns
+        # (`na` of them), the distinct operands every tile reuses, and
+        # W' twice (as given and in the working format) with its
+        # `reach` table: 16.6 MB at n=24, in 4 tiles, where C and D' are
+        # 35.6 MB and the Terracini matrix 70 MB, so the bound fails for
+        # C or the whole matrix held at once, or for a tile held at C's
+        # full width beside D'.  The 20% covers the temporaries of one
+        # block of 256 A rows of a tile; the memory already held when
+        # the split begins (the quadrics, the monomial tables, about
+        # 1 MB) is added, not scaled
         n = 24
         entries = split_entry_memory(monkeypatch)
         cert, certify_peak = traced_peak(lambda: certify(n, seed=3))
@@ -539,19 +547,54 @@ class TestTerraciniMemory:
         res, operands = split_operands(tmat, monkeypatch)
         c, d, tile, tiles = split_sizes(tmat, res.shifted)
         assert tiles > 1
-        working = d + tile + operands
+        x_tile = tile // tmat.cols * res.shifted.lead.size
+        basis = 2 * res.shifted.basis.nbytes + res.shifted.reach.nbytes
+        working = d + x_tile + operands + basis
         assert c + d > 1.5 * working
         assert certify_peak < 1.2 * working + certify_entry
         assert verify_peak < 1.2 * working + verify_entry
 
+    def test_schur_operands_shared(self, monkeypatch):
+        # a Schur operand holds W''s rows of a variable's A rows in the
+        # columns of W' that reach `rest`: products for which both are
+        # the same share one array.  At n=24 the last 10 of the 25
+        # variables shift all of W''s rows and reach `rest` through the
+        # same columns
+        import chowcert.matrix as mx
+
+        keys, lefts = [], []
+        schur_products, schur_update = mx._schur_products, mx._schur_update
+
+        def recorded_products(*args):
+            for op in schur_products(*args):
+                keys.append((op[1].tobytes(), op[2].tobytes()))
+                yield op
+
+        def recorded_update(dt, xt, products, *args):
+            # several tiles: the products are a list, read here
+            # unconsumed; every tile gets the same one
+            assert isinstance(products, list)
+            if not lefts:
+                lefts.extend(left for _, left, _ in products)
+            return schur_update(dt, xt, products, *args)
+
+        monkeypatch.setattr(mx, "_schur_products", recorded_products)
+        monkeypatch.setattr(mx, "_schur_update", recorded_update)
+        certify(24, seed=77)
+        assert len(keys) == len(lefts) == 25
+        for key, left in zip(keys, lefts):
+            for key2, left2 in zip(keys, lefts):
+                assert (key == key2) == (left is left2)
+        assert len(set(keys)) == len({id(left) for left in lefts}) == 16
+
     def test_single_tile_peak(self):
-        # at n=16 and prime 2^31-1, C fits in one tile, which then holds
-        # what the whole of C did: nothing is cached for later tiles, and
-        # D' is allocated only after the Schur product.  The peak comes
-        # in the X update, where the blocks of 256 A rows, their products
-        # split into 16-bit limbs, add about half of C + D' (5.6 MB
-        # against 3.7); holding D' (1 MB) or the A triangles (0.5 MB
-        # each) through it as well would pass the bound
+        # at n=16 and prime 2^31-1, C fits in one tile: D' and the
+        # tile's X columns hold what the whole of C did, and nothing is
+        # cached for later tiles.  The peak comes in the X update, where
+        # the blocks of 256 A rows, their products split into 16-bit
+        # limbs, add about half of C + D' (5.7 MB against 3.7); a second
+        # copy of D' (1 MB), or the A triangles (0.5 MB each) held
+        # through it, would pass the bound
         cert, peak = traced_peak(lambda: certify(16, prime=2**31 - 1, seed=77))
         points = [_point_from_vectors(vs, cert.modulus) for vs in cert.points]
         tmat = terracini_matrix(points)
@@ -560,10 +603,11 @@ class TestTerraciniMemory:
         assert peak < 1.6 * (c + d)
 
     def test_schur_complement_eliminated_in_place(self, monkeypatch):
-        # D' is eliminated in the array it was copied into, transposed:
-        # inside its elimination, memory grows by the multipliers and
-        # the 2 MB row tiles, not by a second D'-sized array.  At n=30
-        # D' is 33 MB, far above those; at n=24 they are half of it
+        # D' is eliminated in the array the split wrote it into,
+        # transposed: inside its elimination, memory grows by the
+        # multipliers and the 2 MB row tiles, not by a second D'-sized
+        # array.  At n=30 D' is 33 MB, far above those; at n=24 they
+        # are half of it
         import chowcert.matrix as mx
 
         n = 30
