@@ -65,11 +65,15 @@ tile reuses are held, each operand once however many products share
 it.  The pivots are A's leading columns and D''s pivots, the kernel
 vector comes from back-substitution over D' and then over A, and both
 stay canonical.
-A's unit triangle is nearly flat: within a block of rows, few rows
-depend on others, and chains of dependent rows are short.  So both
-solves with it, for C's multipliers and for the kernel vector, go by
-dependency level, one product for all the rows whose dependencies are
-solved (`_level_solve`), not by an inverse or row by row.
+A's unit triangle is nearly flat: few of its rows depend on others,
+and chains of dependent rows are short (at most 3 levels above the
+first at seed 77, n = 6 to 40).  So both solves with it, for C's
+multipliers and for the kernel vector, walk one schedule of A's rows by
+dependency level, which the shifts alone decide (`ShiftedRows.levels`;
+Anderson and Saad, 1989): the multipliers by one product per variable
+and level above the first, the kernel vector's coordinates by the rows'
+dots, level by level in reverse.  Neither inverts the triangle or
+solves within a level.
 """
 
 from __future__ import annotations
@@ -105,10 +109,6 @@ _SUB = 8
 # update right of an outer panel is one dgemm of inner dimension up to
 # `_OUTER`.
 _OUTER = 256
-# A rows per block of the split's left-looking multiplier solve
-# (`_solve_multipliers`); at most `_OUTER`, so the block's solve product
-# stays within every float64 budget (`_regime`).
-_SPLIT_BLOCK = _OUTER
 # Bytes per tile of C rows in a split (`_split_echelon`): C is written
 # and reduced one tile of its rows at a time, never whole.  A tile holds
 # at least `_C_TILE_ROWS` rows, the width of its products: at n=50 (C
@@ -294,15 +294,15 @@ def _regime(m: int):
       that width, would exceed `budget`, the update reduces ("settles")
       the trailing tiles.  At 20201 that never happens; at 11682149 it
       happens after every full outer panel;
-    - in a split (`_split_echelon`), the left-looking update of X
-      (`_solve_multipliers`) and the Schur product (`_schur_update`)
-      subtract at most one term per A row from a value of at most m + 1.
-      With at most `budget` A rows they reduce once, after all of them;
-      otherwise they go in runs of at most `budget` terms and reduce the
-      touched rows after each run (`_subtract_product`).  The in-block
-      solve of `_solve_multipliers` subtracts from each value, reduced,
-      at most one product of fewer than `_SPLIT_BLOCK` <= `_OUTER`
-      terms, that of the level that solves its row (`_level_solve`).
+    - in a split (`_split_echelon`), a value starts at most m + 1 and
+      collects at most one term per A row, each of two reduced
+      operands: a value of D' in the Schur product (`_schur_update`),
+      and a value of X in the X update (`_solve_multipliers`), where it
+      collects one per A row of a lower level than its own
+      (`ShiftedRows.levels`).  With at most `budget` A rows it is
+      reduced once, after all of them (a value of X after its level);
+      otherwise the products go in runs of at most `budget` terms and
+      reduce the touched rows after each run (`_subtract_product`).
 
     Past 11682149 the elimination works in int64 ("eager") and forms
     every product with `_mod_matmul`, which returns it reduced to
@@ -584,8 +584,9 @@ def _unit_upper_inverse(u: np.ndarray, m: int) -> np.ndarray:
     their own and joined by V12 = -V11 U12 V22, two `_mod_matmul`; a
     block of at most `_SUB` rows is solved by back substitution in
     Python integers.  Only `_reduced_echelon` uses it: the triangle of
-    W's pivots is dense, with as many levels as rows, where a level
-    solve (`_level_solve`) would run one product per row.
+    W's pivots is dense, with as many dependency levels as rows, where
+    a level schedule (`ShiftedRows.levels`) would run one product per
+    row.
     """
     k = len(u)
     if k <= _SUB:
@@ -613,36 +614,6 @@ def _reduced_echelon(data: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
     """
     upper, pivots = _echelon_blocked(data.T, m)
     return _mod_matmul(_unit_upper_inverse(upper[:, pivots], m), upper, m), pivots
-
-
-def _level_solve(off, y, reduce_, m, matmul) -> None:
-    """Solve (I + N) Y = R in place, by dependency level.
-
-    N is `off`, strictly upper or strictly lower triangular, canonical.
-    `y` holds R, reduced (balanced float64 or canonical int64), and
-    receives Y: row t of Y is R_t minus N[t, s] Y_s over the rows s that
-    row t depends on, those with N[t, s] != 0.  Each pass solves, with
-    one product (`matmul`, then `reduce_`), every row whose dependencies
-    are all solved (level scheduling: Anderson and Saad, 1989).  A
-    product has fewer than len(off) terms, balanced residues in
-    float64, and canonical operands in int64.  Some row is always
-    ready, since N is strictly triangular, so there are as many passes
-    as the longest dependency chain has rows beyond its first, and none
-    when N is zero.
-    """
-    dep = off != 0
-    todo = dep.any(axis=1)
-    while todo.any():
-        ready = np.flatnonzero(todo & ~(dep & todo).any(axis=1))
-        src = np.flatnonzero(dep[ready].any(axis=0))
-        left = off[np.ix_(ready, src)]
-        if y.dtype != np.int64:
-            left = np.where(left > m // 2, left - m, left).astype(np.float64)
-        part = y[ready]
-        part -= matmul(left, y[src])
-        reduce_(part, m)
-        y[ready] = part
-        todo[ready] = False
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -692,25 +663,44 @@ class ShiftedRows:
         The basis is reduced, so its column t is then zero but in w_j,
         and of the rows x_i w, only x_i w_j, which leads c, is nonzero at
         c.  No product needs those entries: a row never reduces its own
-        leading column.
+        leading column.  The values are basis columns, so int32 holds
+        them.
         """
         nv, nb = self.shifts.shape
-        t = np.arange(nb)
+        t = np.arange(nb, dtype=np.int32)
         t[(self.basis != 0).argmax(axis=1)] = -1
-        out = np.full((nv, self.cols), -1, dtype=np.int64)
+        out = np.full((nv, self.cols), -1, dtype=np.int32)
         out[np.arange(nv)[:, None], self.shifts] = t
         return out
 
-    def block(self, k0: int, k1: int) -> np.ndarray:
-        """Rows k0..k1 in their own leading columns, without their unit
-        diagonal: strictly upper triangular, canonical int64; only the
-        entries that `reach` finds can be nonzero, and only those are
-        read from the basis."""
-        t = self.reach[self.var[k0:k1, None], self.lead[None, k0:k1]]
-        i, j = np.nonzero(t >= 0)
-        out = np.zeros(t.shape, dtype=np.int64)
-        out[i, j] = self.basis[self.row[k0 + i], t[i, j]]
-        return out
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """The rows by dependency level, each level in lead order.
+
+        Row k depends on row l when l can be nonzero at k's lead, which
+        the shifts alone decide: x_i w_j reaches lead[k] only through
+        column t = reach[i, lead[k]] of w_j, which is zero unless t lies
+        right of w_j's leading column, that is, unless x_i w_j leads left
+        of lead[k].  So where reach[i, lead[k]] >= 0, row k depends on
+        every row of variable i that leads left of it, and on no other.
+        A row's level is 0 if it depends on none, and otherwise one more
+        than the highest level among the rows it depends on, so no row
+        depends on one of its own level or a higher one.  Level 0 is
+        always there, empty when there are no rows.
+        """
+        reaches = self.reach[:, self.lead] >= 0
+        todo = np.ones(self.lead.size, dtype=bool)
+        out = []
+        while not out or todo.any():
+            left = np.flatnonzero(todo)
+            lead = self.lead[left]
+            # the lead of each variable's first row not yet placed
+            first = np.full(len(self.shifts), self.cols)
+            np.minimum.at(first, self.var[left], lead)
+            blocked = reaches[:, left] & (first[:, None] < lead)
+            out.append(left[~blocked.any(axis=0)])
+            todo[out[-1]] = False
+        return tuple(out)
 
     def dense(self) -> np.ndarray:
         """Every row at full width, as int64."""
@@ -721,22 +711,18 @@ class ShiftedRows:
     def back_substitute(self, x: np.ndarray, m: int) -> None:
         """Solve the rows for x at their leading columns, in place.
 
-        Every other coordinate of x must be set.  Blocks of
-        `DEFAULT_BLOCK` rows go in decreasing order of leading column:
-        a row is zero left of its lead, so it needs only coordinates
-        right of it.  A block first collects each row's dot with the
-        coordinates known so far (its own leads are still 0), then
-        solves its unit upper triangle for its leads by level
-        (`_level_solve`), one `_mod_matmul` per level.
+        Every other coordinate of x must be set, and these still 0.  A
+        row is nonzero at another row's lead only if that row depends on
+        it (`levels`), so the levels go from the highest down, each in
+        chunks of `DEFAULT_BLOCK` rows: a row's lead is minus its dot
+        with the coordinates known so far, its own lead still 0.
         """
-        matmul = partial(_mod_matmul, m=m)
-        for k1 in range(self.lead.size, 0, -DEFAULT_BLOCK):
-            k0 = max(k1 - DEFAULT_BLOCK, 0)
-            known = x[self.shifts[self.var[k0:k1]]]
-            acc = _dot_rows(self.basis[self.row[k0:k1]], known, m)
-            y = (-acc % m)[:, None]
-            _level_solve(self.block(k0, k1), y, _reduce_i64, m, matmul)
-            x[self.lead[k0:k1]] = y[:, 0]
+        for rows in reversed(self.levels):
+            for s in range(0, rows.size, DEFAULT_BLOCK):
+                k = rows[s : s + DEFAULT_BLOCK]
+                known = x[self.shifts[self.var[k]]]
+                acc = _dot_rows(self.basis[self.row[k]], known, m)
+                x[self.lead[k]] = -acc % m
 
 
 def _subtract_product(target, hit, left, right, reduce_, m, matmul, depth):
@@ -762,8 +748,8 @@ def _shift_product(shifted, i, cols, g, sources):
     entries of the basis rows `rows` that they shift in the columns
     `used` that reach `hit`, transposed (`_gather`).  A rows are
     numbered in the order of C's columns (`_split_echelon`): those of
-    variable i hold the positions starts[i]..starts[i+1], in lead order,
-    and the one at position p shifts basis row sources[p].  Row x_i w
+    variable i hold the positions starts[i]..starts[i+1], by level and
+    then lead, and the one at position p shifts basis row sources[p].  Row x_i w
     reaches column c only through the column of w that x_i maps to c
     (`ShiftedRows.reach`)."""
     if g.start == g.stop:
@@ -815,26 +801,6 @@ def _gathered(ops, take):
         yield hit, take(rows, used), g
 
 
-def _multiplier_blocks(shifted, starts, sources):
-    """The operands of the multiplier solve (`_solve_multipliers`), one
-    block of `_SPLIT_BLOCK` A rows at a time: its rows k0..k1, its X
-    update, one `_shift_product` per variable with earlier A rows that
-    reach the block's leading columns, and its triangle
-    (`ShiftedRows.block`), None when that is zero."""
-    nv = starts.size - 1
-    done = np.zeros(nv, dtype=np.int64)
-    for k0 in range(0, shifted.lead.size, _SPLIT_BLOCK):
-        k1 = min(k0 + _SPLIT_BLOCK, shifted.lead.size)
-        lead = shifted.lead[k0:k1]
-        update = (
-            _shift_product(shifted, i, lead, slice(s, s + n), sources)
-            for i, (s, n) in enumerate(zip(starts.tolist(), done.tolist()))
-        )
-        off = shifted.block(k0, k1)
-        yield k0, k1, filter(None, update), off if off.any() else None
-        done += np.bincount(shifted.var[k0:k1], minlength=nv)
-
-
 def _schur_products(shifted, starts, sources):
     """The operands of the Schur product (`_schur_update`): one
     `_shift_product` per variable whose A rows reach `rest`.  At generic
@@ -848,27 +814,56 @@ def _schur_products(shifted, starts, sources):
             yield op
 
 
-def _solve_multipliers(ct, pos, blocks, reduce_, m, matmul, depth):
+def _level_products(shifted, starts, sources, pos):
+    """The operands of the X update (`_solve_multipliers`), one level of
+    A rows above 0 at a time (`ShiftedRows.levels`): (update, spans).
+    `update` holds one `_shift_product` per variable whose A rows of
+    lower levels reach the level's leading columns, with `hit` as rows
+    of X, which A row k fills at pos[k]; `spans` the runs of X's rows,
+    one per variable, that the level fills.  X's rows are grouped by
+    variable, and each group by level and then lead, so a variable's A
+    rows of lower levels are one slice of them."""
+    nv = starts.size - 1
+    levels = shifted.levels
+    done = starts[:-1] + np.bincount(shifted.var[levels[0]], minlength=nv)
+    for rows in levels[1:]:
+        ends = done + np.bincount(shifted.var[rows], minlength=nv)
+        xrows, cols = pos[rows], shifted.lead[rows]
+        ops = (
+            _shift_product(shifted, i, cols, slice(s, e), sources)
+            for i, (s, e) in enumerate(zip(starts.tolist(), done.tolist()))
+        )
+        update = [(xrows[hit], r, u, g) for hit, r, u, g in filter(None, ops)]
+        yield update, [(s, e) for s, e in zip(done.tolist(), ends.tolist()) if s < e]
+        done = ends
+
+
+def _reduce_rows(x, reduce_, m):
+    """Reduce x in place, in row chunks of about `_CHUNK` entries."""
+    step = _row_step(x.shape[1], _CHUNK)
+    for s in range(0, len(x), step):
+        reduce_(x[s : s + step], m)
+
+
+def _solve_multipliers(ct, levels, reduce_, m, matmul, depth):
     """Overwrite C's A columns with X, where C_A = X U_AA.
 
-    `ct` holds C transposed, one row per column of C: row pos[k] holds
-    C's column at the lead of A row k and receives X's column k.
-    Left-looking, one block of A rows at a time (`_multiplier_blocks`):
-    the block's columns lose every earlier A row's contribution, one
-    product per variable, since the A rows of variable i are basis rows
-    shifted by x_i; then, unless the block's triangle U_KK is the
-    identity, as it mostly is, X_K U_KK = R_K is solved transposed,
-    U_KK^T X_K^T = R_K^T, by level on the strictly lower `off.T`
-    (`_level_solve`).
+    `ct` holds C transposed, one row per column of C: the row of A row
+    k holds C's column at k's lead and receives X's column k, which is
+    C's less X's columns of the A rows nonzero at that lead, each times
+    its entry there.  Those are of lower levels (`ShiftedRows.levels`),
+    so the levels go in order (`_level_products`), each by one product
+    per variable, since the A rows of variable i are basis rows shifted
+    by x_i, with no solve within a level; level 0's columns are C's.
+    Without `depth`, a level's rows are reduced once, after its
+    products.
     """
-    for k0, k1, update, off in blocks:
-        part = ct[pos[k0:k1]]
+    for update, spans in levels:
         for hit, left, g in update:
-            _subtract_product(part, hit, left, ct[g], reduce_, m, matmul, depth)
-        reduce_(part, m)
-        if off is not None:
-            _level_solve(off.T, part, reduce_, m, matmul)
-        ct[pos[k0:k1]] = part
+            _subtract_product(ct, hit, left, ct[g], reduce_, m, matmul, depth)
+        if depth is None:
+            for s, e in spans:
+                _reduce_rows(ct[s:e], reduce_, m)
 
 
 def _schur_update(dt, xt, products, reduce_, m, matmul, depth):
@@ -878,9 +873,22 @@ def _schur_update(dt, xt, products, reduce_, m, matmul, depth):
     for hit, left, g in products:
         _subtract_product(dt, hit, left, xt[g], reduce_, m, matmul, depth)
     if depth is None:
-        step = _row_step(dt.shape[1], _CHUNK)
-        for s in range(0, dt.shape[0], step):
-            reduce_(dt[s : s + step], m)
+        _reduce_rows(dt, reduce_, m)
+
+
+def _shifted_rows(basis, shifts, cols, m):
+    """The rows of a split (`_split_echelon`): A, as `ShiftedRows`, and
+    the numbers of the C rows.  Row x_i w'_j of the shifted W' is number
+    i * rank + j, rank being W''s; A takes the first row, the one of
+    least i, at each leading column."""
+    wp, lm = _reduced_echelon(basis, m)
+    rank = len(lm)
+    lead = shifts[:, lm].ravel()
+    order = np.argsort(lead, kind="stable")
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = lead[order[1:]] != lead[order[:-1]]
+    a, c = order[new], order[~new]
+    return ShiftedRows(wp, shifts, a // rank, a % rank, lead[a], cols), c
 
 
 def _split_echelon(basis, shifts, cols, m):
@@ -907,39 +915,35 @@ def _split_echelon(basis, shifts, cols, m):
     full width): each row's entries on A's leading columns go into one
     buffer of X's columns, transposed, where X overwrites them, and its
     entries on `rest` straight into the tile's columns of D', where the
-    Schur product turns them into D'.  Tiles are equal in size, give or
+    Schur product turns them into D'.  X's columns are grouped by
+    variable, and each group by A's levels (`ShiftedRows.levels`) and
+    then lead, so X is solved one level at a time with one product per
+    variable (`_level_products`).  Tiles are equal in size, give or
     take a row.  With several tiles, the operands every tile uses
-    (`_multiplier_blocks`, `_schur_products`) are built once, their
-    left operands in one block of memory, one for all the products of
-    the same rows and columns (`_pooled`); with one, they are built as
-    they are used.  The tile buffer and the operands are freed before
-    D''s elimination.
+    (`_level_products`, `_schur_products`) are built once, their left
+    operands in one block of memory, one for all the products of the
+    same rows and columns (`_pooled`); with one, they are built as they
+    are used.  The tile buffer and the operands are freed before D''s
+    elimination.
 
-    A value of X or D' collects at most one product term per A row: with
-    at most the modulus's budget of A rows it is reduced once, after all
-    of them, otherwise after every run of `budget` terms (`_regime`).
+    A value of D' collects at most one product term per A row, and one
+    of X one per A row of a lower level: with at most the modulus's
+    budget of A rows it is reduced once, after all of them (X's after
+    its level), otherwise after every run of `budget` terms (`_regime`).
     """
     nv = shifts.shape[0]
     dtype, reduce_, matmul, budget = _regime(m)
-    wp, lm = _reduced_echelon(basis, m)
-    # row (i, j) of the shifted basis is number i * rank + j; A takes
-    # the first row, the one of least i, at each leading column
-    rank = len(lm)
-    lead = shifts[:, lm].ravel()
-    order = np.argsort(lead, kind="stable")
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = lead[order[1:]] != lead[order[:-1]]
-    a, c = order[new], order[~new]
-    shifted = ShiftedRows(wp, shifts, a // rank, a % rank, lead[a], cols)
-    depth = None if a.size <= budget else budget
-    wv = wp.astype(dtype)
+    shifted, c = _shifted_rows(basis, shifts, cols, m)
+    rank, na, rest = len(shifted.basis), shifted.lead.size, shifted.rest
+    depth = None if na <= budget else budget
+    wv = shifted.basis.astype(dtype)
     if dtype == np.float64:
         wv[wv > m // 2] -= m
     # C's columns: X's, in the order a tile holds them, grouped by
-    # variable and each group in lead order, then the columns that lead
-    # no A row, in the order of D''s rows
-    na, rest = a.size, shifted.rest
-    group = np.argsort(shifted.var, kind="stable")
+    # variable and each group by level and then lead, then the columns
+    # that lead no A row, in the order of D''s rows
+    group = np.concatenate(shifted.levels)
+    group = group[np.argsort(shifted.var[group], kind="stable")]
     pos = np.empty(na, dtype=np.int64)
     pos[group] = np.arange(na)
     starts = np.searchsorted(shifted.var[group], np.arange(nv + 1))
@@ -954,21 +958,21 @@ def _split_echelon(basis, shifts, cols, m):
         x = w < na
         fill.append((np.flatnonzero(x), w[x], np.flatnonzero(~x), w[~x] - na))
     sources = shifted.row[group]
-    blocks = _multiplier_blocks(shifted, starts, sources)
+    levels = _level_products(shifted, starts, sources, pos)
     products = _schur_products(shifted, starts, sources)
     # the fewest tiles, equal in size, of at most `_C_TILE` bytes or
     # `_C_TILE_ROWS` rows, whichever is more
     tiles = max(1, -(-c.size // max(_C_TILE_ROWS, _C_TILE // (8 * cols))))
     size = max(1, -(-c.size // tiles))
     if tiles > 1:
-        blocks = [(k0, k1, list(update), off) for k0, k1, update, off in blocks]
+        levels = list(levels)
         products = list(products)
-        take = _pooled(wv, [op for b in blocks for op in b[2]] + products)
-        blocks = [(k0, k1, list(_gathered(u, take)), off) for k0, k1, u, off in blocks]
+        take = _pooled(wv, [op for u, _ in levels for op in u] + products)
+        levels = [(list(_gathered(u, take)), spans) for u, spans in levels]
         products = list(_gathered(products, take))
     else:
         take = partial(_gather, wv)
-        blocks = ((k0, k1, _gathered(u, take), off) for k0, k1, u, off in blocks)
+        levels = ((_gathered(u, take), spans) for u, spans in levels)
         products = _gathered(products, take)
     dt = np.zeros((rest.size, c.size), dtype=dtype)
     buf = np.zeros((na, size), dtype=dtype)
@@ -990,10 +994,10 @@ def _split_echelon(basis, shifts, cols, m):
                 w = wv[tile[k] % rank]
                 xt[xdst[:, None], k] = w[:, xsrc].T
                 dt[ddst[:, None], s0 + k] = w[:, dsrc].T
-        _solve_multipliers(xt, pos, blocks, *args)
+        _solve_multipliers(xt, levels, *args)
         _schur_update(dt[:, s0 : s0 + tile.size], xt, products, *args)
         del xt
-    del buf, blocks, products, take
+    del buf, levels, products, take
     upper, pivots = _echelon_blocked(dt, m)
     pivots = np.sort(np.concatenate([shifted.lead, rest[pivots]]))
     return upper, pivots.tolist(), shifted

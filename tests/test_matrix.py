@@ -4,20 +4,21 @@ import math
 import os
 import tracemalloc
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chowcert.geometry as geometry
 import chowcert.matrix as matrix
-from chowcert.field import PrimeModulus, is_prime
-from chowcert.geometry import TerraciniMatrix
+from chowcert.field import PrimeModulus, SeededRng, is_prime
+from chowcert.geometry import TerraciniMatrix, sample_point, terracini_matrix
 from chowcert.matrix import (
     _F64_EXACT,
     _LIMB,
     _OUTER,
-    _SPLIT_BLOCK,
     _SUB,
     DEFAULT_BLOCK,
     FfMatrix,
@@ -28,16 +29,17 @@ from chowcert.matrix import (
     _carry,
     _dot_rows,
     _factor_panel,
-    _level_solve,
     _reduce_i64,
     _ReduceF64,
     _regime,
     _schur_update,
+    _shifted_rows,
     _solve_multipliers,
     _subtract_product,
     _unit_upper_inverse,
     null_vector,
 )
+from chowcert.pipeline import certify, default_r
 from chowcert.poly import _shift_map, monomial_basis
 
 MOD = PrimeModulus(20201)
@@ -1141,8 +1143,7 @@ def macaulay_matrix(basis, n, m):
 
 
 # 33 quadrics in 13 variables: a 429 x 455 Macaulay matrix of rank 429
-# at most, whose A rows make two blocks of the multiplier solve, the
-# first block's triangle not the identity
+# at most, whose A triangle is 3 levels deep
 SPLIT_N, SPLIT_Q = 12, 33
 SPLIT_SHAPE = ((SPLIT_N + 1) * SPLIT_Q, math.comb(SPLIT_N + 3, 3))
 
@@ -1163,81 +1164,6 @@ def split_bases(m, rng):
         ("half modulus", np.hstack([eye, half_modulus_matrix(q, nb - q, m, rng)])),
         ("top heavy", np.hstack([eye, top_heavy(q, nb - q, m, rng)])),
     ]
-
-
-def substitution(off, r, m):
-    """(I + N)^-1 R mod m by plain substitution in Python integers, N =
-    `off` strictly lower or strictly upper triangular: rows in the order
-    that solves each one after every row it depends on."""
-    k = len(off)
-    n = off.astype(np.int64).tolist()
-    rows = r.astype(np.int64).tolist()
-    y = [None] * k
-    for t in range(k) if not np.triu(off).any() else reversed(range(k)):
-        row = rows[t]
-        for s, c in enumerate(n[t]):
-            if c:
-                row = [a - c * b for a, b in zip(row, y[s])]
-        y[t] = [a % m for a in row]
-    return y
-
-
-def level_count(off):
-    """The levels of a strictly triangular N: a row that depends on none
-    has level 0, any other one more than the highest row it depends on;
-    a level solve runs one product per level above 0."""
-    k = len(off)
-    dep = (off != 0).tolist()
-    level = [0] * k
-    for t in range(k) if not np.triu(off).any() else reversed(range(k)):
-        level[t] = max((level[s] + 1 for s in range(k) if dep[t][s]), default=0)
-    return max(level, default=0)
-
-
-def counting_level_solve(record):
-    """`_level_solve`, then record(off, count), count being the number of
-    products it ran."""
-
-    def run(off, y, reduce_, m, matmul):
-        calls = []
-
-        def product(a, b):
-            calls.append(a.shape)
-            return matmul(a, b)
-
-        _level_solve(off, y, reduce_, m, product)
-        record(off, len(calls))
-
-    return run
-
-
-def shallow_triangle(k, m, rng):
-    """Strictly lower k x k, mostly zero, as the A triangles of the split
-    are: one row in six depends on one to three earlier rows, with
-    entries that balance to the largest residues."""
-    low = np.zeros((k, k), dtype=np.int64)
-    for t in range(1, k):
-        if rng.random() < 1 / 6:
-            deps = rng.choice(t, min(t, int(rng.integers(1, 4))), replace=False)
-            low[t, deps] = half_modulus_matrix(1, deps.size, m, rng)
-    return low
-
-
-def reduced_extremes(shape, regime, m):
-    """Right-hand sides as reduced as the split hands them over, at their
-    largest: m // 2 + 2 in float64 (`_ReduceF64`), m - 1 in int64."""
-    if regime == "eager":
-        return np.full(shape, m - 1, dtype=np.int64)
-    return np.full(shape, m // 2 + 2, dtype=np.float64)
-
-
-def one_level(entries):
-    """Strictly lower: the last row depends on every other row, with the
-    entries of its row in `entries`; one level of len(entries) - 1
-    terms."""
-    low = np.zeros_like(entries)
-    low[-1, :-1] = entries[-1, :-1]
-    return low
 
 
 # A reduced basis of five quadrics in x_0..x_3 (monomials as variable
@@ -1270,79 +1196,258 @@ SPLIT_REGIMES = (
 )
 
 
+def split_rows(basis, n, m):
+    """The A rows (`ShiftedRows`) of the split of the Macaulay matrix of
+    `basis` (`macaulay_matrix`), without eliminating it."""
+    shifts = np.stack([_shift_map(n, 2, i) for i in range(n + 1)])
+    return _shifted_rows(basis, shifts, math.comb(n + 3, 3), m)[0]
+
+
+def schedule_bases(m):
+    """(name, quadrics, n) at modulus m: `split_bases`, `deep_basis()`,
+    and the quadrics of the first attempt of certify(n, seed=77) at
+    n = 12, 20 and 30."""
+    rng = np.random.default_rng(m)
+    out = [(name, basis, SPLIT_N) for name, basis in split_bases(m, rng)]
+    out.append(("deep", deep_basis(), 3))
+    for n in (12, 20, 30):
+        seeded = SeededRng(77)
+        points = [sample_point(n, PrimeModulus(m), seeded) for _ in range(default_r(n))]
+        out.append((f"certify({n})", terracini_matrix(points)._quads, n))
+    return out
+
+
+def level_of(shifted):
+    """Each A row's level (`ShiftedRows.levels`)."""
+    level = np.full(shifted.lead.size, -1)
+    for k, rows in enumerate(shifted.levels):
+        level[rows] = k
+    return level
+
+
+def highest_dependency(shifted, level):
+    """For each A row k, the highest level among the other A rows that
+    are nonzero at k's lead, -1 where there is none: A's triangle is
+    read from the basis through `reach`, one variable's rows at a
+    time."""
+    top = np.full(shifted.lead.size, -1)
+    for i in range(len(shifted.shifts)):
+        mine = np.flatnonzero(shifted.var == i)
+        t = shifted.reach[i, shifted.lead]
+        at = np.flatnonzero(t >= 0)
+        nonzero = shifted.basis[np.ix_(shifted.row[mine], t[at])] != 0
+        deps = np.where(nonzero, level[mine][:, None], -1).max(axis=0, initial=-1)
+        top[at] = np.maximum(top[at], deps)
+    return top
+
+
+def substitution(off, r, m):
+    """(I + N)^-1 R mod m by plain substitution in Python integers, N =
+    `off` strictly lower or strictly upper triangular: rows in the order
+    that solves each one after every row it depends on."""
+    k = len(off)
+    n = off.astype(np.int64).tolist()
+    rows = r.astype(np.int64).tolist()
+    y = [None] * k
+    for t in range(k) if not np.triu(off).any() else reversed(range(k)):
+        row = rows[t]
+        for s, c in enumerate(n[t]):
+            if c:
+                row = [a - c * b for a, b in zip(row, y[s])]
+        y[t] = [a % m for a in row]
+    return y
+
+
+def triangle_off(shifted):
+    """A's triangle, the A rows at their leading columns (unit upper
+    triangular), less the identity, as int64."""
+    return shifted.dense()[:, shifted.lead] - np.eye(shifted.lead.size, dtype=np.int64)
+
+
+def x_rows(shifted):
+    """The row of the X update's operand (`_solve_multipliers`) that A
+    row k fills: grouped by variable, each group by level and then lead
+    (`_split_echelon`)."""
+    group = np.concatenate(shifted.levels)
+    group = group[np.argsort(shifted.var[group], kind="stable")]
+    pos = np.empty(group.size, dtype=np.int64)
+    pos[group] = np.arange(group.size)
+    return pos
+
+
+def x_update_products(monkeypatch):
+    """[levels, products] for each X update (`_solve_multipliers`) of
+    the runs after this call: the levels above 0 it walks and the
+    products (`_subtract_product`) it makes."""
+    runs, inside = [], []
+
+    def solve_multipliers(ct, levels, *args):
+        def walked():
+            for level in levels:
+                runs[-1][0] += 1
+                yield level
+
+        runs.append([0, 0])
+        inside.append(True)
+        try:
+            return solve(ct, walked(), *args)
+        finally:
+            inside.pop()
+
+    def subtract_product(*args):
+        if inside:
+            runs[-1][1] += 1
+        return subtract(*args)
+
+    solve, subtract = _solve_multipliers, matrix._subtract_product
+    monkeypatch.setattr(matrix, "_solve_multipliers", solve_multipliers)
+    monkeypatch.setattr(matrix, "_subtract_product", subtract_product)
+    return runs
+
+
 class TestLevelSolve:
-    """`_level_solve` against plain substitution, in both orientations:
-    upper as in `ShiftedRows.back_substitute`, lower as in the
-    multiplier solve (`_solve_multipliers`)."""
+    """Both solves with A's triangle, for X and for the kernel vector,
+    walk the levels of `ShiftedRows.levels`, which the shifts alone
+    decide."""
+
+    @pytest.mark.parametrize("m,regime", SPLIT_REGIMES)
+    def test_schedule_is_valid(self, m, regime):
+        """Every nonzero entry of A's triangle off its diagonal comes
+        from a row of a strictly lower level than the row whose lead it
+        sits on, and each row is one level above the highest such row,
+        so the levels are those of the triangle's nonzero entries."""
+        for name, basis, n in schedule_bases(m):
+            shifted = split_rows(basis, n, m)
+            rows = np.concatenate(shifted.levels)
+            assert sorted(rows.tolist()) == list(range(shifted.lead.size)), name
+            assert all((np.diff(r) > 0).all() for r in shifted.levels), name
+            level = level_of(shifted)
+            top = highest_dependency(shifted, level)
+            assert (top < level).all(), name
+            assert (level == top + 1).all(), name
 
     @pytest.mark.parametrize("upper", (False, True), ids=("lower", "upper"))
     @pytest.mark.parametrize("m,regime", SPLIT_REGIMES)
     def test_matches_substitution(self, m, regime, upper, monkeypatch):
-        """One product per level, each within the regime's bounds, on
-        triangles of `_SPLIT_BLOCK` rows: shallow and sparse, dense, and
-        one level as wide as the block.  Right-hand sides are at the
-        largest residues, entries balance to the largest residues or,
-        near m - 1 (`top_heavy`), to the smallest."""
+        """Both solves with A's triangle against plain substitution, on the
+        split's bases (`split_bases`, `deep_basis()`).  Lower: the X
+        update of each tile of C rows (`_solve_multipliers`), C_A = X A_A
+        solved as A_A^T X^T = C_A^T, walks every level above 0, each
+        reduction within the regime's bounds and, in int64, each product
+        of canonical operands.  Upper: the back-substitution
+        (`ShiftedRows.back_substitute`), A_A x_A = -A_rest x_rest with
+        the known coordinates at the largest residue m - 1, one dot per
+        `DEFAULT_BLOCK` chunk of a level, from the top level down."""
 
         def checked_reduce(self, x, m):
             assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
             reduce_f64(self, x, m)
 
+        def checked_product(target, hit, left, right, *args):
+            if regime == "eager" and inside:
+                for x in (left, right):
+                    assert x.min(initial=0) >= 0 and x.max(initial=0) < m
+            return subtract(target, hit, left, right, *args)
+
+        def recorded_solve(ct, *args):
+            before = ct.astype(np.int64) % m
+            inside.append(True)
+            try:
+                solve(ct, *args)
+            finally:
+                inside.pop()
+            solved.append((before, ct.astype(np.int64) % m))
+
+        def dot_rows(a, b, m):
+            dots.append(len(a))
+            return _dot_rows(a, b, m)
+
         reduce_f64 = _ReduceF64.__call__
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
-        _, reduce_, matmul, _ = _regime(m)
-        k = _SPLIT_BLOCK
+        runs = x_update_products(monkeypatch)
+        solve, subtract = matrix._solve_multipliers, matrix._subtract_product
+        monkeypatch.setattr(matrix, "_solve_multipliers", recorded_solve)
+        monkeypatch.setattr(matrix, "_subtract_product", checked_product)
+        monkeypatch.setattr(matrix, "_dot_rows", dot_rows)
+        inside, solved, dots = [], [], []
         rng = np.random.default_rng(m + upper)
-        for name, low in (
-            ("shallow", shallow_triangle(k, m, rng)),
-            ("dense", np.tril(half_modulus_matrix(k, k, m, rng), -1)),
-            ("dense top heavy", np.tril(top_heavy(k, k, m, rng), -1)),
-            ("one level", one_level(half_modulus_matrix(k, k, m, rng))),
-            ("one level top heavy", one_level(top_heavy(k, k, m, rng))),
-        ):
-            off = low[::-1, ::-1] if upper else low
-            levels = level_count(off)
-            expect = {"shallow": range(2, 11), "dense": [k - 1], "one level": [1]}
-            assert levels in expect[name.removesuffix(" top heavy")], name
-            y = reduced_extremes((k, 3), regime, m)
-            want = substitution(off, y, m)
-            products = []
+        bases = [(name, basis, SPLIT_N) for name, basis in split_bases(m, rng)]
+        bases.append(("deep", deep_basis(), 3))
+        for name, basis, n in bases:
+            del runs[:], solved[:], dots[:]
+            if upper:
+                shifted = split_rows(basis, n, m)
+                lead, rest = shifted.lead, shifted.rest
+                x = np.full(shifted.cols, m - 1, dtype=np.int64)
+                x[lead] = 0
+                known = shifted.dense()[:, rest].astype(object) @ x[rest].astype(object)
+                r = np.array([[-v % m] for v in known], dtype=np.int64)
+                want = [v for [v] in substitution(triangle_off(shifted), r, m)]
+                shifted.back_substitute(x, m)
+                assert x[lead].tolist() == want, name
+                assert (x[rest] == m - 1).all(), name
+                chunks = [
+                    min(DEFAULT_BLOCK, rows.size - s)
+                    for rows in reversed(shifted.levels)
+                    for s in range(0, rows.size, DEFAULT_BLOCK)
+                ]
+                assert dots == chunks, name
+                continue
+            shifted = macaulay_matrix(basis, n, m).rref().shifted
+            off, pos = triangle_off(shifted).T, x_rows(shifted)
+            assert solved, name
+            for before, after in solved:
+                assert after[pos].tolist() == substitution(off, before[pos], m), name
+            walked = len(shifted.levels) - 1
+            assert [w for w, _ in runs] == [walked] * len(solved), name
 
-            def counted(a, b):
-                if regime == "eager":
-                    for x in (a, b):
-                        assert x.min(initial=0) >= 0 and x.max(initial=0) < m
-                assert a.shape[1] < k
-                products.append(a.shape)
-                return matmul(a, b)
+    def test_certify_30(self, monkeypatch):
+        """certify(30, seed=77): A's 3441 rows fall in 4 levels, and the
+        X update makes one product per variable per level above 0 whose
+        A rows reach the level, in each tile of C rows: 248 in all."""
+        runs = x_update_products(monkeypatch)
+        splits = []
 
-            _level_solve(off, y, reduce_, m, counted)
-            assert (y.astype(np.int64) % m).tolist() == want, name
-            assert len(products) == levels, name
+        def recorded(*args):
+            splits.append(split_echelon(*args))
+            return splits[-1]
+
+        split_echelon = geometry._split_echelon
+        monkeypatch.setattr(geometry, "_split_echelon", recorded)
+        certify(30, seed=77)
+        [(_, _, shifted)] = splits
+        assert [r.size for r in shifted.levels] == [1161, 330, 1878, 72]
+        assert len(runs) > 1 and all(walked == 3 for walked, _ in runs)
+        assert sum(products for _, products in runs) == 248
 
     @pytest.mark.parametrize("m,regime", SPLIT_REGIMES)
-    def test_identity_runs_no_product(self, m, regime):
-        _, reduce_, _, _ = _regime(m)
-        y = reduced_extremes((_SPLIT_BLOCK, 4), regime, m)
-        want = y.copy()
-
-        def no_product(a, b):
-            raise AssertionError("a product ran")
-
-        off = np.zeros((_SPLIT_BLOCK,) * 2, dtype=np.int64)
-        _level_solve(off, y, reduce_, m, no_product)
-        assert np.array_equal(y, want)
+    def test_identity_runs_no_product(self, m, regime, monkeypatch):
+        """A basis of every quadric: each column of A's triangle is a
+        pivot column of W' = I, so the triangle is the identity, the
+        schedule one level, and the X update of the C rows makes no
+        product."""
+        runs = x_update_products(monkeypatch)
+        nb = math.comb(DEGENERATE_N + 2, 2)
+        basis = np.random.default_rng(m).integers(0, m, (nb, nb))
+        res = assert_matches_naive(macaulay_matrix(basis, DEGENERATE_N, m), m)
+        assert len(res.shifted.levels) == 1 and c_rows(res.shifted) > 0
+        assert runs == [[0, 0]]
 
     @pytest.mark.parametrize("m", (7, 20201, F64_LAST, P31))
     def test_deep_triangle_in_the_split(self, m, monkeypatch):
         """A degenerate basis whose A triangle is a chain deeper than the
-        split meets at sampled points: both solves run one pass per level,
-        and the kernel vector matches the naive elimination's."""
-        passes = []
-        monkeypatch.setattr(
-            "chowcert.matrix._level_solve",
-            counting_level_solve(lambda off, n: passes.append((n, level_count(off)))),
-        )
+        split meets at sampled points: the X update runs one round of
+        products per level above 0 and the back-substitution walks
+        every level, and the kernel vector matches the naive
+        elimination's."""
+        runs = x_update_products(monkeypatch)
+        dots = []
+
+        def dot_rows(a, b, m):
+            dots.append(len(a))
+            return _dot_rows(a, b, m)
+
+        monkeypatch.setattr(matrix, "_dot_rows", dot_rows)
         mat = macaulay_matrix(deep_basis(), 3, m)
         naive = FfMatrix(mat.data, mat.modulus).rref(naive=True)
         res = mat.rref()
@@ -1352,8 +1457,12 @@ class TestLevelSolve:
         normal = null_vector(res, f0)
         assert np.array_equal(normal, null_vector(naive, f0))
         assert not (mat.data.astype(object) @ normal.astype(object) % m).any()
-        # one multiplier solve and one back-substitution, each 8 levels deep
-        assert passes == [(8, 8), (8, 8)]
+        # nine levels, a chain of one row each above the first: one X
+        # update of 8 rounds, and one dot per level, from the top down
+        levels = [r.size for r in res.shifted.levels]
+        assert levels == [8, 1, 1, 1, 1, 1, 1, 1, 2]
+        assert [r[0] for r in runs] == [8] and runs[0][1] >= 8
+        assert dots == levels[::-1]
 
 
 # The largest prime whose budget holds two full outer panels' pivots:
@@ -1478,13 +1587,13 @@ class TestExactness:
     def test_split_preconditions_hold(self, regime, monkeypatch, schedule):
         """The same for the products of the split (`_split_echelon`), each
         of which must run, in one tile of C rows and in several: the
-        left-looking X update, the in-block solve, the Schur product,
-        and the A back-substitution, whose dots (`_dot_rows`) must stay
-        inside int64.  The X update and the Schur product reduce once
-        where the budget holds one term per A row, and after every run
-        of `budget` terms where it does not.  The in-block solve runs by
-        level, at least two levels deep here, and neither solve with A's
-        triangle inverts it: only W's reduction, outside them, calls
+        left-looking X update, the Schur product, and the A
+        back-substitution, whose dots (`_dot_rows`) must stay inside
+        int64.  The X update and the Schur product reduce once where the
+        budget holds one term per A row, and after every run of `budget`
+        terms where it does not.  The X update walks A's levels, at
+        least two above 0 here, and neither solve with A's triangle
+        inverts it: only W's reduction, outside them, calls
         `_unit_upper_inverse`."""
         m = dict((label, p) for p, label in SPLIT_REGIMES)[regime]
         budget = _regime(m)[3]
@@ -1520,10 +1629,6 @@ class TestExactness:
             see(phase[-1] if phase else None)
             return mod_matmul(a, b, m)
 
-        def in_block_levels(off, count):
-            if phase[-1] == "in-block solve":
-                levels.append((tiling[0], count))
-
         def checked_inverse(u, m):
             assert not phase, phase
             inverted.append(len(u))
@@ -1541,24 +1646,21 @@ class TestExactness:
             tiles[-1] += 1
             return schur_update(*args)
 
-        def level_solve(*args):
-            # the in-block solve is the level solve of the X update
-            if phase[-1:] == ["X update"]:
-                return within("in-block solve", counted_levels)(*args)
-            return counted_levels(*args)
+        def x_update(ct, levels, *args):
+            levels = list(levels)
+            walked.append((tiling[0], len(levels)))
+            return solve_multipliers(ct, levels, *args)
 
         reduce_f64, mod_matmul, dot_rows = _ReduceF64.__call__, _mod_matmul, _dot_rows
         schur_update = within("Schur product", _schur_update)
-        counted_levels = counting_level_solve(in_block_levels)
-        levels, inverted = [], []
+        solve_multipliers = within("X update", _solve_multipliers)
+        # (tiling, levels above 0) for each X update
+        walked, inverted = [], []
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         monkeypatch.setattr("chowcert.matrix._mod_matmul", checked_matmul)
         monkeypatch.setattr("chowcert.matrix._dot_rows", checked_dots)
-        monkeypatch.setattr("chowcert.matrix._level_solve", level_solve)
         monkeypatch.setattr("chowcert.matrix._unit_upper_inverse", checked_inverse)
-        monkeypatch.setattr(
-            "chowcert.matrix._solve_multipliers", within("X update", _solve_multipliers)
-        )
+        monkeypatch.setattr("chowcert.matrix._solve_multipliers", x_update)
         monkeypatch.setattr("chowcert.matrix._schur_update", counted_schur)
         monkeypatch.setattr(
             ShiftedRows,
@@ -1587,10 +1689,10 @@ class TestExactness:
                 assert set(schedule.depths) == {budget if runs else None}, name
                 depths |= set(schedule.depths)
         assert tiles[::2] == [1] * 4 and min(tiles[1::2]) >= 2
-        steps = {"X update", "in-block solve", "Schur product", "A back-substitution"}
+        steps = {"X update", "Schur product", "A back-substitution"}
         for run in ("one", "several"):
             assert steps <= {step for t, step in seen if t == run}, run
-            assert max(n for t, n in levels if t == run) >= 2, run
+            assert max(n for t, n in walked if t == run) >= 2, run
         assert inverted
         # at most min(shape) A rows: only the largest float64 modulus's
         # budget falls short of them, and then some products run in runs
@@ -1714,12 +1816,10 @@ class TestSplitTiles:
 
     def test_operands_built_once(self, monkeypatch):
         """With several tiles, every tile reuses the operands of the X
-        update and the Schur product and the blocks' triangles; only the
-        in-block solve runs once per tile."""
+        update and the Schur product, and A's levels are computed once
+        per elimination."""
         mat, _ = random_split(20201)
         counts = Counter()
-        # the number of `_solve_multipliers` calls running
-        inside = [0]
 
         def counted(name, f):
             def run(*args):
@@ -1728,25 +1828,12 @@ class TestSplitTiles:
 
             return run
 
-        def solve_multipliers(*args):
-            inside[0] += 1
-            try:
-                return _solve_multipliers(*args)
-            finally:
-                inside[0] -= 1
-
-        def level_solve(*args):
-            # the in-block solve is the level solve of the X update
-            counts["solve"] += inside[0] > 0
-            return _level_solve(*args)
-
-        for owner, name, key in (
-            (matrix, "_shift_product", "operand"),
-            (ShiftedRows, "block", "triangle"),
-        ):
-            monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
-        monkeypatch.setattr(matrix, "_solve_multipliers", solve_multipliers)
-        monkeypatch.setattr(matrix, "_level_solve", level_solve)
+        levels = cached_property(counted("levels", ShiftedRows.levels.func))
+        levels.__set_name__(ShiftedRows, "levels")
+        monkeypatch.setattr(ShiftedRows, "levels", levels)
+        monkeypatch.setattr(
+            matrix, "_shift_product", counted("operand", matrix._shift_product)
+        )
         ran = recorded_tiles(monkeypatch)
         seen = []
         for rows in (147, 1):
@@ -1757,8 +1844,7 @@ class TestSplitTiles:
         one, every_row = seen
         assert len(ran) == 1 + 147
         assert one["operand"] == every_row["operand"] > 0
-        assert one["triangle"] == every_row["triangle"] == 2
-        assert every_row["solve"] == 147 * one["solve"] > 0
+        assert one["levels"] == every_row["levels"] == 1
 
     @pytest.mark.parametrize("m", (20201, F64_LAST, P31))
     @pytest.mark.parametrize("rows", (1, 2, 1000))

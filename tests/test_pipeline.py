@@ -461,8 +461,7 @@ def split_operands(tmat, monkeypatch):
     """tmat.rref(), and the bytes of the operands that a split of several
     tiles builds once for all of them: the left operands of the X
     update and of the Schur product, each array counted once however
-    many products share it, and the A triangles that are not the
-    identity."""
+    many products share it."""
     import chowcert.matrix as mx
 
     # id -> array, each kept alive so that no id is reused
@@ -470,14 +469,14 @@ def split_operands(tmat, monkeypatch):
     solve_multipliers, schur_update = mx._solve_multipliers, mx._schur_update
 
     def keep(arrays):
-        held.update((id(a), a) for a in arrays if a is not None)
+        held.update((id(a), a) for a in arrays)
 
-    def recorded_solve(ct, pos, blocks, *args):
+    def recorded_solve(ct, levels, *args):
         # several tiles: the operands are lists, read here unconsumed
-        assert isinstance(blocks, list)
-        for _, _, update, off in blocks:
-            keep([off] + [left for _, left, _ in update])
-        return solve_multipliers(ct, pos, blocks, *args)
+        assert isinstance(levels, list)
+        for update, _ in levels:
+            keep(left for _, left, _ in update)
+        return solve_multipliers(ct, levels, *args)
 
     def recorded_schur(dt, xt, products, *args):
         assert isinstance(products, list)
@@ -527,11 +526,12 @@ class TestTerraciniMemory:
         # certify and verify hold D', one tile of C rows on X's columns
         # (`na` of them), the distinct operands every tile reuses, and
         # W' twice (as given and in the working format) with its
-        # `reach` table: 16.6 MB at n=24, in 4 tiles, where C and D' are
+        # `reach` table: 15.8 MB at n=24, in 4 tiles, where C and D' are
         # 35.6 MB and the Terracini matrix 70 MB, so the bound fails for
         # C or the whole matrix held at once, or for a tile held at C's
-        # full width beside D'.  The 20% covers the temporaries of one
-        # block of 256 A rows of a tile; the memory already held when
+        # full width beside D'.  The 20% covers the temporaries of a
+        # tile's products, each the size of the rows it hits (certify
+        # peaks 9% above the working set); the memory already held when
         # the split begins (the quadrics, the monomial tables, about
         # 1 MB) is added, not scaled
         n = 24
@@ -590,11 +590,11 @@ class TestTerraciniMemory:
     def test_single_tile_peak(self):
         # at n=16 and prime 2^31-1, C fits in one tile: D' and the
         # tile's X columns hold what the whole of C did, and nothing is
-        # cached for later tiles.  The peak comes in the X update, where
-        # the blocks of 256 A rows, their products split into 16-bit
-        # limbs, add about half of C + D' (5.7 MB against 3.7); a second
-        # copy of D' (1 MB), or the A triangles (0.5 MB each) held
-        # through it, would pass the bound
+        # cached for later tiles.  The peak, 4.8 MB against 3.7 MB of
+        # C + D', comes in the Schur product, whose products are split
+        # into 16-bit limbs; the X update's, one per variable and level
+        # of A, reach 4.4 MB.  Two more copies of D' (1 MB each) held
+        # through it would pass the bound
         cert, peak = traced_peak(lambda: certify(16, prime=2**31 - 1, seed=77))
         points = [_point_from_vectors(vs, cert.modulus) for vs in cert.points]
         tmat = terracini_matrix(points)
