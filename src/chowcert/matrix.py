@@ -18,13 +18,14 @@ Entries live in int64 arrays; moduli below 2^31 are supported.  Every
 product is a float64 dgemm kept exact, below 2^53: one plain dgemm when
 the inner dimension and the modulus allow it, otherwise the operand with
 fewer entries is split into 16-bit limbs, one dgemm per limb
-(`_mod_matmul`).  The modulus alone picks the kernels (`_regime`).  Up
-to m = 11682149 the elimination runs in float64 with deferred reduction
-to balanced residues, |r| < m, which are made canonical once, when U is
-converted to int64: a value is reduced when it is read, or before it
-collects more products than the modulus's budget allows.  Past that
-("eager"), it reduces every operand in int64 and forms every product
-with `_mod_matmul`.  In float64 the update right of each outer panel of
+(`_mod_matmul`).  The modulus and the most products a value collects
+before it is read pick the kernels, once per elimination (`_regime`).
+Where the modulus's budget covers those products, the elimination runs
+in float64 with deferred reduction to balanced residues, |r| < m,
+which are made canonical once, when U is converted to int64: a value
+is reduced only when it is read.  Otherwise ("eager"), it reduces
+every operand in int64 and forms every product with `_mod_matmul`.
+In float64 the update right of each outer panel of
 `_OUTER` columns is delayed into one dgemm of inner dimension up to
 `_OUTER`, which runs much nearer the host's dgemm peak than the
 updates of inner dimension `DEFAULT_BLOCK` of the int64 outer panels.
@@ -254,10 +255,12 @@ class _ReduceF64:
         x -= q
 
 
-def _regime(m: int):
-    """The elimination's kernels at modulus m, which alone decides them:
-    the working dtype, `reduce_(x, m)`, `matmul(a, b)` and `budget`, the
-    number of products a value may collect between two reductions.
+def _regime(m: int, terms: int):
+    """The kernels of an elimination at modulus m whose values collect
+    at most `terms` products before they are read: the working dtype,
+    `reduce_(x, m)` and `matmul(a, b)`.  This is the one place that
+    picks them: float64 exactly when the modulus's budget covers
+    `terms`, int64 ("eager") otherwise.
 
     In float64, reductions leave balanced residues of at most
     b = m // 2 + 2 (`_ReduceF64`), so a product of two of them is at most
@@ -267,77 +270,64 @@ def _regime(m: int):
     A pivot row scaled by its pivot's inverse in Python integers
     (`_factor_panel`) is stored balanced, not canonical, so each term of
     a rank-1 update, that row times a reduced column, counts as one
-    product, and a value collects at most `_SUB - 1` of them before it
-    is next read.  A value starts at most m + 1 (canonical, or
-    balanced), so after p products it is at most p b^2 + m + 1, which
-    must stay within the reduction's range, 2^53 - m: hence
-    budget = (2^53 - 1 - 2m) // b^2, 88262259 at 20201, 4003 at 3000017.
-    A product that solves pivot rows with a solve matrix X (`_carry`)
-    replaces a value, and so do the two by which `_factor_panel` joins
-    two halves' blocks of X: M[R, L] X_L, reduced, and then X_R times
-    that.  Each has at most `_OUTER` terms (`_OUTER // 2` within an
-    outer panel), and at most `_SUB` of those have a canonical
-    operand, since a row or column of X meets one leaf's diagonal block:
-    each counts at most _OUTER + _SUB.  So float64 holds while
-    budget >= _OUTER + _SUB, up to m = 11682149, where budget is 264.
-    Every other value is reduced before it collects more than `budget`
-    products:
+    product.  A value starts at most m + 1 (canonical, or balanced), so
+    after p products it is at most p b^2 + m + 1, which must stay within
+    the reduction's range, 2^53 - m: hence the budget,
+    (2^53 - 1 - 2m) // b^2, 88262259 at 20201, 4003 at 3000017 and 264
+    at 11682149.  The callers count `terms`:
 
     - in `_echelon_blocked` a value collects one product per pivot
-      applied to it and is reduced when it is read (the pivot-search
-      column, the pivot rows, matmul operands).  Within an outer panel,
-      a value gets the earlier pivots by the rank-1 updates of its
-      sub-panel and by the products of each left half it lies right of.
-      The columns right of an outer panel get its pivots in one delayed
-      update; the next outer panel adds at most its width.  When the
-      pivots applied since the trailing columns were last reduced, plus
-      that width, would exceed `budget`, the update reduces ("settles")
-      the trailing tiles.  At 20201 that never happens; at 11682149 it
-      happens after every full outer panel;
-    - in a split (`_split_echelon`), a value starts at most m + 1 and
-      collects at most one term per A row, each of two reduced
-      operands: a value of D' in the Schur product (`_schur_update`),
-      and a value of X in the X update (`_solve_multipliers`), where it
-      collects one per A row of a lower level than its own
-      (`ShiftedRows.levels`).  With at most `budget` A rows it is
-      reduced once, after all of them (a value of X after its level);
-      otherwise the products go in runs of at most `budget` terms and
-      reduce the touched rows after each run (`_subtract_product`).
+      applied to it, by the rank-1 updates of its sub-panel and the
+      carries of each left half and outer panel it lies right of, and is
+      reduced when it is read (the pivot-search column, the pivot rows,
+      matmul operands): at most min(rows, cols) products.  A product
+      that solves pivot rows with a solve matrix X (`_carry`) replaces a
+      value, and so do the two by which `_factor_panel` joins two
+      halves' blocks of X: M[R, L] X_L, reduced, and then X_R times
+      that.  Each has at most `_OUTER` terms, and at most `_SUB` of
+      those have a canonical operand, since a row or column of X meets
+      one leaf's diagonal block.  So terms = min(rows, cols) + `_OUTER`
+      + `_SUB`;
+    - in a split (`_split_echelon`), a value of D' collects one term per
+      A row in the Schur product (`_schur_update`), and a value of X one
+      per A row of a lower level than its own in the X update
+      (`_solve_multipliers`, `ShiftedRows.levels`), each of two reduced
+      operands; each is reduced once, after all of them (a value of X
+      after its level).  D' is then eliminated in the same array, so
+      the split counts the larger of its A rows and the count of D''s
+      elimination.
 
-    Past 11682149 the elimination works in int64 ("eager") and forms
-    every product with `_mod_matmul`, which returns it reduced to
-    [0, m).  It reduces each value to [0, m) when it is read, so a value
-    below m with p such products subtracted stays below m + p m, and one
-    rank-1 product, below (m - 1)^2 < 2^62, more keeps it inside int64
-    for p <= budget = (2^62 - m) // m, about 2^31: no elimination here
-    reaches it, so eager never settles and the split reduces once.
+    In int64 every product is formed by `_mod_matmul`, which returns it
+    reduced to [0, m), and each value is reduced to [0, m) when it is
+    read, so a value below m with p such products subtracted stays below
+    m + p m, and one rank-1 product, below (m - 1)^2 < 2^62, more keeps
+    it inside int64 for p up to (2^62 - m) // m, about 2^31: no
+    elimination here comes near it.
     """
     b = m // 2 + 2
-    budget = (_F64_EXACT - 2 * m) // (b * b)
-    if budget >= _OUTER + _SUB:
-        return np.float64, _ReduceF64(m), np.matmul, budget
-    return np.int64, _reduce_i64, partial(_mod_matmul, m=m), (2**62 - m) // m
+    if (_F64_EXACT - 2 * m) // (b * b) >= terms:
+        return np.float64, _ReduceF64(m), np.matmul
+    return np.int64, _reduce_i64, partial(_mod_matmul, m=m)
 
 
-def _carry(right, k0, k, mult, solve, reduce_, m, matmul, settle):
+def _carry(right, k0, k, mult, solve, reduce_, m, matmul):
     """Carry an outer panel's pivots k0..k into the columns `right`.
 
     `_factor_panel` calls it for a left half's pivots and its right
     half, and `_echelon_blocked` for a whole outer panel's pivots and
-    every column right of it, with `settle` when the budget runs out
-    (`_regime`).  `right` is a view of the transposed matrix: one row per
-    column, one column per active row of the outer panel, as in `mult`
-    and `solve` (`_factor_panel`).  In row tiles of about `_TILE`
-    entries, so each tile's products are consumed while cached, the
-    pivot rows' entries, columns k0..k of the tile, are solved by one
-    product with the transposed diagonal block of `solve`, then times
-    their multipliers subtracted from the rows after them, columns k
-    on.  With `settle`, those are then reduced, even where no multiplier
-    is nonzero; without it, they are left alone when none is.
+    every column right of it.  `right` is a view of the transposed
+    matrix: one row per column, one column per active row of the outer
+    panel, as in `mult` and `solve` (`_factor_panel`).  In row tiles of
+    about `_TILE` entries, so each tile's products are consumed while
+    cached, the pivot rows' entries, columns k0..k of the tile, are
+    solved by one product with the transposed diagonal block of
+    `solve`, then times their multipliers subtracted from the rows after
+    them, columns k on, unreduced; those are left alone when no
+    multiplier is nonzero.
     """
     inv = solve[k0:k, k0:k].T
     lower = mult[k0:k, k:]
-    subtract = settle or lower.any()
+    subtract = lower.any()
     step = _row_step(right.shape[1])
     for s in range(0, len(right), step):
         tile = right[s : s + step]
@@ -350,8 +340,6 @@ def _carry(right, k0, k, mult, solve, reduce_, m, matmul, settle):
         if subtract:
             below = tile[:, k:]
             below -= matmul(part, lower)
-            if settle:
-                reduce_(below, m)
 
 
 def _add_m_if_negative(x: np.ndarray, m: int) -> None:
@@ -379,15 +367,21 @@ def working_array_bytes(rows: int, cols: int) -> int:
     return rows * cols * 8
 
 
-def _echelon_blocked(at: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
+def _echelon_blocked(
+    at: np.ndarray, m: int, terms: int = 0
+) -> tuple[np.ndarray, list[int]]:
     """Panel-blocked row echelon form with deferred reduction.
 
     `at` is the matrix transposed, shape (cols, rows): row c holds
     column c.  Eliminates the matrix's rows, entries reduced (canonical,
-    or balanced residues), in the order given.  The working array is
-    `at` itself when it is writeable, C-contiguous and already of the
-    modulus's working dtype (`_regime`), float64 or, when eager, int64;
-    otherwise one copy of it in that dtype.  Returns the rank nonzero
+    or balanced residues), in the order given.  The working dtype,
+    float64 or, when eager, int64, is the one `_regime` picks for the
+    larger of `terms` and the elimination's own count,
+    min(rows, cols) + `_OUTER` + `_SUB`: a split passes its A rows, the
+    count it wrote D' under, so D' is eliminated in that dtype.  The
+    working array is `at` itself when it is writeable, C-contiguous and
+    already of the working dtype; otherwise one copy of it in that
+    dtype.  Returns the rank nonzero
     rows U of a row echelon form, reduced to [0, m), as a view of the
     working array, and the pivot columns: row k of U is zero left of
     pivot k and 1 at it.  Pivots do not depend on the row order; U,
@@ -404,22 +398,17 @@ def _echelon_blocked(at: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
     first column to the last and from its first active row on, so a row
     swap reaches the columns right of it as it is made.  Its pivots
     reach those columns in one delayed carry (`_carry`), a dgemm whose
-    inner dimension is their count; the carry also reduces ("settles")
-    those columns when the pivots applied to them since they were last
-    reduced, plus the next outer panel's width, would exceed the
-    modulus's budget (`_regime`).  The elimination ends once every row
+    inner dimension is their count.  The elimination ends once every row
     holds a pivot.
     """
     cols, rows = at.shape
-    dtype, reduce_, matmul, budget = _regime(m)
+    dtype, reduce_, matmul = _regime(m, max(terms, min(cols, rows) + _OUTER + _SUB))
     eager = dtype == np.int64
     width = DEFAULT_BLOCK if eager else _OUTER
     if at.dtype != dtype or not at.flags.writeable or not at.flags.c_contiguous:
         at = at.astype(dtype, order="C")
     pivots: list[int] = []
     r = 0
-    # pivots applied to the trailing columns since they were last reduced
-    applied = 0
     for outer0 in range(0, cols, width):
         if r == rows:
             break
@@ -434,11 +423,7 @@ def _echelon_blocked(at: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
         k = _factor_panel(pan, 0, w, 0, mult, solve, found, reduce_, m, matmul, eager)
         pivots += [outer0 + j for j in found]
         if k and w < len(pan):
-            applied += k
-            settle = applied + min(width, len(pan) - w) > budget
-            _carry(pan[w:], 0, k, mult, solve, reduce_, m, matmul, settle)
-            if settle:
-                applied = 0
+            _carry(pan[w:], 0, k, mult, solve, reduce_, m, matmul)
         r += k
         # freed before the next outer panel allocates its own
         del mult, solve
@@ -510,7 +495,7 @@ def _factor_panel(pan, j0, j1, k, mult, solve, pivots, reduce_, m, matmul, eager
         args = (mult, solve, pivots, reduce_, m, matmul, eager)
         k = _factor_panel(pan, j0, mid, k, *args)
         if k > k0:
-            _carry(pan[mid:j1], k0, k, mult, solve, reduce_, m, matmul, False)
+            _carry(pan[mid:j1], k0, k, mult, solve, reduce_, m, matmul)
         k1 = _factor_panel(pan, mid, j1, k, *args)
         if k0 < k < k1:
             # the block of X that joins the halves: X[R, L]
@@ -725,33 +710,17 @@ class ShiftedRows:
                 x[self.lead[k]] = -acc % m
 
 
-def _subtract_product(target, hit, left, right, reduce_, m, matmul, depth):
-    """target[hit] -= left @ right, in place.
-
-    With `depth`, the product is cut into runs of at most `depth` inner
-    terms, and the touched rows are reduced after each run.
-    """
-    if depth is None:
-        target[hit] -= matmul(left, right)
-        return
-    for s in range(0, left.shape[1], depth):
-        part = target[hit]
-        part -= matmul(left[:, s : s + depth], right[s : s + depth])
-        reduce_(part, m)
-        target[hit] = part
-
-
 def _shift_product(shifted, i, cols, g, sources):
     """The product by which the A rows g of variable i reach the columns
     `cols`, or None where they reach none: (hit, rows, used, g), `hit`
     the positions in `cols` they reach; its left operand holds the
     entries of the basis rows `rows` that they shift in the columns
-    `used` that reach `hit`, transposed (`_gather`).  A rows are
+    `used` that reach `hit`, transposed (`_pooled`).  A rows are
     numbered in the order of C's columns (`_split_echelon`): those of
     variable i hold the positions starts[i]..starts[i+1], by level and
-    then lead, and the one at position p shifts basis row sources[p].  Row x_i w
-    reaches column c only through the column of w that x_i maps to c
-    (`ShiftedRows.reach`)."""
+    then lead, and the one at position p shifts basis row sources[p].
+    Row x_i w reaches column c only through the column of w that x_i
+    maps to c (`ShiftedRows.reach`)."""
     if g.start == g.stop:
         return None
     t = shifted.reach[i, cols]
@@ -761,19 +730,15 @@ def _shift_product(shifted, i, cols, g, sources):
     return hit, sources[g], t[hit], g
 
 
-def _gather(wv, rows, used):
-    """The left operand of a product (`_shift_product`): the entries of
-    `wv`, the basis in the working format, in `rows` and `used`,
-    transposed."""
-    return wv[np.ix_(rows, used)].T
-
-
 def _pooled(wv, ops):
-    """`_gather` for the products `ops`, a list, as take(rows, used):
-    each distinct pair of rows and columns is gathered once, so products
-    of the same rows and columns share one array (`_schur_products`),
-    and every array is a view of one block of memory.  The operands are
-    freed together once the tiles are done.  Gathered as many arrays
+    """The left operands of the products `ops` (`_shift_product`), a
+    list, as gather(some of `ops`), which returns each product as
+    (hit, left, g): left holds the entries of `wv`, the basis in the
+    working format, in its `rows` and `used`, transposed.  Each distinct
+    pair of rows and columns is gathered once, so products of the same
+    rows and columns share one array (`_schur_products`), and every
+    array is a view of one block of memory.  The operands are freed
+    together once the tiles are done.  Gathered as many arrays
     below the mmap threshold (`_MMAP_THRESHOLD`), they left holes among
     the arrays that outlive them, too small for the multipliers of D''s
     elimination, so the heap grew past them and kept them resident for
@@ -788,17 +753,10 @@ def _pooled(wv, ops):
     o = 0
     for key, (rows, used) in lefts.items():
         left = pool[o : o + rows.size * used.size].reshape(used.size, rows.size)
-        left[...] = _gather(wv, rows, used)
+        left[...] = wv[np.ix_(rows, used)].T
         lefts[key] = left
         o += left.size
-    return lambda rows, used: lefts[rows.tobytes(), used.tobytes()]
-
-
-def _gathered(ops, take):
-    """The products `ops` (`_shift_product`) as (hit, left, g), with
-    left = take(rows, used)."""
-    for hit, rows, used, g in ops:
-        yield hit, take(rows, used), g
+    return lambda some: [(h, lefts[r.tobytes(), u.tobytes()], g) for h, r, u, g in some]
 
 
 def _schur_products(shifted, starts, sources):
@@ -845,7 +803,7 @@ def _reduce_rows(x, reduce_, m):
         reduce_(x[s : s + step], m)
 
 
-def _solve_multipliers(ct, levels, reduce_, m, matmul, depth):
+def _solve_multipliers(ct, levels, reduce_, m, matmul):
     """Overwrite C's A columns with X, where C_A = X U_AA.
 
     `ct` holds C transposed, one row per column of C: the row of A row
@@ -855,25 +813,22 @@ def _solve_multipliers(ct, levels, reduce_, m, matmul, depth):
     so the levels go in order (`_level_products`), each by one product
     per variable, since the A rows of variable i are basis rows shifted
     by x_i, with no solve within a level; level 0's columns are C's.
-    Without `depth`, a level's rows are reduced once, after its
-    products.
+    A level's rows are reduced once, after its products.
     """
     for update, spans in levels:
         for hit, left, g in update:
-            _subtract_product(ct, hit, left, ct[g], reduce_, m, matmul, depth)
-        if depth is None:
-            for s, e in spans:
-                _reduce_rows(ct[s:e], reduce_, m)
+            ct[hit] -= matmul(left, ct[g])
+        for s, e in spans:
+            _reduce_rows(ct[s:e], reduce_, m)
 
 
-def _schur_update(dt, xt, products, reduce_, m, matmul, depth):
+def _schur_update(dt, xt, products, reduce_, m, matmul):
     """D' = C_rest - X A_rest, transposed and in place in `dt`, C's
     columns that lead no A row; one product per variable
-    (`_schur_products`)."""
+    (`_schur_products`), reduced once, after all of them."""
     for hit, left, g in products:
-        _subtract_product(dt, hit, left, xt[g], reduce_, m, matmul, depth)
-    if depth is None:
-        _reduce_rows(dt, reduce_, m)
+        dt[hit] -= matmul(left, xt[g])
+    _reduce_rows(dt, reduce_, m)
 
 
 def _shifted_rows(basis, shifts, cols, m):
@@ -919,23 +874,24 @@ def _split_echelon(basis, shifts, cols, m):
     variable, and each group by A's levels (`ShiftedRows.levels`) and
     then lead, so X is solved one level at a time with one product per
     variable (`_level_products`).  Tiles are equal in size, give or
-    take a row.  With several tiles, the operands every tile uses
-    (`_level_products`, `_schur_products`) are built once, their left
-    operands in one block of memory, one for all the products of the
-    same rows and columns (`_pooled`); with one, they are built as they
-    are used.  The tile buffer and the operands are freed before D''s
+    take a row.  The operands every tile uses (`_level_products`,
+    `_schur_products`) are built once, their left operands in one block
+    of memory, one for all the products of the same rows and columns
+    (`_pooled`).  The tile buffer and the operands are freed before D''s
     elimination.
 
     A value of D' collects at most one product term per A row, and one
-    of X one per A row of a lower level: with at most the modulus's
-    budget of A rows it is reduced once, after all of them (X's after
-    its level), otherwise after every run of `budget` terms (`_regime`).
+    of X one per A row of a lower level, and each is reduced once, after
+    all of them (X's after its level).  So the kernels are picked once
+    (`_regime`), for the larger of the A rows and the count of D''s
+    elimination, which gets the A rows too and so eliminates D' in the
+    array written here.
     """
     nv = shifts.shape[0]
-    dtype, reduce_, matmul, budget = _regime(m)
     shifted, c = _shifted_rows(basis, shifts, cols, m)
     rank, na, rest = len(shifted.basis), shifted.lead.size, shifted.rest
-    depth = None if na <= budget else budget
+    terms = max(na, min(rest.size, c.size) + _OUTER + _SUB)
+    dtype, reduce_, matmul = _regime(m, terms)
     wv = shifted.basis.astype(dtype)
     if dtype == np.float64:
         wv[wv > m // 2] -= m
@@ -958,25 +914,18 @@ def _split_echelon(basis, shifts, cols, m):
         x = w < na
         fill.append((np.flatnonzero(x), w[x], np.flatnonzero(~x), w[~x] - na))
     sources = shifted.row[group]
-    levels = _level_products(shifted, starts, sources, pos)
-    products = _schur_products(shifted, starts, sources)
+    levels = list(_level_products(shifted, starts, sources, pos))
+    products = list(_schur_products(shifted, starts, sources))
+    gather = _pooled(wv, [op for u, _ in levels for op in u] + products)
+    levels = [(gather(u), spans) for u, spans in levels]
+    products = gather(products)
     # the fewest tiles, equal in size, of at most `_C_TILE` bytes or
     # `_C_TILE_ROWS` rows, whichever is more
     tiles = max(1, -(-c.size // max(_C_TILE_ROWS, _C_TILE // (8 * cols))))
     size = max(1, -(-c.size // tiles))
-    if tiles > 1:
-        levels = list(levels)
-        products = list(products)
-        take = _pooled(wv, [op for u, _ in levels for op in u] + products)
-        levels = [(list(_gathered(u, take)), spans) for u, spans in levels]
-        products = list(_gathered(products, take))
-    else:
-        take = partial(_gather, wv)
-        levels = ((_gathered(u, take), spans) for u, spans in levels)
-        products = _gathered(products, take)
     dt = np.zeros((rest.size, c.size), dtype=dtype)
     buf = np.zeros((na, size), dtype=dtype)
-    args = (reduce_, m, matmul, depth)
+    args = (reduce_, m, matmul)
     step = _row_step(shifts.shape[1], _CHUNK)
     for s0 in range(0, c.size, size):
         # C row s of those numbered `tile` is column s of `xt` and
@@ -997,8 +946,8 @@ def _split_echelon(basis, shifts, cols, m):
         _solve_multipliers(xt, levels, *args)
         _schur_update(dt[:, s0 : s0 + tile.size], xt, products, *args)
         del xt
-    del buf, levels, products, take
-    upper, pivots = _echelon_blocked(dt, m)
+    del buf, levels, products, gather
+    upper, pivots = _echelon_blocked(dt, m, na)
     pivots = np.sort(np.concatenate([shifted.lead, rest[pivots]]))
     return upper, pivots.tolist(), shifted
 

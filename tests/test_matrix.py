@@ -35,7 +35,6 @@ from chowcert.matrix import (
     _schur_update,
     _shifted_rows,
     _solve_multipliers,
-    _subtract_product,
     _unit_upper_inverse,
     null_vector,
 )
@@ -384,13 +383,16 @@ class TestRrefResultInvariants:
         assert np.array_equal(pivot_block, np.eye(res.rank, dtype=np.int64))
 
 
-# Labels of the moduli under test, by what the reduction schedule does
-# there (`_regime`): "deep", a float64 budget that holds a whole matrix
-# of the shape, so no value is reduced before it is read; "settled", a
-# float64 budget short of that, which settles the trailing tiles after
-# outer updates and cuts the split's products into runs; "eager", int64.
-REGIMES = ("deep", "settled", "eager")
-# the largest prime the float64 kernels take, and the next prime
+# Labels of the moduli under test, by the kernels that run there
+# (`_regime`): "deep", float64, whose budget holds the most products a
+# value of the elimination collects before it is read (`whole_count`),
+# so none is reduced early; "eager", int64.
+REGIMES = ("deep", "eager")
+# the largest prime whose budget (264) once sufficed for float64 at every
+# shape, and the next prime; both now run int64 at every nonempty shape,
+# and stay under test.  Where a case of F64_LAST is labelled "settled",
+# the label is the schedule it ran when its id was given, kept so that
+# the case can be followed by its id; it runs int64.
 F64_LAST, EAGER_FIRST = 11682149, 11682161
 # int64 range that bounded two regimes the eager one has replaced; the
 # moduli around those limits stay under test
@@ -442,14 +444,10 @@ def budget_edge(count):
 
 
 def boundary_moduli(shape):
-    """(prime, label) just under and just over each budget limit: the
-    shape's `whole_count`, under which its matrices are never reduced
-    early, and _OUTER + _SUB, under which the kernels are float64."""
-    out = []
-    for i, count in enumerate((whole_count(shape), _OUTER + _SUB)):
-        under, over = budget_edge(count)
-        out += [(under, REGIMES[i]), (over, REGIMES[i + 1])]
-    return out
+    """(prime, label) just under and just over the shape's `whole_count`:
+    float64 at the prime under it, int64 at the prime over it."""
+    under, over = budget_edge(whole_count(shape))
+    return [(under, "deep"), (over, "eager")]
 
 
 def old_int64_moduli(shape):
@@ -532,27 +530,33 @@ WIDE_CASE = ((100, 2 * _OUTER + WIDE_LAST), WIDE_LAST)
 
 class TestEliminationRegimes:
     @pytest.mark.parametrize("shape,last", SHAPE_CASES + [WIDE_CASE])
-    def test_boundary_moduli_reach_every_regime(self, shape, last):
-        """The kernels follow the modulus alone, float64 through
-        `F64_LAST` at every shape; the shape only moves the prime up to
-        which none of its values is reduced early."""
-        cases = boundary_moduli(shape)
+    def test_boundary_moduli_reach_every_regime(self, shape, last, monkeypatch):
+        """An elimination of the shape counts `whole_count` products and
+        runs float64 exactly up to the prime whose budget holds them;
+        past it, at the former float64 limit and at the old int64
+        limits, int64."""
+        counts = []
+
+        def recorded_regime(m, terms):
+            counts.append(terms)
+            return regime(m, terms)
+
+        regime = _regime
+        monkeypatch.setattr(matrix, "_regime", recorded_regime)
+        FfMatrix.zeros(*shape, MOD).rref()
+        assert counts == [whole_count(shape)]
+        cases = boundary_moduli(shape) + [(F64_LAST, "eager"), (EAGER_FIRST, "eager")]
         cases += [(m, "eager") for m in old_int64_moduli(shape)]
         for m, label in cases:
-            dtype, _, _, budget = _regime(m)
+            dtype = _regime(m, whole_count(shape))[0]
             assert (dtype is np.int64) == (label == "eager"), m
-            if label == "deep":
-                assert budget >= whole_count(shape), m
-            elif label == "settled":
-                assert _OUTER + _SUB <= budget < whole_count(shape), m
         assert {name for _, name in cases} == set(REGIMES)
-        assert [m for m, _ in cases[2:4]] == [F64_LAST, EAGER_FIRST]
 
     @pytest.mark.parametrize("shape,last", SHAPE_CASES + [WIDE_CASE])
     def test_blocked_matches_naive_at_every_limit(self, shape, last):
         rows, cols = shape
         rng = np.random.default_rng(rows * cols)
-        moduli = [m for m, _ in boundary_moduli(shape)]
+        moduli = [m for m, _ in boundary_moduli(shape)] + [F64_LAST, EAGER_FIRST]
         moduli += old_int64_moduli(shape) + [P31]
         # the smallest primes, where exact zeros and negative balanced
         # residues are common
@@ -600,7 +604,7 @@ class TestBalancedReduction:
 
     @pytest.mark.parametrize("shape,last", SHAPE_CASES)
     def test_residues_congruent_and_below_m(self, shape, last):
-        moduli = SMALL_PRIMES + [20201]
+        moduli = SMALL_PRIMES + [20201, F64_LAST, EAGER_FIRST]
         moduli += [m for m, _ in boundary_moduli(shape)]
         for m in moduli:
             # the most a value of the shape reaches unreduced; for moduli
@@ -722,13 +726,14 @@ def outer_panel_cases(m, rng):
 
 
 class TestOuterPanels:
-    """The delayed update right of each outer panel, in float64 with and
-    without settles, and in int64."""
+    """The delayed update right of each outer panel, in float64 and in
+    int64."""
 
     @pytest.mark.parametrize("m", (20201, whole_prime(OUTER_SHAPE), F64_LAST, P31))
     def test_blocked_matches_naive(self, m):
         cols = OUTER_SHAPE[1]
-        assert (_regime(m)[0] is np.int64) == (m == P31)
+        eager = _regime(m, whole_count(OUTER_SHAPE))[0] is np.int64
+        assert eager == (m in (F64_LAST, P31))
         rng = np.random.default_rng(m)
         modulus = PrimeModulus(m)
         for name, data in outer_panel_cases(m, rng):
@@ -828,9 +833,9 @@ class TestSolveMatrix:
         [(whole_prime(OUTER_SHAPE), "deep"), (F64_LAST, "settled"), (P31, "eager")],
     )
     def test_blocks_match_forward_substitution(self, m, regime):
-        dtype, reduce_, matmul, _ = _regime(m)
-        balanced = regime != "eager"
-        assert balanced == (dtype is np.float64)
+        dtype, reduce_, matmul = _regime(m, whole_count(OUTER_SHAPE))
+        balanced = dtype is np.float64
+        assert balanced == (regime == "deep")
         # the largest solve matrix of the dtype: one outer panel
         kk = _OUTER if balanced else DEFAULT_BLOCK
         rng = np.random.default_rng(m)
@@ -882,7 +887,7 @@ class TestSolveMatrix:
                 right[:, o + b :] = below.T
                 multipliers = np.zeros((kk, o + b + 5), dtype=dtype)
                 multipliers[o : o + b, o + b :] = l21.T
-                _carry(right, o, o + b, multipliers, solve, reduce_, m, matmul, False)
+                _carry(right, o, o + b, multipliers, solve, reduce_, m, matmul)
                 trail, below = right[:, o : o + b].T, right[:, o + b :].T
                 assert (trail.astype(np.int64) % m).tolist() == want, (b, o)
                 assert (below.astype(np.int64) % m).tolist() == want_below.tolist()
@@ -919,8 +924,9 @@ class TestSwappedMultipliers:
     def test_blocked_matches_naive_at_every_limit(self, base):
         shape, _ = WIDE_CASE
         rng = np.random.default_rng(base)
-        for m, label in boundary_moduli(shape) + [(P31, "eager")]:
-            assert (_regime(m)[0] is np.int64) == (label == "eager")
+        eager = [(F64_LAST, "eager"), (EAGER_FIRST, "eager"), (P31, "eager")]
+        for m, label in boundary_moduli(shape) + eager:
+            assert (_regime(m, whole_count(shape))[0] is np.int64) == (label == "eager")
             data = swap_matrix(shape, base, m, rng)
             mat = FfMatrix(data, PrimeModulus(m))
             naive = mat.rref(naive=True)
@@ -1068,7 +1074,8 @@ def lower_inverse(values, mult, m):
 class TestFactorPanel:
     """`_factor_panel` on whole outer panels, against a column-by-column
     reference and `_rref_naive`: every branch its leaves keep is reached
-    at a small prime, the benchmark prime and each regime's largest."""
+    at a small prime, the benchmark prime, the former float64 limit and
+    the largest prime."""
 
     @pytest.mark.parametrize("m", (7, 20201, F64_LAST, P31))
     def test_matches_references(self, m, monkeypatch):
@@ -1083,9 +1090,10 @@ class TestFactorPanel:
         reduce_f64, swap_columns = _ReduceF64.__call__, matrix._swap_columns
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         monkeypatch.setattr(matrix, "_swap_columns", counted_swap)
-        dtype, reduce_, matmul, _ = _regime(m)
+        # as an elimination of the widest outer panel's shape runs them
+        dtype, reduce_, matmul = _regime(m, whole_count((_OUTER, _OUTER)))
         eager = dtype is np.int64
-        assert eager == (m == P31)
+        assert eager == (m in (F64_LAST, P31))
         rng = np.random.default_rng(m)
         hits = Counter()
         swaps = []
@@ -1188,7 +1196,8 @@ def deep_basis():
     return out
 
 
-# the schedules of the split at SPLIT_SHAPE, each at its largest modulus
+# the kernels of the split at SPLIT_SHAPE, float64 at its largest
+# modulus, and int64 at the former float64 limit and at 2^31 - 1
 SPLIT_REGIMES = (
     (whole_prime(SPLIT_SHAPE), "deep"),
     (F64_LAST, "settled"),
@@ -1278,30 +1287,21 @@ def x_rows(shifted):
 def x_update_products(monkeypatch):
     """[levels, products] for each X update (`_solve_multipliers`) of
     the runs after this call: the levels above 0 it walks and the
-    products (`_subtract_product`) it makes."""
-    runs, inside = [], []
+    products it makes, one per operand of a level."""
+    runs = []
 
     def solve_multipliers(ct, levels, *args):
         def walked():
-            for level in levels:
+            for update, spans in levels:
                 runs[-1][0] += 1
-                yield level
+                runs[-1][1] += len(update)
+                yield update, spans
 
         runs.append([0, 0])
-        inside.append(True)
-        try:
-            return solve(ct, walked(), *args)
-        finally:
-            inside.pop()
+        return solve(ct, walked(), *args)
 
-    def subtract_product(*args):
-        if inside:
-            runs[-1][1] += 1
-        return subtract(*args)
-
-    solve, subtract = _solve_multipliers, matrix._subtract_product
+    solve = _solve_multipliers
     monkeypatch.setattr(matrix, "_solve_multipliers", solve_multipliers)
-    monkeypatch.setattr(matrix, "_subtract_product", subtract_product)
     return runs
 
 
@@ -1343,11 +1343,11 @@ class TestLevelSolve:
             assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
             reduce_f64(self, x, m)
 
-        def checked_product(target, hit, left, right, *args):
-            if regime == "eager" and inside:
-                for x in (left, right):
+        def checked_matmul(a, b, m):
+            if inside:
+                for x in (a, b):
                     assert x.min(initial=0) >= 0 and x.max(initial=0) < m
-            return subtract(target, hit, left, right, *args)
+            return mod_matmul(a, b, m)
 
         def recorded_solve(ct, *args):
             before = ct.astype(np.int64) % m
@@ -1362,12 +1362,12 @@ class TestLevelSolve:
             dots.append(len(a))
             return _dot_rows(a, b, m)
 
-        reduce_f64 = _ReduceF64.__call__
+        reduce_f64, mod_matmul = _ReduceF64.__call__, _mod_matmul
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         runs = x_update_products(monkeypatch)
-        solve, subtract = matrix._solve_multipliers, matrix._subtract_product
+        solve = matrix._solve_multipliers
         monkeypatch.setattr(matrix, "_solve_multipliers", recorded_solve)
-        monkeypatch.setattr(matrix, "_subtract_product", checked_product)
+        monkeypatch.setattr(matrix, "_mod_matmul", checked_matmul)
         monkeypatch.setattr(matrix, "_dot_rows", dot_rows)
         inside, solved, dots = [], [], []
         rng = np.random.default_rng(m + upper)
@@ -1466,7 +1466,8 @@ class TestLevelSolve:
 
 
 # The largest prime whose budget holds two full outer panels' pivots:
-# no first outer update settles there, and a later one may.
+# the eliminations of `TestExactness`'s shapes run float64 there, and
+# those of `STAIR_SHAPE`, which count more, int64.
 MIXED = budget_edge(2 * _OUTER)[0]
 
 
@@ -1475,8 +1476,8 @@ class TestExactness:
     precondition, |x| <= 2^53 - m, each outer panel starts from values
     that leave room in the budget for its own pivots, and every operand
     of an eager product is canonical, at the largest modulus of each
-    schedule, on inputs whose balanced residues are the smallest and the
-    largest."""
+    kind of kernels, on inputs whose balanced residues are the smallest
+    and the largest."""
 
     @pytest.mark.parametrize("regime", ("deep", "settled", "mixed", "eager"))
     def test_preconditions_hold(self, regime, monkeypatch, schedule):
@@ -1487,10 +1488,13 @@ class TestExactness:
         reduced.  In float64 they are balanced, but that at most `_SUB`
         of each term list may be canonical entries of a leaf's diagonal
         block of the solve matrix, in a row of the left operand or a
-        column of the right one (`_regime`)."""
+        column of the right one (`_regime`).  "mixed" runs both kernels
+        at one prime, `MIXED`: float64 on the shapes below, int64 on the
+        stairs (`stair_matrix`); "settled", at the former float64 limit,
+        and "eager", at 2^31 - 1, run int64."""
         seen = []
-        # the number of outer updates before the current elimination
-        before = [0]
+        # the rows of the current elimination
+        rows_of = [0]
         # "panel" while `_factor_panel` runs
         phase = []
         in_panel = []
@@ -1505,8 +1509,8 @@ class TestExactness:
 
             return run
 
-        def checked_regime(m):
-            dtype, reduce_, matmul, budget = regime_of(m)
+        def checked_regime(m, terms):
+            dtype, reduce_, matmul = regime_of(m, terms)
 
             def product(a, b):
                 if phase:
@@ -1522,7 +1526,7 @@ class TestExactness:
                     in_panel.append(a.shape)
                 return matmul(a, b)
 
-            return dtype, reduce_, product, budget
+            return dtype, reduce_, product
 
         def checked_reduce(self, x, m):
             assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
@@ -1535,68 +1539,69 @@ class TestExactness:
             seen.append(a.size)
             return mod_matmul(a, b, m)
 
-        def checked_echelon(a, m):
-            before[0] = len(schedule.settles)
-            return echelon_blocked(a, m)
+        def checked_echelon(at, m, *args):
+            rows_of[0] = at.shape[1]
+            return echelon_blocked(at, m, *args)
 
         def checked_panel(pan, j0, j1, *rest):
             # an outer panel, j1 columns wide, not a half of one, and the
             # columns right of it
-            if regime != "eager" and "panel" not in phase:
-                updates = schedule.settles[before[0] :]
-                # right after a settle, values of at most m + 1; else at
-                # most budget - width products since the last reduction
-                width = j1
+            if pan.dtype == np.float64 and "panel" not in phase:
+                # one product per earlier pivot, and room in the budget
+                # for this outer panel's own
+                done = rows_of[0] - pan.shape[1]
                 b = m // 2 + 2
-                bound = m + 1
-                if not (updates and updates[-1]):
-                    bound += (_regime(m)[3] - width) * b * b
-                assert np.abs(pan).max(initial=0) <= bound
+                assert done + j1 <= f64_budget(m)
+                assert np.abs(pan).max(initial=0) <= m + 1 + done * b * b
                 seen.append(pan.size)
             return within("panel", _factor_panel)(pan, j0, j1, *rest)
 
         reduce_f64 = _ReduceF64.__call__
         mod_matmul = _mod_matmul
-        regime_of = _regime
+        regime_of = matrix._regime
         echelon_blocked = matrix._echelon_blocked
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         monkeypatch.setattr("chowcert.matrix._mod_matmul", checked_matmul)
         monkeypatch.setattr("chowcert.matrix._echelon_blocked", checked_echelon)
         monkeypatch.setattr("chowcert.matrix._factor_panel", checked_panel)
         monkeypatch.setattr("chowcert.matrix._regime", checked_regime)
+        moduli = {"settled": [F64_LAST], "mixed": [MIXED], "eager": [P31]}.get(regime)
+        ran = set()
         for shape, _ in SHAPE_CASES + [WIDE_CASE, (OUTER_SHAPE, None)]:
-            m = {
-                "deep": whole_prime(shape),
-                "settled": F64_LAST,
-                "mixed": MIXED,
-                "eager": P31,
-            }[regime]
-            rng = np.random.default_rng(m)
-            rows, cols = shape
-            for data in (
-                structured_matrix(rows, cols, m, rng),
-                extreme_matrix(rows, cols, m, rng),
-                half_modulus_matrix(rows, cols, m, rng),
-                swap_matrix(shape, _SUB, m, rng),
-            ):
-                mat = FfMatrix(data, PrimeModulus(m))
-                assert mat.rref().pivot_cols == mat.rref(naive=True).pivot_cols
+            for m in moduli or [whole_prime(shape)]:
+                ran.add(m)
+                rng = np.random.default_rng(m)
+                rows, cols = shape
+                for data in (
+                    structured_matrix(rows, cols, m, rng),
+                    extreme_matrix(rows, cols, m, rng),
+                    half_modulus_matrix(rows, cols, m, rng),
+                    swap_matrix(shape, _SUB, m, rng),
+                ):
+                    mat = FfMatrix(data, PrimeModulus(m))
+                    assert mat.rref().pivot_cols == mat.rref(naive=True).pivot_cols
+        if regime == "mixed":
+            schedule.assert_kind("deep", MIXED)
+            res = FfMatrix(stair_matrix(MIXED, rng), PrimeModulus(MIXED)).rref()
+            assert list(res.pivot_cols) == stair_pivots()
+            assert schedule.dtypes[MIXED][-1] is np.int64
+        else:
+            for m in ran:
+                schedule.assert_kind("deep" if regime == "deep" else "eager", m)
         assert seen and in_panel
 
-    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("regime", [label for _, label in SPLIT_REGIMES])
     def test_split_preconditions_hold(self, regime, monkeypatch, schedule):
         """The same for the products of the split (`_split_echelon`), each
         of which must run, in one tile of C rows and in several: the
         left-looking X update, the Schur product, and the A
         back-substitution, whose dots (`_dot_rows`) must stay inside
-        int64.  The X update and the Schur product reduce once where the
-        budget holds one term per A row, and after every run of `budget`
-        terms where it does not.  The X update walks A's levels, at
-        least two above 0 here, and neither solve with A's triangle
-        inverts it: only W's reduction, outside them, calls
+        int64.  The X update and the Schur product reduce once, after all
+        their terms (X's after its level).  The X update walks A's
+        levels, at least two above 0 here, and neither solve with A's
+        triangle inverts it: only W's reduction, outside them, calls
         `_unit_upper_inverse`."""
         m = dict((label, p) for p, label in SPLIT_REGIMES)[regime]
-        budget = _regime(m)[3]
         phase = []
         # the tiling of the current run, and (tiling, step) for each step
         # seen to reduce or multiply
@@ -1668,13 +1673,11 @@ class TestExactness:
             within("A back-substitution", ShiftedRows.back_substitute),
         )
         rng = np.random.default_rng(m)
-        depths = set()
         for name, basis in split_bases(m, rng):
             mat = macaulay_matrix(basis, SPLIT_N, m)
             naive = FfMatrix(mat.data, mat.modulus).rref(naive=True)
             f0 = rng.integers(0, m, mat.cols - naive.rank)
             for tiling[0] in ("one", "several"):
-                schedule.depths.clear()
                 tiles.append(0)
                 with monkeypatch.context() as mp:
                     if tiling[0] == "several":
@@ -1685,46 +1688,13 @@ class TestExactness:
                 assert res.pivot_cols == naive.pivot_cols, name
                 normal = null_vector(res, f0)
                 assert np.array_equal(normal, null_vector(naive, f0)), name
-                runs = res.shifted.lead.size > budget
-                assert set(schedule.depths) == {budget if runs else None}, name
-                depths |= set(schedule.depths)
+        schedule.assert_kind("deep" if regime == "deep" else "eager", m)
         assert tiles[::2] == [1] * 4 and min(tiles[1::2]) >= 2
         steps = {"X update", "Schur product", "A back-substitution"}
         for run in ("one", "several"):
             assert steps <= {step for t, step in seen if t == run}, run
             assert max(n for t, n in walked if t == run) >= 2, run
         assert inverted
-        # at most min(shape) A rows: only the largest float64 modulus's
-        # budget falls short of them, and then some products run in runs
-        assert (budget < min(SPLIT_SHAPE)) == (regime == "settled")
-        assert (budget in depths) == (regime == "settled")
-
-    def test_settled_products_reduced_between_runs(self, monkeypatch):
-        """Past the budget, a product is cut into runs of `budget` terms,
-        each reduced before the next: at the largest float64 modulus,
-        with the largest balanced residues, the sum of all its terms
-        would leave the reduction's range."""
-        m = F64_LAST
-        budget = _regime(m)[3]
-        inner = 2 * budget + 5
-        assert not fits_f64(inner, m)
-
-        def checked_reduce(self, x, m):
-            assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
-            reduce_f64(self, x, m)
-
-        reduce_f64 = _ReduceF64.__call__
-        monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
-        rng = np.random.default_rng(m)
-        b = m // 2
-        left = np.full((3, inner), float(b))
-        right = np.full((inner, 4), float(b))
-        target = residues((5, 4), m, rng, True).astype(np.float64)
-        hit = np.array([0, 2, 4])
-        want = target.astype(np.int64).astype(object)
-        want[hit] -= left.astype(np.int64).astype(object) @ right.astype(np.int64).astype(object)
-        _subtract_product(target, hit, left, right, _ReduceF64(m), m, np.matmul, budget)
-        assert (target.astype(np.int64) % m).tolist() == (want % m).tolist()
 
 
 # (name, C rows per tile at most, the tile widths that run) for the 147
@@ -1797,9 +1767,9 @@ def c_rows(shifted):
 
 class TestSplitTiles:
     """The split reduces C one tile of rows at a time (`_C_TILE`): every
-    tiling gives the naive elimination's pivots and kernel vector, at a
-    modulus where the split's products run whole, one where they run in
-    runs of `budget` terms, and in int64."""
+    tiling gives the naive elimination's pivots and kernel vector, in
+    float64, and in int64 at the former float64 limit and at
+    2^31 - 1."""
 
     @pytest.mark.parametrize("m", (20201, F64_LAST, P31))
     @pytest.mark.parametrize("name,rows,widths", TILINGS, ids=[t[0] for t in TILINGS])
@@ -1810,9 +1780,7 @@ class TestSplitTiles:
         res = assert_matches_naive(mat, m, naive)
         assert c_rows(res.shifted) == sum(widths) == 147
         assert ran == widths
-        runs = res.shifted.lead.size > _regime(m)[3]
-        assert runs == (m == F64_LAST)
-        assert set(schedule.depths) == {_regime(m)[3] if runs else None}
+        schedule.assert_kind("deep" if m == 20201 else "eager", m)
 
     def test_operands_built_once(self, monkeypatch):
         """With several tiles, every tile reuses the operands of the X
@@ -1877,8 +1845,9 @@ class TestSplitTiles:
 
 # Rows that start at the first column of the first three outer panels,
 # `STAIRS` of each, over three full outer panels and a last one
-# `WIDE_LAST` columns wide: the outer updates carry 200, 120 and 150
-# pivots, and the outer panels after them are 256, 256 and 40 wide.
+# `WIDE_LAST` columns wide: in float64 the outer updates carry 200, 120
+# and 150 pivots, and the outer panels after them are 256, 256 and 40
+# wide.
 STAIRS = (200, 120, 150)
 STAIR_SHAPE = (sum(STAIRS), 3 * _OUTER + WIDE_LAST)
 
@@ -1888,88 +1857,127 @@ def stair_matrix(m, rng):
     return profile_matrix(starts, STAIR_SHAPE[1], m, rng)
 
 
-class TestSchedule:
-    """One float64 schedule: the modulus alone sets the kernels and the
-    budget, and the trailing columns are reduced only when the pivots
-    applied since their last reduction, plus the next outer panel's
-    width, would exceed the budget."""
+def stair_pivots():
+    """The pivots of `stair_matrix`: each group's rows are independent
+    from its first column on."""
+    return [_OUTER * i + j for i, g in enumerate(STAIRS) for j in range(g)]
 
-    def test_kernels_follow_the_modulus_alone(self):
-        budgets = {20201: 88262259, 3000017: 4003, F64_LAST: 264}
+
+class TestSchedule:
+    """One rule picks the kernels (`_regime`): float64 exactly when the
+    modulus's budget covers the most products a value collects before
+    it is read, int64 otherwise; either way no value is reduced before
+    it is read."""
+
+    def test_kernels_follow_the_budget(self):
+        budgets = {
+            20201: 88262259,
+            3000017: 4003,
+            # the largest prime whose budget holds the 3441 A rows of
+            # certify(30, seed=77), and the next prime
+            3235789: 3441,
+            3235807: 3440,
+            F64_LAST: 264,
+        }
         for m, want in budgets.items():
-            dtype, reduce_, matmul, budget = _regime(m)
+            assert f64_budget(m) == want
+            assert fits_f64(want, m) and not fits_f64(want + 1, m)
+            dtype, reduce_, matmul = _regime(m, want)
             assert dtype is np.float64 and matmul is np.matmul
             assert isinstance(reduce_, _ReduceF64)
-            assert budget == want == f64_budget(m)
-            assert fits_f64(budget, m) and not fits_f64(budget + 1, m)
-        # the next odd modulus is past the float64 limit already
-        assert f64_budget(F64_LAST + 2) == 263 < _OUTER + _SUB
-        for m in (F64_LAST + 2, EAGER_FIRST, P31):
-            dtype, reduce_, _, budget = _regime(m)
+            dtype, reduce_, _ = _regime(m, want + 1)
             assert dtype is np.int64 and reduce_ is _reduce_i64
-            # more products than any elimination here applies
-            assert budget >= 2**31
-        assert boundary_moduli(STAIR_SHAPE)[2:] == [
-            (F64_LAST, "settled"),
-            (EAGER_FIRST, "eager"),
-        ]
-        # the stairs' first two outer updates fit at `MIXED`, not three
-        assert 2 * _OUTER <= _regime(MIXED)[3] < STAIRS[0] + STAIRS[1] + _OUTER
+        assert budget_edge(3441) == (3235789, 3235807)
+        assert _regime(3235789, 3441)[0] is np.float64
+        assert _regime(3235807, 3441)[0] is np.int64
+        # the default and the other documented primes hold any elimination
+        # of a Terracini matrix up to n = 102, at most its columns plus
+        # one solve product
+        for m in (20201, 8191, 202001):
+            assert f64_budget(m) >= math.comb(105, 3) + _OUTER + _SUB
+        # `MIXED` holds the eliminations of `TestExactness`'s shapes, not
+        # that of the stairs
+        shapes = [shape for shape, _ in SHAPE_CASES + [WIDE_CASE, (OUTER_SHAPE, None)]]
+        assert max(map(whole_count, shapes)) <= f64_budget(MIXED)
+        assert f64_budget(MIXED) < whole_count(STAIR_SHAPE)
 
-    @pytest.mark.parametrize(
-        "m,settles",
-        [
-            (20201, [False] * 3),
-            # 200 pivots and a full outer panel fit, 320 and one do not
-            (MIXED, [False, True, False]),
-            # only the last update, 150 pivots and 40 columns, fits
-            (F64_LAST, [True, True, False]),
-        ],
-    )
-    def test_settles_when_the_budget_runs_out(self, m, settles, schedule, monkeypatch):
+    @pytest.mark.parametrize("m,regime", [(20201, "deep"), (MIXED, "eager"), (F64_LAST, "eager")])
+    def test_stairs_match_at_every_kernel(self, m, regime, schedule, monkeypatch):
+        """The stairs in float64, with three outer updates, and in int64,
+        with one outer update per 64-column outer panel, at a prime whose
+        budget holds smaller matrices whole and at the former float64
+        limit."""
+
         def checked_reduce(self, x, m):
             assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
             reduce_f64(self, x, m)
 
-        reduce_f64 = _ReduceF64.__call__
+        def recorded_panel(pan, j0, j1, k, mult, *rest):
+            found = factor_panel(pan, j0, j1, k, mult, *rest)
+            # an outer panel, not a half of one, whose pivots an outer
+            # update carries into the columns right of it
+            if (j0, j1) == (0, len(mult)) and found and len(pan) > j1:
+                outer.append(found)
+            return found
+
+        reduce_f64, factor_panel = _ReduceF64.__call__, _factor_panel
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
+        monkeypatch.setattr(matrix, "_factor_panel", recorded_panel)
+        outer = []
         rng = np.random.default_rng(m)
         data = stair_matrix(m, rng)
         res = FfMatrix(data, PrimeModulus(m)).rref()
-        assert schedule.settles == settles
-        # each group's rows are independent from its first column on
-        want = [_OUTER * i + j for i, g in enumerate(STAIRS) for j in range(g)]
-        assert list(res.pivot_cols) == want
+        schedule.assert_kind(regime, m)
+        assert list(res.pivot_cols) == stair_pivots()
         assert_row_echelon(res)
         f0 = rng.integers(0, m, STAIR_SHAPE[1] - res.rank)
         normal = null_vector(res, f0)
         assert not (data.astype(object) @ normal.astype(object) % m).any()
+        if regime == "deep":
+            assert outer == list(STAIRS)
+        else:
+            assert len(outer) > 3
 
-    def test_settle_without_multipliers(self):
-        """An outer update that settles reduces the trailing tiles even
-        where no row below has a multiplier: their values still hold the
-        products of earlier updates, which the count then forgets."""
-        m = F64_LAST
+    def test_eager_never_settles(self, monkeypatch):
+        """No outer update at 2^31 - 1 reduces ("settles") the columns
+        right of its outer panel: a later outer panel starts from values
+        that its earlier pivots' products left outside [0, m), which it
+        reduces as it reads them."""
+
+        def recorded_panel(pan, j0, j1, k, mult, *rest):
+            if (j0, j1) == (0, len(mult)):
+                unreduced.append(bool(((pan < 0) | (pan >= P31)).any()))
+            return factor_panel(pan, j0, j1, k, mult, *rest)
+
+        factor_panel = _factor_panel
+        monkeypatch.setattr(matrix, "_factor_panel", recorded_panel)
+        unreduced = []
+        rng = np.random.default_rng(P31)
+        res = FfMatrix(stair_matrix(P31, rng), PrimeModulus(P31)).rref()
+        assert res.rank == sum(STAIRS)
+        # one outer panel per 64 columns with active rows; the first
+        # starts from the input, reduced
+        assert len(unreduced) > 3 and not unreduced[0] and any(unreduced[1:])
+
+    def test_carry_without_multipliers(self):
+        """A carry whose pivot rows have no multiple in the rows below
+        solves the pivot rows and leaves the rows below as they are,
+        unreduced: their values still hold the products of earlier
+        carries."""
+        m = whole_prime(STAIR_SHAPE)
         rng = np.random.default_rng(m)
         # transposed, as `_carry` takes them: 4 pivot rows, then 5 rows
         # below them, none with a multiplier
         right = np.empty((6, 9))
         right[:, :4] = residues((4, 6), m, rng, True).T
         right[:, 4:] = float(_F64_EXACT + 1 - m)
-        below = right[:, 4:]
-        want = below.astype(np.int64) % m
+        right[::2, 4:] *= -1
+        want = right[:, 4:].copy()
         solve = np.eye(4)
         mult = np.zeros((4, 9))
-        _carry(right, 0, 4, mult, solve, _ReduceF64(m), m, np.matmul, True)
-        assert np.abs(below).max() <= m // 2 + 2
-        assert np.array_equal(below.astype(np.int64) % m, want)
-
-    def test_eager_never_settles(self, schedule):
-        rng = np.random.default_rng(P31)
-        res = FfMatrix(stair_matrix(P31, rng), PrimeModulus(P31)).rref()
-        assert res.rank == sum(STAIRS)
-        # one outer update per 64-column outer panel with pivots
-        assert len(schedule.settles) > 3 and not any(schedule.settles)
+        _carry(right, 0, 4, mult, solve, _ReduceF64(m), m, np.matmul)
+        assert np.array_equal(right[:, 4:], want)
+        assert np.abs(right[:, :4]).max() <= m // 2 + 2
 
 
 class TestWorkingArray:
@@ -1983,9 +1991,9 @@ class TestWorkingArray:
         the outer panels `_factor_panel` factored."""
         calls = []
 
-        def recorded_echelon(at, m):
+        def recorded_echelon(at, m, *args):
             calls.append((at, at.copy(), []))
-            return echelon_blocked(at, m)
+            return echelon_blocked(at, m, *args)
 
         def recorded_panel(pan, j0, j1, k, mult, *rest):
             if (j0, j1) == (0, len(mult)):
@@ -2030,6 +2038,37 @@ class TestWorkingArray:
         assert len(tiles) == 4
         assert np.array_equal(given, np.hstack(tiles))
         assert pans and all(np.shares_memory(pan, at) for pan in pans)
+        assert np.shares_memory(res.upper, at)
+
+    def test_split_past_the_budget_runs_int64(self, monkeypatch):
+        """At a prime whose budget holds D''s own elimination but not
+        the split's A rows, the split writes D' in int64, and D''s
+        elimination runs int64 in that buffer: the pivots, the reduced
+        form and the kernel vector are the naive elimination's."""
+        q = 52
+        basis = np.random.default_rng(q).integers(0, 20201, (q, math.comb(SPLIT_N + 2, 2)))
+        na = split_rows(basis, SPLIT_N, 20201).lead.size
+        m = budget_edge(na)[1]
+        mat = macaulay_matrix(basis, SPLIT_N, m)
+        naive = FfMatrix(mat.data, mat.modulus).rref(naive=True)
+        targets = []
+
+        def recorded_schur(dt, *args):
+            targets.append(dt)
+            schur_update(dt, *args)
+
+        schur_update = _schur_update
+        monkeypatch.setattr(matrix, "_schur_update", recorded_schur)
+        calls = self.record(monkeypatch)
+        res = assert_matches_naive(mat, m, naive)
+        assert res.echelon == naive.echelon
+        # the basis's elimination, then D''s
+        at, _, pans = calls[-1]
+        assert res.shifted.lead.size == na > f64_budget(m) >= whole_count(at.shape)
+        assert _regime(m, whole_count(at.shape))[0] is np.float64
+        assert at.dtype == np.int64 and at.shape[0] > DEFAULT_BLOCK
+        assert targets and all(np.shares_memory(dt, at) for dt in targets)
+        assert len(pans) > 1 and all(np.shares_memory(pan, at) for pan in pans)
         assert np.shares_memory(res.upper, at)
 
     @pytest.mark.parametrize("m", (20201, P31))
