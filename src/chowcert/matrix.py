@@ -74,7 +74,9 @@ dependency level, which the shifts alone decide (`ShiftedRows.levels`;
 Anderson and Saad, 1989): the multipliers by one product per variable
 and level above the first, the kernel vector's coordinates by the rows'
 dots, level by level in reverse.  Neither inverts the triangle or
-solves within a level.
+solves within a level.  The Schur product is the last stage of the
+multipliers' schedule, above every level: one product per variable, of
+all its A rows, into the tile's rows of D' (`_stages`, `_run_stages`).
 """
 
 from __future__ import annotations
@@ -289,13 +291,12 @@ def _regime(m: int, terms: int):
       one leaf's diagonal block.  So terms = min(rows, cols) + `_OUTER`
       + `_SUB`;
     - in a split (`_split_echelon`), a value of D' collects one term per
-      A row in the Schur product (`_schur_update`), and a value of X one
-      per A row of a lower level than its own in the X update
-      (`_solve_multipliers`, `ShiftedRows.levels`), each of two reduced
-      operands; each is reduced once, after all of them (a value of X
-      after its level).  D' is then eliminated in the same array, so
-      the split counts the larger of its A rows and the count of D''s
-      elimination.
+      A row in the Schur product, and a value of X one per A row of a
+      lower level than its own in the X update, each of two reduced
+      operands; each is reduced once, after all of them, at the end of
+      its stage (`_stages`, `_run_stages`).  D' is then eliminated in
+      the same array, so the split counts the larger of its A rows and
+      the count of D''s elimination.
 
     In int64 every product is formed by `_mod_matmul`, which returns it
     reduced to [0, m), and each value is reduced to [0, m) when it is
@@ -354,17 +355,6 @@ def _add_m_if_negative(x: np.ndarray, m: int) -> None:
 def _row_step(cols: int, tile: int = _TILE) -> int:
     """Rows per tile of about `tile` entries."""
     return max(1, tile // max(cols, 1))
-
-
-def working_array_bytes(rows: int, cols: int) -> int:
-    """Bytes of a whole rows x cols matrix as one 8-byte array.  A dense
-    matrix is eliminated in one such array (float64, or int64 when
-    eager).  The split of a Macaulay matrix (`_split_echelon`) holds the
-    Schur complement D' of its C rows, one tile of C rows on X's columns
-    and the operands the tiles share: 15 to 19% of this at generic
-    points, n = 30 to 60, but D' has more rows and columns for other
-    bases, up to nearly the whole matrix."""
-    return rows * cols * 8
 
 
 def _echelon_blocked(
@@ -710,33 +700,13 @@ class ShiftedRows:
                 x[self.lead[k]] = -acc % m
 
 
-def _shift_product(shifted, i, cols, g, sources):
-    """The product by which the A rows g of variable i reach the columns
-    `cols`, or None where they reach none: (hit, rows, used, g), `hit`
-    the positions in `cols` they reach; its left operand holds the
-    entries of the basis rows `rows` that they shift in the columns
-    `used` that reach `hit`, transposed (`_pooled`).  A rows are
-    numbered in the order of C's columns (`_split_echelon`): those of
-    variable i hold the positions starts[i]..starts[i+1], by level and
-    then lead, and the one at position p shifts basis row sources[p].
-    Row x_i w reaches column c only through the column of w that x_i
-    maps to c (`ShiftedRows.reach`)."""
-    if g.start == g.stop:
-        return None
-    t = shifted.reach[i, cols]
-    hit = np.flatnonzero(t >= 0)
-    if not hit.size:
-        return None
-    return hit, sources[g], t[hit], g
-
-
 def _pooled(wv, ops):
-    """The left operands of the products `ops` (`_shift_product`), a
-    list, as gather(some of `ops`), which returns each product as
-    (hit, left, g): left holds the entries of `wv`, the basis in the
-    working format, in its `rows` and `used`, transposed.  Each distinct
-    pair of rows and columns is gathered once, so products of the same
-    rows and columns share one array (`_schur_products`), and every
+    """The left operands of the products `ops` (`_stages`), a list, as
+    gather(some of `ops`), which returns each product as (hit, left, g):
+    left holds the entries of `wv`, the basis in the working format, in
+    its `rows` and `used`, transposed.  Each distinct pair of rows and
+    columns is gathered once, so products of the same rows and columns
+    share one array (the Schur stage's, at generic points), and every
     array is a view of one block of memory.  The operands are freed
     together once the tiles are done.  Gathered as many arrays
     below the mmap threshold (`_MMAP_THRESHOLD`), they left holes among
@@ -759,76 +729,69 @@ def _pooled(wv, ops):
     return lambda some: [(h, lefts[r.tobytes(), u.tobytes()], g) for h, r, u, g in some]
 
 
-def _schur_products(shifted, starts, sources):
-    """The operands of the Schur product (`_schur_update`): one
-    `_shift_product` per variable whose A rows reach `rest`.  At generic
-    points the last variables' A rows shift all of W''s rows and reach
-    `rest` through the same columns of W', so their products have the
-    same left operand, which `_pooled` gathers once."""
-    for i in range(starts.size - 1):
-        g = slice(starts[i], starts[i + 1])
-        op = _shift_product(shifted, i, shifted.rest, g, sources)
-        if op is not None:
-            yield op
-
-
-def _level_products(shifted, starts, sources, pos):
-    """The operands of the X update (`_solve_multipliers`), one level of
-    A rows above 0 at a time (`ShiftedRows.levels`): (update, spans).
-    `update` holds one `_shift_product` per variable whose A rows of
-    lower levels reach the level's leading columns, with `hit` as rows
-    of X, which A row k fills at pos[k]; `spans` the runs of X's rows,
-    one per variable, that the level fills.  X's rows are grouped by
-    variable, and each group by level and then lead, so a variable's A
-    rows of lower levels are one slice of them."""
+def _stages(shifted, starts, sources, pos):
+    """The products of a tile of C rows (`_run_stages`), one stage at a
+    time: (schur, update, spans).  First the X update, one stage per
+    level of A rows above 0 (`ShiftedRows.levels`), whose targets are
+    rows of X, which A row k fills at pos[k]; then the Schur product,
+    whose target is D' and whose columns are `rest`.  `update` holds
+    one product per variable i whose A rows of lower levels (all of
+    them in the Schur stage) reach the stage's columns: (hit, rows,
+    used, g), `hit` the target's rows they reach, and the left operand
+    the entries of the basis rows `rows` that they shift in the columns
+    `used` that reach `hit`, transposed (`_pooled`).  Row x_i w reaches
+    column c only through the column of w that x_i maps to c
+    (`ShiftedRows.reach`).  `spans` are the runs of target rows the
+    stage fills, one per variable, and all of D' in the Schur stage.
+    A rows are numbered in the order of X's rows (`_split_echelon`):
+    those of variable i hold the positions starts[i]..starts[i+1], by
+    level and then lead, so its A rows of lower levels are one slice of
+    them, and the one at position p shifts basis row sources[p].
+    """
     nv = starts.size - 1
-    levels = shifted.levels
+    levels, rest = shifted.levels, shifted.rest
     done = starts[:-1] + np.bincount(shifted.var[levels[0]], minlength=nv)
-    for rows in levels[1:]:
-        ends = done + np.bincount(shifted.var[rows], minlength=nv)
-        xrows, cols = pos[rows], shifted.lead[rows]
-        ops = (
-            _shift_product(shifted, i, cols, slice(s, e), sources)
-            for i, (s, e) in enumerate(zip(starts.tolist(), done.tolist()))
-        )
-        update = [(xrows[hit], r, u, g) for hit, r, u, g in filter(None, ops)]
-        yield update, [(s, e) for s, e in zip(done.tolist(), ends.tolist()) if s < e]
+    for rows in [*levels[1:], None]:
+        if rows is None:
+            # the Schur stage: every A row is done, done == starts[1:]
+            targets, cols, ends = np.arange(rest.size), rest, done
+            spans = [(0, rest.size)]
+        else:
+            targets, cols = pos[rows], shifted.lead[rows]
+            ends = done + np.bincount(shifted.var[rows], minlength=nv)
+            spans = [(s, e) for s, e in zip(done.tolist(), ends.tolist()) if s < e]
+        update = []
+        for i, (s, e) in enumerate(zip(starts.tolist(), done.tolist())):
+            t = shifted.reach[i, cols]
+            hit = np.flatnonzero(t >= 0)
+            if s < e and hit.size:
+                update.append((targets[hit], sources[s:e], t[hit], slice(s, e)))
+        yield rows is None, update, spans
         done = ends
 
 
-def _reduce_rows(x, reduce_, m):
-    """Reduce x in place, in row chunks of about `_CHUNK` entries."""
-    step = _row_step(x.shape[1], _CHUNK)
-    for s in range(0, len(x), step):
-        reduce_(x[s : s + step], m)
-
-
-def _solve_multipliers(ct, levels, reduce_, m, matmul):
-    """Overwrite C's A columns with X, where C_A = X U_AA.
-
-    `ct` holds C transposed, one row per column of C: the row of A row
-    k holds C's column at k's lead and receives X's column k, which is
-    C's less X's columns of the A rows nonzero at that lead, each times
-    its entry there.  Those are of lower levels (`ShiftedRows.levels`),
-    so the levels go in order (`_level_products`), each by one product
-    per variable, since the A rows of variable i are basis rows shifted
-    by x_i, with no solve within a level; level 0's columns are C's.
-    A level's rows are reduced once, after its products.
+def _run_stages(xt, dt, stages, reduce_, m, matmul):
+    """Run a tile's stages (`_stages`) in order: first X, solved from
+    C_A = X A_A in `xt`, which holds the tile's C rows on A's leading
+    columns, transposed; then D' = C_rest - X A_rest in `dt`, the
+    tile's view of D'.  The row of `xt` at A row k holds C's column at
+    k's lead and becomes X's column k, which is C's less X's columns of
+    the A rows nonzero at that lead, each times its entry there.  Those
+    are of lower levels (`ShiftedRows.levels`), so the levels go in
+    order, each by one product per variable, since the A rows of
+    variable i are basis rows shifted by x_i, with no solve within a
+    level; level 0's columns are C's.  The Schur stage comes last, once
+    X is whole.  A stage's target rows are reduced once, after its
+    products, in row chunks of about `_CHUNK` entries.
     """
-    for update, spans in levels:
+    for schur, update, spans in stages:
+        out = dt if schur else xt
         for hit, left, g in update:
-            ct[hit] -= matmul(left, ct[g])
+            out[hit] -= matmul(left, xt[g])
+        step = _row_step(out.shape[1], _CHUNK)
         for s, e in spans:
-            _reduce_rows(ct[s:e], reduce_, m)
-
-
-def _schur_update(dt, xt, products, reduce_, m, matmul):
-    """D' = C_rest - X A_rest, transposed and in place in `dt`, C's
-    columns that lead no A row; one product per variable
-    (`_schur_products`), reduced once, after all of them."""
-    for hit, left, g in products:
-        dt[hit] -= matmul(left, xt[g])
-    _reduce_rows(dt, reduce_, m)
+            for r in range(s, e, step):
+                reduce_(out[r : min(r + step, e)], m)
 
 
 def _shifted_rows(basis, shifts, cols, m):
@@ -857,11 +820,10 @@ def _split_echelon(basis, shifts, cols, m):
     distinct leading column, are in echelon form with unit pivots
     (`ShiftedRows`); the others are C.  The pivots are A's leading
     columns together with those of the Schur complement D' = C_rest -
-    X A_rest, with X solved from C_A = X A_A (`_solve_multipliers`,
-    `_schur_update`); D' is eliminated by `_echelon_blocked`.  Returns
-    D''s U over the columns `rest` of the `ShiftedRows`, the pivots of
-    the whole matrix, and the `ShiftedRows`; `null_vector` solves for a
-    kernel vector from them.
+    X A_rest, with X solved from C_A = X A_A (`_run_stages`); D' is
+    eliminated by `_echelon_blocked`.  Returns D''s U over the columns
+    `rest` of the `ShiftedRows`, the pivots of the whole matrix, and the
+    `ShiftedRows`; `null_vector` solves for a kernel vector from them.
 
     A C row's multipliers and its row of D' depend on no other C row, so
     C is never held whole.  D' is allocated once, transposed, the layout
@@ -873,16 +835,16 @@ def _split_echelon(basis, shifts, cols, m):
     Schur product turns them into D'.  X's columns are grouped by
     variable, and each group by A's levels (`ShiftedRows.levels`) and
     then lead, so X is solved one level at a time with one product per
-    variable (`_level_products`).  Tiles are equal in size, give or
-    take a row.  The operands every tile uses (`_level_products`,
-    `_schur_products`) are built once, their left operands in one block
-    of memory, one for all the products of the same rows and columns
-    (`_pooled`).  The tile buffer and the operands are freed before D''s
-    elimination.
+    variable, and the Schur product is one more stage after the last
+    level (`_stages`).  Tiles are equal in size, give or take a row.
+    The stages are built once and every tile runs them
+    (`_run_stages`), their left operands in one block of memory, one
+    for all the products of the same rows and columns (`_pooled`).  The
+    tile buffer and the operands are freed before D''s elimination.
 
     A value of D' collects at most one product term per A row, and one
     of X one per A row of a lower level, and each is reduced once, after
-    all of them (X's after its level).  So the kernels are picked once
+    all of them, at the end of its stage.  So the kernels are picked once
     (`_regime`), for the larger of the A rows and the count of D''s
     elimination, which gets the A rows too and so eliminates D' in the
     array written here.
@@ -913,19 +875,15 @@ def _split_echelon(basis, shifts, cols, m):
         w = where[shifts[i]]
         x = w < na
         fill.append((np.flatnonzero(x), w[x], np.flatnonzero(~x), w[~x] - na))
-    sources = shifted.row[group]
-    levels = list(_level_products(shifted, starts, sources, pos))
-    products = list(_schur_products(shifted, starts, sources))
-    gather = _pooled(wv, [op for u, _ in levels for op in u] + products)
-    levels = [(gather(u), spans) for u, spans in levels]
-    products = gather(products)
+    stages = list(_stages(shifted, starts, shifted.row[group], pos))
+    gather = _pooled(wv, [op for _, update, _ in stages for op in update])
+    stages = [(schur, gather(update), spans) for schur, update, spans in stages]
     # the fewest tiles, equal in size, of at most `_C_TILE` bytes or
     # `_C_TILE_ROWS` rows, whichever is more
     tiles = max(1, -(-c.size // max(_C_TILE_ROWS, _C_TILE // (8 * cols))))
     size = max(1, -(-c.size // tiles))
     dt = np.zeros((rest.size, c.size), dtype=dtype)
     buf = np.zeros((na, size), dtype=dtype)
-    args = (reduce_, m, matmul)
     step = _row_step(shifts.shape[1], _CHUNK)
     for s0 in range(0, c.size, size):
         # C row s of those numbered `tile` is column s of `xt` and
@@ -943,10 +901,9 @@ def _split_echelon(basis, shifts, cols, m):
                 w = wv[tile[k] % rank]
                 xt[xdst[:, None], k] = w[:, xsrc].T
                 dt[ddst[:, None], s0 + k] = w[:, dsrc].T
-        _solve_multipliers(xt, levels, *args)
-        _schur_update(dt[:, s0 : s0 + tile.size], xt, products, *args)
+        _run_stages(xt, dt[:, s0 : s0 + tile.size], stages, reduce_, m, matmul)
         del xt
-    del buf, levels, products, gather
+    del buf, stages, gather
     upper, pivots = _echelon_blocked(dt, m, na)
     pivots = np.sort(np.concatenate([shifted.lead, rest[pivots]]))
     return upper, pivots.tolist(), shifted

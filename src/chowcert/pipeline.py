@@ -37,7 +37,7 @@ from .geometry import (
     sample_point,
     terracini_matrix,
 )
-from .matrix import null_vector, working_array_bytes
+from .matrix import null_vector
 from .poly import LinearForm, Poly, monomial_basis
 
 DEFAULT_PRIME = 20201
@@ -239,12 +239,12 @@ def _check_memory(n: int, r: int) -> None:
     """Refuse an (n, r) run whose Terracini matrix, as one 8-byte array,
     exceeds physical memory, before anything is built.  The split
     elimination holds D', one tile of C rows on X's columns and the
-    operands every tile reuses, 15 to 19% of that at generic points
-    (`working_array_bytes`); the bound stays the whole matrix because a
-    replayed certificate's points are untrusted, and at degenerate
-    points D' itself can approach the whole matrix's size."""
+    operands every tile reuses, 15 to 19% of that at generic points,
+    n = 30 to 60; the bound stays the whole matrix because a replayed
+    certificate's points are untrusted, and at degenerate points D'
+    itself can approach the whole matrix's size."""
     rows, cols = 3 * (n + 1) * r, ambient_dimension(n)
-    need = working_array_bytes(rows, cols)
+    need = rows * cols * 8
     have = _physical_memory()
     if have is not None and need > have:
         raise ValueError(

@@ -32,9 +32,8 @@ from chowcert.matrix import (
     _reduce_i64,
     _ReduceF64,
     _regime,
-    _schur_update,
+    _run_stages,
     _shifted_rows,
-    _solve_multipliers,
     _unit_upper_inverse,
     null_vector,
 )
@@ -1274,8 +1273,8 @@ def triangle_off(shifted):
 
 
 def x_rows(shifted):
-    """The row of the X update's operand (`_solve_multipliers`) that A
-    row k fills: grouped by variable, each group by level and then lead
+    """The row of the X update's target (`_run_stages`) that A row k
+    fills: grouped by variable, each group by level and then lead
     (`_split_echelon`)."""
     group = np.concatenate(shifted.levels)
     group = group[np.argsort(shifted.var[group], kind="stable")]
@@ -1285,23 +1284,24 @@ def x_rows(shifted):
 
 
 def x_update_products(monkeypatch):
-    """[levels, products] for each X update (`_solve_multipliers`) of
-    the runs after this call: the levels above 0 it walks and the
-    products it makes, one per operand of a level."""
+    """[levels, products] for each tile's X update (`_run_stages`) in
+    the runs after this call: the stages of levels above 0 it runs and
+    the products it makes, one per operand of a level."""
     runs = []
 
-    def solve_multipliers(ct, levels, *args):
+    def run_stages(xt, dt, stages, *args):
         def walked():
-            for update, spans in levels:
-                runs[-1][0] += 1
-                runs[-1][1] += len(update)
-                yield update, spans
+            for schur, update, spans in stages:
+                if not schur:
+                    runs[-1][0] += 1
+                    runs[-1][1] += len(update)
+                yield schur, update, spans
 
         runs.append([0, 0])
-        return solve(ct, walked(), *args)
+        return run(xt, dt, walked(), *args)
 
-    solve = _solve_multipliers
-    monkeypatch.setattr(matrix, "_solve_multipliers", solve_multipliers)
+    run = _run_stages
+    monkeypatch.setattr(matrix, "_run_stages", run_stages)
     return runs
 
 
@@ -1331,7 +1331,7 @@ class TestLevelSolve:
     def test_matches_substitution(self, m, regime, upper, monkeypatch):
         """Both solves with A's triangle against plain substitution, on the
         split's bases (`split_bases`, `deep_basis()`).  Lower: the X
-        update of each tile of C rows (`_solve_multipliers`), C_A = X A_A
+        update of each tile of C rows (`_run_stages`), C_A = X A_A
         solved as A_A^T X^T = C_A^T, walks every level above 0, each
         reduction within the regime's bounds and, in int64, each product
         of canonical operands.  Upper: the back-substitution
@@ -1353,7 +1353,7 @@ class TestLevelSolve:
             before = ct.astype(np.int64) % m
             inside.append(True)
             try:
-                solve(ct, *args)
+                run(ct, *args)
             finally:
                 inside.pop()
             solved.append((before, ct.astype(np.int64) % m))
@@ -1365,8 +1365,8 @@ class TestLevelSolve:
         reduce_f64, mod_matmul = _ReduceF64.__call__, _mod_matmul
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         runs = x_update_products(monkeypatch)
-        solve = matrix._solve_multipliers
-        monkeypatch.setattr(matrix, "_solve_multipliers", recorded_solve)
+        run = matrix._run_stages
+        monkeypatch.setattr(matrix, "_run_stages", recorded_solve)
         monkeypatch.setattr(matrix, "_mod_matmul", checked_matmul)
         monkeypatch.setattr(matrix, "_dot_rows", dot_rows)
         inside, solved, dots = [], [], []
@@ -1419,6 +1419,47 @@ class TestLevelSolve:
         assert [r.size for r in shifted.levels] == [1161, 330, 1878, 72]
         assert len(runs) > 1 and all(walked == 3 for walked, _ in runs)
         assert sum(products for _, products in runs) == 248
+
+    @pytest.mark.parametrize(
+        "n,products,distinct,tiles",
+        ((16, [2, 10, 3, 17], (27, 12), 1), (24, [15, 25], (31, 16), 4)),
+        ids=("n16", "n24"),
+    )
+    def test_schur_product_runs_last(self, n, products, distinct, tiles, monkeypatch):
+        """certify(n, seed=77): in each of its tiles of C rows, the split
+        makes the products of its stages (`_stages`) in order, the X
+        update's levels above 0 and then the Schur product, with
+        `products` per stage and `distinct` left operands, of all stages
+        and of the Schur stage.  The X update's target is the tile
+        buffer; the Schur stage's is the tile's view of the array that
+        `_echelon_blocked` then eliminates."""
+        ran = []
+
+        def recorded(xt, dt, stages, reduce_, m, matmul):
+            made = []
+
+            def counted(a, b):
+                made.append(id(a))
+                return matmul(a, b)
+
+            ran.append((xt, dt, stages, made))
+            return run_stages(xt, dt, stages, reduce_, m, counted)
+
+        run_stages = _run_stages
+        monkeypatch.setattr(matrix, "_run_stages", recorded)
+        calls = TestWorkingArray.record(monkeypatch)
+        certify(n, seed=77)
+        [at] = [at for at, _, _ in calls if np.shares_memory(at, ran[0][1])]
+        assert len(ran) == tiles
+        last = [False] * (len(products) - 1) + [True]
+        for xt, dt, stages, made in ran:
+            assert stages is ran[0][2]
+            assert [schur for schur, _, _ in stages] == last
+            assert [len(update) for _, update, _ in stages] == products
+            lefts = [[id(left) for _, left, _ in update] for _, update, _ in stages]
+            assert made == sum(lefts, [])
+            assert (len(set(made)), len(set(lefts[-1]))) == distinct
+            assert np.shares_memory(dt, at) and not np.shares_memory(xt, at)
 
     @pytest.mark.parametrize("m,regime", SPLIT_REGIMES)
     def test_identity_runs_no_product(self, m, regime, monkeypatch):
@@ -1647,26 +1688,24 @@ class TestExactness:
             see("A back-substitution")
             return dot_rows(a, b, m)
 
-        def counted_schur(*args):
+        def run_stages(xt, dt, stages, *args):
+            # one stage at a time, each within its phase
             tiles[-1] += 1
-            return schur_update(*args)
-
-        def x_update(ct, levels, *args):
-            levels = list(levels)
-            walked.append((tiling[0], len(levels)))
-            return solve_multipliers(ct, levels, *args)
+            walked.append((tiling[0], sum(not schur for schur, _, _ in stages)))
+            for stage in stages:
+                run = schur_product if stage[0] else x_update
+                run(xt, dt, [stage], *args)
 
         reduce_f64, mod_matmul, dot_rows = _ReduceF64.__call__, _mod_matmul, _dot_rows
-        schur_update = within("Schur product", _schur_update)
-        solve_multipliers = within("X update", _solve_multipliers)
+        schur_product = within("Schur product", _run_stages)
+        x_update = within("X update", _run_stages)
         # (tiling, levels above 0) for each X update
         walked, inverted = [], []
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         monkeypatch.setattr("chowcert.matrix._mod_matmul", checked_matmul)
         monkeypatch.setattr("chowcert.matrix._dot_rows", checked_dots)
         monkeypatch.setattr("chowcert.matrix._unit_upper_inverse", checked_inverse)
-        monkeypatch.setattr("chowcert.matrix._solve_multipliers", x_update)
-        monkeypatch.setattr("chowcert.matrix._schur_update", counted_schur)
+        monkeypatch.setattr("chowcert.matrix._run_stages", run_stages)
         monkeypatch.setattr(
             ShiftedRows,
             "back_substitute",
@@ -1720,15 +1759,15 @@ def tile_rows(monkeypatch, cols, rows):
 
 def recorded_tiles(monkeypatch):
     """The width of each tile of C rows that the split reduces, as
-    `_schur_update` sees it."""
+    `_run_stages` sees its view of D'."""
     widths = []
 
-    def recorded(dt, *args):
+    def recorded(xt, dt, *args):
         widths.append(dt.shape[1])
-        return schur_update(dt, *args)
+        return run_stages(xt, dt, *args)
 
-    schur_update = _schur_update
-    monkeypatch.setattr(matrix, "_schur_update", recorded)
+    run_stages = _run_stages
+    monkeypatch.setattr(matrix, "_run_stages", recorded)
     return widths
 
 
@@ -1799,9 +1838,15 @@ class TestSplitTiles:
         levels = cached_property(counted("levels", ShiftedRows.levels.func))
         levels.__set_name__(ShiftedRows, "levels")
         monkeypatch.setattr(ShiftedRows, "levels", levels)
-        monkeypatch.setattr(
-            matrix, "_shift_product", counted("operand", matrix._shift_product)
-        )
+
+        def stages(*args):
+            # the products `_stages` builds, each counted as an operand
+            for stage in built(*args):
+                counts["operand"] += len(stage[1])
+                yield stage
+
+        built = matrix._stages
+        monkeypatch.setattr(matrix, "_stages", stages)
         ran = recorded_tiles(monkeypatch)
         seen = []
         for rows in (147, 1):
@@ -2025,12 +2070,12 @@ class TestWorkingArray:
         tile_rows(monkeypatch, mat.cols, 40)
         tiles = []
 
-        def recorded_schur(dt, *args):
-            schur_update(dt, *args)
+        def recorded_schur(xt, dt, *args):
+            run_stages(xt, dt, *args)
             tiles.append(dt.copy())
 
-        schur_update = _schur_update
-        monkeypatch.setattr(matrix, "_schur_update", recorded_schur)
+        run_stages = _run_stages
+        monkeypatch.setattr(matrix, "_run_stages", recorded_schur)
         calls = self.record(monkeypatch)
         res = assert_matches_naive(mat, m, naive)
         # the basis's elimination, then D''s
@@ -2053,12 +2098,12 @@ class TestWorkingArray:
         naive = FfMatrix(mat.data, mat.modulus).rref(naive=True)
         targets = []
 
-        def recorded_schur(dt, *args):
+        def recorded_schur(xt, dt, *args):
             targets.append(dt)
-            schur_update(dt, *args)
+            run_stages(xt, dt, *args)
 
-        schur_update = _schur_update
-        monkeypatch.setattr(matrix, "_schur_update", recorded_schur)
+        run_stages = _run_stages
+        monkeypatch.setattr(matrix, "_run_stages", recorded_schur)
         calls = self.record(monkeypatch)
         res = assert_matches_naive(mat, m, naive)
         assert res.echelon == naive.echelon
@@ -2075,18 +2120,19 @@ class TestWorkingArray:
     @pytest.mark.parametrize("rows,tiles", ((147, 1), (40, 4)))
     def test_schur_rows_written_in_place(self, m, rows, tiles, monkeypatch):
         """Each tile's rows of D' are written and reduced where D''s
-        elimination finds them: every `_schur_update` target is a view
-        of the array `_echelon_blocked` eliminates, not a tile buffer."""
+        elimination finds them: every Schur stage's target
+        (`_run_stages`) is a view of the array `_echelon_blocked`
+        eliminates, not a tile buffer."""
         mat, naive = random_split(m)
         tile_rows(monkeypatch, mat.cols, rows)
         targets = []
 
-        def recorded_schur(dt, *args):
+        def recorded_schur(xt, dt, *args):
             targets.append(dt)
-            schur_update(dt, *args)
+            run_stages(xt, dt, *args)
 
-        schur_update = _schur_update
-        monkeypatch.setattr(matrix, "_schur_update", recorded_schur)
+        run_stages = _run_stages
+        monkeypatch.setattr(matrix, "_run_stages", recorded_schur)
         calls = self.record(monkeypatch)
         assert_matches_naive(mat, m, naive)
         at = calls[-1][0]

@@ -468,26 +468,17 @@ def split_operands(tmat, monkeypatch):
 
     # id -> array, each kept alive so that no id is reused
     held = {}
-    solve_multipliers, schur_update = mx._solve_multipliers, mx._schur_update
+    run_stages = mx._run_stages
 
-    def keep(arrays):
-        held.update((id(a), a) for a in arrays)
-
-    def recorded_solve(ct, levels, *args):
-        # several tiles: the operands are lists, read here unconsumed
-        assert isinstance(levels, list)
-        for update, _ in levels:
-            keep(left for _, left, _ in update)
-        return solve_multipliers(ct, levels, *args)
-
-    def recorded_schur(dt, xt, products, *args):
-        assert isinstance(products, list)
-        keep(left for _, left, _ in products)
-        return schur_update(dt, xt, products, *args)
+    def recorded(xt, dt, stages, *args):
+        # several tiles: the stages are a list, read here unconsumed
+        assert isinstance(stages, list)
+        for _, update, _ in stages:
+            held.update((id(left), left) for _, left, _ in update)
+        return run_stages(xt, dt, stages, *args)
 
     with monkeypatch.context() as mp:
-        mp.setattr(mx, "_solve_multipliers", recorded_solve)
-        mp.setattr(mx, "_schur_update", recorded_schur)
+        mp.setattr(mx, "_run_stages", recorded)
         res = tmat.rref()
     return res, sum(a.nbytes for a in held.values())
 
@@ -565,23 +556,25 @@ class TestTerraciniMemory:
         import chowcert.matrix as mx
 
         keys, lefts = [], []
-        schur_products, schur_update = mx._schur_products, mx._schur_update
+        built, run_stages = mx._stages, mx._run_stages
 
-        def recorded_products(*args):
-            for op in schur_products(*args):
-                keys.append((op[1].tobytes(), op[2].tobytes()))
-                yield op
+        def recorded_stages(*args):
+            for schur, update, spans in built(*args):
+                if schur:
+                    keys.extend((op[1].tobytes(), op[2].tobytes()) for op in update)
+                yield schur, update, spans
 
-        def recorded_update(dt, xt, products, *args):
-            # several tiles: the products are a list, read here
-            # unconsumed; every tile gets the same one
-            assert isinstance(products, list)
+        def recorded_run(xt, dt, stages, *args):
+            # several tiles: the stages are a list, read here
+            # unconsumed; every tile gets the same one, the Schur
+            # stage last
+            assert isinstance(stages, list) and stages[-1][0]
             if not lefts:
-                lefts.extend(left for _, left, _ in products)
-            return schur_update(dt, xt, products, *args)
+                lefts.extend(left for _, left, _ in stages[-1][1])
+            return run_stages(xt, dt, stages, *args)
 
-        monkeypatch.setattr(mx, "_schur_products", recorded_products)
-        monkeypatch.setattr(mx, "_schur_update", recorded_update)
+        monkeypatch.setattr(mx, "_stages", recorded_stages)
+        monkeypatch.setattr(mx, "_run_stages", recorded_run)
         certify(24, seed=77)
         assert len(keys) == len(lefts) == 25
         for key, left in zip(keys, lefts):
