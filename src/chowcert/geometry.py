@@ -279,22 +279,3 @@ def hessian_at(point: ChowPoint, normal: Poly) -> HessianMatrix:
             ] = block.T
     return HessianMatrix(FfMatrix(out, modulus), n)
 
-
-def scaling_fiber_directions(point: ChowPoint) -> list[np.ndarray]:
-    """Exact kernel vectors of the contracted curvature form.
-
-    Rescaling (L_0, L_1) to (t L_0, L_1 / t) fixes the product, so the
-    parameter directions (L_0, -L_1, 0) and (L_0, 0, -L_2) must be
-    annihilated by the form for any normal vector.
-    """
-    n = point.n
-    m = point.modulus.value
-    out = []
-    for other in (1, 2):
-        vec = np.zeros(DEGREE * (n + 1), dtype=np.int64)
-        vec[0 : n + 1] = point.forms[0].coords
-        vec[other * (n + 1) : (other + 1) * (n + 1)] = (
-            -point.forms[other].coords
-        ) % m
-        out.append(vec)
-    return out

@@ -52,7 +52,9 @@ A matrix may eliminate itself by its structure (the `FfMatrix._echelon`
 hook).  A Macaulay matrix, one row x_i w per variable x_i and row w of a
 basis, is eliminated by its A|B / C|D split, as in Groebner-basis
 linear algebra (`_split_echelon`): with the basis in reduced echelon
-form W', the rows x_i w'_j that start a new column (A, `ShiftedRows`)
+form W', which two passes of the blocked elimination produce, the
+second over the first's rows reversed (`_reduced_echelon`), the rows
+x_i w'_j that start a new column (A, `ShiftedRows`)
 are already in echelon form with pivot 1 and are never written out; the
 others (C) are reduced to zero on A's leading columns, left-looking,
 one product per variable, and only their Schur complement D' is
@@ -552,43 +554,25 @@ def _swap_columns(x: np.ndarray, k: int, p: int) -> None:
     x[:, p] = t
 
 
-def _unit_upper_inverse(u: np.ndarray, m: int) -> np.ndarray:
-    """The inverse of a unit upper triangular matrix over Z_m.
-
-    Entries in and out are canonical.  The two halves are inverted on
-    their own and joined by V12 = -V11 U12 V22, two `_mod_matmul`; a
-    block of at most `_SUB` rows is solved by back substitution in
-    Python integers.  Only `_reduced_echelon` uses it: the triangle of
-    W's pivots is dense, with as many dependency levels as rows, where
-    a level schedule (`ShiftedRows.levels`) would run one product per
-    row.
-    """
-    k = len(u)
-    if k <= _SUB:
-        up = u.tolist()
-        inv = [[int(i == j) for j in range(k)] for i in range(k)]
-        for i in reversed(range(k)):
-            for j in range(i + 1, k):
-                t = sum(up[i][l] * inv[l][j] for l in range(i + 1, j + 1))
-                inv[i][j] = -t % m
-        return np.array(inv, dtype=np.int64).reshape(k, k)
-    h = k // 2
-    out = np.zeros_like(u)
-    out[:h, :h] = v11 = _unit_upper_inverse(u[:h, :h], m)
-    out[h:, h:] = v22 = _unit_upper_inverse(u[h:, h:], m)
-    out[:h, h:] = -_mod_matmul(_mod_matmul(v11, u[:h, h:], m), v22, m) % m
-    return out
-
-
 def _reduced_echelon(data: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
-    """The nonzero rows of the reduced row echelon form, and the pivots.
+    """The nonzero rows W' of the reduced row echelon form, and the pivots.
 
-    The blocked elimination's U, times the inverse of its unit upper
-    triangular block on the pivot columns.  `data.T` is its working
-    array when it can be (`_echelon_blocked`).
+    Two passes of the blocked elimination.  The first gives U = T W' and
+    the pivots, T being U on its pivot columns, unit upper triangular.
+    With J the reversal of k = rank rows, J T J is unit lower
+    triangular, so the second pass, over [J T J | J U], finds each pivot
+    on the diagonal, as the candidate of its column, and swaps no row;
+    its row operations E are unit lower triangular, and E J T J, upper
+    and lower triangular with unit diagonal, is I.  So it leaves
+    [I | J T^-1 U] = [I | J W'], whose rows reversed are W', the
+    canonical reduced form, whatever U the first pass left.  `data.T` is
+    the first pass's working array when it can be (`_echelon_blocked`).
     """
     upper, pivots = _echelon_blocked(data.T, m)
-    return _mod_matmul(_unit_upper_inverse(upper[:, pivots], m), upper, m), pivots
+    k = len(pivots)
+    at = np.vstack([upper[:, pivots].T[::-1, ::-1], upper.T[:, ::-1]])
+    again, _ = _echelon_blocked(at, m)
+    return again[::-1, k:], pivots
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -676,12 +660,6 @@ class ShiftedRows:
             out.append(left[~blocked.any(axis=0)])
             todo[out[-1]] = False
         return tuple(out)
-
-    def dense(self) -> np.ndarray:
-        """Every row at full width, as int64."""
-        out = np.zeros((self.lead.size, self.cols), dtype=np.int64)
-        np.put_along_axis(out, self.shifts[self.var], self.basis[self.row], axis=1)
-        return out
 
     def back_substitute(self, x: np.ndarray, m: int) -> None:
         """Solve the rows for x at their leading columns, in place.
@@ -1040,10 +1018,7 @@ class RrefResult:
     U is the echelon form of the Schur complement over the columns that
     lead none of them (`shifted.rest`, `_split_echelon`).  Rank tests
     and kernel vectors need nothing more, and the elimination stops
-    there.  `echelon`, the reduced row echelon form padded with zero
-    rows to `rows`, is the naive reduction of all the echelon rows on
-    first access: they have the input's row space and pivots, so this
-    is the input's canonical reduced form, whichever path produced them.
+    there.
     """
 
     upper: np.ndarray
@@ -1056,18 +1031,6 @@ class RrefResult:
     @property
     def rank(self) -> int:
         return len(self.pivot_cols)
-
-    @cached_property
-    def echelon(self) -> FfMatrix:
-        rows = self.upper
-        if self.shifted is not None:
-            schur = np.zeros((len(rows), self.cols), dtype=np.int64)
-            schur[:, self.shifted.rest] = rows
-            rows = np.vstack([self.shifted.dense(), schur])
-        reduced, _ = _rref_naive(rows, self.modulus.value)
-        full = np.zeros((self.rows, self.cols), dtype=np.int64)
-        full[: self.rank] = reduced[: self.rank]
-        return FfMatrix(full, self.modulus)
 
     @property
     def free_cols(self) -> tuple[int, ...]:

@@ -30,15 +30,17 @@ from chowcert.matrix import (
     _dot_rows,
     _factor_panel,
     _reduce_i64,
+    _reduced_echelon,
     _ReduceF64,
     _regime,
     _run_stages,
     _shifted_rows,
-    _unit_upper_inverse,
     null_vector,
 )
 from chowcert.pipeline import certify, default_r
 from chowcert.poly import _shift_map, monomial_basis
+
+from oracles import reduced_form, shifted_dense
 
 MOD = PrimeModulus(20201)
 Z7 = PrimeModulus(7)
@@ -76,7 +78,7 @@ class TestRref:
         assert res.rank == 5
         assert res.pivot_cols == (0, 1, 2, 3, 4)
         assert res.free_cols == ()
-        assert res.echelon == FfMatrix.identity(5, MOD)
+        assert reduced_form(res) == FfMatrix.identity(5, MOD)
 
     def test_hand_worked_example(self):
         # rows are multiples of each other over Z_7
@@ -84,9 +86,9 @@ class TestRref:
         res = mat.rref()
         assert res.rank == 1
         assert res.pivot_cols == (0,)
-        assert res.echelon.data.tolist() == [[1, 2, 3], [0, 0, 0]]
+        assert reduced_form(res).data.tolist() == [[1, 2, 3], [0, 0, 0]]
         # X in [I | X]: the pivot rows restricted to the free columns
-        x = res.echelon.data[: res.rank][:, list(res.free_cols)]
+        x = reduced_form(res).data[: res.rank][:, list(res.free_cols)]
         assert x.tolist() == [[2, 3]]
         assert res.pivot_cols + res.free_cols == (0, 1, 2)
 
@@ -94,7 +96,7 @@ class TestRref:
         res = FfMatrix.zeros(4, 6, MOD).rref()
         assert res.rank == 0
         assert res.pivot_cols == ()
-        assert res.echelon.is_zero()
+        assert reduced_form(res).is_zero()
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
@@ -103,8 +105,9 @@ class TestRref:
                 int(rng.integers(1, 40)), int(rng.integers(1, 50)), MOD, rng
             )
             res = mat.rref()
-            again = res.echelon.rref()
-            assert again.echelon == res.echelon
+            reduced = reduced_form(res)
+            again = reduced.rref()
+            assert reduced_form(again) == reduced
             assert again.pivot_cols == res.pivot_cols
 
     def test_rank_bounds(self):
@@ -122,7 +125,7 @@ class TestRref:
         mat = random_matrix(12, 20, Z7, rng)
         res = mat.rref()
         coeffs = mat.data[:, list(res.pivot_cols)]
-        rebuilt = coeffs @ res.echelon.data[: res.rank] % 7
+        rebuilt = coeffs @ reduced_form(res).data[: res.rank] % 7
         assert np.array_equal(rebuilt, mat.data)
 
     def test_blocked_equals_naive(self):
@@ -138,7 +141,7 @@ class TestRref:
             mat = FfMatrix(a, modulus)
             naive = mat.rref(naive=True)
             fast = mat.rref()
-            assert fast.echelon == naive.echelon
+            assert reduced_form(fast) == reduced_form(naive)
             assert fast.pivot_cols == naive.pivot_cols
 
     def test_rank_deficient_pivots_skip(self):
@@ -369,7 +372,7 @@ class TestRrefResultInvariants:
             )
             res = mat.rref()
             assert res.rank == len(res.pivot_cols)
-            nonzero_rows = int((res.echelon.data.any(axis=1)).sum())
+            nonzero_rows = int((reduced_form(res).data.any(axis=1)).sum())
             assert res.rank == nonzero_rows
             assert list(res.pivot_cols) == sorted(res.pivot_cols)
             assert sorted(res.pivot_cols + res.free_cols) == list(range(mat.cols))
@@ -378,7 +381,7 @@ class TestRrefResultInvariants:
         rng = np.random.default_rng(16)
         mat = random_matrix(8, 14, Z7, rng)
         res = mat.rref()
-        pivot_block = res.echelon.data[: res.rank][:, list(res.pivot_cols)]
+        pivot_block = reduced_form(res).data[: res.rank][:, list(res.pivot_cols)]
         assert np.array_equal(pivot_block, np.eye(res.rank, dtype=np.int64))
 
 
@@ -573,12 +576,12 @@ class TestEliminationRegimes:
                 assert fast.pivot_cols == naive.pivot_cols
                 assert_row_echelon(fast)
                 # the reduced form of the blocked U against the naive one
-                assert fast.echelon == naive.echelon
+                assert reduced_form(fast) == reduced_form(naive)
                 f0 = rng.integers(0, m, cols - naive.rank)
                 normal = null_vector(fast, f0)
                 assert np.array_equal(normal, null_vector(naive, f0))
                 pivots = list(naive.pivot_cols)
-                x = naive.echelon.data[: naive.rank][:, list(naive.free_cols)]
+                x = reduced_form(naive).data[: naive.rank][:, list(naive.free_cols)]
                 minus_xf0 = -(x.astype(object) @ f0.astype(object)) % m
                 assert normal[pivots].tolist() == minus_xf0.tolist()
 
@@ -678,7 +681,7 @@ class TestRowProfileOrder:
                 fast = mat.rref()
                 assert fast.pivot_cols == naive.pivot_cols, (m, name)
                 assert_row_echelon(fast)
-                assert fast.echelon == naive.echelon, (m, name)
+                assert reduced_form(fast) == reduced_form(naive), (m, name)
                 if naive.rank < cols:
                     f0 = rng.integers(0, m, cols - naive.rank)
                     normal = null_vector(fast, f0)
@@ -741,7 +744,7 @@ class TestOuterPanels:
             fast = mat.rref()
             assert fast.pivot_cols == naive.pivot_cols, (m, name)
             assert_row_echelon(fast)
-            assert fast.echelon == naive.echelon, (m, name)
+            assert reduced_form(fast) == reduced_form(naive), (m, name)
             f0 = rng.integers(0, m, cols - naive.rank)
             normal = null_vector(fast, f0)
             assert np.array_equal(normal, null_vector(naive, f0)), (m, name)
@@ -788,7 +791,7 @@ class TestRowPermutation:
         fast = mat.rref()
         assert fast.pivot_cols == naive.pivot_cols
         assert_row_echelon(fast)
-        assert fast.echelon == naive.echelon
+        assert reduced_form(fast) == reduced_form(naive)
         f0 = rng.integers(0, m, cols - naive.rank)
         normal = null_vector(fast, f0)
         assert np.array_equal(normal, null_vector(naive, f0))
@@ -932,7 +935,7 @@ class TestSwappedMultipliers:
             fast = mat.rref()
             assert fast.pivot_cols == naive.pivot_cols, m
             assert_row_echelon(fast)
-            assert fast.echelon == naive.echelon, m
+            assert reduced_form(fast) == reduced_form(naive), m
 
 
 # The outer panels of the direct `_factor_panel` tests, as width: width
@@ -1269,7 +1272,7 @@ def substitution(off, r, m):
 def triangle_off(shifted):
     """A's triangle, the A rows at their leading columns (unit upper
     triangular), less the identity, as int64."""
-    return shifted.dense()[:, shifted.lead] - np.eye(shifted.lead.size, dtype=np.int64)
+    return shifted_dense(shifted)[:, shifted.lead] - np.eye(shifted.lead.size, dtype=np.int64)
 
 
 def x_rows(shifted):
@@ -1303,6 +1306,88 @@ def x_update_products(monkeypatch):
     run = _run_stages
     monkeypatch.setattr(matrix, "_run_stages", run_stages)
     return runs
+
+
+def basis_of_rank(rows, cols, rank, m, rng, variant):
+    """A rows x cols basis of rank exactly `rank` at modulus m: L R, R
+    the identity at `rank` random columns and random elsewhere, and L
+    unit lower triangular on `rank` of its rows, in random order.  With
+    `variant` "zero columns", a third of R's other columns are zero;
+    with "repeated rows", L's other rows repeat those rows.  (`_mod_matmul`
+    is checked against the naive product above.)"""
+    right = rng.integers(0, m, (rank, cols))
+    lead = rng.choice(cols, rank, replace=False)
+    right[:, lead] = np.eye(rank, dtype=np.int64)
+    if variant == "zero columns":
+        other = np.setdiff1d(np.arange(cols), lead)
+        right[:, other[: other.size // 3]] = 0
+    left = rng.integers(0, m, (rows, rank))
+    left[:rank] = np.tril(left[:rank], -1) + np.eye(rank, dtype=np.int64)
+    if variant == "repeated rows" and rank:
+        left[rank:] = left[rng.integers(0, rank, rows - rank)]
+    return _mod_matmul(left[rng.permutation(rows)], right, m)
+
+
+# (rows, cols, ranks) of the bases W's reduction is checked on: every
+# rank of two shapes, from none to several `_SUB`-column leaves of the
+# second pass's panel, the ranks around the eager outer panel's
+# `DEFAULT_BLOCK` columns, and a rank past float64's `_OUTER`
+REDUCTION_SHAPES = (
+    (12, 20, range(13)),
+    (40, 52, range(41)),
+    (70, 90, (DEFAULT_BLOCK - 1, DEFAULT_BLOCK, DEFAULT_BLOCK + 1, 70)),
+    (_OUTER + 12, _OUTER + 24, (_OUTER + 9,)),
+)
+REDUCTION_VARIANTS = ("plain", "zero columns", "repeated rows")
+
+
+class TestReducedEchelon:
+    """W' comes from two passes of the blocked elimination
+    (`_reduced_echelon`): the first gives U and the pivots, the second
+    eliminates U's rows reversed, its pivot block reversed in front."""
+
+    @pytest.mark.parametrize("m", [7, 101, 20201, 3000017, F64_LAST, P31])
+    def test_matches_naive(self, m, monkeypatch, schedule):
+        """W' and the pivots are the naive reduction's nonzero rows and
+        pivots, at every rank; the second pass finds pivot i on row i,
+        for i < rank, without a swap.  Float64 runs at the four smaller
+        primes, int64 at the two larger ones."""
+        # (rows eliminated, pivots, row swaps) of each pass, in the
+        # order of `schedule.dtypes`
+        passes = []
+        echelon_blocked, swap_columns = matrix._echelon_blocked, matrix._swap_columns
+
+        def recorded_pass(at, m, *args):
+            passes.append([at.shape[1], None, 0])
+            upper, pivots = echelon_blocked(at, m, *args)
+            passes[-1][1] = pivots
+            return upper, pivots
+
+        def recorded_swap(x, k, p):
+            passes[-1][2] += 1
+            swap_columns(x, k, p)
+
+        monkeypatch.setattr(matrix, "_echelon_blocked", recorded_pass)
+        monkeypatch.setattr(matrix, "_swap_columns", recorded_swap)
+        rng = np.random.default_rng(m)
+        for rows, cols, ranks in REDUCTION_SHAPES:
+            for rank in ranks:
+                variant = REDUCTION_VARIANTS[rank % 3]
+                basis = basis_of_rank(rows, cols, rank, m, rng, variant)
+                want, pivots = _rref_naive(basis, m)
+                assert len(pivots) == rank
+                start = len(passes)
+                wp, lm = _reduced_echelon(basis, m)
+                case = (rows, cols, rank, variant)
+                assert lm == pivots, case
+                assert np.array_equal(wp, want[:rank]), case
+                [_, first, _], [again, second, swaps] = passes[start:]
+                assert first == pivots and again == rank, case
+                assert second == list(range(rank)) and swaps == 0, case
+        # one `_regime` call per pass; a pass over no rows does no work
+        kernel = np.int64 if m >= F64_LAST else np.float64
+        ran = zip(passes, schedule.dtypes[m], strict=True)
+        assert {dtype for (rows, _, _), dtype in ran if rows} == {kernel}
 
 
 class TestLevelSolve:
@@ -1380,7 +1465,7 @@ class TestLevelSolve:
                 lead, rest = shifted.lead, shifted.rest
                 x = np.full(shifted.cols, m - 1, dtype=np.int64)
                 x[lead] = 0
-                known = shifted.dense()[:, rest].astype(object) @ x[rest].astype(object)
+                known = shifted_dense(shifted)[:, rest].astype(object) @ x[rest].astype(object)
                 r = np.array([[-v % m] for v in known], dtype=np.int64)
                 want = [v for [v] in substitution(triangle_off(shifted), r, m)]
                 shifted.back_substitute(x, m)
@@ -1640,8 +1725,8 @@ class TestExactness:
         int64.  The X update and the Schur product reduce once, after all
         their terms (X's after its level).  The X update walks A's
         levels, at least two above 0 here, and neither solve with A's
-        triangle inverts it: only W's reduction, outside them, calls
-        `_unit_upper_inverse`."""
+        triangle inverts it: W's reduction (`_reduced_echelon`), the
+        blocked elimination run twice, runs outside them."""
         m = dict((label, p) for p, label in SPLIT_REGIMES)[regime]
         phase = []
         # the tiling of the current run, and (tiling, step) for each step
@@ -1675,10 +1760,10 @@ class TestExactness:
             see(phase[-1] if phase else None)
             return mod_matmul(a, b, m)
 
-        def checked_inverse(u, m):
+        def checked_reduction(data, m):
             assert not phase, phase
-            inverted.append(len(u))
-            return _unit_upper_inverse(u, m)
+            reduced.append(len(data))
+            return reduced_echelon(data, m)
 
         def checked_dots(a, b, m):
             for x in (a, b):
@@ -1697,14 +1782,15 @@ class TestExactness:
                 run(xt, dt, [stage], *args)
 
         reduce_f64, mod_matmul, dot_rows = _ReduceF64.__call__, _mod_matmul, _dot_rows
+        reduced_echelon = _reduced_echelon
         schur_product = within("Schur product", _run_stages)
         x_update = within("X update", _run_stages)
         # (tiling, levels above 0) for each X update
-        walked, inverted = [], []
+        walked, reduced = [], []
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         monkeypatch.setattr("chowcert.matrix._mod_matmul", checked_matmul)
         monkeypatch.setattr("chowcert.matrix._dot_rows", checked_dots)
-        monkeypatch.setattr("chowcert.matrix._unit_upper_inverse", checked_inverse)
+        monkeypatch.setattr("chowcert.matrix._reduced_echelon", checked_reduction)
         monkeypatch.setattr("chowcert.matrix._run_stages", run_stages)
         monkeypatch.setattr(
             ShiftedRows,
@@ -1733,7 +1819,7 @@ class TestExactness:
         for run in ("one", "several"):
             assert steps <= {step for t, step in seen if t == run}, run
             assert max(n for t, n in walked if t == run) >= 2, run
-        assert inverted
+        assert reduced
 
 
 # (name, C rows per tile at most, the tile widths that run) for the 147
@@ -2106,7 +2192,7 @@ class TestWorkingArray:
         monkeypatch.setattr(matrix, "_run_stages", recorded_schur)
         calls = self.record(monkeypatch)
         res = assert_matches_naive(mat, m, naive)
-        assert res.echelon == naive.echelon
+        assert reduced_form(res) == reduced_form(naive)
         # the basis's elimination, then D''s
         at, _, pans = calls[-1]
         assert res.shifted.lead.size == na > f64_budget(m) >= whole_count(at.shape)
@@ -2225,5 +2311,5 @@ def test_rref_properties(data, rows, cols):
     mat = FfMatrix(np.array(entries).reshape(rows, cols), Z7)
     res = mat.rref()
     assert res.rank <= min(rows, cols)
-    assert res.echelon.rref().echelon == res.echelon
+    assert reduced_form(reduced_form(res).rref()) == reduced_form(res)
     assert mat.rank(naive=True) == res.rank

@@ -623,9 +623,9 @@ class TestTerraciniMemory:
 
         monkeypatch.setattr(mx, "_echelon_blocked", measured)
         res, _ = traced_peak(tmat.rref)
-        # the quadrics W', then D'
-        assert len(calls) == 2
-        shape, growth = calls[1]
+        # the quadrics W, W's reduction to W', then D'
+        assert len(calls) == 3
+        shape, growth = calls[-1]
         split = res.shifted
         c_rows = (n + 1) * len(split.basis) - split.lead.size
         assert shape == (split.rest.size, c_rows)
