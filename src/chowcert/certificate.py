@@ -321,9 +321,21 @@ def parse_certificate(text: str) -> Certificate:
     return cert
 
 
+# Bytes a certificate file may hold: about 30 times the largest one any
+# n <= 102 writes, 2.09 MB at prime 2^31 - 1 and r = 610.  A longer file
+# (or a device or pipe that never ends) is refused after this many bytes
+# and one more are read, never read whole.
+MAX_CERTIFICATE_BYTES = 64 << 20
+
+
 def load_certificate(path) -> Certificate:
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(MAX_CERTIFICATE_BYTES + 1)
+    if len(data) > MAX_CERTIFICATE_BYTES:
+        raise CertificateError(
+            f"file longer than {MAX_CERTIFICATE_BYTES} bytes, the most a "
+            "certificate may hold"
+        )
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

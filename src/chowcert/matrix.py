@@ -29,24 +29,27 @@ In float64 the update right of each outer panel of
 `_OUTER` columns is delayed into one dgemm of inner dimension up to
 `_OUTER`, which runs much nearer the host's dgemm peak than the
 updates of inner dimension `DEFAULT_BLOCK` of the int64 outer panels.
-The matrix is eliminated transposed, one row per column, so a column
-is contiguous, and each outer panel is a view of it with everything
-right of it (`_factor_panel`): its columns are halved, the left half
-is factored, its pivots reach the right half, and the right half is
+The matrix is eliminated transposed, one row per column, so a column is
+contiguous, and each outer panel is a view of it with everything right
+of it (`_factor_panel`): its columns are halved, the left half is
+factored, its pivots reach the right half, and the right half is
 factored.  The leaves are sub-panels of `_SUB` columns, factored column
 by column with as few numpy calls per pivot as the loop allows: the
 candidate pivot is tested as a scalar and the column searched only when
-it is zero, a row swap is one column swap of the transposed matrix, the
-pivot row is scaled in Python integers, and the rank-1 update stays
-within the sub-panel.  No pivot row is solved on its own: each outer
-panel keeps one solve matrix, the inverse of its pivots' lower factor,
-which the recursion builds as it goes: a leaf writes its diagonal
-block, and a node whose halves are factored the block that joins them,
-by two products.  The pivots of a left half reach its right half, and
-those of a whole outer panel the columns right of it, by one routine
-(`_carry`): their rows are solved by one product with their diagonal
-block, and their multiples subtracted by another.  The block sizes and
-the number format are the elimination's own.
+it is zero, a row swap is one column swap of the transposed matrix,
+which moves the rows' multipliers too, the pivot row is scaled in Python
+integers, and the rank-1 update stays within the sub-panel.  Each
+pivot's multipliers stay where the elimination computes them, in its
+column below it, until its outer panel's pivots have reached every
+column right of it; then they are zeroed.  No pivot row is solved on its
+own: each outer panel keeps one solve matrix, the inverse of its pivots'
+lower factor, which the recursion builds as it goes: a leaf writes its
+diagonal block, and a node whose halves are factored the block that
+joins them, by two products.  The pivots of a left half reach its right
+half, and those of a whole outer panel the columns right of it, by one
+routine (`_carry`): their rows are solved by one product with their
+diagonal block, and their multiples subtracted by another.  The block
+sizes and the number format are the elimination's own.
 
 A matrix may eliminate itself by its structure (the `FfMatrix._echelon`
 hook).  A Macaulay matrix, one row x_i w per variable x_i and row w of a
@@ -303,9 +306,10 @@ def _regime(m: int, terms: int):
     In int64 every product is formed by `_mod_matmul`, which returns it
     reduced to [0, m), and each value is reduced to [0, m) when it is
     read, so a value below m with p such products subtracted stays below
-    m + p m, and one rank-1 product, below (m - 1)^2 < 2^62, more keeps
-    it inside int64 for p up to (2^62 - m) // m, about 2^31: no
-    elimination here comes near it.
+    m + p m.  A scaled pivot row is stored balanced there too, so one
+    rank-1 product, at most (m // 2)(m - 1) < 2^61, more keeps it inside
+    int64 for p up to (2^62 - m) // m, about 2^31: no elimination here
+    comes near it.
     """
     b = m // 2 + 2
     if (_F64_EXACT - 2 * m) // (b * b) >= terms:
@@ -313,23 +317,26 @@ def _regime(m: int, terms: int):
     return np.int64, _reduce_i64, partial(_mod_matmul, m=m)
 
 
-def _carry(right, k0, k, mult, solve, reduce_, m, matmul):
+def _carry(right, k0, k, piv, solve, reduce_, m, matmul):
     """Carry an outer panel's pivots k0..k into the columns `right`.
 
     `_factor_panel` calls it for a left half's pivots and its right
     half, and `_echelon_blocked` for a whole outer panel's pivots and
     every column right of it.  `right` is a view of the transposed
     matrix: one row per column, one column per active row of the outer
-    panel, as in `mult` and `solve` (`_factor_panel`).  In row tiles of
-    about `_TILE` entries, so each tile's products are consumed while
-    cached, the pivot rows' entries, columns k0..k of the tile, are
-    solved by one product with the transposed diagonal block of
-    `solve`, then times their multipliers subtracted from the rows after
-    them, columns k on, unreduced; those are left alone when no
+    panel, as in `solve` (`_factor_panel`).  `piv` holds the pivots'
+    columns in the same layout, one row each (`_pivot_rows`): their
+    multipliers are their entries in the rows after them, columns k on,
+    still there until the outer panel's carry is done.  In
+    row tiles of about `_TILE` entries, so each tile's products are
+    consumed while cached, the pivot rows' entries, columns k0..k of the
+    tile, are solved by one product with the transposed diagonal block
+    of `solve`, then times their multipliers subtracted from the rows
+    after them, columns k on, unreduced; those are left alone when no
     multiplier is nonzero.
     """
     inv = solve[k0:k, k0:k].T
-    lower = mult[k0:k, k:]
+    lower = piv[:, k:]
     subtract = lower.any()
     step = _row_step(right.shape[1])
     for s in range(0, len(right), step):
@@ -337,9 +344,7 @@ def _carry(right, k0, k, mult, solve, reduce_, m, matmul):
         part = tile[:, k0:k]
         reduce_(part, m)
         part[...] = matmul(part, inv)
-        if part.dtype != np.int64:
-            # `_mod_matmul` already returns canonical residues
-            reduce_(part, m)
+        reduce_(part, m)
         if subtract:
             below = tile[:, k:]
             below -= matmul(part, lower)
@@ -368,12 +373,11 @@ def _echelon_blocked(
     column c.  Eliminates the matrix's rows, entries reduced (canonical,
     or balanced residues), in the order given.  The working dtype,
     float64 or, when eager, int64, is the one `_regime` picks for the
-    larger of `terms` and the elimination's own count,
-    min(rows, cols) + `_OUTER` + `_SUB`: a split passes its A rows, the
-    count it wrote D' under, so D' is eliminated in that dtype.  The
-    working array is `at` itself when it is writeable, C-contiguous and
-    already of the working dtype; otherwise one copy of it in that
-    dtype.  Returns the rank nonzero
+    larger of `terms` and the elimination's own count (`_dense_terms`):
+    a split passes its A rows, the count it wrote D' under, so D' is
+    eliminated in that dtype.  The working array is `at` itself when it
+    is writeable, C-contiguous and already of the working dtype;
+    otherwise one copy of it in that dtype.  Returns the rank nonzero
     rows U of a row echelon form, reduced to [0, m), as a view of the
     working array, and the pivot columns: row k of U is zero left of
     pivot k and 1 at it.  Pivots do not depend on the row order; U,
@@ -381,8 +385,9 @@ def _echelon_blocked(
     a value is reduced mod m only when it is about to be read (the
     pivot-search column, the pivot row, matmul operands), within the
     bounds that `_regime` checks.  In float64 the reductions leave
-    balanced residues; U is made canonical when it is converted to
-    int64, in place.
+    balanced residues, and in both dtypes the scaled pivot rows are
+    stored balanced; U is made canonical when it is converted to int64,
+    in place.
 
     The columns are cut into outer panels of `_OUTER` columns in
     float64, `DEFAULT_BLOCK` in int64.  Each outer panel is factored
@@ -390,13 +395,13 @@ def _echelon_blocked(
     first column to the last and from its first active row on, so a row
     swap reaches the columns right of it as it is made.  Its pivots
     reach those columns in one delayed carry (`_carry`), a dgemm whose
-    inner dimension is their count.  The elimination ends once every row
-    holds a pivot.
+    inner dimension is their count; then their multipliers, below each
+    pivot in its column, are zeroed.  The elimination ends once every
+    row holds a pivot.
     """
     cols, rows = at.shape
-    dtype, reduce_, matmul = _regime(m, max(terms, min(cols, rows) + _OUTER + _SUB))
-    eager = dtype == np.int64
-    width = DEFAULT_BLOCK if eager else _OUTER
+    dtype, reduce_, matmul = _regime(m, max(terms, _dense_terms(rows, cols)))
+    width = DEFAULT_BLOCK if dtype == np.int64 else _OUTER
     if at.dtype != dtype or not at.flags.writeable or not at.flags.c_contiguous:
         at = at.astype(dtype, order="C")
     pivots: list[int] = []
@@ -406,36 +411,45 @@ def _echelon_blocked(
             break
         pan = at[outer0:, r:]
         w = min(width, len(pan))
-        # mult[i, j]: the multiple of the outer panel's pivot row i
-        # subtracted from active row j
-        mult = np.zeros((w, rows - r), dtype=dtype)
         # the outer panel's solve matrix (`_factor_panel`)
         solve = np.zeros((w, w), dtype=dtype)
         found: list[int] = []
-        k = _factor_panel(pan, 0, w, 0, mult, solve, found, reduce_, m, matmul, eager)
-        pivots += [outer0 + j for j in found]
+        k = _factor_panel(pan, 0, w, 0, solve, found, reduce_, m, matmul)
         if k and w < len(pan):
-            _carry(pan[w:], 0, k, mult, solve, reduce_, m, matmul)
+            _carry(pan[w:], 0, k, _pivot_rows(pan, found), solve, reduce_, m, matmul)
+        # U is zero below each pivot once its multipliers are spent
+        for i, j in enumerate(found):
+            pan[j, i + 1 :] = 0
+        pivots += [outer0 + j for j in found]
         r += k
-        # freed before the next outer panel allocates its own
-        del mult, solve
     rank = len(pivots)
-    upper = at[:, :rank]
-    if not eager:
-        # converted in place, one row tile at a time, so no second
-        # full-size array is ever allocated; balanced residues become
-        # canonical here
-        out = at.view(np.int64)[:, :rank]
-        step = _row_step(rank)
-        for s in range(0, cols, step):
-            tile = out[s : s + step]
-            tile[...] = upper[s : s + step]
-            _add_m_if_negative(tile, m)
-        upper = out
-    return upper.T, pivots
+    # U, converted in place, one row tile at a time, so no second
+    # full-size array is ever allocated (in int64 each tile is copied
+    # onto itself); balanced residues become canonical here
+    out = at.view(np.int64)[:, :rank]
+    step = _row_step(rank)
+    for s in range(0, cols, step):
+        tile = out[s : s + step]
+        tile[...] = at[s : s + step, :rank]
+        _add_m_if_negative(tile, m)
+    return out.T, pivots
 
 
-def _factor_panel(pan, j0, j1, k, mult, solve, pivots, reduce_, m, matmul, eager):
+def _dense_terms(rows: int, cols: int) -> int:
+    """The most products a value of the blocked elimination of a rows x
+    cols matrix collects before it is read (`_regime`)."""
+    return min(rows, cols) + _OUTER + _SUB
+
+
+def _pivot_rows(pan, found):
+    """The rows of `pan` at the pivot columns `found`: a view when they
+    are consecutive, as they are until the rank runs out, and otherwise a
+    copy."""
+    j = found[0]
+    return pan[j : j + len(found)] if found[-1] - j < len(found) else pan[found]
+
+
+def _factor_panel(pan, j0, j1, k, solve, pivots, reduce_, m, matmul):
     """Factor columns [j0, j1) of `pan`, an outer panel and the columns
     right of it, transposed, from active row k on; return the active row
     after their pivots.
@@ -443,28 +457,33 @@ def _factor_panel(pan, j0, j1, k, mult, solve, pivots, reduce_, m, matmul, eager
     Row j of `pan` is the matrix's column j from the outer panel's first
     on, and column i its active row i, so the column reduce, the pivot
     search and the rank-1 updates stream contiguous memory, and a row
-    swap is one column swap.  The columns left of j0 hold the outer
-    panel's earlier pivots, which must already have reached columns
-    [j0, j1).  Recursive (Toledo, 1997): the columns are split in
-    halves, the left half rounded up to a multiple of `_SUB` columns;
-    the left half is factored, its pivots reach the right half
+    swap is one column swap.  Each pivot's multipliers stay in its
+    column, in the rows after it: entry i of pivot l's column, i > l, is
+    the multiple of solved row l subtracted from row i.  A row swap
+    moves them with the rows, and `_echelon_blocked` zeroes them once
+    the whole outer panel's carry is done.  `pivots` holds the columns of the outer
+    panel's pivots, one per active row before k.  The columns left of j0
+    hold the outer panel's earlier pivots, which must already have
+    reached columns [j0, j1).  Recursive (Toledo, 1997): the columns are
+    split in halves, the left half rounded up to a multiple of `_SUB`
+    columns; the left half is factored, its pivots reach the right half
     (`_carry`), and the right half is factored.  So the leaves are
     sub-panels of at most `_SUB` columns, aligned on multiples of
     `_SUB`.
 
     `solve` is X, the inverse of M, where the outer panel's pivot rows
-    are M times its solved rows: M[i, i] is pivot i and M[i, l] =
-    mult[l, i] (l < i) the multiple of solved row l subtracted from row
-    i.  X is lower triangular and each of its diagonal blocks is the
-    inverse of M's block, so any run of pivots is solved by one product
-    with its block of X.  The recursion writes X as it goes: a leaf its
-    diagonal block, by forward substitution in Python integers, row i
-    being X[i, i] (e_i - sum over l < i of M[i, l] X[l]), canonical; and
-    a node, once both halves are factored, the block below-left of the
-    diagonal that joins them, X[R, L] = -X_R (M[R, L] X_L), with L the
-    left half's pivots and R the right half's, by two products, reduced.
-    The multipliers M[R, L] = mult[L, R].T are final by then: a row swap
-    only moves rows that are not yet pivots.
+    are M times its solved rows: M[i, i] is pivot i and M[i, l] (l < i)
+    the multiple of solved row l subtracted from row i, entry i of pivot
+    l's column.  X is lower triangular and each of its diagonal blocks
+    is the inverse of M's block, so any run of pivots is solved by one
+    product with its block of X.  The recursion writes X as it goes: a
+    leaf its diagonal block, by forward substitution in Python integers,
+    row i being X[i, i] (e_i - sum over l < i of M[i, l] X[l]),
+    canonical; and a node, once both halves are factored, the block
+    below-left of the diagonal that joins them, X[R, L] = -X_R (M[R, L]
+    X_L), with L the left half's pivots and R the right half's, by two
+    products, reduced.  The multipliers M[R, L] are read from L's
+    columns only then, after the right half's row swaps have moved them.
 
     A leaf is factored column by column.  The pivot is the first nonzero
     of its column on the active rows.  After the column reduce, the
@@ -472,37 +491,34 @@ def _factor_panel(pan, j0, j1, k, mult, solve, pivots, reduce_, m, matmul, eager
     only when it is zero is the column searched, and the rows swapped,
     and a column that is zero on every active row is skipped.  The pivot
     row's entries in the leaf, at most `_SUB`, are scaled by the pivot's
-    inverse in Python integers and written back once, balanced in
-    float64 and canonical in int64 (`_regime`); the rank-1 update,
-    within the leaf, is one product of that row and the column below
-    the pivot, which becomes the pivot's row of `mult`, the outer
-    panel's multipliers, one column per active row.  A row swap moves
-    the two rows in `pan`, from the outer panel's first column to the
-    last, and their multipliers from the outer panel's earlier pivots.
-    Each pivot's column j goes to `pivots`.
+    inverse in Python integers and written back once, balanced
+    (`_regime`); the rank-1 update, within the leaf and right of the
+    pivot's column, is one product of that row and the column below the
+    pivot, its multipliers.  A row swap moves the two rows in `pan`,
+    from the outer panel's first column to the last, with their
+    multipliers from the outer panel's earlier pivots.  Each pivot's
+    column j goes to `pivots`.
     """
     k0 = k
     if j1 - j0 > _SUB:
         mid = j0 + _SUB * -(-(j1 - j0) // (2 * _SUB))
-        args = (mult, solve, pivots, reduce_, m, matmul, eager)
+        args = (solve, pivots, reduce_, m, matmul)
         k = _factor_panel(pan, j0, mid, k, *args)
         if k > k0:
-            _carry(pan[mid:j1], k0, k, mult, solve, reduce_, m, matmul)
+            piv = _pivot_rows(pan, pivots[k0:k])
+            _carry(pan[mid:j1], k0, k, piv, solve, reduce_, m, matmul)
         k1 = _factor_panel(pan, mid, j1, k, *args)
         if k0 < k < k1:
             # the block of X that joins the halves: X[R, L]
-            x = matmul(mult[k0:k, k:k1].T, solve[k0:k, k0:k])
-            if not eager:
-                # `_mod_matmul` already returns canonical residues
-                reduce_(x, m)
+            x = matmul(_pivot_rows(pan, pivots[k0:k])[:, k:k1].T, solve[k0:k, k0:k])
+            reduce_(x, m)
             x = matmul(solve[k:k1, k:k1], x)
             np.negative(x, out=x)
             reduce_(x, m)
             solve[k:k1, k0:k] = x
         return k1
     nact = pan.shape[1]
-    # scaled pivot rows are stored balanced in float64, canonical in int64
-    half = 0 if eager else m // 2
+    half = m // 2
     invs = []
     for j in range(j0, j1):
         if k == nact:
@@ -517,24 +533,21 @@ def _factor_panel(pan, j0, j1, k, mult, solve, pivots, reduce_, m, matmul, eager
                 continue
             p = k + int(nz[0])
             _swap_columns(pan, k, p)
-            _swap_columns(mult[:k], k, p)
             vals = prow.tolist()
         inv = pow(int(vals[0]), -1, m)
         invs.append(inv)
-        # the scaled pivot is exactly 1, so the update below zeroes the
-        # pivot column under it
         prow[:] = [(int(x) * inv + half) % m - half for x in vals]
-        below = mult[k, k + 1 :]
-        below[:] = col[1:]
-        upd = pan[j:j1, k + 1 :]
-        upd -= prow[:, None] * below
-        if eager:
+        upd = pan[j + 1 : j1, k + 1 :]
+        upd -= prow[1:, None] * col[1:]
+        if upd.dtype == np.int64:
+            # at most one rank-1 product per value before it is reduced
             reduce_(upd, m)
         pivots.append(j)
         k += 1
     if invs:
         # the leaf's diagonal block of X; low[i][l] = M[k0 + i, k0 + l]
-        low = mult[k0:k, k0:k].T.astype(np.int64).tolist()
+        # for l < i
+        low = _pivot_rows(pan, pivots[k0:k])[:, k0:k].T.astype(np.int64).tolist()
         block = []
         for i, inv in enumerate(invs):
             row = [0] * len(invs)
@@ -688,10 +701,10 @@ def _pooled(wv, ops):
     array is a view of one block of memory.  The operands are freed
     together once the tiles are done.  Gathered as many arrays
     below the mmap threshold (`_MMAP_THRESHOLD`), they left holes among
-    the arrays that outlive them, too small for the multipliers of D''s
-    elimination, so the heap grew past them and kept them resident for
-    the next call: 21 MB of heap, 16 MB of it free, after certify(30).
-    One block leaves one free region, at the top of the heap, which D''s
+    the arrays that outlive them, too small for the later arrays of the
+    call, so the heap grew past them and kept them resident for the next
+    call: 21 MB of heap, 16 MB of it free, after certify(30).  One block
+    leaves one free region, at the top of the heap, which D''s
     elimination reuses and which is then returned to the system.
     """
     lefts = {}
@@ -830,7 +843,7 @@ def _split_echelon(basis, shifts, cols, m):
     nv = shifts.shape[0]
     shifted, c = _shifted_rows(basis, shifts, cols, m)
     rank, na, rest = len(shifted.basis), shifted.lead.size, shifted.rest
-    terms = max(na, min(rest.size, c.size) + _OUTER + _SUB)
+    terms = max(na, _dense_terms(c.size, rest.size))
     dtype, reduce_, matmul = _regime(m, terms)
     wv = shifted.basis.astype(dtype)
     if dtype == np.float64:

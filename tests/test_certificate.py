@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chowcert import certificate
 from chowcert.certificate import (
     Certificate,
     CertificateError,
@@ -55,6 +56,18 @@ class TestRoundTrip:
         path = tmp_path / "cert.txt"
         save_certificate(cert, path)
         assert load_certificate(path) == cert
+
+    def test_file_at_byte_limit(self, tmp_path, monkeypatch):
+        """A file longer than the byte limit is refused with the limit in
+        the reason, and one exactly at it parses."""
+        path = tmp_path / "cert.txt"
+        save_certificate(make_cert(), path)
+        size = path.stat().st_size
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_BYTES", size)
+        assert load_certificate(path) == make_cert()
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_BYTES", size - 1)
+        with pytest.raises(CertificateError, match=f"longer than {size - 1} bytes"):
+            load_certificate(path)
 
     def test_without_check_line(self):
         cert = make_cert()

@@ -774,12 +774,12 @@ class TestRowPermutation:
         # there
         panels = []
 
-        def recorded_panel(pan, j0, j1, k, mult, *rest):
+        def recorded_panel(pan, j0, j1, k, solve, *rest):
             # an outer panel, not a half of one, with columns right of it
-            if (j0, j1) != (0, len(mult)) or len(pan) == j1:
-                return factor_panel(pan, j0, j1, k, mult, *rest)
+            if (j0, j1) != (0, len(solve)) or len(pan) == j1:
+                return factor_panel(pan, j0, j1, k, solve, *rest)
             before = pan[j1:].copy()
-            out = factor_panel(pan, j0, j1, k, mult, *rest)
+            out = factor_panel(pan, j0, j1, k, solve, *rest)
             panels.append(int((pan[j1:] != before).any(axis=0).sum()))
             return out
 
@@ -882,14 +882,23 @@ class TestSolveMatrix:
                     - l21.astype(np.int64).astype(object) @ solved
                 ) % m
                 # transposed, as `_carry` takes them: o earlier active
-                # rows, the b pivot rows and the 5 rows below them, with
-                # the multipliers of the pivot rows in those 5 columns
+                # rows, the b pivot rows and the 5 rows below them
                 right = np.zeros((37, o + b + 5), dtype=dtype)
                 right[:, o : o + b] = trail.T
                 right[:, o + b :] = below.T
-                multipliers = np.zeros((kk, o + b + 5), dtype=dtype)
-                multipliers[o : o + b, o + b :] = l21.T
-                _carry(right, o, o + b, multipliers, solve, reduce_, m, matmul)
+                # the pivots' columns, one row each (`_pivot_rows`): the
+                # entries of the rows before each pivot, 1 at it, and
+                # its multipliers in the rows after it, among the pivots
+                # and in those 5 columns
+                piv = residues((b, o + b + 5), m, rng, balanced)
+                piv[:, o : o + b] = (
+                    np.tril(piv[:, o : o + b], -1)
+                    + np.eye(b, dtype=np.int64)
+                    + mult[o : o + b, o : o + b].astype(np.int64)
+                )
+                piv = piv.astype(dtype)
+                piv[:, o + b :] = l21.T
+                _carry(right, o, o + b, piv, solve, reduce_, m, matmul)
                 trail, below = right[:, o : o + b].T, right[:, o + b :].T
                 assert (trail.astype(np.int64) % m).tolist() == want, (b, o)
                 assert (below.astype(np.int64) % m).tolist() == want_below.tolist()
@@ -1102,7 +1111,6 @@ class TestFactorPanel:
         for w, mid in PANEL_HALVES.items():
             for name, rows in panel_cases(w, m, rng):
                 nact = len(rows)
-                mult = np.zeros((w, nact), dtype=dtype)
                 solve = np.zeros((w, w), dtype=dtype)
                 # the rows' entries right of the outer panel, two per row,
                 # all distinct
@@ -1110,27 +1118,34 @@ class TestFactorPanel:
                 pan = np.ascontiguousarray(np.hstack([rows, tail]).T, dtype=dtype)
                 swaps.clear()
                 pivots = []
-                args = (mult, solve, pivots, reduce_, m, matmul, eager)
+                args = (solve, pivots, reduce_, m, matmul)
                 k = _factor_panel(pan, 0, w, 0, *args)
                 want, out, moved, carried, found, seen = panel_reference(rows, mid, m)
                 hits += seen
                 case = (w, name)
                 assert pivots == want and k == len(want), case
                 # each swap moves the rows in `pan`, the outer panel and
-                # the columns right of it, and in `mult`
-                assert len(swaps) == 2 * seen["swap"], case
+                # the columns right of it, with their multipliers
+                assert len(swaps) == seen["swap"], case
                 # the trailing rows end in the reference's row order
                 assert np.array_equal(pan[w:].T, tail[moved]), case
                 got = pan[:w].T.astype(np.int64)
-                # stored reduced: canonical in int64, balanced in float64
-                if eager:
-                    assert got.min() >= 0 and got.max() < m, case
-                else:
-                    assert np.abs(got).max() <= m // 2 + 2, case
-                assert (got % m).tolist() == out, case
+                # stored reduced, |x| < m; float64 reduces to balanced
+                # residues, and both store the scaled pivot rows
+                # balanced, each in its leaf from its pivot on
+                bound = m - 1 if eager else m // 2 + 2
+                assert np.abs(got).max() <= bound, case
+                for i, j in enumerate(pivots):
+                    leaf = got[i, j : min(j // _SUB * _SUB + _SUB, w)]
+                    assert np.abs(leaf).max() <= m // 2, case
+                got %= m
+                # each pivot's multipliers in its column, after its row
                 want_mult = np.zeros((w, nact), dtype=np.int64)
                 want_mult[:k] = np.array(carried, dtype=np.int64).reshape(nact, k).T
-                assert np.array_equal(mult.astype(np.int64) % m, want_mult), case
+                assert np.array_equal(np.triu(got[:, pivots].T, 1), want_mult[:k]), case
+                # U's part at and above each pivot
+                got[:, pivots] = np.triu(got[:, pivots])
+                assert got.tolist() == out, case
                 want_solve = np.zeros((w, w), dtype=np.int64)
                 want_solve[:k, :k] = lower_inverse(found, want_mult, m)
                 assert np.array_equal(solve.astype(np.int64) % m, want_solve), case
@@ -2043,11 +2058,11 @@ class TestSchedule:
             assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
             reduce_f64(self, x, m)
 
-        def recorded_panel(pan, j0, j1, k, mult, *rest):
-            found = factor_panel(pan, j0, j1, k, mult, *rest)
+        def recorded_panel(pan, j0, j1, k, solve, *rest):
+            found = factor_panel(pan, j0, j1, k, solve, *rest)
             # an outer panel, not a half of one, whose pivots an outer
             # update carries into the columns right of it
-            if (j0, j1) == (0, len(mult)) and found and len(pan) > j1:
+            if (j0, j1) == (0, len(solve)) and found and len(pan) > j1:
                 outer.append(found)
             return found
 
@@ -2075,10 +2090,10 @@ class TestSchedule:
         that its earlier pivots' products left outside [0, m), which it
         reduces as it reads them."""
 
-        def recorded_panel(pan, j0, j1, k, mult, *rest):
-            if (j0, j1) == (0, len(mult)):
+        def recorded_panel(pan, j0, j1, k, solve, *rest):
+            if (j0, j1) == (0, len(solve)):
                 unreduced.append(bool(((pan < 0) | (pan >= P31)).any()))
-            return factor_panel(pan, j0, j1, k, mult, *rest)
+            return factor_panel(pan, j0, j1, k, solve, *rest)
 
         factor_panel = _factor_panel
         monkeypatch.setattr(matrix, "_factor_panel", recorded_panel)
@@ -2105,8 +2120,11 @@ class TestSchedule:
         right[::2, 4:] *= -1
         want = right[:, 4:].copy()
         solve = np.eye(4)
-        mult = np.zeros((4, 9))
-        _carry(right, 0, 4, mult, solve, _ReduceF64(m), m, np.matmul)
+        # the pivots' columns, one row each (`_pivot_rows`): the entries
+        # of the rows before each pivot, 1 at it, and no multiplier after
+        piv = np.zeros((4, 9))
+        piv[:, :4] = np.tril(residues((4, 4), m, rng, True), -1) + np.eye(4)
+        _carry(right, 0, 4, piv, solve, _ReduceF64(m), m, np.matmul)
         assert np.array_equal(right[:, 4:], want)
         assert np.abs(right[:, :4]).max() <= m // 2 + 2
 
@@ -2126,10 +2144,10 @@ class TestWorkingArray:
             calls.append((at, at.copy(), []))
             return echelon_blocked(at, m, *args)
 
-        def recorded_panel(pan, j0, j1, k, mult, *rest):
-            if (j0, j1) == (0, len(mult)):
+        def recorded_panel(pan, j0, j1, k, solve, *rest):
+            if (j0, j1) == (0, len(solve)):
                 calls[-1][2].append(pan)
-            return factor_panel(pan, j0, j1, k, mult, *rest)
+            return factor_panel(pan, j0, j1, k, solve, *rest)
 
         echelon_blocked, factor_panel = matrix._echelon_blocked, _factor_panel
         monkeypatch.setattr(matrix, "_echelon_blocked", recorded_echelon)
@@ -2249,8 +2267,8 @@ class TestEliminationMemory:
     def test_nothing_left_for_the_collector(self, m):
         """With the garbage collector off, an elimination returns traced
         memory to its entry level: no reference cycle holds any array it
-        made, which would keep each outer panel's copy and multipliers
-        alive until the collector ran."""
+        made, which would keep the working array and each outer panel's
+        solve matrix alive until the collector ran."""
         rows = cols = 400
         rng = np.random.default_rng(m)
         starts = np.linspace(cols - 1, 0, rows).astype(int) // 2

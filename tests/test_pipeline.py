@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from chowcert import certificate
 from chowcert.certificate import (
     format_certificate,
     integrity_digest,
@@ -182,6 +183,22 @@ class TestVerify:
         report = verify(tmp_path / "nope.txt")
         assert not report.ok
         assert "read" in report.failures[0]
+
+    def test_file_over_byte_limit(self, tmp_path, monkeypatch):
+        """`verify` reports a file over the byte limit as a parse failure
+        that names the limit, and replays one at the limit."""
+        path = tmp_path / "cert.txt"
+        path.write_bytes(REFERENCE.read_bytes())
+        size = path.stat().st_size
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_BYTES", size - 1)
+        report = verify(path)
+        assert not report.ok
+        assert report.failures == [
+            f"parse: file longer than {size - 1} bytes, the most a "
+            "certificate may hold"
+        ]
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_BYTES", size)
+        assert verify(path).ok
 
     def test_corrupt_rank_detected(self):
         text = REFERENCE.read_text().replace(
