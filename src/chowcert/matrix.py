@@ -77,11 +77,12 @@ first at seed 77, n = 6 to 40).  So both solves with it, for C's
 multipliers and for the kernel vector, walk one schedule of A's rows by
 dependency level, which the shifts alone decide (`ShiftedRows.levels`;
 Anderson and Saad, 1989): the multipliers by one product per variable
-and level above the first, the kernel vector's coordinates by the rows'
-dots, level by level in reverse.  Neither inverts the triangle or
-solves within a level.  The Schur product is the last stage of the
-multipliers' schedule, above every level: one product per variable, of
-all its A rows, into the tile's rows of D' (`_stages`, `_run_stages`).
+and level above the first, the kernel vector's coordinates by one
+product per variable and level, from the top level down.  Neither
+inverts the triangle or solves within a level.  The Schur product is
+the last stage of the multipliers' schedule, above every level: one
+product per variable, of all its A rows, into the tile's rows of D'
+(`_stages`, `_run_stages`).
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ import numpy as np
 from .field import PrimeModulus, _check_kernel_modulus, _check_same_modulus
 
 # Columns per outer panel of the eager elimination (`_regime`), and rows
-# per block of the back-substitutions of kernel vectors.
+# per block of the back-substitution over U (`_back_substitute`).
 DEFAULT_BLOCK = 64
 
 _F64_EXACT = 2**53 - 1
@@ -588,18 +589,6 @@ def _reduced_echelon(data: np.ndarray, m: int) -> tuple[np.ndarray, list[int]]:
     return again[::-1, k:], pivots
 
 
-def _dot_rows(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Exact sum over each row of a * b mod m, for canonical int64 rows.
-
-    Each product is below 2^62 and reduced before the sum, so a row of
-    k entries sums to less than k m < 2^63 for any k < 2^32; a plain
-    int64 dot would overflow at 2^31 - 1 from three terms on.
-    """
-    prod = a * b
-    prod %= m
-    return prod.sum(axis=1) % m
-
-
 @dataclass(frozen=True, eq=False)
 class ShiftedRows:
     """The rows x_i w_j of a Macaulay matrix that start a new column.
@@ -679,16 +668,18 @@ class ShiftedRows:
 
         Every other coordinate of x must be set, and these still 0.  A
         row is nonzero at another row's lead only if that row depends on
-        it (`levels`), so the levels go from the highest down, each in
-        chunks of `DEFAULT_BLOCK` rows: a row's lead is minus its dot
-        with the coordinates known so far, its own lead still 0.
+        it (`levels`), so the levels go from the highest down, each by
+        one product per variable i: its rows are basis rows shifted by
+        x_i, so their dots with the coordinates known so far are one
+        product of those basis rows with x at `shifts[i]`, their own
+        leads still 0, and each lead is minus its row's dot.
         """
         for rows in reversed(self.levels):
-            for s in range(0, rows.size, DEFAULT_BLOCK):
-                k = rows[s : s + DEFAULT_BLOCK]
-                known = x[self.shifts[self.var[k]]]
-                acc = _dot_rows(self.basis[self.row[k]], known, m)
-                x[self.lead[k]] = -acc % m
+            var = self.var[rows]
+            for i in np.flatnonzero(np.bincount(var)).tolist():
+                k = rows[var == i]
+                acc = _mod_matmul(self.basis[self.row[k]], x[self.shifts[i], None], m)
+                x[self.lead[k]] = -acc[:, 0] % m
 
 
 def _pooled(wv, ops):

@@ -180,6 +180,24 @@ class TestValidation:
         with pytest.raises(CertificateError, match=f"{key}: not an integer"):
             parse_certificate(text)
 
+    @pytest.mark.parametrize(
+        "old,new,match",
+        [
+            ("\nn = 2\n", "\nn = 1\n", "need n >= 2, got 1"),
+            ("\nr = 1\n", "\nr = 0\n", "need r >= 1, got 0"),
+            ("not-1-TWD TRUE", "not-1-TWD YES", "verdict: unrecognized value"),
+            ("seconds = 0.010000", "seconds = abc", "seconds: not a number: 'abc'"),
+        ],
+        ids=["n-1", "r-0", "verdict-value", "seconds-text"],
+    )
+    def test_value_refused(self, old, new, match):
+        """A value outside the grammar or below its least size is refused
+        by the line that reads it, before the integrity check."""
+        text = format_certificate(make_cert())
+        assert old in text
+        with pytest.raises(CertificateError, match=match):
+            parse_certificate(text.replace(old, new))
+
     def test_unknown_trailing_line(self):
         text = format_certificate(make_cert(), check=False) + "extra = 1\n"
         with pytest.raises(CertificateError, match="unknown line"):

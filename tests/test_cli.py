@@ -173,6 +173,9 @@ class TestVerifyCommand:
         assert "certificate REJECTED" in proc.stdout
         assert "parse: not UTF-8 text: invalid byte at offset 9" in proc.stdout
         assert "Traceback" not in proc.stderr
+        # the same report in this process, where coverage tools see it
+        report = pipeline.verify(out)
+        assert report.failures == ["parse: not UTF-8 text: invalid byte at offset 9"]
 
 
 class TestRankTableCommand:
@@ -183,6 +186,12 @@ class TestRankTableCommand:
         assert len(lines) == 6  # header + 5 rows
         assert "yes" in lines[1]  # n=1 is a perfect case
         assert lines[5].split() == ["5", "56", "16", "4", "2"]
+
+    def test_bad_range_errors(self, capsys):
+        assert main(["rank-table", "--min", "0", "--max", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: need n_min >= 1\n"
+        assert captured.out == ""
 
 
 class TestSweepCommand:

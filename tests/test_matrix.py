@@ -27,7 +27,6 @@ from chowcert.matrix import (
     _mod_matmul,
     _rref_naive,
     _carry,
-    _dot_rows,
     _factor_panel,
     _reduce_i64,
     _reduced_echelon,
@@ -1436,8 +1435,9 @@ class TestLevelSolve:
         reduction within the regime's bounds and, in int64, each product
         of canonical operands.  Upper: the back-substitution
         (`ShiftedRows.back_substitute`), A_A x_A = -A_rest x_rest with
-        the known coordinates at the largest residue m - 1, one dot per
-        `DEFAULT_BLOCK` chunk of a level, from the top level down."""
+        the known coordinates at the largest residue m - 1, one
+        `_mod_matmul` product per variable and level, from the top level
+        down, each of canonical operands."""
 
         def checked_reduce(self, x, m):
             assert np.abs(x).max(initial=0) <= _F64_EXACT + 1 - self.m
@@ -1447,6 +1447,7 @@ class TestLevelSolve:
             if inside:
                 for x in (a, b):
                     assert x.min(initial=0) >= 0 and x.max(initial=0) < m
+                products.append(len(a))
             return mod_matmul(a, b, m)
 
         def recorded_solve(ct, *args):
@@ -1458,23 +1459,27 @@ class TestLevelSolve:
                 inside.pop()
             solved.append((before, ct.astype(np.int64) % m))
 
-        def dot_rows(a, b, m):
-            dots.append(len(a))
-            return _dot_rows(a, b, m)
+        def back_substitute(shifted, x, m):
+            inside.append(True)
+            try:
+                substitute(shifted, x, m)
+            finally:
+                inside.pop()
 
         reduce_f64, mod_matmul = _ReduceF64.__call__, _mod_matmul
+        substitute = ShiftedRows.back_substitute
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         runs = x_update_products(monkeypatch)
         run = matrix._run_stages
         monkeypatch.setattr(matrix, "_run_stages", recorded_solve)
         monkeypatch.setattr(matrix, "_mod_matmul", checked_matmul)
-        monkeypatch.setattr(matrix, "_dot_rows", dot_rows)
-        inside, solved, dots = [], [], []
+        monkeypatch.setattr(ShiftedRows, "back_substitute", back_substitute)
+        inside, solved, products = [], [], []
         rng = np.random.default_rng(m + upper)
         bases = [(name, basis, SPLIT_N) for name, basis in split_bases(m, rng)]
         bases.append(("deep", deep_basis(), 3))
         for name, basis, n in bases:
-            del runs[:], solved[:], dots[:]
+            del runs[:], solved[:], products[:]
             if upper:
                 shifted = split_rows(basis, n, m)
                 lead, rest = shifted.lead, shifted.rest
@@ -1486,12 +1491,15 @@ class TestLevelSolve:
                 shifted.back_substitute(x, m)
                 assert x[lead].tolist() == want, name
                 assert (x[rest] == m - 1).all(), name
-                chunks = [
-                    min(DEFAULT_BLOCK, rows.size - s)
+                # rows per product: each variable of a level, the levels
+                # from the top down
+                per_variable = [
+                    count
                     for rows in reversed(shifted.levels)
-                    for s in range(0, rows.size, DEFAULT_BLOCK)
+                    for count in np.bincount(shifted.var[rows]).tolist()
+                    if count
                 ]
-                assert dots == chunks, name
+                assert products == per_variable, name
                 continue
             shifted = macaulay_matrix(basis, n, m).rref().shifted
             off, pos = triangle_off(shifted).T, x_rows(shifted)
@@ -1579,16 +1587,22 @@ class TestLevelSolve:
         """A degenerate basis whose A triangle is a chain deeper than the
         split meets at sampled points: the X update runs one round of
         products per level above 0 and the back-substitution walks
-        every level, and the kernel vector matches the naive
-        elimination's."""
+        every level, one `_mod_matmul` product per variable and level,
+        and the kernel vector matches the naive elimination's."""
         runs = x_update_products(monkeypatch)
-        dots = []
+        products = []
 
-        def dot_rows(a, b, m):
-            dots.append(len(a))
-            return _dot_rows(a, b, m)
+        def back_substitute(shifted, x, m):
+            with monkeypatch.context() as mp:
+                mp.setattr(matrix, "_mod_matmul", counted_matmul)
+                substitute(shifted, x, m)
 
-        monkeypatch.setattr(matrix, "_dot_rows", dot_rows)
+        def counted_matmul(a, b, m):
+            products.append(len(a))
+            return _mod_matmul(a, b, m)
+
+        substitute = ShiftedRows.back_substitute
+        monkeypatch.setattr(ShiftedRows, "back_substitute", back_substitute)
         mat = macaulay_matrix(deep_basis(), 3, m)
         naive = FfMatrix(mat.data, mat.modulus).rref(naive=True)
         res = mat.rref()
@@ -1599,11 +1613,14 @@ class TestLevelSolve:
         assert np.array_equal(normal, null_vector(naive, f0))
         assert not (mat.data.astype(object) @ normal.astype(object) % m).any()
         # nine levels, a chain of one row each above the first: one X
-        # update of 8 rounds, and one dot per level, from the top down
+        # update of 8 rounds, and one product per variable and level,
+        # from the top down: the top level's two rows are of variables
+        # 0 and 2, each middle level's row is its own product, and level
+        # 0's rows are 3, 3, 1 and 1 of variables 0 to 3
         levels = [r.size for r in res.shifted.levels]
         assert levels == [8, 1, 1, 1, 1, 1, 1, 1, 2]
         assert [r[0] for r in runs] == [8] and runs[0][1] >= 8
-        assert dots == levels[::-1]
+        assert products == [1, 1] + [1] * 7 + [3, 3, 1, 1]
 
 
 # The largest prime whose budget holds two full outer panels' pivots:
@@ -1736,12 +1753,13 @@ class TestExactness:
         """The same for the products of the split (`_split_echelon`), each
         of which must run, in one tile of C rows and in several: the
         left-looking X update, the Schur product, and the A
-        back-substitution, whose dots (`_dot_rows`) must stay inside
-        int64.  The X update and the Schur product reduce once, after all
-        their terms (X's after its level).  The X update walks A's
-        levels, at least two above 0 here, and neither solve with A's
-        triangle inverts it: W's reduction (`_reduced_echelon`), the
-        blocked elimination run twice, runs outside them."""
+        back-substitution, whose products (`_mod_matmul`, one per
+        variable and level) take canonical operands.  The X update and
+        the Schur product reduce once, after all their terms (X's after
+        its level).  The X update walks A's levels, at least two above 0
+        here, and neither solve with A's triangle inverts it: W's
+        reduction (`_reduced_echelon`), the blocked elimination run
+        twice, runs outside them."""
         m = dict((label, p) for p, label in SPLIT_REGIMES)[regime]
         phase = []
         # the tiling of the current run, and (tiling, step) for each step
@@ -1780,14 +1798,6 @@ class TestExactness:
             reduced.append(len(data))
             return reduced_echelon(data, m)
 
-        def checked_dots(a, b, m):
-            for x in (a, b):
-                assert x.min(initial=0) >= 0 and x.max(initial=0) < m
-            # each product below 2^63, reduced, and their sum too
-            assert (m - 1) ** 2 <= I64_MAX and a.shape[1] * (m - 1) <= I64_MAX
-            see("A back-substitution")
-            return dot_rows(a, b, m)
-
         def run_stages(xt, dt, stages, *args):
             # one stage at a time, each within its phase
             tiles[-1] += 1
@@ -1796,7 +1806,7 @@ class TestExactness:
                 run = schur_product if stage[0] else x_update
                 run(xt, dt, [stage], *args)
 
-        reduce_f64, mod_matmul, dot_rows = _ReduceF64.__call__, _mod_matmul, _dot_rows
+        reduce_f64, mod_matmul = _ReduceF64.__call__, _mod_matmul
         reduced_echelon = _reduced_echelon
         schur_product = within("Schur product", _run_stages)
         x_update = within("X update", _run_stages)
@@ -1804,7 +1814,6 @@ class TestExactness:
         walked, reduced = [], []
         monkeypatch.setattr(_ReduceF64, "__call__", checked_reduce)
         monkeypatch.setattr("chowcert.matrix._mod_matmul", checked_matmul)
-        monkeypatch.setattr("chowcert.matrix._dot_rows", checked_dots)
         monkeypatch.setattr("chowcert.matrix._reduced_echelon", checked_reduction)
         monkeypatch.setattr("chowcert.matrix._run_stages", run_stages)
         monkeypatch.setattr(

@@ -179,6 +179,15 @@ class TestVerify:
         assert report.tangent_recomputed == 48
         assert report.hessian_recomputed == 15
 
+    def test_summary_names_every_smaller_r(self):
+        """A verified certificate of r > 1 also covers every k <= r; at
+        r = 1 there is nothing smaller to name."""
+        summary = verify(REFERENCE).summary()
+        assert summary.splitlines()[1] == "(implies not-k-TWD for every k <= 3)"
+        report = verify_certificate(certify(2, 1, seed=5))
+        assert report.ok and "implies" not in report.summary()
+        assert len(report.summary().splitlines()) == 1
+
     def test_missing_file(self, tmp_path):
         report = verify(tmp_path / "nope.txt")
         assert not report.ok
@@ -448,6 +457,33 @@ class TestGenericityRetry:
         assert cert.attempt == 1
         assert cert.seed == derive_seed(8, 1)
         assert cert.verdict is True
+        assert verify_certificate(cert).ok
+
+    def test_both_shortfalls_on_real_draws(self):
+        """n=3 at prime 3, seed 5: attempt 0 reaches the full tangent rank
+        but curvature rank 6 of 9, attempt 1 falls short of the tangent
+        rank, so its curvature rank is never computed, and attempt 2
+        reaches curvature rank 8 of 9."""
+        with pytest.raises(GenericityError) as err:
+            certify(3, prime=3, seed=5)
+        # (attempt, seed, tangent rank / expected, hessian rank / expected)
+        assert [dataclasses.astuple(a) for a in err.value.attempts] == [
+            (0, 5, 10, 10, 6, 9),
+            (1, derive_seed(5, 1), 7, 10, None, 9),
+            (2, derive_seed(5, 2), 10, 10, 8, 9),
+        ]
+        # the message gives no hessian rank where none was computed
+        message = str(err.value)
+        assert f"(seed {derive_seed(5, 1)}): tangent 7/10; attempt 2" in message
+
+    def test_certifies_on_the_last_attempt(self):
+        """n=8 at prime 3, seed 0: attempts 0 and 1 fail, and attempt 2,
+        the last, certifies with the digest pinned here and verifies."""
+        cert = certify(8, prime=3, seed=0)
+        assert (cert.attempt, cert.seed) == (2, derive_seed(0, 2))
+        assert integrity_digest(cert) == (
+            "b724166384a11fe566670b99a320f279b9c8238b9b04ced598cb473e0dd83391"
+        )
         assert verify_certificate(cert).ok
 
 
